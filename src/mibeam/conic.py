@@ -452,16 +452,6 @@ def _quad_terms(prob: QcqpProblem):
     return terms[0], terms[1:]
 
 
-def _qval(term, z):
-    a, b, c = term
-    return float(z @ (a @ z) + 2.0 * b @ z + c)
-
-
-def _qgrad(term, z):
-    a, b, _ = term
-    return 2.0 * (a @ z + b)
-
-
 class _QuadSet:
     """Stacked real quadratics f_m(z) = z^T A_m z + 2 b_m^T z + c_m.
 

@@ -7,6 +7,10 @@ power multiplier; the iteration is accelerated by SQUAREM extrapolation and
 its stationary point polished by Newton steps on the MM fixed-point
 equation.  For multiple users the subproblem keeps the linearized per-user
 rate constraints and is handed to the dense QCQP solver.
+
+Both regimes build the minorizer from the scatterer factors of the instance
+(R = F F^H, one column per component), as the mutual information does; the
+dense covariances enter only the contraction that forms its quadratic term.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from . import conic, model
 from .closed_form import feasibility_bound
 from .errors import BracketFailure, DegenerateConstraint, Infeasible, NumericalError
-from .linalg import hermitian_sqrt, hermitianize, pinv, psd_floor, unvec, vec
+from .linalg import hermitianize, pinv, psd_floor, unvec, vec
 
 DEFAULT_EPS_SINGLE = 1e-8
 DEFAULT_EPS_MULTI = 1e-6
@@ -68,58 +72,47 @@ class Surrogate:
         return self.delta * self.lin - (self.delta ** 2) * (self.quad @ w_vec)
 
 
-def build_surrogate(inst: model.Instance, w, expansion: Optional[np.ndarray] = None,
-                    cov_root: Optional[np.ndarray] = None) -> Surrogate:
+def build_surrogate(inst: model.Instance, w) -> Surrogate:
     """Construct the minorizer at the current beamformer.
 
-    ``expansion`` is the stacking map from conj(vec(W)) to the vectorized
-    receive-stacked filter and ``cov_root`` the Hermitian square root of the
-    target covariance; both can be precomputed once per solve.
+    Works from the scatterer factors (R = F F^H) through the projections
+    Y = Wt F, Wt = I_{N_R} kron W^H: with T = I + delta Wt R Wt^H and the
+    MMSE matrix E = I - delta Y_t^H T^{-1} Y_t (one row per target
+    component), X = T^{-1} Y_t E^{-1} gives the linear term and the receive
+    gain X Y_t^H T^{-1}.  The dense covariances enter only the contraction
+    that forms ``quad``.  Any factor of the target covariance gives the same
+    lin, quad and offset; the tests compare against the explicit
+    stacking-map construction from the dense covariances.
     """
     cfg = inst.config
     w_mat = model.as_beam_matrix(w, cfg)
+    n_tx, n_rx, n_users = cfg.n_tx, cfg.n_rx, cfg.n_users
     delta = float(cfg.n_slots) / cfg.radar_noise
-    if expansion is None:
-        expansion = model.vec_expansion_matrix(cfg.n_tx, cfg.n_rx, cfg.n_users)
-    if cov_root is None:
-        cov_root = hermitian_sqrt(inst.target_cov)
 
-    wt = model.expand_beamformer(w_mat, cfg.n_rx)
-    cov_both = inst.target_cov + inst.interf_cov
-    eye_rx = np.eye(cfg.n_users * cfg.n_rx)
-    gram = eye_rx + delta * hermitianize(wt @ cov_both @ wt.conj().T)
-
-    wt_root = wt @ cov_root
-    whitened = np.linalg.solve(gram, wt_root)                # T^{-1} Wt R^{1/2}
-    residual = hermitianize(
-        np.eye(cfg.n_tx * cfg.n_rx) - delta * (cov_root @ wt.conj().T @ whitened)
-    )
+    y_t = model.expanded_times(w_mat, inst.target_factor, n_rx)
+    y_i = model.expanded_times(w_mat, inst.interf_factor, n_rx)
+    proj = hermitianize(y_t @ y_t.conj().T + y_i @ y_i.conj().T)    # Wt R Wt^H
+    gram = np.eye(n_users * n_rx) + delta * proj                     # T
+    whitened = np.linalg.solve(gram, y_t)                            # T^{-1} Y_t
+    mmse = hermitianize(np.eye(y_t.shape[1]) - delta * (y_t.conj().T @ whitened))
     try:
-        np.linalg.cholesky(residual)
+        np.linalg.cholesky(mmse)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("surrogate curvature matrix lost positive definiteness") from exc
 
-    res_root = np.linalg.solve(residual, cov_root)
-    lin_full = whitened @ res_root                           # (K N_R, N_T N_R)
-    gain = hermitianize(whitened @ np.linalg.solve(residual, whitened.conj().T))
-
-    # The stacking map has exactly N_R ones per column, so the congruence
-    # with the (cov kron gain) matrix reduces to a gather over those rows;
-    # this avoids ever forming the large Kronecker product.
-    rows, cols = np.nonzero(expansion)
-    idx = rows[np.argsort(cols, kind="stable")].reshape(expansion.shape[1], cfg.n_rx)
-    hi, lo = np.divmod(idx, gain.shape[0])
-    lin = vec(lin_full).conj()[idx].sum(axis=1)
-    quad = np.einsum(
-        "iajb,iajb->ij",
-        cov_both[hi[:, :, None, None], hi[None, None, :, :]],
-        gain.conj()[lo[:, :, None, None], lo[None, None, :, :]],
-    )
-    quad = psd_floor(quad)
+    x = np.linalg.solve(mmse.T, whitened.T).T                        # T^{-1} Y_t E^{-1}
+    gain = hermitianize(x @ whitened.conj().T)                       # (K N_R, K N_R)
+    # lin is vec of sum_r F_t,r X_r^H over the receive blocks r
+    lin = vec(np.einsum("rnm,rkm->nk", inst.target_factor.reshape(n_rx, n_tx, -1),
+                        x.reshape(n_rx, n_users, -1).conj()))
+    cov_both = (inst.target_cov + inst.interf_cov).reshape(n_rx, n_tx, n_rx, n_tx)
+    quad = np.tensordot(gain.reshape(n_rx, n_users, n_rx, n_users).conj(), cov_both,
+                        axes=([0, 2], [0, 2]))                        # (k, k', n, n')
+    quad = psd_floor(quad.transpose(0, 2, 1, 3).reshape(n_users * n_tx, n_users * n_tx))
 
     g_val = model.mutual_information(inst, w_mat)
-    touch = 2.0 * delta * float(np.real(np.trace(np.linalg.solve(residual, cov_root @ wt.conj().T @ whitened))))
-    curvature = (delta ** 2) * float(np.real(np.trace(gain @ wt @ cov_both @ wt.conj().T)))
+    touch = 2.0 * delta * float(np.real(np.vdot(y_t, x)))
+    curvature = (delta ** 2) * float(np.real(np.vdot(gain, proj)))
     offset = g_val - touch + curvature
     return Surrogate(lin=lin, quad=quad, offset=offset, delta=delta)
 
@@ -272,8 +265,7 @@ def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float,
     return w_next, tau, mu
 
 
-def _kkt_certificate(inst: model.Instance, w: np.ndarray, omega: float,
-                     expansion, cov_root):
+def _kkt_certificate(inst: model.Instance, w: np.ndarray, omega: float):
     """Stationarity and complementarity residuals at the returned point.
 
     Rebuilds the surrogate at w (its gradient there equals the objective
@@ -283,7 +275,7 @@ def _kkt_certificate(inst: model.Instance, w: np.ndarray, omega: float,
     cfg = inst.config
     h = inst.channel[0].conj()
     p0 = cfg.power_budget
-    sur = build_surrogate(inst, w, expansion, cov_root)
+    sur = build_surrogate(inst, w)
     _, tau, mu = _inner_step(sur, h, w, omega, p0, DEFAULT_EPS_SINGLE, POWER_RTOL)
     grad = sur.gradient(w)
     station = -grad + sur.delta * tau * w - sur.delta * mu * h * complex(np.vdot(h, w))
@@ -311,8 +303,6 @@ class _SingleUserMap:
         self.p0 = cfg.power_budget
         self.rate = cfg.rate_targets[0]
         self.omega = model.rate_power_threshold(self.rate, cfg.comm_noise)
-        self.expansion = model.vec_expansion_matrix(cfg.n_tx, cfg.n_rx, cfg.n_users)
-        self.cov_root = hermitian_sqrt(inst.target_cov)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         """One MM step, with the common phase of the result set so that
@@ -320,7 +310,7 @@ class _SingleUserMap:
         that phase and the map commutes with it, so this leaves the MI
         trajectory unchanged while keeping successive differences (which the
         extrapolation and the polish use) free of arbitrary phase turns."""
-        sur = build_surrogate(self.inst, w, self.expansion, self.cov_root)
+        sur = build_surrogate(self.inst, w)
         w_next = _inner_step(sur, self.h, w, self.omega, self.p0, self.eps1)[0]
         overlap = complex(np.vdot(w, w_next))
         return w_next * (np.conj(overlap) / abs(overlap)) if overlap != 0.0 else w_next
@@ -334,7 +324,7 @@ class _SingleUserMap:
                 and model.achievable_rate(self.inst, w, 0) >= self.rate - ACCEPT_RATE_ATOL)
 
     def certificate(self, w: np.ndarray):
-        return _kkt_certificate(self.inst, w, self.omega, self.expansion, self.cov_root)
+        return _kkt_certificate(self.inst, w, self.omega)
 
 
 def _extrapolated_step(step: _SingleUserMap, w: np.ndarray, g_val: float):
@@ -505,13 +495,6 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
 # Multi-user
 
 
-def _column_selector(k: int, n_users: int, n_tx: int) -> np.ndarray:
-    """(i_k kron I) so that selector^T @ vec(W) is column k of W."""
-    i_k = np.zeros((n_users, 1))
-    i_k[k, 0] = 1.0
-    return np.kron(i_k, np.eye(n_tx))
-
-
 def zero_forcing_init(inst: model.Instance) -> np.ndarray:
     """Zero-forcing start scaled to the full power budget.
 
@@ -548,17 +531,14 @@ def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate) -> conic.
     constraints = [(np.eye(dim, dtype=complex), np.zeros(dim, dtype=complex),
                     -cfg.power_budget)]
 
-    selectors = [_column_selector(k, cfg.n_users, cfg.n_tx) for k in range(cfg.n_users)]
-    for k in range(cfg.n_users):
+    # user k's cut acts on vec(W) through h_k h_k^H on column k (its own
+    # signal) and on every other column (the interference it receives)
+    for k, e_k in enumerate(np.eye(cfg.n_users)):
         h_k = inst.channel[k].conj()
         nu_k = 2.0 ** cfg.rate_targets[k] - 1.0
-        own = selectors[k] @ np.outer(h_k, h_k.conj()) @ selectors[k].T
-        quad = np.zeros((dim, dim), dtype=complex)
-        for j in range(cfg.n_users):
-            if j == k:
-                continue
-            quad += selectors[j] @ np.outer(h_k, h_k.conj()) @ selectors[j].T
-        a_k = hermitianize(nu_k * quad)
+        gram_k = np.outer(h_k, h_k.conj())
+        own = np.kron(np.diag(e_k), gram_k)
+        a_k = hermitianize(nu_k * np.kron(np.diag(1.0 - e_k), gram_k))
         b_k = -(own @ w_vec)
         c_k = float(np.real(np.vdot(w_vec, own @ w_vec))) + nu_k * cfg.comm_noise
         constraints.append((a_k, b_k, c_k))
@@ -576,9 +556,6 @@ def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
     """
     cfg = inst.config
     started = time.perf_counter()
-    expansion = model.vec_expansion_matrix(cfg.n_tx, cfg.n_rx, cfg.n_users)
-    cov_root = hermitian_sqrt(inst.target_cov)
-
     w_mat = zero_forcing_init(inst)
     g_val = model.mutual_information(inst, w_mat)
     trace = [g_val]
@@ -586,7 +563,7 @@ def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        sur = build_surrogate(inst, w_mat, expansion, cov_root)
+        sur = build_surrogate(inst, w_mat)
         problem = multiuser_subproblem(inst, w_mat, sur)
         report = conic.solve_qcqp(problem, tol=SUBPROBLEM_GAP_TOL)
         if report.status == conic.INFEASIBLE:

@@ -118,6 +118,10 @@ class Instance:
     of the vectorized target and interference response matrices, and
     ``target_factor`` / ``interf_factor`` their factors F with cov = F F^H
     (one column per scatterer component, see :func:`scatterer_factor`).
+
+    The factors serve the mutual information and the MM surrogate; the
+    dense covariances serve the surrogate's quadratic contraction and the
+    echo draws.
     """
 
     config: SystemConfig
@@ -213,7 +217,11 @@ def as_beam_matrix(w, cfg: SystemConfig) -> np.ndarray:
 
 
 def expand_beamformer(w_mat: np.ndarray, n_rx: int) -> np.ndarray:
-    """The receive-stacked filter I_{N_R} kron W^H, shape (K N_R, N_T N_R)."""
+    """The receive-stacked filter I_{N_R} kron W^H, shape (K N_R, N_T N_R).
+
+    A reference construction for tests; the solvers apply it to scatterer
+    factors through :func:`expanded_times` instead.
+    """
     return np.kron(np.eye(n_rx), w_mat.conj().T)
 
 
@@ -224,7 +232,8 @@ def vec_expansion_matrix(n_tx: int, n_rx: int, n_users: int) -> np.ndarray:
     N_R elementary matrix with vec(C_i) = e_i; stacking those columns gives
     F as the vertical stack of (C_i^T kron I_K) times the commutation matrix
     of an N_T x K matrix.  Shape (N_T N_R * K N_R, N_T K); each row has at
-    most one 1.
+    most one 1.  A reference construction for tests (the stacking identity
+    and the surrogate oracle); no solver uses it.
     """
     comm = linalg.commutation_matrix(n_tx, n_users)
     blocks = []
@@ -236,8 +245,12 @@ def vec_expansion_matrix(n_tx: int, n_rx: int, n_users: int) -> np.ndarray:
     return np.vstack(blocks) @ comm
 
 
-def _expanded_times(w_mat: np.ndarray, factor: np.ndarray, n_rx: int) -> np.ndarray:
-    """(I_{N_R} kron W^H) @ factor, one N_T-row block of the factor at a time."""
+def expanded_times(w_mat: np.ndarray, factor: np.ndarray, n_rx: int) -> np.ndarray:
+    """(I_{N_R} kron W^H) @ factor, one N_T-row block of the factor at a time.
+
+    The projection Wt F of a scatterer factor, shared by the mutual
+    information and the MM surrogate.
+    """
     n_tx, n_users = w_mat.shape
     blocks = w_mat.conj().T @ factor.reshape(n_rx, n_tx, factor.shape[1])
     return blocks.reshape(n_rx * n_users, factor.shape[1])
@@ -258,8 +271,8 @@ def mutual_information(inst: Instance, w) -> float:
     scale = float(cfg.n_slots)
     noise = cfg.radar_noise
     eye = np.eye(cfg.n_users * cfg.n_rx)
-    interf = _gram(_expanded_times(w_mat, inst.interf_factor, cfg.n_rx))
-    both = interf + _gram(_expanded_times(w_mat, inst.target_factor, cfg.n_rx))
+    interf = _gram(expanded_times(w_mat, inst.interf_factor, cfg.n_rx))
+    both = interf + _gram(expanded_times(w_mat, inst.target_factor, cfg.n_rx))
     num = linalg.logdet_hermitian(scale * both + noise * eye)
     den = linalg.logdet_hermitian(scale * interf + noise * eye)
     return num - den

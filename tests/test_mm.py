@@ -25,11 +25,12 @@ def single_user_instance(n_tx=4, n_rx=3, seed=11, gamma2=50.0, m_interf=8,
 
 
 def multi_user_instance(n_tx=4, n_rx=3, n_users=2, seed=21, gamma2=10.0,
-                        m_interf=6, rate=2.0):
+                        m_interf=6, rate=2.0, target=None):
     cfg = SystemConfig(n_tx=n_tx, n_rx=n_rx, n_users=n_users, n_slots=30,
                        power_budget=10.0, comm_noise=0.1, radar_noise=1.0,
                        rate_targets=(rate,) * n_users, rng_seed=0)
-    target = ScattererModel.point(0.0, 1.0)
+    if target is None:
+        target = ScattererModel.point(0.0, 1.0)
     interf = None
     if gamma2 > 0.0:
         interf = ScattererModel.extended(-30.0, -25.0, m_interf, gamma2)
@@ -132,22 +133,17 @@ def test_surrogate_gradient_matches_finite_differences_under_interference():
             assert abs(numeric - analytic) <= tol
 
 
-def test_surrogate_matches_direct_expansion_construction():
-    # the gathered construction must equal the explicit Kronecker/expansion
-    # congruence entry for entry
-    rng = np.random.default_rng(12)
-    inst = multi_user_instance(seed=61, n_users=2)
+def _surrogate_by_expansion(inst, w):
+    """lin, quad and offset of the surrogate through the explicit
+    Kronecker/stacking-map congruence and the covariance square root."""
     cfg = inst.config
-    w = mm.zero_forcing_init(inst)
-    sur = mm.build_surrogate(inst, w)
-
     delta = cfg.n_slots / cfg.radar_noise
     expansion = model.vec_expansion_matrix(cfg.n_tx, cfg.n_rx, cfg.n_users)
     wt = model.expand_beamformer(w, cfg.n_rx)
     cov_both = inst.target_cov + inst.interf_cov
     cov_root = linalg.hermitian_sqrt(inst.target_cov)
-    gram = np.eye(cfg.n_users * cfg.n_rx) + delta * linalg.hermitianize(
-        wt @ cov_both @ wt.conj().T)
+    projected = linalg.hermitianize(wt @ cov_both @ wt.conj().T)
+    gram = np.eye(cfg.n_users * cfg.n_rx) + delta * projected
     whitened = np.linalg.solve(gram, wt @ cov_root)
     residual = linalg.hermitianize(
         np.eye(cfg.n_tx * cfg.n_rx) - delta * (cov_root @ wt.conj().T @ whitened))
@@ -155,10 +151,45 @@ def test_surrogate_matches_direct_expansion_construction():
     gain = linalg.hermitianize(whitened @ np.linalg.solve(residual, whitened.conj().T))
     quad_full = np.kron(cov_both.conj(), gain)
 
-    lin_direct = expansion.T @ linalg.vec(lin_full).conj()
-    quad_direct = expansion.T @ quad_full.conj() @ expansion
-    assert np.allclose(sur.lin, lin_direct, atol=1e-12)
-    assert np.allclose(sur.quad, quad_direct, atol=1e-10)
+    lin = expansion.T @ linalg.vec(lin_full).conj()
+    quad = expansion.T @ quad_full.conj() @ expansion
+    touch = 2.0 * delta * np.real(np.trace(
+        np.linalg.solve(residual, cov_root @ wt.conj().T @ whitened)))
+    curvature = delta ** 2 * np.real(np.trace(gain @ projected))
+    return lin, quad, model.mutual_information(inst, w) - touch + curvature, touch + curvature
+
+
+def test_surrogate_matches_direct_expansion_construction():
+    # the factored construction must equal the explicit Kronecker/expansion
+    # congruence built from the dense covariances and their square root
+    inst = multi_user_instance(seed=61, n_users=2)
+    w = mm.zero_forcing_init(inst)
+    sur = mm.build_surrogate(inst, w)
+    lin, quad, offset, _ = _surrogate_by_expansion(inst, w)
+    assert np.allclose(sur.lin, lin, atol=1e-12)
+    assert np.allclose(sur.quad, quad, atol=1e-10)
+    assert sur.offset == pytest.approx(offset, rel=1e-11)
+
+    # 6x6 arrays under the 50-component strength-100 interferer, and a
+    # 3-component extended target with and without interference
+    rng = np.random.default_rng(12)
+    extended_target = ScattererModel.extended(-5.0, 5.0, 3, 1.0)
+    cases = [(multi_user_instance(n_tx=6, n_rx=6, n_users=1, seed=62, gamma2=100.0,
+                                  m_interf=50), 1e-7),
+             (multi_user_instance(n_tx=6, n_rx=6, n_users=3, seed=63, gamma2=100.0,
+                                  m_interf=50), 1e-7),
+             (multi_user_instance(seed=64, target=extended_target), 1e-9),
+             (multi_user_instance(seed=65, target=extended_target, gamma2=0.0), 1e-9)]
+    for inst, rtol in cases:
+        cfg = inst.config
+        for _ in range(4):
+            w = random_complex(rng, cfg.n_tx, cfg.n_users)
+            w *= np.sqrt(cfg.power_budget) / np.linalg.norm(w)
+            sur = mm.build_surrogate(inst, w)
+            lin, quad, offset, offset_scale = _surrogate_by_expansion(inst, w)
+            assert np.linalg.norm(sur.lin - lin) <= rtol * np.linalg.norm(lin)
+            assert np.linalg.norm(sur.quad - quad) <= rtol * np.linalg.norm(quad)
+            assert abs(sur.offset - offset) <= rtol * (abs(offset) + offset_scale)
 
 
 def test_surrogate_quadratic_is_psd():
@@ -392,14 +423,6 @@ def test_single_user_infeasible_rate():
 # Multi-user pieces
 
 
-def test_column_selector_extracts_columns():
-    rng = np.random.default_rng(9)
-    w = random_complex(rng, 4, 3)
-    for k in range(3):
-        sel = mm._column_selector(k, 3, 4)
-        assert np.allclose(sel.T @ linalg.vec(w), w[:, k], atol=0)
-
-
 def test_zero_forcing_init_diagonalizes():
     inst = multi_user_instance(seed=120)
     w = mm.zero_forcing_init(inst)
@@ -448,6 +471,19 @@ def test_multiuser_rate_quadratics_are_psd():
     for a_k, _, _ in prob.constraints:
         vals = np.linalg.eigvalsh(a_k)
         assert vals.min() >= -1e-10 * max(1.0, vals.max())
+
+    # at its own linearization point each cut reads
+    # nu_k (interference + noise) - signal for user k
+    cfg = inst.config
+    w = random_complex(np.random.default_rng(13), cfg.n_tx, cfg.n_users)
+    w_vec = linalg.vec(w)
+    prob = mm.multiuser_subproblem(inst, w, sur)
+    for k, (a_k, b_k, c_k) in enumerate(prob.constraints[1:]):
+        power = np.abs(inst.channel[k] @ w) ** 2
+        nu_k = 2.0 ** cfg.rate_targets[k] - 1.0
+        expected = nu_k * (power.sum() - power[k] + cfg.comm_noise) - power[k]
+        value = np.real(np.vdot(w_vec, a_k @ w_vec) + 2.0 * np.vdot(b_k, w_vec)) + c_k
+        assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
 def test_multi_user_converges_and_meets_rates():
