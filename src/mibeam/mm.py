@@ -9,8 +9,8 @@ equation.  For multiple users the subproblem keeps the linearized per-user
 rate constraints and is handed to the dense QCQP solver.
 
 Both regimes build the minorizer from the scatterer factors of the instance
-(R = F F^H, one column per component), as the mutual information does; the
-dense covariances enter only the contraction that forms its quadratic term.
+(R = F F^H, one column per component), as the mutual information does; no
+(N_T N_R)-dimensional matrix is formed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import conic, model
 from .closed_form import feasibility_bound
 from .errors import BracketFailure, DegenerateConstraint, Infeasible, NumericalError
-from .linalg import hermitianize, pinv, psd_floor, unvec, vec
+from .linalg import hermitianize, pinv, unvec, vec
 
 DEFAULT_EPS_SINGLE = 1e-8
 DEFAULT_EPS_MULTI = 1e-6
@@ -77,12 +77,15 @@ def build_surrogate(inst: model.Instance, w) -> Surrogate:
 
     Works from the scatterer factors (R = F F^H) through the projections
     Y = Wt F, Wt = I_{N_R} kron W^H: with T = I + delta Wt R Wt^H and the
-    MMSE matrix E = I - delta Y_t^H T^{-1} Y_t (one row per target
-    component), X = T^{-1} Y_t E^{-1} gives the linear term and the receive
-    gain X Y_t^H T^{-1}.  The dense covariances enter only the contraction
-    that forms ``quad``.  Any factor of the target covariance gives the same
-    lin, quad and offset; the tests compare against the explicit
-    stacking-map construction from the dense covariances.
+    MMSE matrix E = I - delta Y_t^H T^{-1} Y_t = L L^H (one row per target
+    component), X = T^{-1} Y_t E^{-1} gives the linear term, and the
+    receive-gain factor G = T^{-1} Y_t L^{-H} gives the quadratic term
+    quad = U U^H, U[(k, n), (j, m)] = sum_r conj(G[(r, k), j]) F[(r, n), m]
+    over the columns m of both factors, PSD by construction.  The mutual
+    information at w, for the offset, is -log det E (determinant lemma).
+    Any factor of the target covariance gives the same lin, quad and
+    offset; the tests compare against the explicit stacking-map
+    construction from the dense covariances.
     """
     cfg = inst.config
     w_mat = model.as_beam_matrix(w, cfg)
@@ -96,23 +99,24 @@ def build_surrogate(inst: model.Instance, w) -> Surrogate:
     whitened = np.linalg.solve(gram, y_t)                            # T^{-1} Y_t
     mmse = hermitianize(np.eye(y_t.shape[1]) - delta * (y_t.conj().T @ whitened))
     try:
-        np.linalg.cholesky(mmse)
+        chol = np.linalg.cholesky(mmse)                              # E = L L^H
     except np.linalg.LinAlgError as exc:
         raise NumericalError("surrogate curvature matrix lost positive definiteness") from exc
 
-    x = np.linalg.solve(mmse.T, whitened.T).T                        # T^{-1} Y_t E^{-1}
-    gain = hermitianize(x @ whitened.conj().T)                       # (K N_R, K N_R)
+    gain = np.linalg.solve(chol, whitened.conj().T).conj().T        # G
+    x = np.linalg.solve(chol.conj().T, gain.conj().T).conj().T      # G L^{-1} = X
     # lin is vec of sum_r F_t,r X_r^H over the receive blocks r
     lin = vec(np.einsum("rnm,rkm->nk", inst.target_factor.reshape(n_rx, n_tx, -1),
                         x.reshape(n_rx, n_users, -1).conj()))
-    cov_both = (inst.target_cov + inst.interf_cov).reshape(n_rx, n_tx, n_rx, n_tx)
-    quad = np.tensordot(gain.reshape(n_rx, n_users, n_rx, n_users).conj(), cov_both,
-                        axes=([0, 2], [0, 2]))                        # (k, k', n, n')
-    quad = psd_floor(quad.transpose(0, 2, 1, 3).reshape(n_users * n_tx, n_users * n_tx))
+    gain_conj = gain.reshape(n_rx, n_users, -1).conj()
+    u = np.concatenate([np.tensordot(gain_conj, f.reshape(n_rx, n_tx, -1), axes=(0, 0))
+                        for f in (inst.target_factor, inst.interf_factor)], axis=3)
+    u = u.transpose(0, 2, 1, 3).reshape(n_users * n_tx, -1)         # (k, n) x (j, m)
+    quad = hermitianize(u @ u.conj().T)
 
-    g_val = model.mutual_information(inst, w_mat)
+    g_val = -2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
     touch = 2.0 * delta * float(np.real(np.vdot(y_t, x)))
-    curvature = (delta ** 2) * float(np.real(np.vdot(gain, proj)))
+    curvature = (delta ** 2) * float(np.real(np.vdot(gain, proj @ gain)))
     offset = g_val - touch + curvature
     return Surrogate(lin=lin, quad=quad, offset=offset, delta=delta)
 

@@ -1,10 +1,10 @@
 """Physical problem construction and the two design metrics.
 
-Builds steering vectors, scatterer covariances and Rayleigh channels, and
-evaluates the sensing mutual information and per-user achievable rates for a
-given beamforming matrix.  Angles are degrees, powers are linear watts, the
-mutual information is natural-log internally (bits only at reporting
-boundaries).
+Builds steering vectors, factored scatterer covariances and Rayleigh
+channels, and evaluates the sensing mutual information and per-user
+achievable rates for a given beamforming matrix.  Angles are degrees, powers
+are linear watts, the mutual information is natural-log internally (bits
+only at reporting boundaries).
 """
 
 from __future__ import annotations
@@ -114,22 +114,27 @@ class Instance:
 
     ``channel`` has shape (K, N_T); row k is the conjugated user channel
     h_k^H, so ``channel[k] @ w`` is the received amplitude h_k^H w.
-    ``target_cov`` / ``interf_cov`` are the (N_T N_R) x (N_T N_R) covariances
-    of the vectorized target and interference response matrices, and
-    ``target_factor`` / ``interf_factor`` their factors F with cov = F F^H
-    (one column per scatterer component, see :func:`scatterer_factor`).
-
-    The factors serve the mutual information and the MM surrogate; the
-    dense covariances serve the surrogate's quadratic contraction and the
-    echo draws.
+    ``target_factor`` / ``interf_factor`` are the factors F of the
+    covariances of the vectorized target and interference response
+    matrices, cov = F F^H, one column per scatterer component (see
+    :func:`scatterer_factor`).  They are the only stored scatterer data: the
+    mutual information, the MM surrogate and the echo draws all work from
+    them.  ``target_cov`` / ``interf_cov`` form the dense (N_T N_R) x
+    (N_T N_R) covariances on access, for tests and reference constructions.
     """
 
     config: SystemConfig
     channel: np.ndarray
-    target_cov: np.ndarray
-    interf_cov: np.ndarray
     target_factor: np.ndarray
     interf_factor: np.ndarray
+
+    @property
+    def target_cov(self) -> np.ndarray:
+        return _gram(self.target_factor)
+
+    @property
+    def interf_cov(self) -> np.ndarray:
+        return _gram(self.interf_factor)
 
 
 @dataclass(frozen=True)
@@ -202,8 +207,7 @@ def build_instance(scenario: Scenario) -> Instance:
         interf_factor = np.zeros((cfg.n_tx * cfg.n_rx, 0), dtype=complex)
     else:
         interf_factor = scatterer_factor(scenario.interference, cfg)
-    return Instance(cfg, channel, _gram(target_factor), _gram(interf_factor),
-                    target_factor, interf_factor)
+    return Instance(cfg, channel, target_factor, interf_factor)
 
 
 def as_beam_matrix(w, cfg: SystemConfig) -> np.ndarray:
@@ -313,8 +317,8 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _draw_response(rng: np.random.Generator, cov_root: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    g_vec = cov_root @ _complex_normal(rng, cov_root.shape[0])
+def _draw_response(rng: np.random.Generator, factor: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    g_vec = factor @ _complex_normal(rng, factor.shape[1])
     g_herm = linalg.unvec(g_vec, cfg.n_tx, cfg.n_rx)  # this is G^H
     return g_herm.conj().T
 
@@ -323,16 +327,15 @@ def simulate_echo_parts(inst: Instance, w, seed) -> EchoDraw:
     """Draw one echo frame Y = (G_target + G_interf) W S + Z.
 
     Deterministic given the seed; the draw order is fixed (target response,
-    interference response, data, noise).  Response matrices are drawn so that
-    vec(G^H) is complex Gaussian with the instance covariance.
+    interference response, data, noise).  Each response is drawn as
+    vec(G^H) = F z with z ~ CN(0, I), one entry per scatterer component, so
+    vec(G^H) is complex Gaussian with the instance covariance F F^H.
     """
     cfg = inst.config
     w_mat = as_beam_matrix(w, cfg)
     rng = np.random.default_rng(seed)
-    root_t = linalg.hermitian_sqrt(inst.target_cov)
-    root_i = linalg.hermitian_sqrt(inst.interf_cov)
-    g_target = _draw_response(rng, root_t, cfg)
-    g_interf = _draw_response(rng, root_i, cfg)
+    g_target = _draw_response(rng, inst.target_factor, cfg)
+    g_interf = _draw_response(rng, inst.interf_factor, cfg)
     tx_data = _complex_normal(rng, (cfg.n_users, cfg.n_slots))
     noise = np.sqrt(cfg.radar_noise) * _complex_normal(rng, (cfg.n_rx, cfg.n_slots))
     y = (g_target + g_interf) @ w_mat @ tx_data + noise

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,27 @@ def test_single_user_infeasible_rate():
     inst = single_user_instance(seed=114, rate=30.0)  # far beyond the budget
     with pytest.raises(Infeasible):
         mm.solve_single_user(inst)
+
+
+def test_large_array_pipeline_stays_factored():
+    # at N_T = N_R = 32 one dense (N_T N_R)^2 covariance takes 16 MiB; the
+    # instance, the surrogate, the MI, the echo draw and a few MM iterations
+    # must all work from the 1024 x 51 scatterer factors instead
+    tracemalloc.start()
+    try:
+        inst = single_user_instance(n_tx=32, n_rx=32, seed=115, m_interf=50)
+        w = mm.zero_forcing_init(inst)[:, 0]
+        sur = mm.build_surrogate(inst, w)
+        mi = model.mutual_information(inst, w)
+        draw = model.simulate_echo_parts(inst, w, seed=1)
+        report = mm.solve_single_user(inst, max_iters=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert sur.quad.shape == (32, 32)
+    assert np.isfinite(mi) and draw.g_interf.shape == (32, 32)
+    assert report.iterations <= 3 and np.all(np.diff(report.mi_trace) >= 0.0)
 
 
 # ---------------------------------------------------------------------------

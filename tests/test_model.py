@@ -202,6 +202,24 @@ def test_simulate_echo_deterministic_and_zero_beam():
     assert np.array_equal(draw.y, draw.noise)
 
 
+def test_simulate_echo_response_covariance():
+    # vec(G^H) of each drawn response is CN(0, R); entry (a, b) of the sample
+    # covariance over n draws then has standard deviation
+    # sqrt(R_aa R_bb / n), and every entry must lie within 5 of those
+    cfg = make_config(n_tx=3, n_rx=2)
+    inst = make_instance(cfg, ScattererModel((10.0, 20.0), (2.0, 0.5)),
+                         ScattererModel((-30.0, -25.0, -20.0), (3.0, 1.0, 0.25)))
+    n_draws = 4000
+    w = np.ones(cfg.n_tx)
+    draws = [model.simulate_echo_parts(inst, w, seed=s) for s in range(n_draws)]
+    for field, cov in (("g_target", inst.target_cov), ("g_interf", inst.interf_cov)):
+        vecs = np.stack([linalg.vec(getattr(d, field).conj().T) for d in draws], axis=1)
+        sample = vecs @ vecs.conj().T / n_draws
+        diag = np.real(np.diag(cov))
+        std = np.sqrt(np.outer(diag, diag) / n_draws)
+        assert np.all(np.abs(sample - cov) <= 5.0 * std)
+
+
 def test_simulate_echo_pure_noise_variance():
     cfg = make_config(n_rx=5, n_slots=2000)
     inst = make_instance(cfg, ScattererModel.point(0.0, 0.0),
