@@ -3,13 +3,16 @@ maximum-likelihood angle estimation, and RMSE sweeps over radar SNR.
 
 All spectra are peak-normalized dB; Monte-Carlo trials draw independent RNG
 streams keyed by (seed, grid index, trial index) so results are reproducible
-and invariant to the number of trials run.
+and invariant to the number of trials run.  Steering vectors on an angle
+grid come from one :func:`model.steering_matrix` call, and the RMSE sweep
+builds the per-design part of the angle estimator (see
+:func:`mle_estimator`) once per SNR point, not once per trial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -78,8 +81,7 @@ def beampattern(w, grid_deg, spacing_over_lambda: float = 0.5) -> SpectrumResult
     if w_mat.ndim == 1:
         w_mat = w_mat[:, None]
     grid = np.asarray(grid_deg, dtype=float)
-    steer = np.stack([model.steering_vector(t, w_mat.shape[0], spacing_over_lambda)
-                      for t in grid])
+    steer = model.steering_matrix(grid, w_mat.shape[0], spacing_over_lambda)
     response = steer.conj() @ w_mat           # (G, K)
     power = np.sum(np.abs(response) ** 2, axis=1)
     return SpectrumResult(angles_deg=grid, values_db=_normalize_db(power))
@@ -113,16 +115,17 @@ def capon_spectrum(y_r: np.ndarray, grid_deg,
         cov_inv = np.linalg.inv(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("sample covariance is singular even after loading") from exc
-    steer = np.stack([model.steering_vector(t, n_rx, spacing_over_lambda) for t in grid])
+    steer = model.steering_matrix(grid, n_rx, spacing_over_lambda)
     denom = np.einsum("gi,ij,gj->g", steer.conj(), cov_inv, steer).real
     power = 1.0 / denom
     return SpectrumResult(angles_deg=grid, values_db=_normalize_db(power))
 
 
-def mle_angle(y_r: np.ndarray, w, inst: model.Instance, grid_deg,
-              tx_data: Optional[np.ndarray] = None,
-              spacing_over_lambda: float = 0.5) -> float:
-    """Grid-search maximum-likelihood estimate of the point-target angle.
+def mle_estimator(w, inst: model.Instance, grid_deg,
+                  spacing_over_lambda: float = 0.5
+                  ) -> Callable[[np.ndarray, Optional[np.ndarray]], float]:
+    """Grid-search maximum-likelihood estimator of the point-target angle
+    for one design.
 
     The point-target echo is a rank-one term alpha * b(theta) (a^H(theta) W
     S); with the transmitted frame known the concentrated likelihood is the
@@ -130,27 +133,42 @@ def mle_angle(y_r: np.ndarray, w, inst: model.Instance, grid_deg,
     with c(theta) = S^H W^H a(theta).  Without ``tx_data`` the temporal
     filter drops and the classic single-source beamforming statistic
     b^H (Y Y^H) b is maximized instead.
+
+    The part of the statistic fixed by the design and the grid, the receive
+    steering matrix and the transmit filters W^H a(theta), is built here
+    once.  The returned function maps an echo ``y_r`` and its ``tx_data``
+    (or None) to the estimate in degrees.
     """
     cfg = inst.config
-    y = np.asarray(y_r, dtype=complex)
     grid = np.asarray(grid_deg, dtype=float)
     w_mat = model.as_beam_matrix(w, cfg)
-    steer_rx = np.stack([model.steering_vector(t, cfg.n_rx, spacing_over_lambda)
-                         for t in grid])
-    if tx_data is None:
-        cov = y @ y.conj().T
-        stat = np.einsum("gi,ij,gj->g", steer_rx.conj(), cov, steer_rx).real
-    else:
-        steer_tx = np.stack([model.steering_vector(t, cfg.n_tx, spacing_over_lambda)
-                             for t in grid])
-        filt = (steer_tx.conj() @ w_mat).conj()          # (G, K): row g is W^H a(theta_g)
-        y_corr = y @ tx_data.conj().T                    # (N_R, K)
-        gram = tx_data @ tx_data.conj().T                # (K, K)
-        numer = np.abs(np.einsum("gi,ik,gk->g", steer_rx.conj(), y_corr, filt)) ** 2
-        denom = np.einsum("gk,kl,gl->g", filt.conj(), gram, filt).real
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stat = np.where(denom > 0.0, numer / denom, 0.0)
-    return float(grid[int(np.argmax(stat))])
+    steer_rx = model.steering_matrix(grid, cfg.n_rx, spacing_over_lambda)
+    steer_rx_h = steer_rx.conj()
+    filt_h = model.steering_matrix(grid, cfg.n_tx, spacing_over_lambda).conj() @ w_mat
+    filt = filt_h.conj()                                 # (G, K): row g is W^H a(theta_g)
+
+    def estimate(y_r: np.ndarray, tx_data: Optional[np.ndarray] = None) -> float:
+        y = np.asarray(y_r, dtype=complex)
+        if tx_data is None:
+            cov = y @ y.conj().T
+            stat = np.einsum("gi,ij,gj->g", steer_rx_h, cov, steer_rx).real
+        else:
+            y_corr = y @ tx_data.conj().T                # (N_R, K)
+            gram = tx_data @ tx_data.conj().T            # (K, K)
+            numer = np.abs(np.einsum("gi,ik,gk->g", steer_rx_h, y_corr, filt)) ** 2
+            denom = np.einsum("gk,kl,gl->g", filt_h, gram, filt).real
+            with np.errstate(divide="ignore", invalid="ignore"):
+                stat = np.where(denom > 0.0, numer / denom, 0.0)
+        return float(grid[int(np.argmax(stat))])
+
+    return estimate
+
+
+def mle_angle(y_r: np.ndarray, w, inst: model.Instance, grid_deg,
+              tx_data: Optional[np.ndarray] = None,
+              spacing_over_lambda: float = 0.5) -> float:
+    """One-shot maximum-likelihood angle estimate; see :func:`mle_estimator`."""
+    return mle_estimator(w, inst, grid_deg, spacing_over_lambda)(y_r, tx_data)
 
 
 def strength_for_radar_snr(snr_db: float, cfg: model.SystemConfig) -> float:
@@ -165,7 +183,9 @@ def rmse_sweep(spec: SweepSpec, scenario: model.Scenario,
     For each grid point the target strength implied by the SNR is installed,
     the scheme is re-solved, and ``trials`` echoes are drawn with per-trial
     seeds; each estimate comes from the matched-subspace search on a grid of
-    ``angle_step`` degrees.
+    ``angle_step`` degrees.  The per-design part of that search (steering
+    matrix and transmit filters) is built once per SNR point and shared by
+    its trials.
     """
     from . import dispatch
 
@@ -179,11 +199,12 @@ def rmse_sweep(spec: SweepSpec, scenario: model.Scenario,
         scen = scenario.with_target_strength(strength)
         inst = model.build_instance(scen)
         result = dispatch.solve_scenario(scen, spec.scheme)
+        estimate = mle_estimator(result.w, inst, grid)
         estimates = []
         sq_sum = 0.0
         for trial in range(spec.trials):
             draw = model.simulate_echo_parts(inst, result.w, seed=[spec.seed, idx, trial])
-            est = mle_angle(draw.y, result.w, inst, grid, tx_data=draw.tx_data)
+            est = estimate(draw.y, draw.tx_data)
             estimates.append(est)
             sq_sum += (est - truth) ** 2
         points.append(RmsePoint(value=float(snr_db),

@@ -435,7 +435,8 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
     POLISH_RTOL.  A Newton candidate is kept only if it is admissible, does
     not lower the MI and lowers the residual; otherwise the plain MM step is
     taken (if it does not lower the MI) and the polish ends.  The objective
-    trace is non-decreasing.
+    trace is non-decreasing.  A zero-strength target returns the MRT start,
+    converged with MI 0 and a zero certificate.
     """
     cfg = inst.config
     if cfg.n_users != 1:
@@ -449,6 +450,12 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
     w = np.sqrt(p0) * h / np.linalg.norm(h)
     g_val = step.mi(w)
     trace = [g_val]
+    if not np.any(inst.target_factor):
+        # A silent target makes the MI, and every surrogate, identically
+        # zero: each feasible point is stationary, the MRT start among them.
+        return MmReport(w=w[:, None], mi_trace=trace, iterations=0, status="converged",
+                        kkt_residual=0.0, comp_power=0.0, comp_rate=0.0,
+                        wall_time_s=time.perf_counter() - started)
     status = "max_iterations"
     iterations = 0
     for _ in range(max_iters):

@@ -153,11 +153,23 @@ class Scenario:
         return replace(self, target=new_target)
 
 
-def steering_vector(theta_deg: float, n: int, spacing_over_lambda: float = 0.5) -> np.ndarray:
-    """Uniform linear array response, entry m = exp(-i 2 pi d/lambda m sin(theta))."""
+def steering_matrix(grid_deg, n: int, spacing_over_lambda: float = 0.5) -> np.ndarray:
+    """Uniform linear array responses of a grid of angles, shape (G, n).
+
+    Row g is the response toward grid[g], entry m = exp(-i 2 pi d/lambda m
+    sin(theta_g)).  The arithmetic is elementwise, so a row does not depend
+    on the rest of the grid: it equals :func:`steering_vector` of its angle
+    bit for bit.
+    """
     m = np.arange(n)
-    phase = -2j * np.pi * spacing_over_lambda * m * np.sin(np.deg2rad(theta_deg))
+    sines = np.sin(np.deg2rad(np.asarray(grid_deg, dtype=float)))
+    phase = -2j * np.pi * spacing_over_lambda * m[None, :] * sines[:, None]
     return np.exp(phase)
+
+
+def steering_vector(theta_deg: float, n: int, spacing_over_lambda: float = 0.5) -> np.ndarray:
+    """Uniform linear array response toward one angle; see :func:`steering_matrix`."""
+    return steering_matrix([theta_deg], n, spacing_over_lambda)[0]
 
 
 def scatterer_factor(model: ScattererModel, cfg: SystemConfig) -> np.ndarray:
@@ -166,8 +178,10 @@ def scatterer_factor(model: ScattererModel, cfg: SystemConfig) -> np.ndarray:
     Column i is sqrt(strength_i) * conj(b(theta_i)) kron a(theta_i), shape
     (N_T N_R, number of components).
     """
-    tx = np.stack([steering_vector(theta, cfg.n_tx) for theta in model.angles_deg], axis=1)
-    rx = np.stack([steering_vector(theta, cfg.n_rx) for theta in model.angles_deg], axis=1)
+    # C order: on a transposed layout the BLAS products of the MI and the
+    # MM surrogate round differently, which moves solver iterates.
+    tx = np.ascontiguousarray(steering_matrix(model.angles_deg, cfg.n_tx).T)
+    rx = np.ascontiguousarray(steering_matrix(model.angles_deg, cfg.n_rx).T)
     factor = (rx.conj()[:, None, :] * tx[None, :, :]).reshape(cfg.n_rx * cfg.n_tx, -1)
     return factor * np.sqrt(np.asarray(model.strengths))
 

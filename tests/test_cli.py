@@ -160,6 +160,30 @@ def test_eval_rmse_table_shape(tmp_path):
     assert all(int(r[2]) == 50 for r in rows)
 
 
+@pytest.mark.parametrize("kind, name", [("rmse", "rmse.csv"), ("capon", "spectrum.csv")])
+def test_eval_is_byte_identical(tmp_path, kind, name):
+    cfg_path = write_config(tmp_path / "cfg.yaml",
+                            eval={"trials": 50, "snr_grid_db": [-10, 0, 10, 20, 30]})
+    for out in ("a", "b"):
+        assert cli.main(["eval", kind, "--config", str(cfg_path),
+                         "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_solve_zero_strength_target_exits_zero(tmp_path):
+    cfg_path = write_config(
+        tmp_path / "cfg.yaml",
+        target={"angles": [0.0], "strengths": [0.0]},
+        interference={"span": [-30.0, -25.0], "count": 50, "strength": 100.0},
+        solver={"name": "mm-single"},
+    )
+    assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    payload = json.loads((tmp_path / "o" / "solution.json").read_text())
+    assert payload["mi_bits"] == 0.0
+    assert payload["status"] == "converged"
+    assert payload["rates_bits"][0] >= 6.0
+
+
 def test_csv_comment_header_carries_provenance(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.yaml",
                             sweep={"variable": "rate_target", "grid": [1.0]})

@@ -89,6 +89,52 @@ def test_mle_high_snr_concentration():
     assert hits >= int(0.95 * trials)
 
 
+def _reference_mle(y, w_mat, inst, grid, tx_data=None):
+    """The matched-subspace (or, without tx_data, beamforming) statistic
+    evaluated one grid angle at a time."""
+    cfg = inst.config
+    stats = []
+    for theta in grid:
+        b = model.steering_vector(theta, cfg.n_rx)
+        if tx_data is None:
+            stats.append(float(np.real(b.conj() @ y @ y.conj().T @ b)))
+            continue
+        c = tx_data.conj().T @ (w_mat.conj().T @ model.steering_vector(theta, cfg.n_tx))
+        norm = float(np.vdot(c, c).real)
+        stats.append(abs(b.conj() @ y @ c) ** 2 / norm if norm > 0.0 else 0.0)
+    return float(grid[int(np.argmax(stats))])
+
+
+@pytest.mark.parametrize("n_users", [1, 3])
+def test_mle_estimator_matches_per_angle_reference(n_users):
+    cfg = make_config(n_users=n_users, rate_targets=(1.0,) * n_users)
+    rng = np.random.default_rng(40 + n_users)
+    w = rng.standard_normal((cfg.n_tx, n_users)) + 1j * rng.standard_normal((cfg.n_tx, n_users))
+    w *= np.sqrt(cfg.power_budget) / np.linalg.norm(w)
+    grid = evaluation.default_grid(0.25)
+    for snr_db in (-10.0, 20.0):
+        strength = evaluation.strength_for_radar_snr(snr_db, cfg)
+        inst = make_instance(cfg, ScattererModel.point(12.0, strength))
+        estimate = evaluation.mle_estimator(w, inst, grid)
+        for trial in range(10):
+            draw = model.simulate_echo_parts(inst, w, seed=[5, n_users, trial])
+            for tx_data in (draw.tx_data, None):
+                assert estimate(draw.y, tx_data) == _reference_mle(draw.y, w, inst, grid, tx_data)
+
+
+def test_mle_estimator_reused_equals_fresh_mle_angle():
+    cfg = make_config()
+    inst = make_instance(cfg, ScattererModel.point(-20.0, evaluation.strength_for_radar_snr(0.0, cfg)))
+    w = np.sqrt(cfg.power_budget) * model.steering_vector(-20.0, cfg.n_tx) / np.sqrt(cfg.n_tx)
+    grid = evaluation.default_grid(0.05)
+    estimate = evaluation.mle_estimator(w, inst, grid)
+    for trial in range(8):
+        draw = model.simulate_echo_parts(inst, w, seed=[8, trial])
+        for tx_data in (draw.tx_data, None):
+            assert estimate(draw.y, tx_data) == evaluation.mle_angle(draw.y, w, inst, grid,
+                                                                     tx_data=tx_data)
+
+
 def test_strength_for_radar_snr_roundtrip():
     cfg = make_config()
     strength = evaluation.strength_for_radar_snr(20.0, cfg)

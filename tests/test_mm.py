@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mibeam import linalg, mm, model
+from mibeam import dispatch, linalg, mm, model
 from mibeam.closed_form import ClosedFormInputs, solve_closed_form
 from mibeam.errors import DegenerateConstraint, Infeasible
 from mibeam.model import ScattererModel, Scenario, SystemConfig
@@ -246,6 +246,16 @@ def test_rate_constrained_step_large_tau_shrinks():
     assert np.linalg.norm(w) <= 1e-6
 
 
+def test_rate_constrained_step_vanishing_curvature_raises():
+    rng = np.random.default_rng(8)
+    inst = single_user_instance(seed=73)
+    w0 = feasible_beam(inst, rng)
+    sur = mm.build_surrogate(inst, w0)
+    # a zero channel leaves the linearized rate cut no direction to move along
+    with pytest.raises(DegenerateConstraint):
+        mm.rate_constrained_step(sur, np.zeros(inst.config.n_tx), w0, omega_shift=1.0, tau=0.5)
+
+
 def test_transmit_power_monotone_in_multiplier():
     rng = np.random.default_rng(7)
     for seed in range(10):
@@ -419,6 +429,21 @@ def test_single_user_infeasible_rate():
     inst = single_user_instance(seed=114, rate=30.0)  # far beyond the budget
     with pytest.raises(Infeasible):
         mm.solve_single_user(inst)
+
+
+def test_single_user_zero_strength_target_returns_mrt():
+    inst = single_user_instance(seed=115, beta2=0.0)
+    cfg = inst.config
+    scenario = Scenario(cfg, ScattererModel.point(0.0, 0.0),
+                        ScattererModel.extended(-30.0, -25.0, 8, 50.0), inst.channel)
+    result = dispatch.solve_scenario(scenario, "mm-single")
+    h = inst.channel[0].conj()
+    mrt = np.sqrt(cfg.power_budget) * h / np.linalg.norm(h)
+    assert result.status == "converged"
+    assert result.mi_nats == 0.0
+    assert result.kkt_residual == 0.0
+    assert np.allclose(result.w[:, 0], mrt, rtol=0, atol=1e-12)
+    assert result.rates_bits[0] >= cfg.rate_targets[0]
 
 
 def test_large_array_pipeline_stays_factored():

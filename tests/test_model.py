@@ -57,6 +57,32 @@ def test_steering_vector_norm():
         assert np.linalg.norm(a) ** 2 == pytest.approx(n, rel=1e-14)
 
 
+def test_steering_matrix_rows_equal_steering_vectors():
+    grid = np.concatenate([[-90.0, 0.0, 90.0], np.linspace(-89.95, 89.95, 257)])
+    for n in (1, 6, 32):
+        steer = model.steering_matrix(grid, n)
+        assert steer.shape == (grid.size, n)
+        for row, theta in zip(steer, grid):
+            # the per-angle formula, evaluated on one scalar angle
+            ref = np.exp(-2j * np.pi * 0.5 * np.arange(n) * np.sin(np.deg2rad(theta)))
+            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(row, model.steering_vector(theta, n), rtol=0, atol=1e-15)
+
+
+def test_scatterer_factor_matches_per_angle_stack():
+    cfg = make_config(n_tx=6, n_rx=5)
+    scatterer = ScattererModel.extended(-30.0, -25.0, 50, 100.0)
+    factor = model.scatterer_factor(scatterer, cfg)
+    tx = np.stack([model.steering_vector(t, cfg.n_tx) for t in scatterer.angles_deg], axis=1)
+    rx = np.stack([model.steering_vector(t, cfg.n_rx) for t in scatterer.angles_deg], axis=1)
+    ref = (rx.conj()[:, None, :] * tx[None, :, :]).reshape(cfg.n_rx * cfg.n_tx, -1)
+    ref = ref * np.sqrt(np.asarray(scatterer.strengths))
+    assert np.array_equal(factor, ref)
+    # the layout is part of the result: BLAS rounds differently on a
+    # transposed operand, and the solvers' iterates follow that roundoff
+    assert factor.flags.c_contiguous
+
+
 def test_point_covariance_broadside_all_ones():
     cfg = make_config(n_tx=2, n_rx=2)
     cov = model.scatterer_covariance(ScattererModel.point(0.0, 1.0), cfg)
