@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import model
+from . import evaluation, model
 from .dispatch import SCHEMES, SolverOptions
 from .errors import ConfigError
 
@@ -23,9 +23,9 @@ from .errors import ConfigError
 @dataclass(frozen=True)
 class EvalOptions:
     trials: int = 200
-    angle_grid_step: float = 0.05
-    beampattern_step: float = 0.1
-    diagonal_load: float = 1e-3
+    angle_grid_step: float = evaluation.DEFAULT_ANGLE_STEP
+    beampattern_step: float = evaluation.DEFAULT_PATTERN_STEP
+    diagonal_load: float = evaluation.DEFAULT_DIAGONAL_LOAD
     echo_seed: int = 0
     snr_grid_db: tuple = (-10.0, 0.0, 10.0, 20.0)
 
@@ -34,7 +34,6 @@ class EvalOptions:
 class SweepOptions:
     variable: str
     grid: tuple
-    trials: int = 1
 
 
 @dataclass(frozen=True)
@@ -147,23 +146,25 @@ def parse_config(path) -> ExperimentConfig:
     scheme = str(_require(solver_node, "name", "solver"))
     if scheme not in SCHEMES:
         raise ConfigError(f"solver.name: unknown scheme {scheme!r} (choose from {SCHEMES})")
+    solver_default = SolverOptions()
     solver = SolverOptions(
-        eps1=float(solver_node.get("eps1", 1e-8)),
-        eps2=float(solver_node.get("eps2", 1e-6)),
-        max_iters=int(solver_node.get("max_iters", 2000)),
-        n_randomizations=int(solver_node.get("randomizations", 1000)),
+        eps1=float(solver_node.get("eps1", solver_default.eps1)),
+        eps2=float(solver_node.get("eps2", solver_default.eps2)),
+        max_iters=int(solver_node.get("max_iters", solver_default.max_iters)),
+        n_randomizations=int(solver_node.get("randomizations", solver_default.n_randomizations)),
         seed=int(solver_node.get("seed", cfg.rng_seed)),
     )
 
     eval_node = raw.get("eval", {}) or {}
-    evaluation = EvalOptions(
-        trials=int(eval_node.get("trials", 200)),
-        angle_grid_step=float(eval_node.get("angle_grid_step", 0.05)),
-        beampattern_step=float(eval_node.get("beampattern_step", 0.1)),
-        diagonal_load=float(eval_node.get("diagonal_load", 1e-3)),
+    eval_default = EvalOptions()
+    eval_opts = EvalOptions(
+        trials=int(eval_node.get("trials", eval_default.trials)),
+        angle_grid_step=float(eval_node.get("angle_grid_step", eval_default.angle_grid_step)),
+        beampattern_step=float(eval_node.get("beampattern_step", eval_default.beampattern_step)),
+        diagonal_load=float(eval_node.get("diagonal_load", eval_default.diagonal_load)),
         echo_seed=int(eval_node.get("echo_seed", cfg.rng_seed)),
         snr_grid_db=tuple(float(v) for v in eval_node.get("snr_grid_db",
-                                                          (-10.0, 0.0, 10.0, 20.0))),
+                                                          eval_default.snr_grid_db)),
     )
 
     sweep = None
@@ -172,10 +173,9 @@ def parse_config(path) -> ExperimentConfig:
         sweep = SweepOptions(
             variable=str(_require(sweep_node, "variable", "sweep")),
             grid=tuple(float(v) for v in _require(sweep_node, "grid", "sweep")),
-            trials=int(sweep_node.get("trials", 1)),
         )
 
     return ExperimentConfig(
-        scenario=scenario, scheme=scheme, solver=solver, evaluation=evaluation,
+        scenario=scenario, scheme=scheme, solver=solver, evaluation=eval_opts,
         sweep=sweep, output_dir=str(raw.get("output", "out")), raw=raw,
     )

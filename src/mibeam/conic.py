@@ -167,12 +167,6 @@ def _herm_of_params(x: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def _params_of_herm(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    iu = np.triu_indices(n, 1)
-    return np.concatenate([np.real(np.diag(a)), np.real(a[iu]), np.imag(a[iu])])
-
-
 # ---------------------------------------------------------------------------
 # Generic barrier machinery
 #

@@ -1,8 +1,11 @@
 """Uniform front door to the four solver regimes.
 
-Validates scheme/scenario compatibility, runs the right solver, and returns
+Validates scheme/scenario compatibility, builds the :class:`model.Instance`
+once, hands it to the right solver (every solver reads the instance; the
+closed form also takes the target's transmit steering vector), and returns
 one report shape for the CLI, the sweep drivers, and the evaluation
-pipeline.
+pipeline.  For every scheme the reported MI is :func:`model.mutual_information`
+of the returned design.
 """
 
 from __future__ import annotations
@@ -78,27 +81,10 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
                                                omega=omega))[:, None]
         iterations, status, kkt, trace, extras = 0, "closed_form", None, None, {}
     elif scheme == "sdr":
-        theta_t = scenario.target.angles_deg[0]
-        if _is_silent(scenario.interference):
-            theta_c, gamma2 = -30.0, 0.0
-        else:
-            theta_c = scenario.interference.angles_deg[0]
-            gamma2 = scenario.interference.strengths[0]
-        inputs = sdr.SdrInputs(
-            p_mat=np.outer(model.steering_vector(theta_t, cfg.n_tx),
-                           model.steering_vector(theta_t, cfg.n_rx).conj()),
-            q_mat=np.outer(model.steering_vector(theta_c, cfg.n_tx),
-                           model.steering_vector(theta_c, cfg.n_rx).conj()),
-            beta2=scenario.target.strengths[0], gamma2=gamma2,
-            n_slots=cfg.n_slots, sigma_z2=cfg.radar_noise,
-            h=inst.channel[0].conj(), p0=cfg.power_budget,
-            omega=model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise),
-            n_randomizations=opts.n_randomizations,
-        )
-        report = sdr.solve_point_interference(inputs, seed=opts.seed)
+        report = sdr.solve_point_interference(inst, opts.seed, opts.n_randomizations)
         w = report.w[:, None]
-        iterations = report.conic_report.iterations
-        status, kkt, trace = report.conic_report.status, None, None
+        iterations, status = report.conic_report.iterations, report.conic_report.status
+        kkt, trace = None, None
         extras = {"mi_bound_bits": model.nats_to_bits(report.bound_nats)}
     elif scheme == "mm-single":
         report = mm.solve_single_user(inst, eps1=opts.eps1, max_iters=opts.max_iters)

@@ -30,11 +30,6 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.asarray(v).reshape(rows, cols, order="F")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (thin alias kept for a uniform kernel surface)."""
-    return np.kron(a, b)
-
-
 def hermitianize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^H) / 2; removes roundoff asymmetry."""
     return 0.5 * (a + a.conj().T)

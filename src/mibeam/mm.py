@@ -43,6 +43,12 @@ SQUAREM_MAX_STEP = 32.0
 SQUAREM_BACKTRACKS = 4     # extrapolation lengths tried before the plain step
 POLISH_STEPS = 4           # Newton iterations after the relative-change stop
 POLISH_RTOL = 1e-8         # KKT residual at which the polish stops
+# A single-user step that lowers the MI ends the iteration.  Exact MM cannot
+# do that; the inexact inner solve can, by 1e-6 relative or more where the MI
+# is tiny (a target inside a strong extended interferer), at points that are
+# already stationary.  Such a stop counts as converged when every entry
+# of the KKT certificate there is at most this.
+DIP_KKT_TOL = 1e-6
 FD_RSTEP = 1e-6            # relative forward-difference step of the map Jacobian
 SUBPROBLEM_GAP_TOL = 1e-9  # conic gap for the multi-user subproblem
 
@@ -435,8 +441,10 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
     POLISH_RTOL.  A Newton candidate is kept only if it is admissible, does
     not lower the MI and lowers the residual; otherwise the plain MM step is
     taken (if it does not lower the MI) and the polish ends.  The objective
-    trace is non-decreasing.  A zero-strength target returns the MRT start,
-    converged with MI 0 and a zero certificate.
+    trace is non-decreasing.  A step that would lower the MI stops the
+    iteration too: ``converged`` (and polished) if the certificate there is
+    within DIP_KKT_TOL, ``stalled`` otherwise.  A zero-strength target returns
+    the MRT start, converged with MI 0 and a zero certificate.
     """
     cfg = inst.config
     if cfg.n_users != 1:
@@ -473,6 +481,8 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
             break
 
     cert = step.certificate(w)
+    if status == "stalled" and max(cert) <= DIP_KKT_TOL:
+        status = "converged"
     polish = POLISH_STEPS if status == "converged" else 0
     while polish and iterations < max_iters and cert[0] > POLISH_RTOL:
         polish -= 1

@@ -296,10 +296,6 @@ def mutual_information(inst: Instance, w) -> float:
     return num - den
 
 
-def mutual_information_bits(inst: Instance, w) -> float:
-    return nats_to_bits(mutual_information(inst, w))
-
-
 def achievable_rate(inst: Instance, w, user: int) -> float:
     """Achievable rate of one user in bits/s/Hz (0-based user index)."""
     cfg = inst.config

@@ -1,9 +1,11 @@
 """Single-user solver for a point target with a point interferer.
 
-Lifts w to a PSD matrix, drops the rank-one constraint, solves the resulting
-semidefinite program with :mod:`mibeam.conic`, and recovers a feasible
-rank-one beamformer by Gaussian randomization ranked by the exact mutual
-information.
+Reads the :class:`model.Instance` like every other solver: the response
+matrix sqrt(strength) a b^H of each point scatterer is its one factor column
+put back in matrix shape.  Lifts w to a PSD matrix, drops the rank-one
+constraint, solves the resulting semidefinite program with
+:mod:`mibeam.conic`, and recovers a feasible rank-one beamformer by Gaussian
+randomization ranked by the exact mutual information.
 """
 
 from __future__ import annotations
@@ -12,88 +14,75 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conic
+from . import conic, model
 from .errors import Infeasible, NumericalError
-from .linalg import hermitian_sqrt, hermitianize
+from .linalg import hermitian_sqrt, hermitianize, unvec
 
 DEFAULT_RANDOMIZATIONS = 1000
 
 
-@dataclass(frozen=True)
-class SdrInputs:
-    """Problem data for the point-target / point-interference design.
+def _point_response(factor: np.ndarray, cfg: model.SystemConfig) -> np.ndarray:
+    """The N_T x N_R response sqrt(strength) a b^H of a point scatterer:
+    vec of it is the factor's one column.  Zero when there is no column."""
+    if factor.shape[1] > 1:
+        raise ValueError("sdr: target and interferer must each be a single point")
+    if factor.shape[1] == 0:
+        return np.zeros((cfg.n_tx, cfg.n_rx), dtype=complex)
+    return unvec(factor[:, 0], cfg.n_tx, cfg.n_rx)
 
-    ``p_mat`` and ``q_mat`` are the rank-one response factors a(theta) b^H
-    (theta) of the target and the interferer; ``beta2`` / ``gamma2`` their
-    average strengths; ``omega`` the minimum received power implied by the
-    rate target.
+
+def _responses(inst: model.Instance):
+    cfg = inst.config
+    if cfg.n_users != 1:
+        raise ValueError("sdr: requires exactly one user")
+    return _point_response(inst.target_factor, cfg), _point_response(inst.interf_factor, cfg)
+
+
+def point_mutual_information(inst: model.Instance, cands: np.ndarray) -> np.ndarray:
+    """Exact sensing mutual information (nats) of each row of ``cands``.
+
+    Uses the 2x2 determinant reduction of the receive covariance, with
+    u = P^H w and v = Q^H w the projections on the target and interferer
+    responses; identical to the full stacked log-det evaluation.
     """
-
-    p_mat: np.ndarray
-    q_mat: np.ndarray
-    beta2: float
-    gamma2: float
-    n_slots: int
-    sigma_z2: float
-    h: np.ndarray
-    p0: float
-    omega: float
-    n_randomizations: int = DEFAULT_RANDOMIZATIONS
-
-    def __post_init__(self):
-        if self.n_randomizations < 1:
-            raise ValueError("n_randomizations must be >= 1")
+    p, q = _responses(inst)
+    scale = float(inst.config.n_slots)
+    s2 = inst.config.radar_noise
+    u = cands @ p.conj()
+    v = cands @ q.conj()
+    target = scale * np.sum(np.abs(u) ** 2, axis=1) + s2
+    interf = scale * np.sum(np.abs(v) ** 2, axis=1) + s2
+    cross = scale * np.sum(v.conj() * u, axis=1)
+    return np.log(target * interf - np.abs(cross) ** 2) - np.log(interf) - np.log(s2)
 
 
-def _quadratic_factors(inputs: SdrInputs):
-    """The N_T x N_T kernels of the three quadratic forms in w."""
-    p, q = inputs.p_mat, inputs.q_mat
-    pp = hermitianize(p @ p.conj().T)
-    qq = hermitianize(q @ q.conj().T)
-    qp = q @ p.conj().T
-    return pp, qq, qp
+def _omega(inst: model.Instance) -> float:
+    return model.rate_power_threshold(inst.config.rate_targets[0], inst.config.comm_noise)
 
 
-def mutual_information_point(inputs: SdrInputs, w: np.ndarray) -> float:
-    """Exact sensing mutual information (nats) for the point/point scenario.
-
-    Uses the 2x2 determinant reduction of the receive covariance; identical
-    to the full stacked log-det evaluation.
-    """
-    pp, qq, qp = _quadratic_factors(inputs)
-    scale = float(inputs.n_slots)
-    s2 = inputs.sigma_z2
-    beta2, gamma2 = inputs.beta2, inputs.gamma2
-    target = scale * beta2 * float(np.real(np.vdot(w, pp @ w))) + s2
-    interf = scale * gamma2 * float(np.real(np.vdot(w, qq @ w))) + s2
-    cross = scale * np.sqrt(beta2 * gamma2) * complex(np.vdot(w, qp @ w))
-    num = target * interf - float(np.abs(cross) ** 2)
-    return float(np.log(num) - np.log(interf) - np.log(s2))
-
-
-def build_sdp(inputs: SdrInputs) -> conic.SdpProblem:
+def build_sdp(inst: model.Instance) -> conic.SdpProblem:
     """Rank-relaxed SDP: maximize the auxiliary variable t subject to the
     2x2 LMI, the power bound, and the received-power bound."""
-    pp, qq, qp = _quadratic_factors(inputs)
-    n = inputs.p_mat.shape[0]
-    scale = float(inputs.n_slots)
-    s2 = inputs.sigma_z2
-    beta = float(np.sqrt(inputs.beta2))
-    gamma = float(np.sqrt(inputs.gamma2))
+    p, q = _responses(inst)
+    cfg = inst.config
+    n = cfg.n_tx
+    scale = float(cfg.n_slots)
+    s2 = cfg.radar_noise
+    qp = scale * (q @ p.conj().T)
 
     coeff = np.zeros((2, 2, n, n), dtype=complex)
-    coeff[0, 0] = scale * beta * beta * pp
-    coeff[0, 1] = scale * gamma * beta * qp
-    coeff[1, 0] = scale * beta * gamma * qp.conj().T
-    coeff[1, 1] = scale * gamma * gamma * qq
+    coeff[0, 0] = scale * hermitianize(p @ p.conj().T)
+    coeff[0, 1] = qp
+    coeff[1, 0] = qp.conj().T
+    coeff[1, 1] = scale * hermitianize(q @ q.conj().T)
     const = np.array([[s2, 0.0], [0.0, s2]], dtype=complex)
     t_coeff = np.array([[-1.0, 0.0], [0.0, 0.0]], dtype=complex)
     lmi = conic.LmiBlock(coeff=coeff, const=const, t_coeff=t_coeff)
 
-    h = np.asarray(inputs.h, dtype=complex)
+    h = inst.channel[0].conj()
     constraints = (
-        conic.TraceConstraint(mat=np.eye(n, dtype=complex), bound=inputs.p0, sense="le"),
-        conic.TraceConstraint(mat=np.outer(h, h.conj()), bound=inputs.omega, sense="ge"),
+        conic.TraceConstraint(mat=np.eye(n, dtype=complex), bound=cfg.power_budget, sense="le"),
+        conic.TraceConstraint(mat=np.outer(h, h.conj()), bound=_omega(inst), sense="ge"),
     )
     return conic.SdpProblem(
         dim=n,
@@ -109,7 +98,8 @@ def relaxed_mi_bound(t_value: float, sigma_z2: float) -> float:
     return float(np.log(t_value) - np.log(sigma_z2))
 
 
-def randomize(w_bar: np.ndarray, inputs: SdrInputs, seed) -> np.ndarray:
+def randomize(w_bar: np.ndarray, inst: model.Instance, seed,
+              n_randomizations: int = DEFAULT_RANDOMIZATIONS) -> np.ndarray:
     """Recover a feasible rank-one beamformer from the relaxed solution.
 
     Draws candidates from CN(0, w_bar), scales each to the full power budget,
@@ -117,59 +107,51 @@ def randomize(w_bar: np.ndarray, inputs: SdrInputs, seed) -> np.ndarray:
     with the largest exact mutual information.  Falls back to the scaled
     principal eigenvector when no sample is feasible.
     """
+    if n_randomizations < 1:
+        raise ValueError("n_randomizations must be >= 1")
     rng = np.random.default_rng(seed)
     n = w_bar.shape[0]
     root = hermitian_sqrt(w_bar)
-    h = np.asarray(inputs.h, dtype=complex)
+    h = inst.channel[0].conj()
+    p0 = inst.config.power_budget
+    omega = _omega(inst)
 
-    draws = (rng.standard_normal((inputs.n_randomizations, n))
-             + 1j * rng.standard_normal((inputs.n_randomizations, n))) / np.sqrt(2.0)
+    draws = (rng.standard_normal((n_randomizations, n))
+             + 1j * rng.standard_normal((n_randomizations, n))) / np.sqrt(2.0)
     cands = draws @ root.T
     norms = np.linalg.norm(cands, axis=1)
     keep = norms > 1e-14
-    cands = cands[keep] * (np.sqrt(inputs.p0) / norms[keep])[:, None]
+    cands = cands[keep] * (np.sqrt(p0) / norms[keep])[:, None]
     received = np.abs(cands @ h.conj()) ** 2
-    feasible = cands[received >= inputs.omega]
+    feasible = cands[received >= omega]
 
     if feasible.shape[0] == 0:
         vals, vecs = np.linalg.eigh(w_bar)
         lead = vecs[:, int(np.argmax(vals))]
-        lead = np.sqrt(inputs.p0) * lead / np.linalg.norm(lead)
-        if float(np.abs(np.vdot(h, lead)) ** 2) < inputs.omega:
+        lead = np.sqrt(p0) * lead / np.linalg.norm(lead)
+        if float(np.abs(np.vdot(h, lead)) ** 2) < omega:
             raise Infeasible("no randomized sample or principal direction meets the rate target")
         return lead
-
-    pp, qq, qp = _quadratic_factors(inputs)
-    scale = float(inputs.n_slots)
-    s2 = inputs.sigma_z2
-    target = scale * inputs.beta2 * np.einsum("ij,jk,ik->i", feasible.conj(), pp, feasible).real + s2
-    interf = scale * inputs.gamma2 * np.einsum("ij,jk,ik->i", feasible.conj(), qq, feasible).real + s2
-    cross = scale * np.sqrt(inputs.beta2 * inputs.gamma2) * np.einsum(
-        "ij,jk,ik->i", feasible.conj(), qp, feasible)
-    mi = np.log(target * interf - np.abs(cross) ** 2) - np.log(interf) - np.log(s2)
-    return feasible[int(np.argmax(mi))]
+    return feasible[int(np.argmax(point_mutual_information(inst, feasible)))]
 
 
 @dataclass
 class SdrReport:
     w: np.ndarray
-    mi_nats: float
     bound_nats: float
     conic_report: conic.ConicReport
 
 
-def solve_point_interference(inputs: SdrInputs, seed) -> SdrReport:
+def solve_point_interference(inst: model.Instance, seed,
+                             n_randomizations: int = DEFAULT_RANDOMIZATIONS) -> SdrReport:
     """Full pipeline: relax, solve, randomize; raises on infeasibility."""
-    problem = build_sdp(inputs)
-    report = conic.solve_sdp(problem)
+    report = conic.solve_sdp(build_sdp(inst))
     if report.status == conic.INFEASIBLE:
         raise Infeasible("relaxed design problem is infeasible")
     if report.status != conic.OPTIMAL or report.solution is None:
         raise NumericalError(f"relaxed solve ended with status {report.status}")
-    w = randomize(report.solution, inputs, seed)
     return SdrReport(
-        w=w,
-        mi_nats=mutual_information_point(inputs, w),
-        bound_nats=relaxed_mi_bound(report.aux, inputs.sigma_z2),
+        w=randomize(report.solution, inst, seed, n_randomizations),
+        bound_nats=relaxed_mi_bound(report.aux, inst.config.radar_noise),
         conic_report=report,
     )

@@ -6,6 +6,8 @@ import pytest
 import yaml
 
 from mibeam import cli
+from mibeam.config import EvalOptions, parse_config
+from mibeam.dispatch import SolverOptions
 
 PAPER_SYSTEM = {
     "n_tx": 6, "n_rx": 6, "n_users": 1, "n_slots": 30,
@@ -37,6 +39,16 @@ def read_csv(path: Path):
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows
+
+
+def test_minimal_config_parses_to_dataclass_defaults(tmp_path):
+    # only the seeds come from the file (system.rng_seed); every other
+    # solver and evaluation option is the dataclass default
+    cfg = parse_config(write_config(tmp_path / "cfg.yaml"))
+    seed = PAPER_SYSTEM["rng_seed"]
+    assert cfg.solver == SolverOptions(seed=seed)
+    assert cfg.evaluation == EvalOptions(echo_seed=seed)
+    assert cfg.sweep is None
 
 
 def test_solve_paper_config_meets_rate(tmp_path):

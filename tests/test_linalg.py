@@ -9,26 +9,6 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def test_kron_identity_case():
-    out = linalg.kron(np.eye(2), np.eye(3))
-    assert np.array_equal(out, np.eye(6))
-
-
-def test_kron_scalar_case():
-    rng = np.random.default_rng(0)
-    b = random_complex(rng, 2, 2)
-    assert np.allclose(linalg.kron(np.array([[2.0]]), b), 2.0 * b, atol=0)
-
-
-def test_kron_mixed_product_rule():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a, b, c, d = (random_complex(rng, 2, 2) for _ in range(4))
-        lhs = linalg.kron(a, c) @ linalg.kron(b, d)
-        rhs = linalg.kron(a @ b, c @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
 def test_vec_definition():
     a = np.array([[1.0, 3.0], [2.0, 4.0]])
     assert np.array_equal(linalg.vec(a), np.array([1.0, 2.0, 3.0, 4.0]))
@@ -40,7 +20,7 @@ def test_vec_of_triple_product():
     for _ in range(20):
         a, b, c = (random_complex(rng, 2, 2) for _ in range(3))
         lhs = linalg.vec(a @ b @ c)
-        rhs = linalg.kron(c.T, a) @ linalg.vec(b)
+        rhs = np.kron(c.T, a) @ linalg.vec(b)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 

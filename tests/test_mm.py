@@ -391,6 +391,35 @@ def test_single_user_certified_under_interference():
         assert report.comp_rate <= 1e-6
 
 
+def target_inside_interferer(strength, channel_seed):
+    """6 x 6 point target at 0 deg inside a 50-component interferer over
+    -2..2 deg: the MI is tiny, so the inner solve's error can exceed the
+    MI change near the optimum."""
+    cfg = SystemConfig(n_tx=6, n_rx=6, n_users=1, n_slots=30, power_budget=10.0,
+                       comm_noise=0.1, radar_noise=1.0, rate_targets=(6.0,), rng_seed=0)
+    scenario = Scenario(cfg, ScattererModel.point(0.0, 1.0),
+                        ScattererModel.extended(-2.0, 2.0, 50, strength),
+                        model.rayleigh_channel(1, 6, channel_seed))
+    return model.build_instance(scenario)
+
+
+@pytest.mark.parametrize("strength", [100.0, 1.0])
+@pytest.mark.parametrize("channel_seed", [1, 2, 3])
+def test_single_user_dip_at_stationary_point_is_converged(strength, channel_seed):
+    report = mm.solve_single_user(target_inside_interferer(strength, channel_seed))
+    assert report.status == "converged"
+    assert np.all(np.diff(report.mi_trace) >= -1e-9)
+    assert max(report.kkt_residual, report.comp_power, report.comp_rate) <= mm.DIP_KKT_TOL
+
+
+def test_single_user_dip_away_from_stationarity_is_stalled(monkeypatch):
+    # the same dip stop, with a certificate that does not hold there
+    monkeypatch.setattr(mm._SingleUserMap, "certificate", lambda self, w: (1.0, 0.0, 0.0))
+    report = mm.solve_single_user(target_inside_interferer(100.0, 1))
+    assert report.status == "stalled"
+    assert report.kkt_residual == 1.0
+
+
 def test_single_user_failed_polish_does_not_raise(monkeypatch):
     inst = single_user_instance(seed=111, gamma2=100.0, m_interf=12)
     reference = mm.solve_single_user(inst)
