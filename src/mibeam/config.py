@@ -154,6 +154,9 @@ def parse_config(path) -> ExperimentConfig:
         n_randomizations=int(solver_node.get("randomizations", solver_default.n_randomizations)),
         seed=int(solver_node.get("seed", cfg.rng_seed)),
     )
+    if solver.n_randomizations < 1:
+        raise ConfigError(
+            f"solver.randomizations: must be at least 1, got {solver.n_randomizations}")
 
     eval_node = raw.get("eval", {}) or {}
     eval_default = EvalOptions()

@@ -1,11 +1,18 @@
-"""Dense interior-point solvers for the two convex subproblem shapes.
+"""Dense log-barrier interior-point solver for the two convex subproblem shapes.
 
-``solve_sdp`` handles small Hermitian semidefinite programs with affine LMI
-blocks and trace constraints in a PSD matrix variable (plus an optional
-scalar); ``solve_qcqp`` handles convex complex QCQPs.  Both are deterministic
-log-barrier path followers with exact Newton centering steps.  Problems here
-have at most a few dozen real parameters, so no sparsity or scaling tricks
-are attempted.
+One barrier engine serves both front ends.  A problem compiles to a real
+parameter vector x, an objective cost @ x + x @ quad @ x, and three barrier
+families: Hermitian PSD blocks affine in x (-log det), affine cuts (-log s)
+and convex quadratic cuts (-log(-f)).  ``solve_sdp`` compiles small Hermitian
+semidefinite programs with affine LMI blocks and trace constraints in a PSD
+matrix variable (plus an optional scalar) into blocks and affine cuts;
+``solve_qcqp`` lifts a convex complex QCQP to real variables and compiles it
+into a quadratic objective and quadratic cuts.  One phase one, adding a
+slack to every barrier, finds a strictly feasible point; one deterministic
+path follower with exact Newton centering steps does the rest.  The line
+search evaluates the merit change along the search ray exactly from
+coefficients computed once per step.  Problems here have at most a few dozen
+real parameters, so no sparsity or scaling tricks are attempted.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ GAP_SHRINK = 0.2        # duality-gap reduction per outer round
 DEFAULT_GAP_TOL = 1e-7  # relative: stop when nu/t <= tol * (1 + |objective|)
 MAX_ROUNDS = 200        # path-following round cap per solve phase
 NEWTON_PER_ROUND = 60   # centering step budget within one round
-PHASE1_MARGIN = 1e-8    # infeasibility threshold of the feasibility phase
+CENTER_TOL = 1e-10      # centering stops when half the Newton decrement is below this
+PHASE1_MARGIN = 1e-12   # slack the feasibility phase must end below -PHASE1_MARGIN
 PHASE1_OBJECTIVE_BLEND = 1e-6  # weight of the true objective during phase one
 
 
@@ -168,130 +176,150 @@ def _herm_of_params(x: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Generic barrier machinery
+# The barrier engine
 #
-# A compiled problem is a linear objective plus two families of convexity
-# barriers in a real parameter vector x:
-#   * PSD blocks   S_b(x) = const_b + sum_k x_k ds_b[k]   (Hermitian affine)
-#   * scalar cuts  s_i(x) = a_i @ x + b_i > 0             (affine slacks)
+# A compiled problem minimizes cost @ x + x @ quad @ x + offset over a real
+# parameter vector x inside three families of self-concordant barriers:
+#   * PSD blocks       S_b(x) = const_b + sum_k x_k ds_b[k] > 0   -log det S_b
+#   * affine cuts      s_i(x) = a_i @ x + b_i > 0                -log s_i
+#   * quadratic cuts   f_m(x) = x @ A_m x + 2 b_m @ x + c_m < 0   -log(-f_m)
 # with barrier degree nu = sum of block sizes + number of cuts.
 
 
 @dataclass
 class _Compiled:
-    cost: np.ndarray
-    blocks: list          # (const (m,m), ds (nv,m,m))
-    cuts: list            # (a (nv,), b)
-    nu: float
+    cost: np.ndarray      # (nv,)
+    quad: np.ndarray      # (nv, nv) symmetric PSD objective term
+    blocks: list          # (const (m, m), ds (nv, m, m))
+    cut_a: np.ndarray     # (n_cuts, nv)
+    cut_b: np.ndarray     # (n_cuts,)
+    quad_a: np.ndarray    # (n_quads, nv, nv) symmetric PSD
+    quad_b: np.ndarray    # (n_quads, nv)
+    quad_c: np.ndarray    # (n_quads,)
+    offset: float = 0.0
+
+    @property
+    def nu(self) -> float:
+        return float(sum(const.shape[0] for const, _ in self.blocks)
+                     + self.cut_b.size + self.quad_c.size)
+
+    def objective(self, x: np.ndarray) -> float:
+        return float(x @ (self.quad @ x) + self.cost @ x) + self.offset
 
 
-def _block_value(const, ds, x):
-    return const + np.tensordot(x, ds, axes=(0, 0))
+class _Local:
+    """The barriers at one strictly feasible point x, as the Newton system
+    and the ray along its direction both use them: per block the whitened
+    coefficients M_k = L^-1 ds_k L^-H with S(x) = L L^H; the affine slacks
+    s_i; the quadratic values f_m and A_m x."""
+
+    def __init__(self, comp: _Compiled, x: np.ndarray):
+        self.comp = comp
+        self.x = x
+        self.white = []
+        for const, ds in comp.blocks:
+            chol = np.linalg.cholesky(const + np.tensordot(x, ds, axes=(0, 0)))
+            l_inv = np.linalg.inv(chol)
+            self.white.append(l_inv @ ds @ l_inv.conj().T)
+        self.slack = comp.cut_a @ x + comp.cut_b
+        self.ax = comp.quad_a @ x
+        self.f = self.ax @ x + 2.0 * comp.quad_b @ x + comp.quad_c
+
+    def grad_hess(self):
+        """Gradient and Hessian of the barrier sum."""
+        comp = self.comp
+        nv = self.x.size
+        grad = np.zeros(nv)
+        hess = np.zeros((nv, nv))
+        for white in self.white:
+            # grad_k = -Tr M_k; hess_kl = Tr(M_k M_l), a Gram matrix since
+            # every M_k is Hermitian
+            grad -= np.trace(white, axis1=1, axis2=2).real
+            flat = white.reshape(nv, -1)
+            hess += (flat.conj() @ flat.T).real
+        rates = comp.cut_a / self.slack[:, None]                     # a_i / s_i
+        grad -= rates.sum(axis=0)
+        hess += rates.T @ rates
+        rates = 2.0 * (self.ax + comp.quad_b) / self.f[:, None]       # grad f_m / f_m
+        grad -= rates.sum(axis=0)
+        hess += np.einsum("m,mij->ij", -2.0 / self.f, comp.quad_a) + rates.T @ rates
+        return grad, hess
 
 
-def _feasible(comp: _Compiled, x: np.ndarray) -> bool:
-    for const, ds in comp.blocks:
-        try:
-            np.linalg.cholesky(_block_value(const, ds, x))
-        except np.linalg.LinAlgError:
-            return False
-    for a, b in comp.cuts:
-        if a @ x + b <= 0.0:
-            return False
-    return True
+class _Ray:
+    """The merit change along x + alpha dx, exact in alpha.
 
+    Each barrier term is a function of alpha alone whose coefficients are
+    computed once per search direction: a PSD block contributes
+    -sum log(1 + alpha lam_i), lam the eigenvalues of L^-1 dS L^-H =
+    sum_k dx_k M_k; an affine cut -log(1 + alpha a.dx / s); a quadratic cut
+    -log((q0 + alpha q1 + alpha^2 q2) / q0).  The objective changes by
+    alpha (slope + alpha curv).  No difference of two large merit values is
+    formed, so the Armijo test stays exact at large barrier weights.
+    ``alpha_max`` is the first alpha that leaves the domain.
+    """
 
-def _barrier_value(comp: _Compiled, x: np.ndarray) -> float:
-    total = 0.0
-    for const, ds in comp.blocks:
-        try:
-            chol = np.linalg.cholesky(_block_value(const, ds, x))
-        except np.linalg.LinAlgError:
+    def __init__(self, local: _Local, dx: np.ndarray):
+        comp, x = local.comp, local.x
+        rates = [(comp.cut_a @ dx) / local.slack]
+        for white in local.white:
+            inner = np.tensordot(dx, white, axes=(0, 0))
+            rates.append(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)))
+        self.rates = np.concatenate(rates)
+        self.q0 = local.f
+        self.q1 = 2.0 * (local.ax + comp.quad_b) @ dx
+        self.q2 = (comp.quad_a @ dx) @ dx
+        self.slope = float((comp.cost + 2.0 * (comp.quad @ x)) @ dx)
+        self.curv = float(dx @ (comp.quad @ dx))
+
+        falling = self.rates < 0.0
+        alpha_max = float(np.min(-1.0 / self.rates[falling], initial=np.inf))
+        # positive root of q0 + q1 a + q2 a^2 with q0 < 0, in the form that
+        # does not cancel; q2 >= 0 up to roundoff, and clipping it keeps the
+        # root conservative
+        q2 = np.maximum(self.q2, 0.0)
+        denom = self.q1 + np.sqrt(self.q1 * self.q1 - 4.0 * q2 * self.q0)
+        roots = -2.0 * self.q0[denom > 0.0] / denom[denom > 0.0]
+        self.alpha_max = min(alpha_max, float(np.min(roots, initial=np.inf)))
+
+    def barrier_change(self, alpha: float) -> float:
+        lin = alpha * self.rates
+        quad = alpha * (self.q1 + alpha * self.q2) / self.q0
+        if np.any(lin <= -1.0) or np.any(quad <= -1.0):
             return np.inf
-        total -= 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
-    for a, b in comp.cuts:
-        s = a @ x + b
-        if s <= 0.0:
-            return np.inf
-        total -= float(np.log(s))
-    return total
+        return -float(np.sum(np.log1p(lin)) + np.sum(np.log1p(quad)))
 
-
-def _barrier_grad_hess(comp: _Compiled, x: np.ndarray):
-    nv = x.size
-    grad = np.zeros(nv)
-    hess = np.zeros((nv, nv))
-    for const, ds in comp.blocks:
-        s_mat = _block_value(const, ds, x)
-        g = np.linalg.inv(s_mat)
-        grad -= np.einsum("ij,kji->k", g, ds).real
-        p = np.einsum("ij,kjl->kil", g, ds)
-        hess += np.einsum("kij,lji->kl", p, p).real
-    for a, b in comp.cuts:
-        s = a @ x + b
-        grad -= a / s
-        hess += np.outer(a, a) / (s * s)
-    return grad, hess
-
-
-def _boundary_step(comp: _Compiled, x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest step along dx keeping every block PD and every cut positive."""
-    alpha_max = np.inf
-    for const, ds in comp.blocks:
-        s_mat = _block_value(const, ds, x)
-        delta = np.tensordot(dx, ds, axes=(0, 0))
-        try:
-            chol = np.linalg.cholesky(s_mat)
-        except np.linalg.LinAlgError:
-            return 0.0
-        inner = np.linalg.solve(chol, np.linalg.solve(chol, delta).conj().T).conj().T
-        lam = float(np.min(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))))
-        if lam < 0.0:
-            alpha_max = min(alpha_max, -1.0 / lam)
-    for a, b in comp.cuts:
-        slope = float(a @ dx)
-        if slope < 0.0:
-            alpha_max = min(alpha_max, -(a @ x + b) / slope)
-    return alpha_max
+    def merit_change(self, alpha: float, t_bar: float) -> float:
+        return t_bar * alpha * (self.slope + alpha * self.curv) + self.barrier_change(alpha)
 
 
 def _newton_center(comp: _Compiled, x: np.ndarray, t_bar: float, budget: int,
                    stop_when=None):
-    """Minimize t_bar * cost @ x + barrier(x); returns (x, steps, converged)."""
+    """Minimize t_bar * objective(x) + barrier(x); returns (x, steps)."""
     steps = 0
     while steps < budget:
-        grad_b, hess = _barrier_grad_hess(comp, x)
-        grad = t_bar * comp.cost + grad_b
+        local = _Local(comp, x)
+        grad_b, hess_b = local.grad_hess()
+        grad = t_bar * (comp.cost + 2.0 * (comp.quad @ x)) + grad_b
+        hess = (2.0 * t_bar) * comp.quad + hess_b
         ridge = 1e-12 * (1.0 + float(np.trace(hess)) / max(hess.shape[0], 1))
         try:
             dx = np.linalg.solve(hess + ridge * np.eye(hess.shape[0]), -grad)
         except np.linalg.LinAlgError:
             dx = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         decrement = float(-grad @ dx)
-        if decrement <= 0.0:
+        if not decrement / 2.0 > CENTER_TOL:
             break
-        if decrement / 2.0 <= 1e-9:
-            break
-        # fraction-to-boundary cap, then pull back until strictly feasible
-        alpha = min(1.0, 0.95 * _boundary_step(comp, x, dx))
-        while alpha > 1e-14 and not _feasible(comp, x + alpha * dx):
-            alpha *= 0.7
-        if alpha <= 1e-14:
-            break
-        merit0 = t_bar * float(comp.cost @ x) + _barrier_value(comp, x)
-        while alpha > 1e-14:
-            x_new = x + alpha * dx
-            merit = t_bar * float(comp.cost @ x_new) + _barrier_value(comp, x_new)
-            if merit <= merit0 - 0.25 * alpha * decrement:
-                break
+        # fraction-to-boundary cap, then backtrack on the exact ray merit
+        ray = _Ray(local, dx)
+        alpha = min(1.0, 0.95 * ray.alpha_max)
+        while alpha > 1e-14 and ray.merit_change(alpha, t_bar) > -0.25 * alpha * decrement:
             alpha *= 0.5
-        else:
+        if alpha <= 1e-14:
             break
         x = x + alpha * dx
         steps += 1
         if stop_when is not None and stop_when(x):
-            break
-        if alpha >= 1.0 - 1e-12 and decrement / 2.0 <= 1e-8:
             break
     return x, steps
 
@@ -306,7 +334,7 @@ def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float,
     for _ in range(max_rounds):
         x, steps = _newton_center(comp, x, t_bar, NEWTON_PER_ROUND, stop_when=stop_when)
         used += steps
-        primal = float(comp.cost @ x)
+        primal = comp.objective(x)
         gap = comp.nu / t_bar
         trace.append((primal, primal - gap))
         if stop_when is not None and stop_when(x):
@@ -317,27 +345,71 @@ def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float,
     return x, comp.nu / t_bar, used, True, trace
 
 
+def _phase_one(comp: _Compiled):
+    """Find a strictly feasible point; returns (x or None, newton_steps).
+
+    Minimizes a slack s added to every barrier (S_b + s I > 0,
+    s_i + s > 0, f_m - s < 0) from x = 0, where every margin is positive
+    once s exceeds the worst violation.  The slack is bounded below, so
+    minimizing it cannot run away, and a whiff of the true objective keeps
+    directions the barriers alone cannot bound (an SDP's auxiliary scalar)
+    bounded.
+    """
+    nv = comp.cost.size
+    n_cuts, n_quads = comp.cut_b.size, comp.quad_c.size
+    violations = [0.0, *(-comp.cut_b), *comp.quad_c]
+    violations += [-np.linalg.eigvalsh(const).min() for const, _ in comp.blocks]
+    s0 = float(max(violations))
+    cap = 10.0 * (s0 + 1.0)
+    slack = np.zeros(nv + 1)
+    slack[-1] = 1.0
+    comp1 = _Compiled(
+        cost=np.append(PHASE1_OBJECTIVE_BLEND * comp.cost, 1.0),
+        quad=np.pad(PHASE1_OBJECTIVE_BLEND * comp.quad, ((0, 1), (0, 1))),
+        blocks=[(const, np.concatenate([ds, np.eye(const.shape[0])[None]]))
+                for const, ds in comp.blocks],
+        cut_a=np.vstack([np.hstack([comp.cut_a, np.ones((n_cuts, 1))]), slack]),
+        cut_b=np.append(comp.cut_b, cap),
+        quad_a=np.pad(comp.quad_a, ((0, 0), (0, 1), (0, 1))),
+        quad_b=np.hstack([comp.quad_b, np.full((n_quads, 1), -0.5)]),
+        quad_c=comp.quad_c,
+    )
+    exit_level = -max(1e-6, 1e-6 * (1.0 + s0))
+    x, _, steps, _, _ = _barrier_solve(comp1, np.append(np.zeros(nv), s0 + 1.0),
+                                       gap_tol=1e-10, stop_when=lambda p: p[-1] <= exit_level)
+    if x[-1] > -PHASE1_MARGIN:
+        return None, steps
+    return x[:-1], steps
+
+
+def _solve(comp: _Compiled, tol: float):
+    """Phase one, then the path follower; returns (x or None, report) with
+    the report's solution left for the front end to fill in."""
+    x0, steps1 = _phase_one(comp)
+    if x0 is None:
+        return None, ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
+                                 iterations=steps1, status=INFEASIBLE)
+    x, gap, steps, hit_cap, trace = _barrier_solve(comp, x0, gap_tol=tol)
+    return x, ConicReport(solution=None, aux=None, objective=comp.objective(x), gap=gap,
+                          iterations=steps1 + steps, status=MAXITER if hit_cap else OPTIMAL,
+                          duality_trace=trace)
+
+
 # ---------------------------------------------------------------------------
 # SDP front end
 
 
-def _compile_sdp(prob: SdpProblem, phase1: bool) -> tuple[_Compiled, int]:
+def _compile_sdp(prob: SdpProblem) -> _Compiled:
     n = prob.dim
     basis = _herm_basis(n)
     n_w = n * n
     has_t = prob.has_t
-    nv = n_w + (1 if has_t else 0) + (1 if phase1 else 0)
-    t_slot = n_w if has_t else None
-    s_slot = nv - 1 if phase1 else None
+    nv = n_w + (1 if has_t else 0)
 
-    blocks = []
     # PSD constraint on the matrix variable itself
     ds = np.zeros((nv, n, n), dtype=complex)
     ds[:n_w] = basis
-    if phase1:
-        ds[s_slot] = np.eye(n)
-    blocks.append((np.zeros((n, n), dtype=complex), ds))
-
+    blocks = [(np.zeros((n, n), dtype=complex), ds)]
     for blk in prob.lmi_blocks:
         m = blk.const.shape[0]
         ds = np.zeros((nv, m, m), dtype=complex)
@@ -345,86 +417,33 @@ def _compile_sdp(prob: SdpProblem, phase1: bool) -> tuple[_Compiled, int]:
         # Tr(coeff[p, q] @ E_k)
         ds[:n_w] = np.einsum("pqij,kji->kpq", blk.coeff, basis)
         if has_t:
-            ds[t_slot] = blk.t_coeff
-        if phase1:
-            ds[s_slot] = np.eye(m)
+            ds[n_w] = blk.t_coeff
         blocks.append((blk.const.astype(complex), ds))
 
-    cuts = []
-    for con in prob.trace_constraints:
-        coeffs = np.einsum("ij,kji->k", con.mat, basis).real
-        a = np.zeros(nv)
-        if con.sense == "le":
-            a[:n_w] = -coeffs
-            b = con.bound
-        else:
-            a[:n_w] = coeffs
-            b = -con.bound
-        if phase1:
-            a[s_slot] = 1.0
-        cuts.append((a, b))
+    cut_a = np.zeros((len(prob.trace_constraints), nv))
+    cut_b = np.zeros(len(prob.trace_constraints))
+    for i, con in enumerate(prob.trace_constraints):
+        sign = -1.0 if con.sense == "le" else 1.0
+        cut_a[i, :n_w] = sign * np.einsum("ij,kji->k", con.mat, basis).real
+        cut_b[i] = -sign * con.bound
 
     cost = np.zeros(nv)
     cost[:n_w] = np.einsum("ij,kji->k", prob.obj_mat, basis).real
     if has_t:
-        cost[t_slot] = prob.obj_t
-    if phase1:
-        # keep a whiff of the true objective so directions the barrier alone
-        # cannot bound (the auxiliary scalar) stay bounded during phase one
-        cost *= PHASE1_OBJECTIVE_BLEND
-        cost[s_slot] = 1.0
-    nu = sum(const.shape[0] for const, _ in blocks) + len(cuts)
-    comp = _Compiled(cost=cost, blocks=blocks, cuts=cuts, nu=float(nu))
-    return comp, nv
-
-
-def _initial_slack(comp: _Compiled, x: np.ndarray) -> float:
-    worst = 0.0
-    for const, ds in comp.blocks:
-        vals = np.linalg.eigvalsh(_block_value(const, ds, x))
-        worst = max(worst, -float(vals.min()))
-    for a, b in comp.cuts:
-        worst = max(worst, -float(a @ x + b))
-    return worst
-
-
-def _phase1(comp1: _Compiled, nv1: int):
-    """Find a strictly feasible point; returns (x_main or None, newton_steps)."""
-    x = np.zeros(nv1)
-    s0 = _initial_slack(comp1, x)
-    # the slack slot is the last parameter; bound it below so minimizing the
-    # infeasibility cannot run away, and start with every margin positive
-    x[-1] = s0 + 1.0
-    cap = 10.0 * (abs(s0) + 1.0)
-    bound = np.zeros(nv1)
-    bound[-1] = 1.0
-    comp1.cuts.append((bound, cap))
-    comp1.nu += 1.0
-    exit_level = -max(1e-6, 1e-6 * (1.0 + abs(s0)))
-    x, _, steps, _, _ = _barrier_solve(comp1, x, gap_tol=1e-10,
-                                       stop_when=lambda p: p[-1] <= exit_level)
-    s_final = x[-1]
-    if s_final > PHASE1_MARGIN or s_final > -1e-12:
-        return None, steps
-    return x[:-1], steps
+        cost[n_w] = prob.obj_t
+    return _Compiled(cost=cost, quad=np.zeros((nv, nv)), blocks=blocks,
+                     cut_a=cut_a, cut_b=cut_b, quad_a=np.zeros((0, nv, nv)),
+                     quad_b=np.zeros((0, nv)), quad_c=np.zeros(0))
 
 
 def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
     """Solve an :class:`SdpProblem`; gap tolerance is relative to 1 + |obj|."""
-    comp, _ = _compile_sdp(prob, phase1=False)
-    comp1, nv1 = _compile_sdp(prob, phase1=True)
-    x0, steps1 = _phase1(comp1, nv1)
-    if x0 is None:
-        return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
-                           iterations=steps1, status=INFEASIBLE)
-    x, gap, steps, hit_cap, trace = _barrier_solve(comp, x0, gap_tol=tol)
-    n = prob.dim
-    w_mat = _herm_of_params(x[:n * n], n)
-    t_val = float(x[n * n]) if prob.has_t else None
-    objective = float(comp.cost @ x)
-    status = MAXITER if hit_cap else OPTIMAL
-    return ConicReport(solution=w_mat, aux=t_val, objective=objective, gap=gap,
-                       iterations=steps1 + steps, status=status, duality_trace=trace)
+    x, report = _solve(_compile_sdp(prob), tol)
+    if x is not None:
+        n = prob.dim
+        report.solution = _herm_of_params(x[:n * n], n)
+        report.aux = float(x[n * n]) if prob.has_t else None
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -438,164 +457,23 @@ def _embed_real(a: np.ndarray, b: np.ndarray):
     return 0.5 * (a_r + a_r.T), b_r
 
 
-def _quad_terms(prob: QcqpProblem):
-    terms = []
-    for a, b, c in (prob.objective, *prob.constraints):
-        a_r, b_r = _embed_real(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-        terms.append((a_r, b_r, float(c)))
-    return terms[0], terms[1:]
-
-
-class _QuadSet:
-    """Stacked real quadratics f_m(z) = z^T A_m z + 2 b_m^T z + c_m.
-
-    Batched evaluation of values, gradients, and exact coefficients along a
-    search ray; this is where the barrier method spends its time.
-    """
-
-    def __init__(self, terms):
-        self.a = np.stack([t[0] for t in terms])
-        self.b = np.stack([t[1] for t in terms])
-        self.c = np.array([t[2] for t in terms])
-
-    def values(self, z):
-        az = self.a @ z
-        return az @ z + 2.0 * self.b @ z + self.c
-
-    def grads(self, z):
-        return 2.0 * (self.a @ z + self.b)
-
-    def ray(self, z, dz):
-        """Coefficients (q0, q1, q2) of f_m(z + alpha dz) in alpha."""
-        az = self.a @ z
-        q0 = az @ z + 2.0 * self.b @ z + self.c
-        q1 = 2.0 * (az + self.b) @ dz
-        q2 = (self.a @ dz) @ dz
-        return q0, q1, q2
-
-
-def _ray_boundary(q0, q1, q2) -> float:
-    """Smallest positive root of any q0 + q1 a + q2 a^2 (q0 < 0 inside)."""
-    alpha_max = np.inf
-    for p0, p1, p2 in zip(q0, q1, q2):
-        if p2 <= 0.0:
-            if p1 > 0.0:
-                alpha_max = min(alpha_max, -p0 / p1)
-            continue
-        disc = p1 * p1 - 4.0 * p2 * p0
-        if disc < 0.0:
-            continue
-        root = (-p1 + np.sqrt(disc)) / (2.0 * p2)
-        if root > 0.0:
-            alpha_max = min(alpha_max, root)
-    return alpha_max
-
-
-def _qcqp_center(obj, cons: _QuadSet, z, t_bar, budget):
-    a0, b0, c0 = obj
-    nv = z.size
-    steps = 0
-    while steps < budget:
-        f = cons.values(z)
-        if np.any(f >= 0.0):
-            break
-        g = cons.grads(z)
-        grad = t_bar * 2.0 * (a0 @ z + b0) - g.T @ (1.0 / f)
-        hess = t_bar * 2.0 * a0 \
-            + np.einsum("m,mij->ij", -2.0 / f, cons.a) \
-            + np.einsum("m,mi,mj->ij", 1.0 / (f * f), g, g)
-        ridge = 1e-12 * (1.0 + float(np.trace(hess)) / nv)
-        try:
-            dz = np.linalg.solve(hess + ridge * np.eye(nv), -grad)
-        except np.linalg.LinAlgError:
-            dz = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        decrement = float(-grad @ dz)
-        if decrement <= 0.0 or decrement / 2.0 <= 1e-10:
-            break
-
-        # exact quadratic ray coefficients make the line search arithmetic
-        q0, q1, q2 = cons.ray(z, dz)
-        p1 = 2.0 * float((a0 @ z + b0) @ dz)
-        p2 = float((a0 @ dz) @ dz)
-
-        def merit_delta(alpha):
-            slack = -(q0 + alpha * (q1 + alpha * q2))
-            if np.any(slack <= 0.0):
-                return np.inf
-            obj_change = t_bar * alpha * (p1 + alpha * p2)
-            return obj_change - float(np.sum(np.log(slack / -q0)))
-
-        alpha = min(1.0, 0.95 * _ray_boundary(q0, q1, q2))
-        accepted = False
-        while alpha > 1e-14:
-            if merit_delta(alpha) <= -0.25 * alpha * decrement:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-        z = z + alpha * dz
-        steps += 1
-    return z, steps
-
-
-def _qcqp_path(obj, cons: _QuadSet, z, gap_tol, max_rounds=MAX_ROUNDS, stop_when=None):
-    t_bar = 1.0
-    used = 0
-    trace = []
-    nu = float(cons.c.size)
-    a0, b0, c0 = obj
-
-    def primal_of(z):
-        return float(z @ (a0 @ z) + 2.0 * b0 @ z + c0)
-
-    for _ in range(max_rounds):
-        z, steps = _qcqp_center(obj, cons, z, t_bar, NEWTON_PER_ROUND)
-        used += steps
-        primal = primal_of(z)
-        gap = nu / t_bar
-        trace.append((primal, primal - gap))
-        if stop_when is not None and stop_when(z):
-            return z, gap, used, False, trace
-        if gap <= gap_tol * (1.0 + abs(primal)):
-            return z, gap, used, False, trace
-        t_bar /= GAP_SHRINK
-    return z, nu / t_bar, used, True, trace
-
-
 def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
-    """Solve a convex complex QCQP; gap tolerance relative to 1 + |obj|."""
-    obj, cons_terms = _quad_terms(prob)
+    """Solve a convex complex QCQP; gap tolerance relative to 1 + |obj|.
+
+    In z = [Re x; Im x] the objective is z^T A0 z + 2 b0^T z + c0 and each
+    constraint is a quadratic cut of the barrier engine.
+    """
     nv = 2 * prob.dim
-
-    # feasibility phase: minimize s subject to f_i(z) <= s, s bounded below
-    z0 = np.zeros(nv)
-    s0 = max(max((float(z0 @ (a @ z0) + 2.0 * b @ z0 + c) for a, b, c in cons_terms),
-                 default=0.0), 0.0) + 1.0
-    cap = 10.0 * (abs(s0) + 1.0)
-    obj1 = (np.zeros((nv + 1, nv + 1)), np.concatenate([np.zeros(nv), [0.5]]), 0.0)
-    cons1 = []
-    for a, b, c in cons_terms:
-        a1 = np.zeros((nv + 1, nv + 1))
-        a1[:nv, :nv] = a
-        b1 = np.concatenate([b, [-0.5]])
-        cons1.append((a1, b1, c))
-    cons1.append((np.zeros((nv + 1, nv + 1)),
-                  np.concatenate([np.zeros(nv), [-0.5]]), -cap))
-    w = np.concatenate([z0, [s0]])
-    exit_level = -max(1e-6, 1e-6 * (1.0 + abs(s0)))
-    w, _, steps1, _, _ = _qcqp_path(obj1, _QuadSet(cons1), w, gap_tol=1e-10,
-                                    stop_when=lambda p: p[-1] <= exit_level)
-    s_final = w[-1]
-    if s_final > PHASE1_MARGIN or s_final > -1e-12:
-        return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
-                           iterations=steps1, status=INFEASIBLE)
-
-    cons = _QuadSet(cons_terms)
-    z, gap, steps, hit_cap, trace = _qcqp_path(obj, cons, w[:nv], gap_tol=tol)
-    x = z[:prob.dim] + 1j * z[prob.dim:]
-    status = MAXITER if hit_cap else OPTIMAL
-    a0, b0, c0 = obj
-    objective = float(z @ (a0 @ z) + 2.0 * b0 @ z + c0)
-    return ConicReport(solution=x, aux=None, objective=objective, gap=gap,
-                       iterations=steps1 + steps, status=status, duality_trace=trace)
+    lifted = [_embed_real(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+              for a, b, _ in (prob.objective, *prob.constraints)]
+    (a0, b0), cons = lifted[0], lifted[1:]
+    comp = _Compiled(cost=2.0 * b0, quad=a0, blocks=[],
+                     cut_a=np.zeros((0, nv)), cut_b=np.zeros(0),
+                     quad_a=np.array([a for a, _ in cons]).reshape(-1, nv, nv),
+                     quad_b=np.array([b for _, b in cons]).reshape(-1, nv),
+                     quad_c=np.array([float(c) for _, _, c in prob.constraints]),
+                     offset=float(prob.objective[2]))
+    x, report = _solve(comp, tol)
+    if x is not None:
+        report.solution = x[:prob.dim] + 1j * x[prob.dim:]
+    return report

@@ -75,31 +75,30 @@ def _normalize_db(values: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(values / peak)
 
 
-def beampattern(w, grid_deg, spacing_over_lambda: float = 0.5) -> SpectrumResult:
+def beampattern(w, grid_deg) -> SpectrumResult:
     """Transmit power versus angle, a^H(theta) W W^H a(theta), in dB re peak."""
     w_mat = np.asarray(w, dtype=complex)
     if w_mat.ndim == 1:
         w_mat = w_mat[:, None]
     grid = np.asarray(grid_deg, dtype=float)
-    steer = model.steering_matrix(grid, w_mat.shape[0], spacing_over_lambda)
+    steer = model.steering_matrix(grid, w_mat.shape[0])
     response = steer.conj() @ w_mat           # (G, K)
     power = np.sum(np.abs(response) ** 2, axis=1)
     return SpectrumResult(angles_deg=grid, values_db=_normalize_db(power))
 
 
-def beampattern_dbw(w, theta_deg: float, spacing_over_lambda: float = 0.5) -> float:
+def beampattern_dbw(w, theta_deg: float) -> float:
     """Absolute (un-normalized) transmit power toward one angle, in dB re 1 W."""
     w_mat = np.asarray(w, dtype=complex)
     if w_mat.ndim == 1:
         w_mat = w_mat[:, None]
-    a = model.steering_vector(theta_deg, w_mat.shape[0], spacing_over_lambda)
+    a = model.steering_vector(theta_deg, w_mat.shape[0])
     power = float(np.sum(np.abs(a.conj() @ w_mat) ** 2))
     return 10.0 * float(np.log10(power))
 
 
 def capon_spectrum(y_r: np.ndarray, grid_deg,
-                   diagonal_load: float = DEFAULT_DIAGONAL_LOAD,
-                   spacing_over_lambda: float = 0.5) -> SpectrumResult:
+                   diagonal_load: float = DEFAULT_DIAGONAL_LOAD) -> SpectrumResult:
     """Minimum-variance spatial spectrum 1 / (b^H R^-1 b) from echo snapshots.
 
     The sample covariance is diagonally loaded by ``diagonal_load`` times its
@@ -115,15 +114,14 @@ def capon_spectrum(y_r: np.ndarray, grid_deg,
         cov_inv = np.linalg.inv(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("sample covariance is singular even after loading") from exc
-    steer = model.steering_matrix(grid, n_rx, spacing_over_lambda)
+    steer = model.steering_matrix(grid, n_rx)
     denom = np.einsum("gi,ij,gj->g", steer.conj(), cov_inv, steer).real
     power = 1.0 / denom
     return SpectrumResult(angles_deg=grid, values_db=_normalize_db(power))
 
 
-def mle_estimator(w, inst: model.Instance, grid_deg,
-                  spacing_over_lambda: float = 0.5
-                  ) -> Callable[[np.ndarray, Optional[np.ndarray]], float]:
+def mle_estimator(w, inst: model.Instance,
+                  grid_deg) -> Callable[[np.ndarray, Optional[np.ndarray]], float]:
     """Grid-search maximum-likelihood estimator of the point-target angle
     for one design.
 
@@ -142,9 +140,9 @@ def mle_estimator(w, inst: model.Instance, grid_deg,
     cfg = inst.config
     grid = np.asarray(grid_deg, dtype=float)
     w_mat = model.as_beam_matrix(w, cfg)
-    steer_rx = model.steering_matrix(grid, cfg.n_rx, spacing_over_lambda)
+    steer_rx = model.steering_matrix(grid, cfg.n_rx)
     steer_rx_h = steer_rx.conj()
-    filt_h = model.steering_matrix(grid, cfg.n_tx, spacing_over_lambda).conj() @ w_mat
+    filt_h = model.steering_matrix(grid, cfg.n_tx).conj() @ w_mat
     filt = filt_h.conj()                                 # (G, K): row g is W^H a(theta_g)
 
     def estimate(y_r: np.ndarray, tx_data: Optional[np.ndarray] = None) -> float:
@@ -165,10 +163,9 @@ def mle_estimator(w, inst: model.Instance, grid_deg,
 
 
 def mle_angle(y_r: np.ndarray, w, inst: model.Instance, grid_deg,
-              tx_data: Optional[np.ndarray] = None,
-              spacing_over_lambda: float = 0.5) -> float:
+              tx_data: Optional[np.ndarray] = None) -> float:
     """One-shot maximum-likelihood angle estimate; see :func:`mle_estimator`."""
-    return mle_estimator(w, inst, grid_deg, spacing_over_lambda)(y_r, tx_data)
+    return mle_estimator(w, inst, grid_deg)(y_r, tx_data)
 
 
 def strength_for_radar_snr(snr_db: float, cfg: model.SystemConfig) -> float:

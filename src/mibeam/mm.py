@@ -199,21 +199,22 @@ def rate_constrained_step(sur: Surrogate, h: np.ndarray, w_ref: np.ndarray,
 
 def bisect_power_multiplier(sur: Surrogate, h: np.ndarray, w_ref: np.ndarray,
                             omega_shift: float, p0: float, eps1: float,
-                            tau_hi: float = 1.0,
                             curvature: Optional[ShiftedCurvature] = None,
                             power_rtol: Optional[float] = POWER_RTOL):
     """Find the power multiplier with ||w(tau)||^2 = P0 by bisection.
 
     The transmit power is non-increasing in tau; the caller guarantees the
-    unpenalized step exceeds the budget.  Halving stops once the bracket is
-    narrower than eps1 and the power sits within ``power_rtol`` (relative)
-    of the budget; pass ``power_rtol=None`` for the bracket-only rule.
+    unpenalized step exceeds the budget.  The bracket's upper end starts at
+    tau = 1 and doubles until the power is within budget.  Halving stops
+    once the bracket is narrower than eps1 and the power sits within
+    ``power_rtol`` (relative) of the budget; pass ``power_rtol=None`` for
+    the bracket-only rule.
     Returns (tau, w, mu) from the feasible (upper) side of the bracket.
     """
     if curvature is None:
         curvature = ShiftedCurvature(sur)
     tau_lo = 0.0
-    tau = tau_hi
+    tau = 1.0
     w_hi, mu_hi = rate_constrained_step(sur, h, w_ref, omega_shift, tau, curvature)
     doublings = 0
     while float(np.linalg.norm(w_hi) ** 2) > p0:

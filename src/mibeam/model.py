@@ -18,6 +18,7 @@ from . import linalg
 from .errors import ConfigError
 
 LN2 = float(np.log(2.0))
+SPACING_OVER_LAMBDA = 0.5  # half-wavelength uniform linear arrays
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -153,23 +154,23 @@ class Scenario:
         return replace(self, target=new_target)
 
 
-def steering_matrix(grid_deg, n: int, spacing_over_lambda: float = 0.5) -> np.ndarray:
+def steering_matrix(grid_deg, n: int) -> np.ndarray:
     """Uniform linear array responses of a grid of angles, shape (G, n).
 
     Row g is the response toward grid[g], entry m = exp(-i 2 pi d/lambda m
-    sin(theta_g)).  The arithmetic is elementwise, so a row does not depend
-    on the rest of the grid: it equals :func:`steering_vector` of its angle
-    bit for bit.
+    sin(theta_g)) with d/lambda = SPACING_OVER_LAMBDA.  The arithmetic is
+    elementwise, so a row does not depend on the rest of the grid: it equals
+    :func:`steering_vector` of its angle bit for bit.
     """
     m = np.arange(n)
     sines = np.sin(np.deg2rad(np.asarray(grid_deg, dtype=float)))
-    phase = -2j * np.pi * spacing_over_lambda * m[None, :] * sines[:, None]
+    phase = -2j * np.pi * SPACING_OVER_LAMBDA * m[None, :] * sines[:, None]
     return np.exp(phase)
 
 
-def steering_vector(theta_deg: float, n: int, spacing_over_lambda: float = 0.5) -> np.ndarray:
+def steering_vector(theta_deg: float, n: int) -> np.ndarray:
     """Uniform linear array response toward one angle; see :func:`steering_matrix`."""
-    return steering_matrix([theta_deg], n, spacing_over_lambda)[0]
+    return steering_matrix([theta_deg], n)[0]
 
 
 def scatterer_factor(model: ScattererModel, cfg: SystemConfig) -> np.ndarray:

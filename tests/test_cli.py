@@ -84,6 +84,22 @@ def test_incompatible_solver_is_config_error(tmp_path, capsys):
     assert "n_users" in err["reason"]
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_randomizations_below_one_is_config_error(tmp_path, capsys, count):
+    # rejected at parse time, before any SDP is solved
+    cfg_path = write_config(
+        tmp_path / "cfg.yaml",
+        interference={"angles": [-30.0], "strengths": [100.0]},
+        solver={"name": "sdr", "randomizations": count},
+    )
+    code = cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert "solver.randomizations" in err["reason"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.yaml",
                             system={"rate_targets": [30.0]})

@@ -1,7 +1,13 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mibeam import conic
+from mibeam import conic, mm, model
+from mibeam.config import parse_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_complex(rng, *shape):
@@ -213,3 +219,94 @@ def test_qcqp_constraints_hold_at_solution():
     assert float(np.linalg.norm(x) ** 2) <= 0.3 + 1e-7
     for primal, dual in report.duality_trace:
         assert dual <= primal + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The barrier engine
+
+
+def three_family_problem():
+    """A compiled problem with every barrier family: the PSD block of a 2x2
+    Hermitian X, an LMI block (1 + t) I + [Tr(C_pq X)], the trace cut
+    Tr X <= 1 and the quadratic cut ||x||^2 <= 4 on the parameter vector
+    x = (X00, X11, Re X01, Im X01, t).  The objective gains a PSD term."""
+    rng = np.random.default_rng(7)
+    c = 0.1 * random_complex(rng, 2, 2, 2, 2)
+    coeff = 0.5 * (c + c.transpose(1, 0, 3, 2).conj())
+    lmi = conic.LmiBlock(coeff=coeff, const=np.eye(2, dtype=complex),
+                         t_coeff=np.eye(2, dtype=complex))
+    prob = conic.SdpProblem(
+        dim=2, obj_mat=herm(rng, 2), obj_t=-1.0, lmi_blocks=(lmi,),
+        trace_constraints=(conic.TraceConstraint(np.eye(2, dtype=complex), 1.0, "le"),))
+    comp = conic._compile_sdp(prob)
+    nv = comp.cost.size
+    q = rng.standard_normal((nv, nv))
+    return replace(comp, quad=q @ q.T, quad_a=np.eye(nv)[None], quad_b=np.zeros((1, nv)),
+                   quad_c=np.array([-4.0]))
+
+
+def direct_terms(comp, x):
+    """Each barrier term -log det S, -log s, -log(-f) evaluated from scratch,
+    or None for a term whose argument has left the domain."""
+    terms = []
+    for const, ds in comp.blocks:
+        s_mat = const + np.tensordot(x, ds, axes=(0, 0))
+        sign, logdet = np.linalg.slogdet(s_mat)
+        pd = np.linalg.eigvalsh(0.5 * (s_mat + s_mat.conj().T)).min() > 0.0
+        terms.append(-logdet if pd and sign.real > 0.0 else None)
+    for a, b in zip(comp.cut_a, comp.cut_b):
+        s = a @ x + b
+        terms.append(-np.log(s) if s > 0.0 else None)
+    for a, b, c in zip(comp.quad_a, comp.quad_b, comp.quad_c):
+        f = x @ a @ x + 2.0 * b @ x + c
+        terms.append(-np.log(-f) if f < 0.0 else None)
+    return terms
+
+
+def test_ray_matches_direct_barrier_evaluation():
+    comp = three_family_problem()
+    x = np.array([0.1, 0.1, 0.0, 0.0, 1.0])
+    families = ["block X", "block LMI", "trace cut", "quadratic cut"]
+    base = direct_terms(comp, x)
+    assert all(v is not None for v in base)
+    e = np.eye(x.size)
+    # each direction first leaves the domain through one known family
+    cases = [(-e[0], "block X"), (e[0] + e[1], "trace cut"), (-e[4], "block LMI"),
+             (e[4], "quadratic cut"),
+             (np.random.default_rng(8).standard_normal(x.size), None)]
+    t_bar = 3.0
+    for dx, binding in cases:
+        ray = conic._Ray(conic._Local(comp, x), dx)
+        assert np.isfinite(ray.alpha_max)
+        for frac in (1e-3, 0.1, 0.5, 0.9, 0.999):
+            alpha = frac * ray.alpha_max
+            moved = direct_terms(comp, x + alpha * dx)
+            direct = sum(moved) - sum(base)
+            assert ray.barrier_change(alpha) == pytest.approx(direct, rel=1e-10, abs=1e-13)
+            objective = comp.objective(x + alpha * dx) - comp.objective(x)
+            assert ray.merit_change(alpha, t_bar) == pytest.approx(
+                t_bar * objective + direct, rel=1e-10, abs=1e-13)
+        # alpha_max is where the direct evaluation first leaves the domain
+        inside = direct_terms(comp, x + ray.alpha_max * (1.0 - 1e-9) * dx)
+        outside = direct_terms(comp, x + ray.alpha_max * (1.0 + 1e-9) * dx)
+        assert all(v is not None for v in inside)
+        left = [name for name, v in zip(families, outside) if v is None]
+        assert left and (binding is None or left == [binding])
+        assert ray.barrier_change(ray.alpha_max * (1.0 + 1e-9)) == np.inf
+
+
+def test_qcqp_multi_user_subproblem_regression():
+    # the first MM subproblem of the shipped 3-user config
+    inst = model.build_instance(parse_config(CONFIGS / "multi_user.yaml").scenario)
+    w0 = mm.zero_forcing_init(inst)
+    prob = mm.multiuser_subproblem(inst, w0, mm.build_surrogate(inst, w0))
+    r1 = conic.solve_qcqp(prob, tol=mm.SUBPROBLEM_GAP_TOL)
+    r2 = conic.solve_qcqp(prob, tol=mm.SUBPROBLEM_GAP_TOL)
+    assert r1.status == conic.OPTIMAL
+    assert r1.objective == pytest.approx(-49.9231471853, rel=1e-9)
+    # the exact ray line search centres this problem in 57 Newton steps
+    assert r1.iterations <= 70
+    assert np.array_equal(r1.solution, r2.solution)
+    assert r1.iterations == r2.iterations
+    for primal, dual in r1.duality_trace:
+        assert dual <= primal

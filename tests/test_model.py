@@ -43,7 +43,7 @@ def test_steering_vector_broadside():
 
 
 def test_steering_vector_thirty_degrees():
-    a = model.steering_vector(30.0, 2, 0.5)
+    a = model.steering_vector(30.0, 2)
     assert a[0] == pytest.approx(1.0)
     assert a[1] == pytest.approx(-1j, abs=1e-12)
 
