@@ -26,7 +26,7 @@ class NotPSD(NumericalError):
 
 
 class BracketFailure(NumericalError):
-    """Bisection could not establish a valid bracket for the multiplier."""
+    """The secular-equation Newton solve could not bracket the power multiplier."""
 
 
 class DegenerateConstraint(NumericalError):

@@ -204,7 +204,7 @@ def test_surrogate_quadratic_is_psd():
 
 
 # ---------------------------------------------------------------------------
-# Inner dual step and bisection
+# Inner dual step and power multiplier
 
 
 def test_rate_constrained_step_unconstrained_case():
@@ -287,17 +287,31 @@ def test_bisection_meets_power_budget():
     w_free, _ = mm.rate_constrained_step(sur, h, w0, omega_shift, 0.0)
     if np.linalg.norm(w_free) ** 2 <= cfg.power_budget:
         pytest.skip("unpenalized step already inside the budget for this seed")
-    tau, w, _ = mm.bisect_power_multiplier(sur, h, w0, omega_shift,
-                                           cfg.power_budget, eps1=1e-8)
+    tau, w, _ = mm.bisect_power_multiplier(sur, h, w0, omega_shift, cfg.power_budget)
     assert tau > 0.0
     power = float(np.linalg.norm(w) ** 2)
     assert power <= cfg.power_budget * (1.0 + 1e-12)
     assert abs(power - cfg.power_budget) <= 1e-7 * cfg.power_budget
 
 
-def test_bisection_bracket_iteration_bound():
-    # with the bracket-only rule, the bracket collapses below eps1 within
-    # log2(width / eps1) + 1 halvings
+def count_calls(monkeypatch, name):
+    """Wrap mm.<name> so that every call through the module is counted."""
+    calls = []
+    orig = getattr(mm, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(mm, name, counting)
+    return calls
+
+
+def test_bisection_bracket_iteration_bound(monkeypatch):
+    # with the budget met at tau = 1 the bracket starts as [0, 1]; the
+    # safeguarded Newton solve then needs a handful of O(N_T) power
+    # evaluations (8 here; halving the bracket to 1e-8 took 28 steps) and
+    # forms the step once
     rng = np.random.default_rng(18)
     inst = single_user_instance(seed=91)
     cfg = inst.config
@@ -315,23 +329,117 @@ def test_bisection_bracket_iteration_bound():
     if np.linalg.norm(w_one) ** 2 > cfg.power_budget:
         pytest.skip("initial bracket needs expansion for this seed")
 
-    eps1 = 1e-8
-    calls = 0
-    orig = mm.rate_constrained_step
+    evals = count_calls(monkeypatch, "_power_and_slope")
+    steps = count_calls(monkeypatch, "rate_constrained_step")
+    mm.bisect_power_multiplier(sur, h, w0, omega_shift, cfg.power_budget, curvature=curv)
+    assert len(evals) <= 10
+    assert len(steps) == 1
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return orig(*args, **kwargs)
 
-    mm.rate_constrained_step = counting
-    try:
-        mm.bisect_power_multiplier(sur, h, w0, omega_shift, cfg.power_budget,
-                                   eps1=eps1, curvature=curv, power_rtol=None)
-    finally:
-        mm.rate_constrained_step = orig
-    # one call checks the initial endpoint; the rest halve a width-1 bracket
-    assert calls - 1 <= int(np.ceil(np.log2(1.0 / eps1))) + 1
+def reference_multiplier(sur, h, w_ref, omega_shift, p0, curv):
+    """(tau, mu) at power P0 (1 - POWER_RTOL/2) by 200 bisection steps over
+    rate_constrained_step, the bracket grown by doubling from tau = 1."""
+    target = p0 * (1.0 - 0.5 * mm.POWER_RTOL)
+
+    def power(tau):
+        w, _ = mm.rate_constrained_step(sur, h, w_ref, omega_shift, tau, curv)
+        return float(np.linalg.norm(w) ** 2)
+
+    lo, hi = 0.0, 1.0
+    while power(hi) > target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if power(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi, mm.rate_constrained_step(sur, h, w_ref, omega_shift, hi, curv)[1]
+
+
+def extended_family(channel_seed):
+    """A criterion-5 instance: 6 x 6, point target at 0 deg, 50-component
+    strength-100 interferer over -30..-25 deg, rate 6."""
+    cfg = SystemConfig(n_tx=6, n_rx=6, n_users=1, n_slots=30, power_budget=10.0,
+                       comm_noise=0.1, radar_noise=1.0, rate_targets=(6.0,), rng_seed=0)
+    scenario = Scenario(cfg, ScattererModel.point(0.0, 1.0),
+                        ScattererModel.extended(-30.0, -25.0, 50, 100.0),
+                        model.rayleigh_channel(1, 6, channel_seed))
+    return model.build_instance(scenario)
+
+
+def multiplier_case(case):
+    """(sur, curvature, h, w_ref, omega_shift, p0) of one inner solve."""
+    if case in ("inactive", "active"):
+        inst = single_user_instance(seed=90 if case == "inactive" else 94)
+        w_ref = feasible_beam(inst, np.random.default_rng(8))
+    else:  # first map of criterion-5 channel 1, from the MRT start
+        inst = extended_family(1)
+        h = inst.channel[0].conj()
+        w_ref = np.sqrt(inst.config.power_budget) * h / np.linalg.norm(h)
+    cfg = inst.config
+    h = inst.channel[0].conj()
+    sur = mm.build_surrogate(inst, w_ref)
+    omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
+    omega_shift = float(np.abs(np.vdot(h, w_ref)) ** 2) + omega
+    p0 = cfg.power_budget
+    if case == "large":  # a budget far below the step at tau = 1, cut slack
+        omega_shift, p0 = -1.0, 1e-4
+    return sur, mm.ShiftedCurvature(sur), h, w_ref, omega_shift, p0
+
+
+@pytest.mark.parametrize("case", ["inactive", "active", "null", "large"])
+def test_power_multiplier_matches_reference_bisection(case):
+    sur, curv, h, w_ref, omega_shift, p0 = multiplier_case(case)
+    tau, w, mu = mm.bisect_power_multiplier(sur, h, w_ref, omega_shift, p0, curv)
+    tau_ref, mu_ref = reference_multiplier(sur, h, w_ref, omega_shift, p0, curv)
+    power = float(np.linalg.norm(w) ** 2)
+    assert p0 * (1.0 - 1e-12) <= power <= p0
+    assert tau == pytest.approx(tau_ref, rel=1e-8)
+    assert mu == pytest.approx(mu_ref, rel=1e-8, abs=0.0)
+    assert (mu == 0.0) == (case in ("inactive", "large"))
+    if case == "null":  # rank-deficient curvature, power diverging as tau -> 0
+        assert curv.vals[0] == 0.0 and curv.null_component(sur.lin) > 0.0
+        assert tau < 1e-9
+    if case == "large":
+        assert tau > 1e3
+
+
+@pytest.mark.parametrize("case", ["inactive", "active", "null"])
+def test_power_slope_matches_central_differences(case):
+    sur, curv, h, w_ref, omega_shift, p0 = multiplier_case(case)
+    basis = curv.vecs.conj().T
+    c = basis @ sur.lin
+    r = basis @ (h * complex(np.vdot(h, w_ref)))
+    tau, w, mu = mm.bisect_power_multiplier(sur, h, w_ref, omega_shift, p0, curv)
+    power, slope = mm._power_and_slope(curv, c, r, omega_shift, tau)
+    assert power == pytest.approx(float(np.linalg.norm(w) ** 2), rel=1e-13)
+    step = 1e-4 * tau
+    plus = mm._power_and_slope(curv, c, r, omega_shift, tau + step)[0]
+    minus = mm._power_and_slope(curv, c, r, omega_shift, tau - step)[0]
+    for probe in (tau - step, tau + step):  # both sides on the branch of tau
+        assert (mm.rate_constrained_step(sur, h, w_ref, omega_shift, probe, curv)[1] == 0.0) \
+            == (mu == 0.0)
+    assert slope < 0.0
+    assert slope == pytest.approx((plus - minus) / (2.0 * step), rel=1e-6)
+
+
+def test_power_multiplier_work_per_inner_solve(monkeypatch):
+    # a deterministic work count in place of wall time: a full criterion-5
+    # solve needs about 8 O(N_T) power evaluations per multiplier solve and
+    # forms the step once, where bisection took about 48
+    # rate_constrained_step calls
+    inst = extended_family(1)
+    evals = count_calls(monkeypatch, "_power_and_slope")
+    steps = count_calls(monkeypatch, "rate_constrained_step")
+    inner = count_calls(monkeypatch, "_inner_step")
+    solves = count_calls(monkeypatch, "bisect_power_multiplier")
+    report = mm.solve_single_user(inst)
+    assert report.status == "converged"
+    assert len(solves) > 100
+    assert 1.0 <= len(evals) / len(solves) <= 12.0
+    # the tau = 0 step of every inner solve, plus one per multiplier solve
+    assert len(steps) == len(inner) + len(solves)
 
 
 # ---------------------------------------------------------------------------
