@@ -9,10 +9,15 @@ matrix variable (plus an optional scalar) into blocks and affine cuts;
 ``solve_qcqp`` lifts a convex complex QCQP to real variables and compiles it
 into a quadratic objective and quadratic cuts.  One phase one, adding a
 slack to every barrier, finds a strictly feasible point; one deterministic
-path follower with exact Newton centering steps does the rest.  The line
-search evaluates the merit change along the search ray exactly from
-coefficients computed once per step.  Problems here have at most a few dozen
-real parameters, so no sparsity or scaling tricks are attempted.
+path follower with Newton centering steps does the rest.  Between rounds it
+predicts along the tangent of the central path, and it centres loosely
+(Newton decrement lambda <= 0.1) in every round but the last, which it
+centres strictly; phase one keeps strict centring in every round and takes
+no predictor step.  Every barrier term changes along a search ray as
+-log(1 + alpha c1 + alpha^2 c2), so the line search evaluates the merit
+change exactly from coefficients computed once per step.  Problems here
+have at most a few dozen real parameters, so no sparsity or scaling tricks
+are attempted.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ DEFAULT_GAP_TOL = 1e-7  # relative: stop when nu/t <= tol * (1 + |objective|)
 MAX_ROUNDS = 200        # path-following round cap per solve phase
 NEWTON_PER_ROUND = 60   # centering step budget within one round
 CENTER_TOL = 1e-10      # centering stops when half the Newton decrement is below this
+LOOSE_CENTER_TOL = 5e-3  # the same, in a round the path follower does not end on
 PHASE1_MARGIN = 1e-12   # slack the feasibility phase must end below -PHASE1_MARGIN
 PHASE1_OBJECTIVE_BLEND = 1e-6  # weight of the true objective during phase one
 
@@ -127,7 +133,10 @@ class ConicReport:
     gap: float                     # absolute duality-gap bound nu / t_barrier
     iterations: int                # total Newton steps (both phases)
     status: str
-    duality_trace: list = field(default_factory=list)  # (primal, dual) per round
+    # (primal, primal - nu / t) per round; only the last, strictly centred
+    # round's entry is a certified duality gap
+    duality_trace: list = field(default_factory=list)
+    decrement: float = np.nan      # squared Newton decrement of the final centring test
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +220,7 @@ class _Local:
     """The barriers at one strictly feasible point x, as the Newton system
     and the ray along its direction both use them: per block the whitened
     coefficients M_k = L^-1 ds_k L^-H with S(x) = L L^H; the affine slacks
-    s_i; the quadratic values f_m and A_m x."""
+    s_i; the quadratic values f_m and A_m x.  An empty family is skipped."""
 
     def __init__(self, comp: _Compiled, x: np.ndarray):
         self.comp = comp
@@ -221,9 +230,11 @@ class _Local:
             chol = np.linalg.cholesky(const + np.tensordot(x, ds, axes=(0, 0)))
             l_inv = np.linalg.inv(chol)
             self.white.append(l_inv @ ds @ l_inv.conj().T)
-        self.slack = comp.cut_a @ x + comp.cut_b
-        self.ax = comp.quad_a @ x
-        self.f = self.ax @ x + 2.0 * comp.quad_b @ x + comp.quad_c
+        if comp.cut_b.size:
+            self.slack = comp.cut_a @ x + comp.cut_b
+        if comp.quad_c.size:
+            self.ax = comp.quad_a @ x
+            self.f = self.ax @ x + 2.0 * comp.quad_b @ x + comp.quad_c
 
     def grad_hess(self):
         """Gradient and Hessian of the barrier sum."""
@@ -237,78 +248,89 @@ class _Local:
             grad -= np.trace(white, axis1=1, axis2=2).real
             flat = white.reshape(nv, -1)
             hess += (flat.conj() @ flat.T).real
-        rates = comp.cut_a / self.slack[:, None]                     # a_i / s_i
-        grad -= rates.sum(axis=0)
-        hess += rates.T @ rates
-        rates = 2.0 * (self.ax + comp.quad_b) / self.f[:, None]       # grad f_m / f_m
-        grad -= rates.sum(axis=0)
-        hess += np.einsum("m,mij->ij", -2.0 / self.f, comp.quad_a) + rates.T @ rates
+        if comp.cut_b.size:
+            rates = comp.cut_a / self.slack[:, None]                 # a_i / s_i
+            grad -= rates.sum(axis=0)
+            hess += rates.T @ rates
+        if comp.quad_c.size:
+            rates = 2.0 * (self.ax + comp.quad_b) / self.f[:, None]   # grad f_m / f_m
+            grad -= rates.sum(axis=0)
+            hess += np.einsum("m,mij->ij", -2.0 / self.f, comp.quad_a) + rates.T @ rates
         return grad, hess
 
 
 class _Ray:
     """The merit change along x + alpha dx, exact in alpha.
 
-    Each barrier term is a function of alpha alone whose coefficients are
-    computed once per search direction: a PSD block contributes
-    -sum log(1 + alpha lam_i), lam the eigenvalues of L^-1 dS L^-H =
-    sum_k dx_k M_k; an affine cut -log(1 + alpha a.dx / s); a quadratic cut
-    -log((q0 + alpha q1 + alpha^2 q2) / q0).  The objective changes by
-    alpha (slope + alpha curv).  No difference of two large merit values is
-    formed, so the Armijo test stays exact at large barrier weights.
-    ``alpha_max`` is the first alpha that leaves the domain.
+    Every barrier term has one form, -log(1 + alpha c1 + alpha^2 c2), with
+    coefficients computed once per search direction: a PSD block
+    contributes one term per eigenvalue lam of L^-1 dS L^-H = sum_k dx_k M_k
+    (c1 = lam, c2 = 0), an affine cut c1 = a.dx / s, c2 = 0, and a quadratic
+    cut c1 = q1 / q0, c2 = q2 / q0 for f(x + alpha dx) = q0 + alpha q1 +
+    alpha^2 q2.  The objective changes by alpha (slope + alpha curv).  No
+    difference of two large merit values is formed, so the Armijo test stays
+    exact at large barrier weights.  ``alpha_max``, the first alpha that
+    leaves the domain, is the smallest positive root over all terms.
     """
 
     def __init__(self, local: _Local, dx: np.ndarray):
         comp, x = local.comp, local.x
-        rates = [(comp.cut_a @ dx) / local.slack]
-        for white in local.white:
-            inner = np.tensordot(dx, white, axes=(0, 0))
-            rates.append(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)))
-        self.rates = np.concatenate(rates)
-        self.q0 = local.f
-        self.q1 = 2.0 * (local.ax + comp.quad_b) @ dx
-        self.q2 = (comp.quad_a @ dx) @ dx
+        lin = [np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+               for inner in (np.tensordot(dx, white, axes=(0, 0)) for white in local.white)]
+        if comp.cut_b.size:
+            lin.append((comp.cut_a @ dx) / local.slack)
+        self.c1 = np.concatenate([np.zeros(0), *lin])
+        self.c2 = np.zeros(self.c1.size)
+        if comp.quad_c.size:
+            self.c1 = np.concatenate([self.c1, 2.0 * (local.ax + comp.quad_b) @ dx / local.f])
+            self.c2 = np.concatenate([self.c2, (comp.quad_a @ dx) @ dx / local.f])
         self.slope = float((comp.cost + 2.0 * (comp.quad @ x)) @ dx)
         self.curv = float(dx @ (comp.quad @ dx))
 
-        falling = self.rates < 0.0
-        alpha_max = float(np.min(-1.0 / self.rates[falling], initial=np.inf))
-        # positive root of q0 + q1 a + q2 a^2 with q0 < 0, in the form that
-        # does not cancel; q2 >= 0 up to roundoff, and clipping it keeps the
-        # root conservative
-        q2 = np.maximum(self.q2, 0.0)
-        denom = self.q1 + np.sqrt(self.q1 * self.q1 - 4.0 * q2 * self.q0)
-        roots = -2.0 * self.q0[denom > 0.0] / denom[denom > 0.0]
-        self.alpha_max = min(alpha_max, float(np.min(roots, initial=np.inf)))
+        # positive root of 1 + c1 a + c2 a^2 in the form that does not
+        # cancel for c1 < 0; c2 <= 0 up to roundoff, and clipping it keeps
+        # the root conservative.  No root (denominator 0) is alpha = inf.
+        denom = np.sqrt(self.c1 * self.c1 - 4.0 * np.minimum(self.c2, 0.0)) - self.c1
+        roots = np.divide(2.0, denom, out=np.full(denom.size, np.inf), where=denom > 0.0)
+        self.alpha_max = float(np.min(roots, initial=np.inf))
 
     def barrier_change(self, alpha: float) -> float:
-        lin = alpha * self.rates
-        quad = alpha * (self.q1 + alpha * self.q2) / self.q0
-        if np.any(lin <= -1.0) or np.any(quad <= -1.0):
+        arg = alpha * (self.c1 + alpha * self.c2)
+        if np.any(arg <= -1.0):
             return np.inf
-        return -float(np.sum(np.log1p(lin)) + np.sum(np.log1p(quad)))
+        return -float(np.sum(np.log1p(arg)))
 
     def merit_change(self, alpha: float, t_bar: float) -> float:
         return t_bar * alpha * (self.slope + alpha * self.curv) + self.barrier_change(alpha)
 
 
+def _solve_newton(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """hess^-1 rhs, with a relative ridge and a least-squares fallback."""
+    ridge = 1e-12 * (1.0 + float(np.trace(hess)) / max(hess.shape[0], 1))
+    try:
+        return np.linalg.solve(hess + ridge * np.eye(hess.shape[0]), rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(hess, rhs, rcond=None)[0]
+
+
 def _newton_center(comp: _Compiled, x: np.ndarray, t_bar: float, budget: int,
-                   stop_when=None):
-    """Minimize t_bar * objective(x) + barrier(x); returns (x, steps)."""
+                   tol: float = CENTER_TOL, stop_when=None):
+    """Minimize t_bar * objective(x) + barrier(x) until half the squared
+    Newton decrement is at most tol or the step budget is spent.
+
+    Returns (x, steps, local, hess, decrement): the barriers, the merit
+    Hessian and the squared decrement of the last centring test, which is
+    taken at the returned x unless stop_when ended the loop.
+    """
     steps = 0
-    while steps < budget:
+    while True:
         local = _Local(comp, x)
         grad_b, hess_b = local.grad_hess()
         grad = t_bar * (comp.cost + 2.0 * (comp.quad @ x)) + grad_b
         hess = (2.0 * t_bar) * comp.quad + hess_b
-        ridge = 1e-12 * (1.0 + float(np.trace(hess)) / max(hess.shape[0], 1))
-        try:
-            dx = np.linalg.solve(hess + ridge * np.eye(hess.shape[0]), -grad)
-        except np.linalg.LinAlgError:
-            dx = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        dx = _solve_newton(hess, -grad)
         decrement = float(-grad @ dx)
-        if not decrement / 2.0 > CENTER_TOL:
+        if not decrement / 2.0 > tol or steps >= budget:
             break
         # fraction-to-boundary cap, then backtrack on the exact ray merit
         ray = _Ray(local, dx)
@@ -321,28 +343,66 @@ def _newton_center(comp: _Compiled, x: np.ndarray, t_bar: float, budget: int,
         steps += 1
         if stop_when is not None and stop_when(x):
             break
-    return x, steps
+    return x, steps, local, hess, decrement
+
+
+def _predict(comp: _Compiled, local: _Local, hess: np.ndarray, t_bar: float,
+             t_next: float) -> np.ndarray:
+    """Step from the centre x(t_bar) towards x(t_next) along the tangent of
+    the central path, taken linear in 1 / t.
+
+    Differentiating the centrality condition t grad f + grad phi = 0 gives
+    dx/dt = -H^-1 grad f with H the merit Hessian at x(t_bar); the step is
+    (1/t_bar - 1/t_next) dx/d(1/t) = t_bar (1 - t_bar / t_next) dx/dt,
+    capped at 0.95 of the way to the boundary.
+    """
+    x = local.x
+    dx = (t_bar * (1.0 - t_bar / t_next)) * _solve_newton(
+        hess, -(comp.cost + 2.0 * (comp.quad @ x)))
+    return x + min(1.0, 0.95 * _Ray(local, dx).alpha_max) * dx
 
 
 def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float,
                    max_rounds: int = MAX_ROUNDS, stop_when=None):
-    """Path-following loop; returns (x, gap, newton_steps, hit_cap, trace)."""
+    """Path-following loop over t_bar = 1, 5, 25, ...; returns (x, gap,
+    newton_steps, hit_cap, trace, decrement).
+
+    Each round centres at t_bar, records (primal, primal - nu / t_bar) and
+    ends the solve once nu / t_bar <= gap_tol (1 + |primal|).  Centring is
+    loose (half the squared Newton decrement <= LOOSE_CENTER_TOL, lambda <=
+    0.1, inside the quadratic-convergence region of the barrier) until the
+    gap rule fires; that last round is then centred strictly to CENTER_TOL,
+    so the solve returns the strict central point at its final t_bar and
+    only the last trace entry is a certified duality gap.  Between rounds a
+    predictor step follows the tangent of the central path.
+
+    Phase one passes ``stop_when`` and may end in any round, so there every
+    round is centred strictly and no predictor step is taken.
+    """
+    follow = stop_when is None
     x = np.array(x0, dtype=float)
     t_bar = 1.0
     used = 0
     trace = []
     for _ in range(max_rounds):
-        x, steps = _newton_center(comp, x, t_bar, NEWTON_PER_ROUND, stop_when=stop_when)
+        x, steps, local, hess, decrement = _newton_center(
+            comp, x, t_bar, NEWTON_PER_ROUND, LOOSE_CENTER_TOL if follow else CENTER_TOL,
+            stop_when)
         used += steps
-        primal = comp.objective(x)
         gap = comp.nu / t_bar
+        done = ((stop_when is not None and stop_when(x))
+                or gap <= gap_tol * (1.0 + abs(comp.objective(x))))
+        if done and follow:
+            x, steps, _, _, decrement = _newton_center(comp, x, t_bar, NEWTON_PER_ROUND)
+            used += steps
+        primal = comp.objective(x)
         trace.append((primal, primal - gap))
-        if stop_when is not None and stop_when(x):
-            return x, gap, used, False, trace
-        if gap <= gap_tol * (1.0 + abs(primal)):
-            return x, gap, used, False, trace
+        if done:
+            return x, gap, used, False, trace, decrement
+        if follow:
+            x = _predict(comp, local, hess, t_bar, t_bar / GAP_SHRINK)
         t_bar /= GAP_SHRINK
-    return x, comp.nu / t_bar, used, True, trace
+    return x, gap, used, True, trace, decrement
 
 
 def _phase_one(comp: _Compiled):
@@ -375,8 +435,8 @@ def _phase_one(comp: _Compiled):
         quad_c=comp.quad_c,
     )
     exit_level = -max(1e-6, 1e-6 * (1.0 + s0))
-    x, _, steps, _, _ = _barrier_solve(comp1, np.append(np.zeros(nv), s0 + 1.0),
-                                       gap_tol=1e-10, stop_when=lambda p: p[-1] <= exit_level)
+    x, _, steps, _, _, _ = _barrier_solve(comp1, np.append(np.zeros(nv), s0 + 1.0),
+                                          gap_tol=1e-10, stop_when=lambda p: p[-1] <= exit_level)
     if x[-1] > -PHASE1_MARGIN:
         return None, steps
     return x[:-1], steps
@@ -389,10 +449,10 @@ def _solve(comp: _Compiled, tol: float):
     if x0 is None:
         return None, ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
                                  iterations=steps1, status=INFEASIBLE)
-    x, gap, steps, hit_cap, trace = _barrier_solve(comp, x0, gap_tol=tol)
+    x, gap, steps, hit_cap, trace, decrement = _barrier_solve(comp, x0, gap_tol=tol)
     return x, ConicReport(solution=None, aux=None, objective=comp.objective(x), gap=gap,
                           iterations=steps1 + steps, status=MAXITER if hit_cap else OPTIMAL,
-                          duality_trace=trace)
+                          duality_trace=trace, decrement=decrement)
 
 
 # ---------------------------------------------------------------------------
@@ -457,23 +517,26 @@ def _embed_real(a: np.ndarray, b: np.ndarray):
     return 0.5 * (a_r + a_r.T), b_r
 
 
+def _compile_qcqp(prob: QcqpProblem) -> _Compiled:
+    nv = 2 * prob.dim
+    lifted = [_embed_real(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+              for a, b, _ in (prob.objective, *prob.constraints)]
+    (a0, b0), cons = lifted[0], lifted[1:]
+    return _Compiled(cost=2.0 * b0, quad=a0, blocks=[],
+                     cut_a=np.zeros((0, nv)), cut_b=np.zeros(0),
+                     quad_a=np.array([a for a, _ in cons]).reshape(-1, nv, nv),
+                     quad_b=np.array([b for _, b in cons]).reshape(-1, nv),
+                     quad_c=np.array([float(c) for _, _, c in prob.constraints]),
+                     offset=float(prob.objective[2]))
+
+
 def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
     """Solve a convex complex QCQP; gap tolerance relative to 1 + |obj|.
 
     In z = [Re x; Im x] the objective is z^T A0 z + 2 b0^T z + c0 and each
     constraint is a quadratic cut of the barrier engine.
     """
-    nv = 2 * prob.dim
-    lifted = [_embed_real(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-              for a, b, _ in (prob.objective, *prob.constraints)]
-    (a0, b0), cons = lifted[0], lifted[1:]
-    comp = _Compiled(cost=2.0 * b0, quad=a0, blocks=[],
-                     cut_a=np.zeros((0, nv)), cut_b=np.zeros(0),
-                     quad_a=np.array([a for a, _ in cons]).reshape(-1, nv, nv),
-                     quad_b=np.array([b for _, b in cons]).reshape(-1, nv),
-                     quad_c=np.array([float(c) for _, _, c in prob.constraints]),
-                     offset=float(prob.objective[2]))
-    x, report = _solve(comp, tol)
+    x, report = _solve(_compile_qcqp(prob), tol)
     if x is not None:
         report.solution = x[:prob.dim] + 1j * x[prob.dim:]
     return report

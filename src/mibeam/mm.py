@@ -184,6 +184,16 @@ class ShiftedCurvature:
         return float(np.linalg.norm(coords[self.vals == 0.0]))
 
 
+def _curvature_floor(s: np.ndarray, r: np.ndarray) -> float:
+    """1e-14 of the bound 2 ||r||^2 max(s) on the rate cut's curvature
+    b = 2 sum s |r|^2.  The bound shrinks with the multiplier as b does, so a
+    cut that only weakens as tau grows is not read as degenerate; r in the
+    curvature's null space at tau = 0, or r = 0, still is.  Callers test b
+    against the absolute 1e-14 first, which costs nothing, and treat b as
+    vanishing only when it is below both."""
+    return 1e-14 * 2.0 * float(np.vdot(r, r).real) * float(np.max(s, initial=0.0))
+
+
 def rate_constrained_step(sur: Surrogate, h: np.ndarray, w_ref: np.ndarray,
                           omega_shift: float, tau: float,
                           curvature: Optional[ShiftedCurvature] = None):
@@ -202,7 +212,7 @@ def rate_constrained_step(sur: Surrogate, h: np.ndarray, w_ref: np.ndarray,
         return w_free, 0.0
     direction = curvature.apply(received, tau)
     denom = 2.0 * float(np.real(np.vdot(received, direction)))
-    if denom <= 1e-14:
+    if denom <= 1e-14 and denom <= _curvature_floor(curvature.inverse(tau), received):
         raise DegenerateConstraint("linearized rate constraint has vanishing curvature")
     mu = (omega_shift - attained) / denom
     return w_free + mu * direction, mu
@@ -225,7 +235,7 @@ def _power_and_slope(curvature: ShiftedCurvature, c: np.ndarray, r: np.ndarray,
         return float(np.vdot(x, x).real), -2.0 * float(np.sum(s * np.abs(x) ** 2))
     sr = s * r
     b = 2.0 * float(np.real(np.vdot(r, sr)))
-    if b <= 1e-14:
+    if b <= 1e-14 and b <= _curvature_floor(s, r):
         raise DegenerateConstraint("linearized rate constraint has vanishing curvature")
     a = omega_shift - attained
     da = 2.0 * float(np.real(np.vdot(sr, x)))         # 2 Re r^H (s^2 c)

@@ -5,7 +5,7 @@ import pytest
 
 from mibeam import dispatch, linalg, mm, model
 from mibeam.closed_form import ClosedFormInputs, solve_closed_form
-from mibeam.errors import DegenerateConstraint, Infeasible
+from mibeam.errors import BracketFailure, DegenerateConstraint, Infeasible
 from mibeam.model import ScattererModel, Scenario, SystemConfig
 
 
@@ -422,6 +422,20 @@ def test_power_slope_matches_central_differences(case):
             == (mu == 0.0)
     assert slope < 0.0
     assert slope == pytest.approx((plus - minus) / (2.0 * step), rel=1e-6)
+
+
+def test_power_multiplier_unreachable_rate_cut_is_bracket_failure():
+    # the rate cut of criterion-5 channel 1's first map needs about 4 W, far
+    # above a 0.01 W budget.  Its curvature b = 2 sum s |r|^2 falls like
+    # 1/tau as the search raises the multiplier, which is weakening, not
+    # degeneracy
+    sur, curv, h, w_ref, omega_shift, _ = multiplier_case("null")
+    with pytest.raises((BracketFailure, Infeasible)):
+        mm.bisect_power_multiplier(sur, h, w_ref, omega_shift, 0.01, curv)
+    w, mu = mm.rate_constrained_step(sur, h, w_ref, omega_shift, 1e18, curv)
+    attained = 2.0 * float(np.real(np.vdot(h * np.vdot(h, w_ref), w)))
+    assert mu > 0.0
+    assert attained == pytest.approx(omega_shift, rel=1e-9)
 
 
 def test_power_multiplier_work_per_inner_solve(monkeypatch):
