@@ -86,18 +86,15 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
         iterations, status = report.conic_report.iterations, report.conic_report.status
         kkt, trace = None, None
         extras = {"mi_bound_bits": model.nats_to_bits(report.bound_nats)}
-    elif scheme == "mm-single":
-        report = mm.solve_single_user(inst, eps1=opts.eps1, max_iters=opts.max_iters)
+    else:
+        if scheme == "mm-single":
+            report = mm.solve_single_user(inst, eps1=opts.eps1, max_iters=opts.max_iters)
+        else:
+            report = mm.solve_multi_user(inst, eps2=opts.eps2, max_iters=opts.max_iters)
         w = report.w
         iterations, status, kkt = report.iterations, report.status, report.kkt_residual
         trace = report.mi_trace
         extras = {"comp_power": report.comp_power, "comp_rate": report.comp_rate}
-    else:
-        report = mm.solve_multi_user(inst, eps2=opts.eps2, max_iters=opts.max_iters)
-        w = report.w
-        iterations, status, kkt = report.iterations, report.status, report.kkt_residual
-        trace = report.mi_trace
-        extras = {}
 
     wall = time.perf_counter() - started
     mi_nats = model.mutual_information(inst, w)

@@ -7,7 +7,10 @@ Newton solve for the power multiplier in the eigenbasis of the surrogate
 curvature; the iteration is accelerated by SQUAREM extrapolation and
 its stationary point polished by Newton steps on the MM fixed-point
 equation.  For multiple users the subproblem keeps the linearized per-user
-rate constraints and is handed to the dense QCQP solver.
+rate constraints and is handed to the dense QCQP solver; its solution is
+scaled to the full power budget, which raises the MI and every rate, and a
+KKT certificate fitted on the true problem (:func:`multiuser_certificate`)
+is reported and steers a bounded polish after the eps2 stop.
 
 Both regimes build the minorizer from the scatterer factors of the instance
 (R = F F^H, one column per component), as the mutual information does; no
@@ -45,11 +48,11 @@ SQUAREM_BACKTRACKS = 4     # extrapolation lengths tried before the plain step
 POLISH_STEPS = 4           # Newton iterations after the relative-change stop
 POLISH_RTOL = 1e-8         # KKT residual at which the polish stops
 # A single-user step that lowers the MI ends the iteration.  Exact MM cannot
-# do that; in floating point it can, by 1e-6 relative or more where the MI
-# is tiny (a target inside a strong extended interferer), at points that are
-# already stationary: there the surrogate touches the MI only to about 1e-10
-# nats.  Such a stop counts as converged when every entry of the KKT
-# certificate there is at most this.
+# do that; in floating point it can where the MI is tiny (a target inside a
+# strong extended interferer) and its evaluation loses more than the step
+# gains.  Such a stop counts as converged when every entry of the KKT
+# certificate there is at most this.  Since the MI is evaluated by the
+# determinant lemma, no such dip is known.
 DIP_KKT_TOL = 1e-6
 MULTIPLIER_EVALS = 200     # power evaluations allowed per multiplier solve
 # Step-down factor of the multiplier while no infeasible tau is known: the
@@ -58,6 +61,8 @@ MULTIPLIER_EVALS = 200     # power evaluations allowed per multiplier solve
 MULTIPLIER_DECADE = 100.0
 FD_RSTEP = 1e-6            # relative forward-difference step of the map Jacobian
 SUBPROBLEM_GAP_TOL = 1e-9  # conic gap for the multi-user subproblem
+MULTI_POLISH_MAPS = 50     # multi-user maps after the eps2 stop, at most
+MULTI_POLISH_RTOL = 1e-6   # KKT residual at which those maps stop
 
 
 @dataclass(frozen=True)
@@ -620,45 +625,139 @@ def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate) -> conic.
     return conic.QcqpProblem(dim=dim, objective=objective, constraints=tuple(constraints))
 
 
+def _subproblem_step(inst: model.Instance, w_mat: np.ndarray, sur: Surrogate,
+                     iteration: int) -> np.ndarray:
+    """The subproblem solution at w_mat, scaled to the full power budget."""
+    cfg = inst.config
+    report = conic.solve_qcqp(multiuser_subproblem(inst, w_mat, sur), tol=SUBPROBLEM_GAP_TOL)
+    if report.status == conic.INFEASIBLE:
+        raise Infeasible(f"subproblem infeasible at iteration {iteration}")
+    if report.status != conic.OPTIMAL or report.solution is None:
+        raise NumericalError(
+            f"subproblem ended with status {report.status} at iteration {iteration}"
+        )
+    w_next = unvec(report.solution, cfg.n_tx, cfg.n_users)
+    return w_next * np.sqrt(cfg.power_budget / float(np.linalg.norm(w_next) ** 2))
+
+
+def _nonnegative_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0 for a matrix with few columns, by the
+    Lawson-Hanson active-set method.  A column enters the free set while its
+    residual correlation is positive (beyond 1e-12 of its scale); a
+    least-squares solve with a nonpositive entry is cut back along the
+    segment from the previous x until that entry leaves the free set."""
+    n = a.shape[1]
+    tol = 1e-12 * np.linalg.norm(a, axis=0) * np.linalg.norm(b)
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        dual = np.where(free, -np.inf, a.T @ (b - a @ x) - tol)
+        if dual.max() <= 0.0:
+            break
+        free[int(np.argmax(dual))] = True
+        while True:
+            z = np.zeros(n)
+            if free.any():
+                z[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
+            if np.all(z[free] > 0.0):
+                x = z
+                break
+            blocked = free & (z <= 0.0)
+            step = float(np.min(x[blocked] / np.maximum(x[blocked] - z[blocked], 1e-300)))
+            x = x + step * (z - x)
+            free &= x > 0.0
+    return x
+
+
+def multiuser_certificate(inst: model.Instance, sur: Surrogate, w):
+    """KKT residuals of a K-user design on the true problem.
+
+    ``sur`` must be built at w, where its gradient g is the MI gradient
+    (w.r.t. conj(vec W)).  With the rate constraints written c_k(W) =
+    |h_k^H w_k|^2 - nu_k (sum_{j != k} |h_k^H w_j|^2 + sigma^2) >= 0, the
+    multipliers tau (power) and mu_k (user k) are the nonnegative
+    least-squares fit of g = tau vec(W) - sum_k mu_k grad c_k.  Returns the
+    stationarity residual ||g - tau vec(W) + sum_k mu_k grad c_k|| / (1 +
+    ||g||), tau |P0 - ||W||^2| and max_k mu_k |c_k|, on the scale of the
+    single-user certificate.  Only the design problem enters, not how a
+    subproblem was solved.
+    """
+    cfg = inst.config
+    w_mat = model.as_beam_matrix(w, cfg)
+    grad = sur.gradient(vec(w_mat))
+    amps = inst.channel @ w_mat                       # h_k^H w_j at (k, j)
+    power = np.abs(amps) ** 2
+    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
+    columns = [vec(w_mat)]
+    cuts = np.empty(cfg.n_users)
+    for k in range(cfg.n_users):
+        # d c_k / d conj(w_j) = h_k h_k^H w_j, times -nu_k for j != k
+        weights = -nu[k] * amps[k]
+        weights[k] = amps[k, k]
+        columns.append(-vec(np.outer(inst.channel[k].conj(), weights)))
+        cuts[k] = power[k, k] - nu[k] * (power[k].sum() - power[k, k] + cfg.comm_noise)
+    basis = np.column_stack(columns)
+    coef = _nonnegative_fit(np.vstack([basis.real, basis.imag]),
+                            np.concatenate([grad.real, grad.imag]))
+    grad_norm = float(np.linalg.norm(grad))
+    residual = float(np.linalg.norm(grad - basis @ coef)) / (1.0 + grad_norm)
+    comp_power = float(coef[0]) * abs(cfg.power_budget - float(np.linalg.norm(w_mat) ** 2))
+    comp_rate = float(np.max(coef[1:] * np.abs(cuts)))
+    return residual, comp_power, comp_rate
+
+
 def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
                      max_iters: int = DEFAULT_MAX_ITERS) -> MmReport:
     """MM + successive convex approximation for K users.
 
-    Starts from the zero-forcing beamformer, alternates surrogate
-    construction with a conic subproblem solve, and stops on relative
-    objective change <= eps2 or the iteration cap.  Every iterate meets all
-    rate targets and the power budget.
+    Starts from the zero-forcing beamformer and alternates surrogate
+    construction with a conic subproblem solve.  Each subproblem solution is
+    scaled to the full power budget before the MI test.  MI(cW) and every
+    SINR increase in c (the noise term scales as 1/c^2), so this is an
+    ascent step that keeps feasibility and the stationary points.  Without
+    echo interference the subproblem's optimal set is a face whose analytic
+    centre, which the interior point returns, lies below full power; there
+    the scaling cuts hundreds of maps to tens.  The iteration stops on
+    relative objective change <= eps2 (``converged``) or the cap.  After an
+    eps2 stop, up to MULTI_POLISH_MAPS further maps (within the cap) run
+    while the KKT residual of :func:`multiuser_certificate` is above
+    MULTI_POLISH_RTOL; a map that would lower the MI ends them.  The
+    returned design's certificate is reported; it is not a stop rule.
+    Every iterate meets all rate targets and the power budget, and the
+    objective trace is non-decreasing.
     """
-    cfg = inst.config
     started = time.perf_counter()
     w_mat = zero_forcing_init(inst)
     g_val = model.mutual_information(inst, w_mat)
     trace = [g_val]
     status = "max_iterations"
     iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
+    polish = 0
+    cert = None                   # certificate of w_mat, once computed
+    while iterations < max_iters:
         sur = build_surrogate(inst, w_mat)
-        problem = multiuser_subproblem(inst, w_mat, sur)
-        report = conic.solve_qcqp(problem, tol=SUBPROBLEM_GAP_TOL)
-        if report.status == conic.INFEASIBLE:
-            raise Infeasible(f"subproblem infeasible at iteration {iterations}")
-        if report.status != conic.OPTIMAL or report.solution is None:
-            raise NumericalError(
-                f"subproblem ended with status {report.status} at iteration {iterations}"
-            )
-        w_next = unvec(report.solution, cfg.n_tx, cfg.n_users)
+        if status == "converged":
+            cert = multiuser_certificate(inst, sur, w_mat)
+            if polish == 0 or cert[0] <= MULTI_POLISH_RTOL:
+                break
+            polish -= 1
+        iterations += 1
+        w_next = _subproblem_step(inst, w_mat, sur, iterations)
         g_next = model.mutual_information(inst, w_next)
         if g_next < g_val - 1e-12 * max(1.0, abs(g_val)):
-            status = "stalled"
+            if status != "converged":
+                status = "stalled"
             break
-        w_mat = w_next
+        w_mat, cert = w_next, None
         trace.append(g_next)
         change = abs(g_next - g_val) / max(abs(g_val), 1e-300)
         g_val = g_next
-        if change <= eps2:
-            status = "converged"
-            break
+        if status != "converged" and change <= eps2:
+            status, polish = "converged", MULTI_POLISH_MAPS
 
+    if cert is None:
+        cert = multiuser_certificate(inst, build_surrogate(inst, w_mat), w_mat)
+    residual, comp_power, comp_rate = cert
     return MmReport(w=w_mat, mi_trace=trace, iterations=iterations, status=status,
+                    kkt_residual=residual, comp_power=comp_power, comp_rate=comp_rate,
                     wall_time_s=time.perf_counter() - started)

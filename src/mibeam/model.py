@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError
+from .errors import ConfigError, NotPositiveDefinite
 
 LN2 = float(np.log(2.0))
 SPACING_OVER_LAMBDA = 0.5  # half-wavelength uniform linear arrays
@@ -278,23 +278,27 @@ def expanded_times(w_mat: np.ndarray, factor: np.ndarray, n_rx: int) -> np.ndarr
 def mutual_information(inst: Instance, w) -> float:
     """Sensing mutual information in nats for a beamformer.
 
-    logdet(L Wt (R_target + R_interf) Wt^H + s_z^2 I) minus the same with the
-    target covariance removed, where Wt = I_{N_R} kron W^H.  Each Wt R Wt^H
-    is formed as the Gram matrix of Wt F (R = F F^H): near a deep null the
-    dense product would carry a roundoff of about 1e-16 * ||R||, which at
-    strong interference is 1e-9 nats of MI, while the Gram matrix keeps the
-    precision of the small projections Wt F themselves.
+    With Y = Wt F (Wt = I_{N_R} kron W^H, R = F F^H) for the target and the
+    interference factors and delta = L / s_z^2, the MI is logdet(T_i +
+    delta Y_t Y_t^H) - logdet(T_i), T_i = I + delta Y_i Y_i^H.  By the
+    determinant lemma that difference is logdet(I + delta Z^H Z), with Z =
+    L_i^{-1} Y_t, T_i = L_i L_i^H, and one row and column per target
+    component.  No two large log-dets cancel, so a target inside a strong
+    interferer keeps its small MI to the roundoff of Z itself.  The Gram
+    matrix of Y_i, not Wt R Wt^H, keeps the precision of the projections
+    near a deep null.
     """
     cfg = inst.config
     w_mat = as_beam_matrix(w, cfg)
-    scale = float(cfg.n_slots)
-    noise = cfg.radar_noise
-    eye = np.eye(cfg.n_users * cfg.n_rx)
-    interf = _gram(expanded_times(w_mat, inst.interf_factor, cfg.n_rx))
-    both = interf + _gram(expanded_times(w_mat, inst.target_factor, cfg.n_rx))
-    num = linalg.logdet_hermitian(scale * both + noise * eye)
-    den = linalg.logdet_hermitian(scale * interf + noise * eye)
-    return num - den
+    delta = float(cfg.n_slots) / cfg.radar_noise
+    y_t = expanded_times(w_mat, inst.target_factor, cfg.n_rx)
+    y_i = expanded_times(w_mat, inst.interf_factor, cfg.n_rx)
+    try:
+        chol = np.linalg.cholesky(np.eye(y_i.shape[0]) + delta * _gram(y_i))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("interference covariance is not positive definite") from exc
+    z = np.linalg.solve(chol, y_t)
+    return linalg.logdet_hermitian(np.eye(y_t.shape[1]) + delta * _gram(z.conj().T))
 
 
 def achievable_rate(inst: Instance, w, user: int) -> float:

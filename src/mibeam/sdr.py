@@ -41,19 +41,21 @@ def _responses(inst: model.Instance):
 def point_mutual_information(inst: model.Instance, cands: np.ndarray) -> np.ndarray:
     """Exact sensing mutual information (nats) of each row of ``cands``.
 
-    Uses the 2x2 determinant reduction of the receive covariance, with
-    u = P^H w and v = Q^H w the projections on the target and interferer
-    responses; identical to the full stacked log-det evaluation.
+    With u = P^H w and v = Q^H w the projections on the target and
+    interferer responses and delta = L / s_z^2, the MI is log(1 + delta
+    ||z||^2), z = (I + delta v v^H)^{-1/2} u = u - c v (v^H u), c = delta /
+    (s (1 + s)), s = sqrt(1 + delta ||v||^2): the whitened form of
+    :func:`model.mutual_information` for one target and one interferer
+    direction, without the cancellation of two large log-dets.
     """
     p, q = _responses(inst)
-    scale = float(inst.config.n_slots)
-    s2 = inst.config.radar_noise
+    delta = float(inst.config.n_slots) / inst.config.radar_noise
     u = cands @ p.conj()
     v = cands @ q.conj()
-    target = scale * np.sum(np.abs(u) ** 2, axis=1) + s2
-    interf = scale * np.sum(np.abs(v) ** 2, axis=1) + s2
-    cross = scale * np.sum(v.conj() * u, axis=1)
-    return np.log(target * interf - np.abs(cross) ** 2) - np.log(interf) - np.log(s2)
+    s = np.sqrt(1.0 + delta * np.sum(np.abs(v) ** 2, axis=1))
+    c = delta / (s * (1.0 + s))
+    z = u - (c * np.sum(v.conj() * u, axis=1))[:, None] * v
+    return np.log1p(delta * np.sum(np.abs(z) ** 2, axis=1))
 
 
 def _omega(inst: model.Instance) -> float:

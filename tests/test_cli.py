@@ -9,6 +9,8 @@ from mibeam import cli
 from mibeam.config import EvalOptions, parse_config
 from mibeam.dispatch import SolverOptions
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 PAPER_SYSTEM = {
     "n_tx": 6, "n_rx": 6, "n_users": 1, "n_slots": 30,
     "power_budget": {"dbm": 40.0}, "comm_noise": {"dbm": 20.0},
@@ -210,6 +212,38 @@ def test_solve_zero_strength_target_exits_zero(tmp_path):
     assert payload["mi_bits"] == 0.0
     assert payload["status"] == "converged"
     assert payload["rates_bits"][0] >= 6.0
+
+
+def test_solve_multi_user_zero_strength_target_exits_zero(tmp_path):
+    cfg_path = write_config(
+        tmp_path / "cfg.yaml",
+        system={"n_users": 3, "rate_targets": [6.0, 6.0, 6.0]},
+        target={"angles": [0.0], "strengths": [0.0]},
+        interference={"span": [-30.0, -25.0], "count": 50, "strength": 100.0},
+        solver={"name": "mm-multi"},
+    )
+    assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    payload = json.loads((tmp_path / "o" / "solution.json").read_text())
+    assert payload["mi_bits"] == 0.0
+    assert payload["kkt_residual"] == 0.0
+    assert payload["status"] == "converged"
+    assert min(payload["rates_bits"]) >= 6.0 - 1e-6
+
+
+def test_solve_multi_user_config_reports_certificate_and_reruns_identically(tmp_path):
+    # the shipped 3-user config, cut to 20 outer iterations
+    raw = yaml.safe_load((CONFIGS / "multi_user.yaml").read_text())
+    raw["solver"]["max_iters"] = 20
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    for out in ("a", "b"):
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
+    payload = json.loads((tmp_path / "a" / "solution.json").read_text())
+    assert payload["scheme"] == "mm-multi"
+    assert payload["iterations"] == 20
+    assert np.isfinite(payload["kkt_residual"]) and payload["kkt_residual"] > 0.0
+    for name in ("solution.json", "trace.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_csv_comment_header_carries_provenance(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -534,8 +535,41 @@ def test_single_user_dip_at_stationary_point_is_converged(strength, channel_seed
     assert max(report.kkt_residual, report.comp_power, report.comp_rate) <= mm.DIP_KKT_TOL
 
 
+def mi_50_digits(inst, w):
+    """The MI as the difference of two log-dets, each evaluated in 50-digit
+    arithmetic from the double-precision projections Y = Wt F."""
+    mpmath = pytest.importorskip("mpmath")
+    cfg = inst.config
+    w_mat = model.as_beam_matrix(w, cfg)
+    with mpmath.workdps(50):
+        delta = mpmath.mpf(cfg.n_slots) / cfg.radar_noise
+        y_t, y_i = (mpmath.matrix(model.expanded_times(w_mat, f, cfg.n_rx).tolist())
+                    for f in (inst.target_factor, inst.interf_factor))
+        t_i = mpmath.eye(y_t.rows) + delta * y_i * y_i.H
+        both = t_i + delta * y_t * y_t.H
+        return float(mpmath.re(mpmath.log(mpmath.det(both)) - mpmath.log(mpmath.det(t_i))))
+
+
+@pytest.mark.parametrize("channel_seed", [1, 2, 3])
+def test_mutual_information_exact_inside_strong_interferer(channel_seed):
+    # the MI here is 4.6e-4 nats; the difference of two log-dets of size 6
+    # missed it by 1.4-2.4e-10, which made the single-user map look like it
+    # dipped at stationary points
+    inst = target_inside_interferer(100.0, channel_seed)
+    w = mm.solve_single_user(inst).w
+    assert abs(model.mutual_information(inst, w) - mi_50_digits(inst, w)) <= 1e-15
+
+
 def test_single_user_dip_away_from_stationarity_is_stalled(monkeypatch):
-    # the same dip stop, with a certificate that does not hold there
+    # a dip stop with a certificate that does not hold there.  With the MI
+    # evaluated by the determinant lemma this family no longer dips by
+    # itself, so every MI evaluation after the start is lowered by 1e-6 more
+    # than the one before, which makes the first step that gains less than
+    # that read as a dip
+    true_mi = mm._SingleUserMap.mi
+    calls = itertools.count()
+    monkeypatch.setattr(mm._SingleUserMap, "mi",
+                        lambda self, w: true_mi(self, w) - 1e-6 * next(calls))
     monkeypatch.setattr(mm._SingleUserMap, "certificate", lambda self, w: (1.0, 0.0, 0.0))
     report = mm.solve_single_user(target_inside_interferer(100.0, 1))
     assert report.status == "stalled"

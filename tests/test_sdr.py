@@ -50,6 +50,29 @@ def test_point_mi_matches_full_logdet():
         assert abs(value - full) <= 1e-9 * max(1.0, abs(full))
 
 
+def test_point_mutual_information_exact_near_strong_interferer():
+    # a 1e4-strength interferer half a degree from the target: the 2x2
+    # determinant reduction, target * interf - |cross|^2, lost up to 7e-14
+    # nats to cancellation here (1.5e-14 on these beams); the reference
+    # evaluates it in 50 digits from the same double-precision projections
+    mpmath = pytest.importorskip("mpmath")
+    cfg, inst, h, omega = make_setup(n_tx=6, n_rx=6, theta_c=0.5, gamma2=1e4, seed=3)
+    p = model.steering_vector(0.0, cfg.n_tx)[:, None] * model.steering_vector(0.0, cfg.n_rx).conj()
+    q = 100.0 * model.steering_vector(0.5, cfg.n_tx)[:, None] * \
+        model.steering_vector(0.5, cfg.n_rx).conj()
+    beams = random_beams(np.random.default_rng(0), cfg, 4)
+    values = sdr.point_mutual_information(inst, beams)
+    with mpmath.workdps(50):
+        for w, value in zip(beams, values):
+            u = [mpmath.mpc(z) for z in w @ p.conj()]
+            v = [mpmath.mpc(z) for z in w @ q.conj()]
+            target = cfg.n_slots * sum(abs(z) ** 2 for z in u) + cfg.radar_noise
+            interf = cfg.n_slots * sum(abs(z) ** 2 for z in v) + cfg.radar_noise
+            cross = cfg.n_slots * sum(mpmath.conj(b) * a for a, b in zip(u, v))
+            ref = mpmath.log((target * interf - abs(cross) ** 2) / (interf * cfg.radar_noise))
+            assert abs(value - float(ref)) <= 5e-15
+
+
 @pytest.mark.parametrize("theta_t, beta2, theta_c, gamma2", [
     (0.0, 1.0, -30.0, 100.0), (12.5, 3.0, 40.0, 0.25), (-20.0, 0.5, -20.0, 7.0),
 ])
