@@ -85,6 +85,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
         "iterations": result.iterations,
         "status": result.status,
         "kkt_residual": result.kkt_residual,
+        "reduced_dim": result.extras["reduced_dim"],
         **_meta(cfg, seed),
     }
     _write_json(out_dir / "solution.json", payload)

@@ -1,8 +1,9 @@
 """Uniform front door to the four solver regimes.
 
 Validates scheme/scenario compatibility, builds the :class:`model.Instance`
-once, hands it to the right solver (every solver reads the instance; the
-closed form also takes the target's transmit steering vector), and returns
+once, hands it to the right solver (the SDR and MM solvers read its
+reduction to the sensing subspace; the closed form takes the target's
+transmit steering vector and the channel), and returns
 one report shape for the CLI, the sweep drivers, and the evaluation
 pipeline.  For every scheme the reported MI is :func:`model.mutual_information`
 of the returned design.
@@ -66,8 +67,22 @@ def validate_scheme(scenario: model.Scenario, scheme: str) -> None:
         raise ConfigError("solver.name: 'sdr' requires a point (or absent) interferer")
 
 
+def _certificate(inst: model.Instance, scheme: str, w: np.ndarray):
+    """The MM scheme's KKT residuals of a design on ``inst``."""
+    if scheme == "mm-single":
+        return mm.kkt_certificate(inst, w[:, 0])
+    return mm.multiuser_certificate(inst, mm.build_surrogate(inst, w), w)
+
+
 def solve_scenario(scenario: model.Scenario, scheme: str,
                    opts: SolverOptions = SolverOptions()) -> SolveResult:
+    """Solve one scenario with one scheme.
+
+    The SDR and MM schemes run on :func:`model.reduce_instance` of the
+    instance and map their design back as W = B Z; the closed form runs on
+    the full instance.  MI, rates and the MM KKT certificate are those of
+    the full instance.
+    """
     validate_scheme(scenario, scheme)
     cfg = scenario.config
     inst = model.build_instance(scenario)
@@ -79,22 +94,30 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
         omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
         w = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=cfg.power_budget,
                                                omega=omega))[:, None]
-        iterations, status, kkt, trace, extras = 0, "closed_form", None, None, {}
-    elif scheme == "sdr":
-        report = sdr.solve_point_interference(inst, opts.seed, opts.n_randomizations)
-        w = report.w[:, None]
-        iterations, status = report.conic_report.iterations, report.conic_report.status
-        kkt, trace = None, None
-        extras = {"mi_bound_bits": model.nats_to_bits(report.bound_nats)}
+        iterations, status, kkt, trace = 0, "closed_form", None, None
+        extras = {"reduced_dim": cfg.n_tx}
     else:
-        if scheme == "mm-single":
-            report = mm.solve_single_user(inst, eps1=opts.eps1, max_iters=opts.max_iters)
+        reduced, basis = model.reduce_instance(inst)
+        if scheme == "sdr":
+            report = sdr.solve_point_interference(reduced, opts.seed, opts.n_randomizations)
+            z = report.w[:, None]
+            iterations, status = report.conic_report.iterations, report.conic_report.status
+            kkt, trace = None, None
+            extras = {"mi_bound_bits": model.nats_to_bits(report.bound_nats)}
         else:
-            report = mm.solve_multi_user(inst, eps2=opts.eps2, max_iters=opts.max_iters)
-        w = report.w
-        iterations, status, kkt = report.iterations, report.status, report.kkt_residual
-        trace = report.mi_trace
-        extras = {"comp_power": report.comp_power, "comp_rate": report.comp_rate}
+            if scheme == "mm-single":
+                report = mm.solve_single_user(reduced, eps1=opts.eps1, max_iters=opts.max_iters)
+            else:
+                report = mm.solve_multi_user(reduced, eps2=opts.eps2, max_iters=opts.max_iters)
+            z = report.w
+            iterations, status, trace = report.iterations, report.status, report.mi_trace
+            cert = report.kkt_residual, report.comp_power, report.comp_rate
+        w = z if reduced is inst else basis @ z
+        if scheme != "sdr":
+            if reduced is not inst:
+                cert = _certificate(inst, scheme, w)
+            kkt, extras = cert[0], {"comp_power": cert[1], "comp_rate": cert[2]}
+        extras["reduced_dim"] = basis.shape[1]
 
     wall = time.perf_counter() - started
     mi_nats = model.mutual_information(inst, w)

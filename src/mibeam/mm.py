@@ -334,16 +334,21 @@ def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float,
     return w_next, tau, mu
 
 
-def _kkt_certificate(inst: model.Instance, w: np.ndarray, omega: float):
-    """Stationarity and complementarity residuals at the returned point.
+def kkt_certificate(inst: model.Instance, w: np.ndarray):
+    """Stationarity and complementarity residuals of a single-user design.
 
     Rebuilds the surrogate at w (its gradient there equals the objective
     gradient), re-solves the inner problem for consistent multipliers, and
     maps the subproblem multipliers to the original problem (factor delta).
+    A silent target makes the MI identically zero, so every feasible point
+    is stationary and the residuals are zero.
     """
+    if not np.any(inst.target_factor):
+        return 0.0, 0.0, 0.0
     cfg = inst.config
     h = inst.channel[0].conj()
     p0 = cfg.power_budget
+    omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
     sur = build_surrogate(inst, w)
     _, tau, mu = _inner_step(sur, h, w, omega, p0, power_slack=POWER_RTOL)
     grad = sur.gradient(w)
@@ -392,7 +397,7 @@ class _SingleUserMap:
                 and model.achievable_rate(self.inst, w, 0) >= self.rate - ACCEPT_RATE_ATOL)
 
     def certificate(self, w: np.ndarray):
-        return _kkt_certificate(self.inst, w, self.omega)
+        return kkt_certificate(self.inst, w)
 
 
 def _extrapolated_step(step: _SingleUserMap, w: np.ndarray, g_val: float):

@@ -19,6 +19,9 @@ from .errors import ConfigError, NotPositiveDefinite
 
 LN2 = float(np.log(2.0))
 SPACING_OVER_LAMBDA = 0.5  # half-wavelength uniform linear arrays
+# Share of the largest singular value below which a steering direction is
+# dropped from the sensing subspace (see :func:`reduce_instance`).
+REDUCTION_RTOL = 1e-10
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -223,6 +226,52 @@ def build_instance(scenario: Scenario) -> Instance:
     else:
         interf_factor = scatterer_factor(scenario.interference, cfg)
     return Instance(cfg, channel, target_factor, interf_factor)
+
+
+def reduce_instance(inst: Instance) -> tuple[Instance, np.ndarray]:
+    """The same design problem in the transmit subspace that carries it.
+
+    The MI depends on W only through W^H a for the transmit steering
+    vectors a of the scatterer components (block r of a factor column is
+    conj(b_r) sqrt(strength) a), the rates only through the channel, and
+    the power is ||W||^2.  B is an orthonormal basis of the span of the unit
+    steering vectors of the nonzero components, truncated at REDUCTION_RTOL
+    times the largest singular value, plus the parts of the user channels
+    outside that span.  The reduced instance
+    has n_tx = dim B, factors (I_{N_R} kron B^H) F and channel ``channel @
+    B``; for any Z, W = B Z has the same MI, rates and power there as Z has
+    in the reduced instance.  A component of W outside span(B) costs power
+    and gains nothing, and the truncation only restricts the feasible set.
+
+    Returns (reduced, B).  When B spans the whole space, returns ``inst``
+    itself with the identity, so a solve on it is unchanged.
+    """
+    cfg = inst.config
+    n_tx, n_rx = cfg.n_tx, cfg.n_rx
+    # block 0 of a column is sqrt(strength) a, since b_0 = 1
+    steering = np.hstack([inst.target_factor[:n_tx], inst.interf_factor[:n_tx]])
+    norms = np.linalg.norm(steering, axis=0)
+    steering = steering[:, norms > 0.0] / norms[norms > 0.0]
+    span = np.zeros((n_tx, 0), dtype=complex)
+    if steering.shape[1]:
+        u, s, _ = np.linalg.svd(steering, full_matrices=False)
+        span = u[:, s > REDUCTION_RTOL * s[0]]
+    # the channels' parts outside the span, projected twice so that they
+    # stay orthogonal to it to working precision
+    users = inst.channel.conj().T
+    outside = users
+    for _ in range(2):
+        outside = outside - span @ (span.conj().T @ outside)
+    u, s, _ = np.linalg.svd(outside, full_matrices=False)
+    scale = float(np.max(np.linalg.norm(users, axis=0)))
+    basis = np.hstack([span, u[:, s > REDUCTION_RTOL * scale]])
+    if basis.shape[1] >= n_tx:
+        return inst, np.eye(n_tx, dtype=complex)
+    reduced = Instance(
+        replace(cfg, n_tx=basis.shape[1]), inst.channel @ basis,
+        expanded_times(basis, inst.target_factor, n_rx),
+        expanded_times(basis, inst.interf_factor, n_rx))
+    return reduced, basis
 
 
 def as_beam_matrix(w, cfg: SystemConfig) -> np.ndarray:

@@ -59,6 +59,7 @@ def test_solve_paper_config_meets_rate(tmp_path):
     payload = json.loads((tmp_path / "o" / "solution.json").read_text())
     assert payload["rates_bits"][0] >= 6.0 - 1e-9
     assert payload["mi_bits"] > 0.0
+    assert payload["reduced_dim"] == 6  # the closed form runs on the full instance
     assert payload["config_hash"]
     assert payload["version"]
     assert (tmp_path / "o" / "trace.csv").exists()
@@ -200,6 +201,19 @@ def test_eval_is_byte_identical(tmp_path, kind, name):
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_solve_sdr_reports_reduced_dimension_and_reruns_identically(tmp_path):
+    cfg_path = write_config(tmp_path / "cfg.yaml",
+                            interference={"angles": [-30.0], "strengths": [100.0]},
+                            solver={"name": "sdr", "randomizations": 200})
+    for out in ("a", "b"):
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
+    payload = json.loads((tmp_path / "a" / "solution.json").read_text())
+    assert payload["reduced_dim"] == 3  # target, interferer and the channel outside them
+    assert len(payload["w_re"]) == 6
+    assert (tmp_path / "a" / "solution.json").read_bytes() == \
+        (tmp_path / "b" / "solution.json").read_bytes()
+
+
 def test_solve_zero_strength_target_exits_zero(tmp_path):
     cfg_path = write_config(
         tmp_path / "cfg.yaml",
@@ -241,6 +255,7 @@ def test_solve_multi_user_config_reports_certificate_and_reruns_identically(tmp_
     payload = json.loads((tmp_path / "a" / "solution.json").read_text())
     assert payload["scheme"] == "mm-multi"
     assert payload["iterations"] == 20
+    assert payload["reduced_dim"] == 6  # 50 interferer angles span all 6 antennas
     assert np.isfinite(payload["kkt_residual"]) and payload["kkt_residual"] > 0.0
     for name in ("solution.json", "trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
