@@ -85,6 +85,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
         "iterations": result.iterations,
         "status": result.status,
         "kkt_residual": result.kkt_residual,
+        "comp_power": result.extras.get("comp_power"),
+        "comp_rate": result.extras.get("comp_rate"),
         "reduced_dim": result.extras["reduced_dim"],
         **_meta(cfg, seed),
     }

@@ -29,6 +29,15 @@ class EvalOptions:
     echo_seed: int = 0
     snr_grid_db: tuple = (-10.0, 0.0, 10.0, 20.0)
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError("eval.trials: must be >= 1")
+        for name in ("angle_grid_step", "beampattern_step"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"eval.{name}: must be > 0")
+        if not self.diagonal_load >= 0.0:
+            raise ConfigError("eval.diagonal_load: must be >= 0")
+
 
 @dataclass(frozen=True)
 class SweepOptions:

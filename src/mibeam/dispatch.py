@@ -67,13 +67,6 @@ def validate_scheme(scenario: model.Scenario, scheme: str) -> None:
         raise ConfigError("solver.name: 'sdr' requires a point (or absent) interferer")
 
 
-def _certificate(inst: model.Instance, scheme: str, w: np.ndarray):
-    """The MM scheme's KKT residuals of a design on ``inst``."""
-    if scheme == "mm-single":
-        return mm.kkt_certificate(inst, w[:, 0])
-    return mm.multiuser_certificate(inst, mm.build_surrogate(inst, w), w)
-
-
 def solve_scenario(scenario: model.Scenario, scheme: str,
                    opts: SolverOptions = SolverOptions()) -> SolveResult:
     """Solve one scenario with one scheme.
@@ -115,7 +108,7 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
         w = z if reduced is inst else basis @ z
         if scheme != "sdr":
             if reduced is not inst:
-                cert = _certificate(inst, scheme, w)
+                cert = mm.kkt_certificate(inst, mm.build_surrogate(inst, w), w)
             kkt, extras = cert[0], {"comp_power": cert[1], "comp_rate": cert[2]}
         extras["reduced_dim"] = basis.shape[1]
 

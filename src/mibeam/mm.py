@@ -8,9 +8,13 @@ curvature; the iteration is accelerated by SQUAREM extrapolation and
 its stationary point polished by Newton steps on the MM fixed-point
 equation.  For multiple users the subproblem keeps the linearized per-user
 rate constraints and is handed to the dense QCQP solver; its solution is
-scaled to the full power budget, which raises the MI and every rate, and a
-KKT certificate fitted on the true problem (:func:`multiuser_certificate`)
-is reported and steers a bounded polish after the eps2 stop.
+scaled to the full power budget, which raises the MI and every rate.
+
+One KKT certificate serves both regimes (:func:`kkt_certificate`): the power
+and rate multipliers are fitted to the MI gradient of the true problem, so
+it reads only the design, never how a subproblem was solved.  It steers the
+single-user Newton polish and the bounded multi-user polish after the eps2
+stop.
 
 Both regimes build the minorizer from the scatterer factors of the instance
 (R = F F^H, one column per component), as the mutual information does; no
@@ -47,13 +51,6 @@ SQUAREM_MAX_STEP = 32.0
 SQUAREM_BACKTRACKS = 4     # extrapolation lengths tried before the plain step
 POLISH_STEPS = 4           # Newton iterations after the relative-change stop
 POLISH_RTOL = 1e-8         # KKT residual at which the polish stops
-# A single-user step that lowers the MI ends the iteration.  Exact MM cannot
-# do that; in floating point it can where the MI is tiny (a target inside a
-# strong extended interferer) and its evaluation loses more than the step
-# gains.  Such a stop counts as converged when every entry of the KKT
-# certificate there is at most this.  Since the MI is evaluated by the
-# determinant lemma, no such dip is known.
-DIP_KKT_TOL = 1e-6
 MULTIPLIER_EVALS = 200     # power evaluations allowed per multiplier solve
 # Step-down factor of the multiplier while no infeasible tau is known: the
 # multiplier can be as small as 1e-11 when the curvature is rank deficient,
@@ -304,59 +301,29 @@ def bisect_power_multiplier(sur: Surrogate, h: np.ndarray, w_ref: np.ndarray,
 
 def _unpenalized_step_valid(sur: Surrogate, curvature: ShiftedCurvature,
                             h: np.ndarray, w_ref: np.ndarray, mu: float,
-                            w_free: np.ndarray, p0: float,
-                            power_slack: float = 0.0) -> bool:
+                            w_free: np.ndarray, p0: float) -> bool:
     """Whether the tau = 0 step is the genuine subproblem minimizer.
 
     Requires the power budget to hold and, when the curvature is rank
     deficient, the effective right-hand side to have no component along the
     flat directions (otherwise the transmit power diverges as tau -> 0 and
     the multiplier must be found by the secular-equation Newton solve)."""
-    if float(np.linalg.norm(w_free) ** 2) > p0 * (1.0 + power_slack):
+    if float(np.linalg.norm(w_free) ** 2) > p0:
         return False
     rhs = sur.lin + mu * (h * complex(np.vdot(h, w_ref)))
     return curvature.null_component(rhs) <= 1e-10 * max(float(np.linalg.norm(rhs)), 1e-300)
 
 
 def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float,
-                p0: float, power_slack: float = 0.0):
+                p0: float) -> np.ndarray:
     """Solve the subproblem built at w: maximize the surrogate under the
-    power budget and the rate constraint linearized at w.
-
-    Returns (w_next, tau, mu) with the power and rate multipliers.
-    """
+    power budget and the rate constraint linearized at w."""
     curvature = ShiftedCurvature(sur)
     omega_shift = float(np.abs(np.vdot(h, w)) ** 2) + omega
     w_free, mu0 = rate_constrained_step(sur, h, w, omega_shift, 0.0, curvature)
-    if _unpenalized_step_valid(sur, curvature, h, w, mu0, w_free, p0, power_slack):
-        return w_free, 0.0, mu0
-    tau, w_next, mu = bisect_power_multiplier(sur, h, w, omega_shift, p0, curvature)
-    return w_next, tau, mu
-
-
-def kkt_certificate(inst: model.Instance, w: np.ndarray):
-    """Stationarity and complementarity residuals of a single-user design.
-
-    Rebuilds the surrogate at w (its gradient there equals the objective
-    gradient), re-solves the inner problem for consistent multipliers, and
-    maps the subproblem multipliers to the original problem (factor delta).
-    A silent target makes the MI identically zero, so every feasible point
-    is stationary and the residuals are zero.
-    """
-    if not np.any(inst.target_factor):
-        return 0.0, 0.0, 0.0
-    cfg = inst.config
-    h = inst.channel[0].conj()
-    p0 = cfg.power_budget
-    omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
-    sur = build_surrogate(inst, w)
-    _, tau, mu = _inner_step(sur, h, w, omega, p0, power_slack=POWER_RTOL)
-    grad = sur.gradient(w)
-    station = -grad + sur.delta * tau * w - sur.delta * mu * h * complex(np.vdot(h, w))
-    residual = float(np.linalg.norm(station)) / (1.0 + float(np.linalg.norm(grad)))
-    comp_power = abs(sur.delta * tau * (float(np.linalg.norm(w) ** 2) - p0))
-    comp_rate = abs(sur.delta * mu * (omega - float(np.abs(np.vdot(h, w)) ** 2)))
-    return residual, comp_power, comp_rate
+    if _unpenalized_step_valid(sur, curvature, h, w, mu0, w_free, p0):
+        return w_free
+    return bisect_power_multiplier(sur, h, w, omega_shift, p0, curvature)[1]
 
 
 class _SingleUserMap:
@@ -384,7 +351,7 @@ class _SingleUserMap:
         trajectory unchanged while keeping successive differences (which the
         extrapolation and the polish use) free of arbitrary phase turns."""
         sur = build_surrogate(self.inst, w)
-        w_next = _inner_step(sur, self.h, w, self.omega, self.p0)[0]
+        w_next = _inner_step(sur, self.h, w, self.omega, self.p0)
         overlap = complex(np.vdot(w, w_next))
         return w_next * (np.conj(overlap) / abs(overlap)) if overlap != 0.0 else w_next
 
@@ -397,7 +364,7 @@ class _SingleUserMap:
                 and model.achievable_rate(self.inst, w, 0) >= self.rate - ACCEPT_RATE_ATOL)
 
     def certificate(self, w: np.ndarray):
-        return kkt_certificate(self.inst, w)
+        return kkt_certificate(self.inst, build_surrogate(self.inst, w), w)
 
 
 def _extrapolated_step(step: _SingleUserMap, w: np.ndarray, g_val: float):
@@ -505,10 +472,10 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
     POLISH_RTOL.  A Newton candidate is kept only if it is admissible, does
     not lower the MI and lowers the residual; otherwise the plain MM step is
     taken (if it does not lower the MI) and the polish ends.  The objective
-    trace is non-decreasing.  A step that would lower the MI stops the
-    iteration too: ``converged`` (and polished) if the certificate there is
-    within DIP_KKT_TOL, ``stalled`` otherwise.  A zero-strength target returns
-    the MRT start, converged with MI 0 and a zero certificate.
+    trace is non-decreasing.  A step that would lower the MI ends the
+    iteration as ``stalled``, unpolished.  The reported residuals are those
+    of :func:`kkt_certificate`.  A zero-strength target returns the MRT start,
+    converged with MI 0 and a zero certificate.
     """
     cfg = inst.config
     if cfg.n_users != 1:
@@ -545,8 +512,6 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
             break
 
     cert = step.certificate(w)
-    if status == "stalled" and max(cert) <= DIP_KKT_TOL:
-        status = "converged"
     polish = POLISH_STEPS if status == "converged" else 0
     while polish and iterations < max_iters and cert[0] > POLISH_RTOL:
         polish -= 1
@@ -674,8 +639,8 @@ def _nonnegative_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def multiuser_certificate(inst: model.Instance, sur: Surrogate, w):
-    """KKT residuals of a K-user design on the true problem.
+def kkt_certificate(inst: model.Instance, sur: Surrogate, w):
+    """KKT residuals of a design with any number of users on the true problem.
 
     ``sur`` must be built at w, where its gradient g is the MI gradient
     (w.r.t. conj(vec W)).  With the rate constraints written c_k(W) =
@@ -683,9 +648,9 @@ def multiuser_certificate(inst: model.Instance, sur: Surrogate, w):
     multipliers tau (power) and mu_k (user k) are the nonnegative
     least-squares fit of g = tau vec(W) - sum_k mu_k grad c_k.  Returns the
     stationarity residual ||g - tau vec(W) + sum_k mu_k grad c_k|| / (1 +
-    ||g||), tau |P0 - ||W||^2| and max_k mu_k |c_k|, on the scale of the
-    single-user certificate.  Only the design problem enters, not how a
-    subproblem was solved.
+    ||g||), tau |P0 - ||W||^2| and max_k mu_k |c_k|.  Only the design
+    problem enters, not how a subproblem was solved.  A silent target has
+    g = 0, so every multiplier and residual is zero.
     """
     cfg = inst.config
     w_mat = model.as_beam_matrix(w, cfg)
@@ -725,7 +690,7 @@ def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
     the scaling cuts hundreds of maps to tens.  The iteration stops on
     relative objective change <= eps2 (``converged``) or the cap.  After an
     eps2 stop, up to MULTI_POLISH_MAPS further maps (within the cap) run
-    while the KKT residual of :func:`multiuser_certificate` is above
+    while the KKT residual of :func:`kkt_certificate` is above
     MULTI_POLISH_RTOL; a map that would lower the MI ends them.  The
     returned design's certificate is reported; it is not a stop rule.
     Every iterate meets all rate targets and the power budget, and the
@@ -742,7 +707,7 @@ def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
     while iterations < max_iters:
         sur = build_surrogate(inst, w_mat)
         if status == "converged":
-            cert = multiuser_certificate(inst, sur, w_mat)
+            cert = kkt_certificate(inst, sur, w_mat)
             if polish == 0 or cert[0] <= MULTI_POLISH_RTOL:
                 break
             polish -= 1
@@ -761,7 +726,7 @@ def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
             status, polish = "converged", MULTI_POLISH_MAPS
 
     if cert is None:
-        cert = multiuser_certificate(inst, build_surrogate(inst, w_mat), w_mat)
+        cert = kkt_certificate(inst, build_surrogate(inst, w_mat), w_mat)
     residual, comp_power, comp_rate = cert
     return MmReport(w=w_mat, mi_trace=trace, iterations=iterations, status=status,
                     kkt_residual=residual, comp_power=comp_power, comp_rate=comp_rate,

@@ -103,6 +103,24 @@ def test_randomizations_below_one_is_config_error(tmp_path, capsys, count):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("beampattern", "beampattern_step", 0.0),
+    ("capon", "beampattern_step", -0.1),
+    ("rmse", "angle_grid_step", 0.0),
+    ("capon", "diagonal_load", -1.0),
+    ("rmse", "trials", 0),
+])
+def test_invalid_eval_option_is_config_error(tmp_path, capsys, kind, field, value):
+    # rejected at parse time, before any design is solved or file written
+    cfg_path = write_config(tmp_path / "cfg.yaml", eval={field: value})
+    code = cli.main(["eval", kind, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert f"eval.{field}" in err["reason"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.yaml",
                             system={"rate_targets": [30.0]})
@@ -210,6 +228,7 @@ def test_solve_sdr_reports_reduced_dimension_and_reruns_identically(tmp_path):
     payload = json.loads((tmp_path / "a" / "solution.json").read_text())
     assert payload["reduced_dim"] == 3  # target, interferer and the channel outside them
     assert len(payload["w_re"]) == 6
+    assert payload["kkt_residual"] is payload["comp_power"] is payload["comp_rate"] is None
     assert (tmp_path / "a" / "solution.json").read_bytes() == \
         (tmp_path / "b" / "solution.json").read_bytes()
 
@@ -257,6 +276,7 @@ def test_solve_multi_user_config_reports_certificate_and_reruns_identically(tmp_
     assert payload["iterations"] == 20
     assert payload["reduced_dim"] == 6  # 50 interferer angles span all 6 antennas
     assert np.isfinite(payload["kkt_residual"]) and payload["kkt_residual"] > 0.0
+    assert payload["comp_power"] >= 0.0 and payload["comp_rate"] >= 0.0
     for name in ("solution.json", "trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

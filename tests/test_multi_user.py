@@ -164,13 +164,33 @@ def test_scaling_up_raises_mi_and_every_rate():
         assert np.all(np.diff(rates, axis=0) > 0.0)
 
 
-def test_certificate_separates_optimum_from_start():
-    inst = interference_free(1, 1.0, 4.0)
-    w_opt = sdr_design(1, 4.0)
-    assert max(mm.multiuser_certificate(inst, mm.build_surrogate(inst, w_opt), w_opt)) <= 1e-6
-    inst = multi_user_config_instance()
-    w_zf = mm.zero_forcing_init(inst)
-    assert mm.multiuser_certificate(inst, mm.build_surrogate(inst, w_zf), w_zf)[0] >= 1e-3
+def certificate(inst, w):
+    return mm.kkt_certificate(inst, mm.build_surrogate(inst, w), w)
+
+
+def three_users_optimum_and_start():
+    """The SDR optimum without interference; the zero-forcing start of the
+    shipped 3-user config."""
+    start = multi_user_config_instance()
+    return (interference_free(1, 1.0, 4.0), sdr_design(1, 4.0),
+            start, mm.zero_forcing_init(start))
+
+
+def one_user_optimum_and_start():
+    """The converged MM design of the shipped single-user config and its
+    start, the full-power matched filter."""
+    inst = model.build_instance(parse_config(CONFIGS / "single_user_extended.yaml").scenario)
+    h = inst.channel[0].conj()
+    w_mrt = np.sqrt(inst.config.power_budget) * h / np.linalg.norm(h)
+    return inst, mm.solve_single_user(inst).w, inst, w_mrt
+
+
+@pytest.mark.parametrize("case", [three_users_optimum_and_start, one_user_optimum_and_start],
+                         ids=["three_users", "one_user"])
+def test_certificate_separates_optimum_from_start(case):
+    inst_opt, w_opt, inst_start, w_start = case()
+    assert max(certificate(inst_opt, w_opt)) <= 1e-6
+    assert certificate(inst_start, w_start)[0] >= 1e-3
 
 
 def test_nonnegative_fit_matches_enumeration():

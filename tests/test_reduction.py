@@ -147,5 +147,6 @@ def test_large_array_single_user_converges_with_full_space_certificate():
     assert result.status == "converged" and result.iterations <= 2000
     assert result.extras["reduced_dim"] < 16
     assert result.kkt_residual <= 1e-6
-    full = mm.kkt_certificate(model.build_instance(scenario), result.w[:, 0])
+    inst = model.build_instance(scenario)
+    full = mm.kkt_certificate(inst, mm.build_surrogate(inst, result.w), result.w)
     assert result.kkt_residual == full[0]
