@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dispatch, evaluation, model
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, check_grid, check_seed, parse_config
 from .errors import ConfigError, Infeasible, MibeamError, NumericalError
 
 CSV_FORMAT = "%.12g"
@@ -106,10 +106,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, seed: int, config_path: Path
         raise ConfigError("sweep: config has no sweep section and no --grid was given")
     variable = cfg.sweep.variable if cfg.sweep else "power_dbm"
     grid = list(grid_override if grid_override is not None else cfg.sweep.grid)
-    if not grid:
-        raise ConfigError("sweep.grid: must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("sweep.grid: must be strictly increasing")
 
     jobs = [(str(config_path), variable, float(v), i, seed) for i, v in enumerate(grid)]
     if threads > 1:
@@ -168,16 +164,18 @@ def cmd_eval(cfg: ExperimentConfig, kind: str, out_dir: Path, seed: int,
 
 def _parse_grid(text: str) -> list:
     """Grid spec: comma list '30,35,40' or range 'start:stop:step' (inclusive)."""
-    if ":" in text:
-        parts = [float(p) for p in text.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
-            raise ConfigError("--grid: range form is start:stop:step with step > 0")
-        start, stop, step = parts
-        return list(np.arange(start, stop + 0.5 * step, step))
+    ranged = ":" in text
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        grid = [float(p) for p in text.split(":" if ranged else ",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"--grid: cannot parse {text!r}") from exc
+    if ranged:
+        if len(grid) != 3 or grid[2] <= 0:
+            raise ConfigError("--grid: range form is start:stop:step with step > 0")
+        start, stop, step = grid
+        grid = list(np.arange(start, stop + 0.5 * step, step))
+    check_grid(grid, "--grid")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,10 +206,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.scenario.config.rng_seed
+        seed = (check_seed(args.seed, "--seed") if args.seed is not None
+                else cfg.scenario.config.rng_seed)
+        grid = _parse_grid(args.grid) if args.grid else None
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        grid = _parse_grid(args.grid) if args.grid else None
         if args.command == "solve":
             return cmd_solve(cfg, out_dir, seed)
         if args.command == "sweep":

@@ -20,6 +20,21 @@ from .dispatch import SCHEMES, SolverOptions
 from .errors import ConfigError
 
 
+def check_seed(seed: int, source: str) -> int:
+    """A seed as numpy's generators take it: a nonnegative integer."""
+    if seed < 0:
+        raise ConfigError(f"{source}: must be >= 0, got {seed}")
+    return seed
+
+
+def check_grid(grid, source: str) -> None:
+    """A sweep grid: non-empty and strictly increasing."""
+    if len(grid) == 0:
+        raise ConfigError(f"{source}: must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{source}: must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class EvalOptions:
     trials: int = 200
@@ -37,6 +52,8 @@ class EvalOptions:
                 raise ConfigError(f"eval.{name}: must be > 0")
         if not self.diagonal_load >= 0.0:
             raise ConfigError("eval.diagonal_load: must be >= 0")
+        check_seed(self.echo_seed, "eval.echo_seed")
+        check_grid(self.snr_grid_db, "eval.snr_grid_db")
 
 
 @dataclass(frozen=True)
@@ -101,7 +118,7 @@ def _channel(node, cfg: model.SystemConfig, base: Path) -> np.ndarray:
         raise ConfigError("channel.kind: must be 'rayleigh' or 'file'")
     kind = node["kind"]
     if kind == "rayleigh":
-        seed = int(node.get("seed", cfg.rng_seed))
+        seed = check_seed(int(node.get("seed", cfg.rng_seed)), "channel.seed")
         return model.rayleigh_channel(cfg.n_users, cfg.n_tx, seed)
     if kind == "file":
         path = base / str(_require(node, "path", "channel"))
@@ -161,7 +178,7 @@ def parse_config(path) -> ExperimentConfig:
         eps2=float(solver_node.get("eps2", solver_default.eps2)),
         max_iters=int(solver_node.get("max_iters", solver_default.max_iters)),
         n_randomizations=int(solver_node.get("randomizations", solver_default.n_randomizations)),
-        seed=int(solver_node.get("seed", cfg.rng_seed)),
+        seed=check_seed(int(solver_node.get("seed", cfg.rng_seed)), "solver.seed"),
     )
     if solver.n_randomizations < 1:
         raise ConfigError(
@@ -186,6 +203,7 @@ def parse_config(path) -> ExperimentConfig:
             variable=str(_require(sweep_node, "variable", "sweep")),
             grid=tuple(float(v) for v in _require(sweep_node, "grid", "sweep")),
         )
+        check_grid(sweep.grid, "sweep.grid")
 
     return ExperimentConfig(
         scenario=scenario, scheme=scheme, solver=solver, evaluation=eval_opts,

@@ -149,107 +149,74 @@ class MmReport:
 
 
 class ShiftedCurvature:
-    """Pseudo-inverse applications of (delta * quad + tau * I) for many tau.
+    """The single-user subproblem built at w_ref, in the eigenbasis V of its
+    curvature delta * quad: c = V^H lin and r = V^H (h h^H w_ref) are formed
+    once for the whole secular-equation Newton solve of the power multiplier.
 
-    One eigendecomposition serves the whole secular-equation Newton solve
-    for the power multiplier.  Eigenvalues within the relative cutoff of
-    zero are treated as an exact null space (dropped at tau = 0, inverted as
-    1/tau otherwise), so the transmit power is a continuous function of the
-    multiplier.
+    Eigenvalues within the relative cutoff of zero are treated as an exact
+    null space (dropped at tau = 0, inverted as 1/tau otherwise), so the
+    transmit power is a continuous function of the multiplier.
     """
 
     NULL_RTOL = 1e-12
 
-    def __init__(self, sur: Surrogate):
+    def __init__(self, sur: Surrogate, h: np.ndarray, w_ref: np.ndarray):
         vals, vecs = np.linalg.eigh(sur.delta * sur.quad)
         vals = np.clip(vals, 0.0, None)
         cutoff = self.NULL_RTOL * max(float(vals.max()), 1e-300)
         self.vals = np.where(vals <= cutoff, 0.0, vals)
         self.vecs = vecs
+        basis = vecs.conj().T
+        self.c = basis @ sur.lin
+        self.r = basis @ (h * complex(np.vdot(h, w_ref)))
 
-    def inverse(self, tau: float) -> np.ndarray:
-        """Eigenvalues of the pseudo-inverse, 1/(lambda + tau) or 0."""
-        shifted = self.vals + tau
-        return np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
+    def step(self, omega_shift: float, tau: float):
+        """(x, mu, p, dp/dtau) at power multiplier tau, in O(N_T): the maximizer
+        x = s * (c + mu r), s = 1/(lambda + tau), of the surrogate less
+        tau ||w||^2 under the rate cut 2 Re(w_ref^H h h^H w) >= omega_shift,
+        its rate multiplier mu, its power p and the power's slope.
 
-    def apply(self, rhs: np.ndarray, tau: float) -> np.ndarray:
-        return self.vecs @ (self.inverse(tau) * (self.vecs.conj().T @ rhs))
-
-    def null_component(self, rhs: np.ndarray) -> float:
-        """Norm of the projection of rhs onto the exact null space.
-
-        When this is nonzero the unpenalized subproblem is unbounded along a
-        flat direction, i.e. the transmit power diverges as the multiplier
-        approaches zero.
+        mu = 0 when s * c already meets the cut; otherwise mu = a/b, a =
+        omega_shift - 2 Re r^H (s c), b = 2 sum s |r|^2, enforces it with
+        equality, and mu' follows from a' and b'.  The cut is degenerate when
+        b is below the absolute 1e-14 and below 1e-14 of its bound
+        2 ||r||^2 max(s): that bound shrinks with tau as b does, so a cut that
+        only weakens as tau grows is not degenerate, while r = 0 or r in the
+        null space at tau = 0 still is.  The absolute test comes first,
+        because it costs nothing.
         """
-        coords = self.vecs.conj().T @ rhs
-        return float(np.linalg.norm(coords[self.vals == 0.0]))
+        shifted = self.vals + tau
+        s = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
+        x = s * self.c
+        attained = 2.0 * float(np.real(np.vdot(self.r, x)))
+        if attained >= omega_shift:
+            return x, 0.0, float(np.vdot(x, x).real), -2.0 * float(np.sum(s * np.abs(x) ** 2))
+        sr = s * self.r
+        b = 2.0 * float(np.real(np.vdot(self.r, sr)))
+        if b <= 1e-14 and b <= 2e-14 * float(np.vdot(self.r, self.r).real) * np.max(s, initial=0.0):
+            raise DegenerateConstraint("linearized rate constraint has vanishing curvature")
+        a = omega_shift - attained
+        da = 2.0 * float(np.real(np.vdot(sr, x)))         # 2 Re r^H (s^2 c)
+        db = -2.0 * float(np.sum(np.abs(sr) ** 2))        # -2 sum s^2 |r|^2
+        mu = a / b
+        x = x + mu * sr
+        dx = -s * x + ((da * b - a * db) / b ** 2) * sr
+        return x, mu, float(np.vdot(x, x).real), 2.0 * float(np.real(np.vdot(x, dx)))
 
 
-def _curvature_floor(s: np.ndarray, r: np.ndarray) -> float:
-    """1e-14 of the bound 2 ||r||^2 max(s) on the rate cut's curvature
-    b = 2 sum s |r|^2.  The bound shrinks with the multiplier as b does, so a
-    cut that only weakens as tau grows is not read as degenerate; r in the
-    curvature's null space at tau = 0, or r = 0, still is.  Callers test b
-    against the absolute 1e-14 first, which costs nothing, and treat b as
-    vanishing only when it is below both."""
-    return 1e-14 * 2.0 * float(np.vdot(r, r).real) * float(np.max(s, initial=0.0))
-
-
-def rate_constrained_step(sur: Surrogate, h: np.ndarray, w_ref: np.ndarray,
-                          omega_shift: float, tau: float,
-                          curvature: Optional[ShiftedCurvature] = None):
+def rate_constrained_step(curvature: ShiftedCurvature, omega_shift: float, tau: float):
     """Minimizer of the power-penalized surrogate under the linearized rate
-    constraint 2 Re(w_ref^H h h^H w) >= omega_shift.
+    constraint 2 Re(w_ref^H h h^H w) >= omega_shift, in the antenna basis.
 
-    Returns (w, mu); mu = 0 when the unconstrained minimizer already
-    satisfies the constraint, otherwise mu > 0 enforces it with equality.
+    Returns (w, mu) of :meth:`ShiftedCurvature.step`; mu = 0 when the
+    unconstrained minimizer already satisfies the constraint, otherwise
+    mu > 0 enforces it with equality.
     """
-    if curvature is None:
-        curvature = ShiftedCurvature(sur)
-    w_free = curvature.apply(sur.lin, tau)
-    received = h * complex(np.vdot(h, w_ref))  # h h^H w_ref
-    attained = 2.0 * float(np.real(np.vdot(received, w_free)))
-    if attained >= omega_shift:
-        return w_free, 0.0
-    direction = curvature.apply(received, tau)
-    denom = 2.0 * float(np.real(np.vdot(received, direction)))
-    if denom <= 1e-14 and denom <= _curvature_floor(curvature.inverse(tau), received):
-        raise DegenerateConstraint("linearized rate constraint has vanishing curvature")
-    mu = (omega_shift - attained) / denom
-    return w_free + mu * direction, mu
+    x, mu, _, _ = curvature.step(omega_shift, tau)
+    return curvature.vecs @ x, mu
 
 
-def _power_and_slope(curvature: ShiftedCurvature, c: np.ndarray, r: np.ndarray,
-                     omega_shift: float, tau: float):
-    """Transmit power p of :func:`rate_constrained_step` at tau, and dp/dtau.
-
-    Works in the eigenbasis of the curvature, where the step is x = s * (c +
-    mu r) with s = 1/(lambda + tau), c and r the coordinates of lin and
-    h h^H w_ref, and mu = a/b, a = omega_shift - 2 Re r^H (s c), b = 2 sum
-    s |r|^2 when the rate cut is active (mu = 0 otherwise).  O(N_T), no
-    matrix product.
-    """
-    s = curvature.inverse(tau)
-    x = s * c
-    attained = 2.0 * float(np.real(np.vdot(r, x)))
-    if attained >= omega_shift:
-        return float(np.vdot(x, x).real), -2.0 * float(np.sum(s * np.abs(x) ** 2))
-    sr = s * r
-    b = 2.0 * float(np.real(np.vdot(r, sr)))
-    if b <= 1e-14 and b <= _curvature_floor(s, r):
-        raise DegenerateConstraint("linearized rate constraint has vanishing curvature")
-    a = omega_shift - attained
-    da = 2.0 * float(np.real(np.vdot(sr, x)))         # 2 Re r^H (s^2 c)
-    db = -2.0 * float(np.sum(np.abs(sr) ** 2))        # -2 sum s^2 |r|^2
-    x = x + (a / b) * sr
-    dx = -s * x + ((da * b - a * db) / b ** 2) * sr
-    return float(np.vdot(x, x).real), 2.0 * float(np.real(np.vdot(x, dx)))
-
-
-def bisect_power_multiplier(sur: Surrogate, h: np.ndarray, w_ref: np.ndarray,
-                            omega_shift: float, p0: float,
-                            curvature: Optional[ShiftedCurvature] = None):
+def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0: float):
     """Find the power multiplier with ||w(tau)||^2 = P0 by a safeguarded
     secular-equation Newton iteration (More & Sorensen 1983).
 
@@ -257,23 +224,19 @@ def bisect_power_multiplier(sur: Surrogate, h: np.ndarray, w_ref: np.ndarray,
     unpenalized step exceeds the budget.  Newton runs on phi = 1/sqrt(p) -
     1/sqrt(P_t), nearly linear in tau, aimed at P_t = P0 (1 - POWER_RTOL/2)
     so that it stops inside [P0 (1 - POWER_RTOL), P0].  Each evaluation is
-    :func:`_power_and_slope` in the eigenbasis of ``curvature``.  A bracket
-    [lo, hi] safeguards it: tau starts at 1 and at least doubles while no
-    feasible tau is known; an iterate outside the bracket is replaced by
-    hi / MULTIPLIER_DECADE while lo = 0, by the geometric midpoint otherwise.
-    Returns (tau, w, mu) from the feasible side, w formed once at the end.
-    The name, from the bisection this replaced, is kept for the benchmark's
-    tracer, which looks the function up by it.
+    :meth:`ShiftedCurvature.step`.  A bracket [lo, hi] safeguards it: tau
+    starts at 1 and at least doubles while no feasible tau is known; an
+    iterate outside the bracket is replaced by hi / MULTIPLIER_DECADE while
+    lo = 0, by the geometric midpoint otherwise.  Returns (tau, w, mu) from
+    the feasible side, w formed once at the end by
+    :func:`rate_constrained_step`.  The name, from the bisection this
+    replaced, is kept for the benchmark's tracer, which looks the function
+    up by it.
     """
-    if curvature is None:
-        curvature = ShiftedCurvature(sur)
-    basis = curvature.vecs.conj().T
-    c = basis @ sur.lin
-    r = basis @ (h * complex(np.vdot(h, w_ref)))
     target = p0 * (1.0 - 0.5 * POWER_RTOL)
     lo, hi, tau = 0.0, np.inf, 1.0
     for _ in range(MULTIPLIER_EVALS):
-        p, slope = _power_and_slope(curvature, c, r, omega_shift, tau)
+        _, _, p, slope = curvature.step(omega_shift, tau)
         # the band less a margin for the roundoff of forming w from x
         if abs(p - target) <= 0.45 * POWER_RTOL * p0:
             hi = tau
@@ -295,35 +258,27 @@ def bisect_power_multiplier(sur: Surrogate, h: np.ndarray, w_ref: np.ndarray,
             tau = np.sqrt(lo * hi)
     if hi == np.inf:
         raise BracketFailure("could not bracket the power multiplier")
-    w, mu = rate_constrained_step(sur, h, w_ref, omega_shift, hi, curvature)
+    w, mu = rate_constrained_step(curvature, omega_shift, hi)
     return hi, w, mu
-
-
-def _unpenalized_step_valid(sur: Surrogate, curvature: ShiftedCurvature,
-                            h: np.ndarray, w_ref: np.ndarray, mu: float,
-                            w_free: np.ndarray, p0: float) -> bool:
-    """Whether the tau = 0 step is the genuine subproblem minimizer.
-
-    Requires the power budget to hold and, when the curvature is rank
-    deficient, the effective right-hand side to have no component along the
-    flat directions (otherwise the transmit power diverges as tau -> 0 and
-    the multiplier must be found by the secular-equation Newton solve)."""
-    if float(np.linalg.norm(w_free) ** 2) > p0:
-        return False
-    rhs = sur.lin + mu * (h * complex(np.vdot(h, w_ref)))
-    return curvature.null_component(rhs) <= 1e-10 * max(float(np.linalg.norm(rhs)), 1e-300)
 
 
 def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float,
                 p0: float) -> np.ndarray:
     """Solve the subproblem built at w: maximize the surrogate under the
-    power budget and the rate constraint linearized at w."""
-    curvature = ShiftedCurvature(sur)
+    power budget and the rate constraint linearized at w.
+
+    The tau = 0 step is the minimizer when it meets the budget and, for a
+    rank-deficient curvature, c + mu r has no component along the flat
+    directions; otherwise the power diverges as tau -> 0 and the multiplier
+    is found by :func:`bisect_power_multiplier`."""
+    curvature = ShiftedCurvature(sur, h, w)
     omega_shift = float(np.abs(np.vdot(h, w)) ** 2) + omega
-    w_free, mu0 = rate_constrained_step(sur, h, w, omega_shift, 0.0, curvature)
-    if _unpenalized_step_valid(sur, curvature, h, w, mu0, w_free, p0):
-        return w_free
-    return bisect_power_multiplier(sur, h, w, omega_shift, p0, curvature)[1]
+    x, mu, power, _ = curvature.step(omega_shift, 0.0)
+    rhs = curvature.c + mu * curvature.r
+    flat = float(np.linalg.norm(rhs[curvature.vals == 0.0]))
+    if power <= p0 and flat <= 1e-10 * max(float(np.linalg.norm(rhs)), 1e-300):
+        return curvature.vecs @ x
+    return bisect_power_multiplier(curvature, omega_shift, p0)[1]
 
 
 class _SingleUserMap:

@@ -71,6 +71,8 @@ class SystemConfig:
             raise ConfigError("system.rate_targets: need one entry per user")
         if any(r < 0.0 for r in self.rate_targets):
             raise ConfigError("system.rate_targets: must be >= 0")
+        if self.rng_seed < 0:
+            raise ConfigError(f"system.rng_seed: must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,8 @@ def test_randomizations_below_one_is_config_error(tmp_path, capsys, count):
     ("rmse", "angle_grid_step", 0.0),
     ("capon", "diagonal_load", -1.0),
     ("rmse", "trials", 0),
+    ("rmse", "snr_grid_db", []),
+    ("rmse", "snr_grid_db", [10, 0]),
 ])
 def test_invalid_eval_option_is_config_error(tmp_path, capsys, kind, field, value):
     # rejected at parse time, before any design is solved or file written
@@ -118,6 +120,46 @@ def test_invalid_eval_option_is_config_error(tmp_path, capsys, kind, field, valu
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config"
     assert f"eval.{field}" in err["reason"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args, overrides, source", [
+    (["eval", "capon"], {"eval": {"echo_seed": -1}}, "eval.echo_seed"),
+    (["solve", "--seed", "-1"], {}, "--seed"),
+    (["solve"], {"channel": {"seed": -2}}, "channel.seed"),
+    (["solve"], {"solver": {"seed": -1}}, "solver.seed"),
+    (["solve"], {"system": {"rng_seed": -3}}, "system.rng_seed"),
+], ids=["echo_seed", "cli_seed", "channel_seed", "solver_seed", "rng_seed"])
+def test_negative_seed_is_config_error(tmp_path, capsys, args, overrides, source):
+    # rejected at parse time, before numpy sees the seed or a file is written
+    cfg_path = write_config(tmp_path / "cfg.yaml", **overrides)
+    if source == "system.rng_seed":  # the channel draws from rng_seed
+        raw = yaml.safe_load(cfg_path.read_text())
+        del raw["channel"]["seed"]
+        cfg_path.write_text(yaml.safe_dump(raw))
+    code = cli.main(args + ["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert source in err["reason"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args, overrides, source", [
+    (["sweep"], {"sweep": {"variable": "rate_target", "grid": []}}, "sweep.grid"),
+    (["sweep"], {"sweep": {"variable": "rate_target", "grid": [2.0, 2.0]}}, "sweep.grid"),
+    (["sweep", "--grid", ","], {"sweep": {"variable": "rate_target", "grid": [1.0]}},
+     "--grid"),
+    (["eval", "rmse", "--grid", "10,0"], {}, "--grid"),
+    (["eval", "rmse", "--grid", "0:x:5"], {}, "--grid"),
+], ids=["sweep_empty", "sweep_repeated", "cli_empty", "cli_decreasing", "cli_unparsable"])
+def test_invalid_grid_is_config_error(tmp_path, capsys, args, overrides, source):
+    cfg_path = write_config(tmp_path / "cfg.yaml", **overrides)
+    code = cli.main(args + ["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert source in err["reason"]
     assert not (tmp_path / "o").exists()
 
 

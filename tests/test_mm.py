@@ -217,7 +217,8 @@ def test_rate_constrained_step_unconstrained_case():
     free = linalg.pinv(sur.delta * sur.quad) @ sur.lin
     attained = 2.0 * float(np.real(np.vdot(h * np.vdot(h, w0), free)))
     # a requirement strictly below the attained value keeps the multiplier zero
-    w, mu = mm.rate_constrained_step(sur, h, w0, omega_shift=attained - 1.0, tau=0.0)
+    w, mu = mm.rate_constrained_step(mm.ShiftedCurvature(sur, h, w0),
+                                     omega_shift=attained - 1.0, tau=0.0)
     assert mu == 0.0
     assert np.allclose(w, free, atol=1e-10)
 
@@ -225,16 +226,22 @@ def test_rate_constrained_step_unconstrained_case():
 def test_rate_constrained_step_equality_case():
     rng = np.random.default_rng(5)
     inst = single_user_instance(seed=71)
-    cfg = inst.config
     h = inst.channel[0].conj()
-    omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
     w0 = feasible_beam(inst, rng)
     sur = mm.build_surrogate(inst, w0)
-    omega_shift = float(np.abs(np.vdot(h, w0)) ** 2) + omega
-    w, mu = mm.rate_constrained_step(sur, h, w0, omega_shift, tau=0.5)
-    if mu > 0.0:
-        attained = 2.0 * float(np.real(np.vdot(h * np.vdot(h, w0), w)))
-        assert attained == pytest.approx(omega_shift, rel=1e-9)
+    tau = 0.5
+    # a requirement above what the cut-free step attains, so the cut binds;
+    # the reference is a dense solve, without the eigendecomposition
+    shifted = sur.delta * sur.quad + tau * np.eye(inst.config.n_tx)
+    received = h * np.vdot(h, w0)
+    free = np.linalg.solve(shifted, sur.lin)
+    omega_shift = 2.0 * float(np.real(np.vdot(received, free))) + 1.0
+    w, mu = mm.rate_constrained_step(mm.ShiftedCurvature(sur, h, w0), omega_shift, tau)
+    assert mu > 0.0
+    attained = 2.0 * float(np.real(np.vdot(received, w)))
+    assert attained == pytest.approx(omega_shift, rel=1e-9)
+    dense = np.linalg.solve(shifted, sur.lin + mu * received)
+    assert np.linalg.norm(w - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_rate_constrained_step_large_tau_shrinks():
@@ -243,7 +250,8 @@ def test_rate_constrained_step_large_tau_shrinks():
     h = inst.channel[0].conj()
     w0 = feasible_beam(inst, rng)
     sur = mm.build_surrogate(inst, w0)
-    w, _ = mm.rate_constrained_step(sur, h, w0, omega_shift=-1.0, tau=1e12)
+    w, _ = mm.rate_constrained_step(mm.ShiftedCurvature(sur, h, w0), omega_shift=-1.0,
+                                    tau=1e12)
     assert np.linalg.norm(w) <= 1e-6
 
 
@@ -254,7 +262,8 @@ def test_rate_constrained_step_vanishing_curvature_raises():
     sur = mm.build_surrogate(inst, w0)
     # a zero channel leaves the linearized rate cut no direction to move along
     with pytest.raises(DegenerateConstraint):
-        mm.rate_constrained_step(sur, np.zeros(inst.config.n_tx), w0, omega_shift=1.0, tau=0.5)
+        mm.rate_constrained_step(mm.ShiftedCurvature(sur, np.zeros(inst.config.n_tx), w0),
+                                 omega_shift=1.0, tau=0.5)
 
 
 def test_transmit_power_monotone_in_multiplier():
@@ -266,11 +275,12 @@ def test_transmit_power_monotone_in_multiplier():
         omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
         w0 = feasible_beam(inst, rng)
         sur = mm.build_surrogate(inst, w0)
+        curv = mm.ShiftedCurvature(sur, h, w0)
         omega_shift = float(np.abs(np.vdot(h, w0)) ** 2) + omega
         taus = np.linspace(0.0, 5.0, 20)
         powers = []
         for tau in taus:
-            w, _ = mm.rate_constrained_step(sur, h, w0, omega_shift, tau)
+            w, _ = mm.rate_constrained_step(curv, omega_shift, tau)
             powers.append(float(np.linalg.norm(w) ** 2))
         diffs = np.diff(powers)
         assert np.all(diffs <= 1e-9 * max(1.0, max(powers)))
@@ -284,27 +294,29 @@ def test_bisection_meets_power_budget():
     omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
     w0 = feasible_beam(inst, rng)
     sur = mm.build_surrogate(inst, w0)
+    curv = mm.ShiftedCurvature(sur, h, w0)
     omega_shift = float(np.abs(np.vdot(h, w0)) ** 2) + omega
-    w_free, _ = mm.rate_constrained_step(sur, h, w0, omega_shift, 0.0)
+    w_free, _ = mm.rate_constrained_step(curv, omega_shift, 0.0)
     if np.linalg.norm(w_free) ** 2 <= cfg.power_budget:
         pytest.skip("unpenalized step already inside the budget for this seed")
-    tau, w, _ = mm.bisect_power_multiplier(sur, h, w0, omega_shift, cfg.power_budget)
+    tau, w, _ = mm.bisect_power_multiplier(curv, omega_shift, cfg.power_budget)
     assert tau > 0.0
     power = float(np.linalg.norm(w) ** 2)
     assert power <= cfg.power_budget * (1.0 + 1e-12)
     assert abs(power - cfg.power_budget) <= 1e-7 * cfg.power_budget
 
 
-def count_calls(monkeypatch, name):
-    """Wrap mm.<name> so that every call through the module is counted."""
+def count_calls(monkeypatch, name, owner=mm):
+    """Wrap owner.<name> (a function of mm, or a method of one of its
+    classes) so that every call through it is counted."""
     calls = []
-    orig = getattr(mm, name)
+    orig = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(None)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(mm, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -320,30 +332,31 @@ def test_bisection_bracket_iteration_bound(monkeypatch):
     omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
     w0 = feasible_beam(inst, rng)
     sur = mm.build_surrogate(inst, w0)
-    curv = mm.ShiftedCurvature(sur)
+    curv = mm.ShiftedCurvature(sur, h, w0)
     omega_shift = float(np.abs(np.vdot(h, w0)) ** 2) + omega
-    w_free, _ = mm.rate_constrained_step(sur, h, w0, omega_shift, 0.0, curv)
+    w_free, _ = mm.rate_constrained_step(curv, omega_shift, 0.0)
     if np.linalg.norm(w_free) ** 2 <= cfg.power_budget:
         pytest.skip("unpenalized step already inside the budget for this seed")
 
-    w_one, _ = mm.rate_constrained_step(sur, h, w0, omega_shift, 1.0, curv)
+    w_one, _ = mm.rate_constrained_step(curv, omega_shift, 1.0)
     if np.linalg.norm(w_one) ** 2 > cfg.power_budget:
         pytest.skip("initial bracket needs expansion for this seed")
 
-    evals = count_calls(monkeypatch, "_power_and_slope")
+    evals = count_calls(monkeypatch, "step", mm.ShiftedCurvature)
     steps = count_calls(monkeypatch, "rate_constrained_step")
-    mm.bisect_power_multiplier(sur, h, w0, omega_shift, cfg.power_budget, curvature=curv)
-    assert len(evals) <= 10
+    mm.bisect_power_multiplier(curv, omega_shift, cfg.power_budget)
+    # the Newton evaluations, plus the one that forms w
+    assert len(evals) <= 11
     assert len(steps) == 1
 
 
-def reference_multiplier(sur, h, w_ref, omega_shift, p0, curv):
+def reference_multiplier(curv, omega_shift, p0):
     """(tau, mu) at power P0 (1 - POWER_RTOL/2) by 200 bisection steps over
     rate_constrained_step, the bracket grown by doubling from tau = 1."""
     target = p0 * (1.0 - 0.5 * mm.POWER_RTOL)
 
     def power(tau):
-        w, _ = mm.rate_constrained_step(sur, h, w_ref, omega_shift, tau, curv)
+        w, _ = mm.rate_constrained_step(curv, omega_shift, tau)
         return float(np.linalg.norm(w) ** 2)
 
     lo, hi = 0.0, 1.0
@@ -355,7 +368,7 @@ def reference_multiplier(sur, h, w_ref, omega_shift, p0, curv):
             lo = mid
         else:
             hi = mid
-    return hi, mm.rate_constrained_step(sur, h, w_ref, omega_shift, hi, curv)[1]
+    return hi, mm.rate_constrained_step(curv, omega_shift, hi)[1]
 
 
 def extended_family(channel_seed):
@@ -370,7 +383,7 @@ def extended_family(channel_seed):
 
 
 def multiplier_case(case):
-    """(sur, curvature, h, w_ref, omega_shift, p0) of one inner solve."""
+    """(curvature, h, w_ref, omega_shift, p0) of one inner solve."""
     if case in ("inactive", "active"):
         inst = single_user_instance(seed=90 if case == "inactive" else 94)
         w_ref = feasible_beam(inst, np.random.default_rng(8))
@@ -386,21 +399,21 @@ def multiplier_case(case):
     p0 = cfg.power_budget
     if case == "large":  # a budget far below the step at tau = 1, cut slack
         omega_shift, p0 = -1.0, 1e-4
-    return sur, mm.ShiftedCurvature(sur), h, w_ref, omega_shift, p0
+    return mm.ShiftedCurvature(sur, h, w_ref), h, w_ref, omega_shift, p0
 
 
 @pytest.mark.parametrize("case", ["inactive", "active", "null", "large"])
 def test_power_multiplier_matches_reference_bisection(case):
-    sur, curv, h, w_ref, omega_shift, p0 = multiplier_case(case)
-    tau, w, mu = mm.bisect_power_multiplier(sur, h, w_ref, omega_shift, p0, curv)
-    tau_ref, mu_ref = reference_multiplier(sur, h, w_ref, omega_shift, p0, curv)
+    curv, _, _, omega_shift, p0 = multiplier_case(case)
+    tau, w, mu = mm.bisect_power_multiplier(curv, omega_shift, p0)
+    tau_ref, mu_ref = reference_multiplier(curv, omega_shift, p0)
     power = float(np.linalg.norm(w) ** 2)
     assert p0 * (1.0 - 1e-12) <= power <= p0
     assert tau == pytest.approx(tau_ref, rel=1e-8)
     assert mu == pytest.approx(mu_ref, rel=1e-8, abs=0.0)
     assert (mu == 0.0) == (case in ("inactive", "large"))
     if case == "null":  # rank-deficient curvature, power diverging as tau -> 0
-        assert curv.vals[0] == 0.0 and curv.null_component(sur.lin) > 0.0
+        assert curv.vals[0] == 0.0 and np.linalg.norm(curv.c[curv.vals == 0.0]) > 0.0
         assert tau < 1e-9
     if case == "large":
         assert tau > 1e3
@@ -408,21 +421,30 @@ def test_power_multiplier_matches_reference_bisection(case):
 
 @pytest.mark.parametrize("case", ["inactive", "active", "null"])
 def test_power_slope_matches_central_differences(case):
-    sur, curv, h, w_ref, omega_shift, p0 = multiplier_case(case)
-    basis = curv.vecs.conj().T
-    c = basis @ sur.lin
-    r = basis @ (h * complex(np.vdot(h, w_ref)))
-    tau, w, mu = mm.bisect_power_multiplier(sur, h, w_ref, omega_shift, p0, curv)
-    power, slope = mm._power_and_slope(curv, c, r, omega_shift, tau)
+    curv, _, _, omega_shift, p0 = multiplier_case(case)
+    tau, w, mu = mm.bisect_power_multiplier(curv, omega_shift, p0)
+    _, _, power, slope = curv.step(omega_shift, tau)
     assert power == pytest.approx(float(np.linalg.norm(w) ** 2), rel=1e-13)
     step = 1e-4 * tau
-    plus = mm._power_and_slope(curv, c, r, omega_shift, tau + step)[0]
-    minus = mm._power_and_slope(curv, c, r, omega_shift, tau - step)[0]
+    plus = curv.step(omega_shift, tau + step)[2]
+    minus = curv.step(omega_shift, tau - step)[2]
     for probe in (tau - step, tau + step):  # both sides on the branch of tau
-        assert (mm.rate_constrained_step(sur, h, w_ref, omega_shift, probe, curv)[1] == 0.0) \
-            == (mu == 0.0)
+        assert (curv.step(omega_shift, probe)[1] == 0.0) == (mu == 0.0)
     assert slope < 0.0
     assert slope == pytest.approx((plus - minus) / (2.0 * step), rel=1e-6)
+
+
+def test_inner_step_solves_for_the_multiplier_along_a_flat_direction():
+    # lin has a component along the null space of the curvature, so the
+    # power diverges as tau -> 0: the budget binds even when it is above the
+    # power of the tau = 0 step, which drops that component
+    sur = mm.Surrogate(lin=np.ones(4, dtype=complex), quad=np.diag([0.0, 1.0, 2.0, 3.0]),
+                       offset=0.0, delta=1.0)
+    h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
+    p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0)  # twice the power at tau = 0
+    # a rate requirement far below anything attainable leaves the cut slack
+    power = float(np.linalg.norm(mm._inner_step(sur, h, h, -1e6, p0)) ** 2)
+    assert p0 * (1.0 - 1e-12) <= power <= p0
 
 
 def test_power_multiplier_unreachable_rate_cut_is_bracket_failure():
@@ -430,10 +452,10 @@ def test_power_multiplier_unreachable_rate_cut_is_bracket_failure():
     # above a 0.01 W budget.  Its curvature b = 2 sum s |r|^2 falls like
     # 1/tau as the search raises the multiplier, which is weakening, not
     # degeneracy
-    sur, curv, h, w_ref, omega_shift, _ = multiplier_case("null")
+    curv, h, w_ref, omega_shift, _ = multiplier_case("null")
     with pytest.raises((BracketFailure, Infeasible)):
-        mm.bisect_power_multiplier(sur, h, w_ref, omega_shift, 0.01, curv)
-    w, mu = mm.rate_constrained_step(sur, h, w_ref, omega_shift, 1e18, curv)
+        mm.bisect_power_multiplier(curv, omega_shift, 0.01)
+    w, mu = mm.rate_constrained_step(curv, omega_shift, 1e18)
     attained = 2.0 * float(np.real(np.vdot(h * np.vdot(h, w_ref), w)))
     assert mu > 0.0
     assert attained == pytest.approx(omega_shift, rel=1e-9)
@@ -445,16 +467,17 @@ def test_power_multiplier_work_per_inner_solve(monkeypatch):
     # forms the step once, where bisection took about 48
     # rate_constrained_step calls
     inst = extended_family(1)
-    evals = count_calls(monkeypatch, "_power_and_slope")
+    evals = count_calls(monkeypatch, "step", mm.ShiftedCurvature)
     steps = count_calls(monkeypatch, "rate_constrained_step")
     inner = count_calls(monkeypatch, "_inner_step")
     solves = count_calls(monkeypatch, "bisect_power_multiplier")
     report = mm.solve_single_user(inst)
     assert report.status == "converged"
     assert len(solves) > 100
-    assert 1.0 <= len(evals) / len(solves) <= 12.0
-    # the tau = 0 step of every inner solve, plus one per multiplier solve
-    assert len(steps) == len(inner) + len(solves)
+    # beyond the tau = 0 evaluation of every inner step
+    assert 1.0 <= (len(evals) - len(inner)) / len(solves) <= 12.0
+    # w is formed in the antenna basis once per multiplier solve
+    assert len(steps) == len(solves)
 
 
 # ---------------------------------------------------------------------------
