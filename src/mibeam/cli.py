@@ -88,6 +88,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
         "comp_power": result.extras.get("comp_power"),
         "comp_rate": result.extras.get("comp_rate"),
         "reduced_dim": result.extras["reduced_dim"],
+        "inner_steps": result.extras["inner_steps"],
         **_meta(cfg, seed),
     }
     _write_json(out_dir / "solution.json", payload)
@@ -102,8 +103,6 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, seed: int, config_path: Path,
               threads: int, grid_override=None) -> int:
-    if cfg.sweep is None and grid_override is None:
-        raise ConfigError("sweep: config has no sweep section and no --grid was given")
     variable = cfg.sweep.variable if cfg.sweep else "power_dbm"
     grid = list(grid_override if grid_override is not None else cfg.sweep.grid)
 
@@ -209,6 +208,8 @@ def main(argv=None) -> int:
         seed = (check_seed(args.seed, "--seed") if args.seed is not None
                 else cfg.scenario.config.rng_seed)
         grid = _parse_grid(args.grid) if args.grid else None
+        if args.command == "sweep" and cfg.sweep is None and grid is None:
+            raise ConfigError("sweep: config has no sweep section and no --grid was given")
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":

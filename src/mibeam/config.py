@@ -19,6 +19,8 @@ from . import evaluation, model
 from .dispatch import SCHEMES, SolverOptions
 from .errors import ConfigError
 
+SWEEP_VARIABLES = ("power_dbm", "rate_target", "radar_snr_db")
+
 
 def check_seed(seed: int, source: str) -> int:
     """A seed as numpy's generators take it: a nonnegative integer."""
@@ -203,6 +205,9 @@ def parse_config(path) -> ExperimentConfig:
             variable=str(_require(sweep_node, "variable", "sweep")),
             grid=tuple(float(v) for v in _require(sweep_node, "grid", "sweep")),
         )
+        if sweep.variable not in SWEEP_VARIABLES:
+            raise ConfigError(f"sweep.variable: unknown variable {sweep.variable!r} "
+                              f"(choose from {SWEEP_VARIABLES})")
         check_grid(sweep.grid, "sweep.grid")
 
     return ExperimentConfig(

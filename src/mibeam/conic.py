@@ -1,23 +1,26 @@
-"""Dense log-barrier interior-point solver for the two convex subproblem shapes.
+"""Solvers for the two convex subproblem shapes: a dense log-barrier
+interior point for small SDPs, and a dual Newton solve for QCQPs.
 
-One barrier engine serves both front ends.  A problem compiles to a real
-parameter vector x, an objective cost @ x + x @ quad @ x, and three barrier
-families: Hermitian PSD blocks affine in x (-log det), affine cuts (-log s)
-and convex quadratic cuts (-log(-f)).  ``solve_sdp`` compiles small Hermitian
-semidefinite programs with affine LMI blocks and trace constraints in a PSD
-matrix variable (plus an optional scalar) into blocks and affine cuts;
-``solve_qcqp`` lifts a convex complex QCQP to real variables and compiles it
-into a quadratic objective and quadratic cuts.  One phase one, adding a
-slack to every barrier, finds a strictly feasible point; one deterministic
-path follower with Newton centering steps does the rest.  Between rounds it
-predicts along the tangent of the central path, and it centres loosely
-(Newton decrement lambda <= 0.1) in every round but the last, which it
-centres strictly; phase one keeps strict centring in every round and takes
-no predictor step.  Every barrier term changes along a search ray as
--log(1 + alpha c1 + alpha^2 c2), so the line search evaluates the merit
-change exactly from coefficients computed once per step.  Problems here
-have at most a few dozen real parameters, so no sparsity or scaling tricks
-are attempted.
+``solve_sdp`` compiles small Hermitian semidefinite programs with affine LMI
+blocks and trace constraints in a PSD matrix variable (plus an optional
+scalar) into a real parameter vector x, a linear objective cost @ x and two
+barrier families: Hermitian PSD blocks affine in x (-log det) and affine
+cuts (-log s).  One phase one, adding a slack to every barrier, finds a
+strictly feasible point; one deterministic path follower with Newton
+centering steps does the rest.  Between rounds it predicts along the
+tangent of the central path, and it centres loosely (Newton decrement
+lambda <= 0.1) in every round but the last, which it centres strictly;
+phase one keeps strict centring in every round and takes no predictor step.
+Every barrier term changes along a search ray as -log(1 + alpha c), so the
+line search evaluates the merit change exactly from coefficients computed
+once per step.  Problems here have at most a few dozen real parameters, so
+no sparsity or scaling tricks are attempted.
+
+``solve_qcqp`` solves a convex complex QCQP by Newton steps on its
+log-barrier Lagrangian dual in the m constraint multipliers, one Cholesky
+solve per evaluation; it returns the interior point's central point, and a
+warm start from the multipliers of a nearby problem gets there in a few
+steps.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ MAXITER = "max_iter"
 GAP_SHRINK = 0.2        # duality-gap reduction per outer round
 DEFAULT_GAP_TOL = 1e-7  # relative: stop when nu/t <= tol * (1 + |objective|)
 MAX_ROUNDS = 200        # path-following round cap per solve phase
+DUAL_NEWTON_STEPS = 100  # Newton step budget of one QCQP solve
 NEWTON_PER_ROUND = 60   # centering step budget within one round
 CENTER_TOL = 1e-10      # centering stops when half the Newton decrement is below this
 LOOSE_CENTER_TOL = 5e-3  # the same, in a round the path follower does not end on
@@ -130,13 +134,16 @@ class ConicReport:
     solution: Optional[np.ndarray]
     aux: Optional[float]           # scalar variable t for SDPs, else None
     objective: float
-    gap: float                     # absolute duality-gap bound nu / t_barrier
-    iterations: int                # total Newton steps (both phases)
+    # absolute duality-gap bound: nu / t_barrier (SDP), -lam . f(x) (QCQP)
+    gap: float
+    iterations: int                # total Newton steps (both SDP phases)
     status: str
-    # (primal, primal - nu / t) per round; only the last, strictly centred
-    # round's entry is a certified duality gap
+    # SDP: (primal, primal - nu / t) per round, only the last, strictly
+    # centred round's entry a certified duality gap; QCQP: (primal, dual)
+    # per certified central point
     duality_trace: list = field(default_factory=list)
     decrement: float = np.nan      # squared Newton decrement of the final centring test
+    multipliers: Optional[np.ndarray] = None  # QCQP constraint multipliers
 
 
 # ---------------------------------------------------------------------------
@@ -187,40 +194,33 @@ def _herm_of_params(x: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The barrier engine
 #
-# A compiled problem minimizes cost @ x + x @ quad @ x + offset over a real
-# parameter vector x inside three families of self-concordant barriers:
+# A compiled problem minimizes cost @ x over a real parameter vector x inside
+# two families of self-concordant barriers:
 #   * PSD blocks       S_b(x) = const_b + sum_k x_k ds_b[k] > 0   -log det S_b
 #   * affine cuts      s_i(x) = a_i @ x + b_i > 0                -log s_i
-#   * quadratic cuts   f_m(x) = x @ A_m x + 2 b_m @ x + c_m < 0   -log(-f_m)
 # with barrier degree nu = sum of block sizes + number of cuts.
 
 
 @dataclass
 class _Compiled:
     cost: np.ndarray      # (nv,)
-    quad: np.ndarray      # (nv, nv) symmetric PSD objective term
     blocks: list          # (const (m, m), ds (nv, m, m))
     cut_a: np.ndarray     # (n_cuts, nv)
     cut_b: np.ndarray     # (n_cuts,)
-    quad_a: np.ndarray    # (n_quads, nv, nv) symmetric PSD
-    quad_b: np.ndarray    # (n_quads, nv)
-    quad_c: np.ndarray    # (n_quads,)
-    offset: float = 0.0
 
     @property
     def nu(self) -> float:
-        return float(sum(const.shape[0] for const, _ in self.blocks)
-                     + self.cut_b.size + self.quad_c.size)
+        return float(sum(const.shape[0] for const, _ in self.blocks) + self.cut_b.size)
 
     def objective(self, x: np.ndarray) -> float:
-        return float(x @ (self.quad @ x) + self.cost @ x) + self.offset
+        return float(self.cost @ x)
 
 
 class _Local:
     """The barriers at one strictly feasible point x, as the Newton system
     and the ray along its direction both use them: per block the whitened
-    coefficients M_k = L^-1 ds_k L^-H with S(x) = L L^H; the affine slacks
-    s_i; the quadratic values f_m and A_m x.  An empty family is skipped."""
+    coefficients M_k = L^-1 ds_k L^-H with S(x) = L L^H, and the affine
+    slacks s_i.  An empty family is skipped."""
 
     def __init__(self, comp: _Compiled, x: np.ndarray):
         self.comp = comp
@@ -232,9 +232,6 @@ class _Local:
             self.white.append(l_inv @ ds @ l_inv.conj().T)
         if comp.cut_b.size:
             self.slack = comp.cut_a @ x + comp.cut_b
-        if comp.quad_c.size:
-            self.ax = comp.quad_a @ x
-            self.f = self.ax @ x + 2.0 * comp.quad_b @ x + comp.quad_c
 
     def grad_hess(self):
         """Gradient and Hessian of the barrier sum."""
@@ -252,56 +249,41 @@ class _Local:
             rates = comp.cut_a / self.slack[:, None]                 # a_i / s_i
             grad -= rates.sum(axis=0)
             hess += rates.T @ rates
-        if comp.quad_c.size:
-            rates = 2.0 * (self.ax + comp.quad_b) / self.f[:, None]   # grad f_m / f_m
-            grad -= rates.sum(axis=0)
-            hess += np.einsum("m,mij->ij", -2.0 / self.f, comp.quad_a) + rates.T @ rates
         return grad, hess
 
 
 class _Ray:
     """The merit change along x + alpha dx, exact in alpha.
 
-    Every barrier term has one form, -log(1 + alpha c1 + alpha^2 c2), with
-    coefficients computed once per search direction: a PSD block
-    contributes one term per eigenvalue lam of L^-1 dS L^-H = sum_k dx_k M_k
-    (c1 = lam, c2 = 0), an affine cut c1 = a.dx / s, c2 = 0, and a quadratic
-    cut c1 = q1 / q0, c2 = q2 / q0 for f(x + alpha dx) = q0 + alpha q1 +
-    alpha^2 q2.  The objective changes by alpha (slope + alpha curv).  No
-    difference of two large merit values is formed, so the Armijo test stays
-    exact at large barrier weights.  ``alpha_max``, the first alpha that
-    leaves the domain, is the smallest positive root over all terms.
+    Every barrier term has one form, -log(1 + alpha c), with coefficients
+    computed once per search direction: a PSD block contributes one term per
+    eigenvalue c of L^-1 dS L^-H = sum_k dx_k M_k, an affine cut c = a.dx / s.
+    The objective changes by alpha * slope.  No difference of two large
+    merit values is formed, so the Armijo test stays exact at large barrier
+    weights.  ``alpha_max``, the first alpha that leaves the domain, is the
+    smallest -1/c over the negative coefficients.
     """
 
     def __init__(self, local: _Local, dx: np.ndarray):
-        comp, x = local.comp, local.x
+        comp = local.comp
         lin = [np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
                for inner in (np.tensordot(dx, white, axes=(0, 0)) for white in local.white)]
         if comp.cut_b.size:
             lin.append((comp.cut_a @ dx) / local.slack)
-        self.c1 = np.concatenate([np.zeros(0), *lin])
-        self.c2 = np.zeros(self.c1.size)
-        if comp.quad_c.size:
-            self.c1 = np.concatenate([self.c1, 2.0 * (local.ax + comp.quad_b) @ dx / local.f])
-            self.c2 = np.concatenate([self.c2, (comp.quad_a @ dx) @ dx / local.f])
-        self.slope = float((comp.cost + 2.0 * (comp.quad @ x)) @ dx)
-        self.curv = float(dx @ (comp.quad @ dx))
-
-        # positive root of 1 + c1 a + c2 a^2 in the form that does not
-        # cancel for c1 < 0; c2 <= 0 up to roundoff, and clipping it keeps
-        # the root conservative.  No root (denominator 0) is alpha = inf.
-        denom = np.sqrt(self.c1 * self.c1 - 4.0 * np.minimum(self.c2, 0.0)) - self.c1
-        roots = np.divide(2.0, denom, out=np.full(denom.size, np.inf), where=denom > 0.0)
+        self.coef = np.concatenate([np.zeros(0), *lin])
+        self.slope = float(comp.cost @ dx)
+        roots = np.divide(-1.0, self.coef, out=np.full(self.coef.size, np.inf),
+                          where=self.coef < 0.0)
         self.alpha_max = float(np.min(roots, initial=np.inf))
 
     def barrier_change(self, alpha: float) -> float:
-        arg = alpha * (self.c1 + alpha * self.c2)
+        arg = alpha * self.coef
         if np.any(arg <= -1.0):
             return np.inf
         return -float(np.sum(np.log1p(arg)))
 
     def merit_change(self, alpha: float, t_bar: float) -> float:
-        return t_bar * alpha * (self.slope + alpha * self.curv) + self.barrier_change(alpha)
+        return t_bar * alpha * self.slope + self.barrier_change(alpha)
 
 
 def _solve_newton(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -325,9 +307,8 @@ def _newton_center(comp: _Compiled, x: np.ndarray, t_bar: float, budget: int,
     steps = 0
     while True:
         local = _Local(comp, x)
-        grad_b, hess_b = local.grad_hess()
-        grad = t_bar * (comp.cost + 2.0 * (comp.quad @ x)) + grad_b
-        hess = (2.0 * t_bar) * comp.quad + hess_b
+        grad_b, hess = local.grad_hess()
+        grad = t_bar * comp.cost + grad_b
         dx = _solve_newton(hess, -grad)
         decrement = float(-grad @ dx)
         if not decrement / 2.0 > tol or steps >= budget:
@@ -357,8 +338,7 @@ def _predict(comp: _Compiled, local: _Local, hess: np.ndarray, t_bar: float,
     capped at 0.95 of the way to the boundary.
     """
     x = local.x
-    dx = (t_bar * (1.0 - t_bar / t_next)) * _solve_newton(
-        hess, -(comp.cost + 2.0 * (comp.quad @ x)))
+    dx = (t_bar * (1.0 - t_bar / t_next)) * _solve_newton(hess, -comp.cost)
     return x + min(1.0, 0.95 * _Ray(local, dx).alpha_max) * dx
 
 
@@ -409,15 +389,15 @@ def _phase_one(comp: _Compiled):
     """Find a strictly feasible point; returns (x or None, newton_steps).
 
     Minimizes a slack s added to every barrier (S_b + s I > 0,
-    s_i + s > 0, f_m - s < 0) from x = 0, where every margin is positive
+    s_i + s > 0) from x = 0, where every margin is positive
     once s exceeds the worst violation.  The slack is bounded below, so
     minimizing it cannot run away, and a whiff of the true objective keeps
     directions the barriers alone cannot bound (an SDP's auxiliary scalar)
     bounded.
     """
     nv = comp.cost.size
-    n_cuts, n_quads = comp.cut_b.size, comp.quad_c.size
-    violations = [0.0, *(-comp.cut_b), *comp.quad_c]
+    n_cuts = comp.cut_b.size
+    violations = [0.0, *(-comp.cut_b)]
     violations += [-np.linalg.eigvalsh(const).min() for const, _ in comp.blocks]
     s0 = float(max(violations))
     cap = 10.0 * (s0 + 1.0)
@@ -425,14 +405,10 @@ def _phase_one(comp: _Compiled):
     slack[-1] = 1.0
     comp1 = _Compiled(
         cost=np.append(PHASE1_OBJECTIVE_BLEND * comp.cost, 1.0),
-        quad=np.pad(PHASE1_OBJECTIVE_BLEND * comp.quad, ((0, 1), (0, 1))),
         blocks=[(const, np.concatenate([ds, np.eye(const.shape[0])[None]]))
                 for const, ds in comp.blocks],
         cut_a=np.vstack([np.hstack([comp.cut_a, np.ones((n_cuts, 1))]), slack]),
         cut_b=np.append(comp.cut_b, cap),
-        quad_a=np.pad(comp.quad_a, ((0, 0), (0, 1), (0, 1))),
-        quad_b=np.hstack([comp.quad_b, np.full((n_quads, 1), -0.5)]),
-        quad_c=comp.quad_c,
     )
     exit_level = -max(1e-6, 1e-6 * (1.0 + s0))
     x, _, steps, _, _, _ = _barrier_solve(comp1, np.append(np.zeros(nv), s0 + 1.0),
@@ -498,9 +474,7 @@ def _compile_sdp(prob: SdpProblem) -> _Compiled:
     cost[:n_w] = np.einsum("ij,kji->k", prob.obj_mat, basis).real
     if has_t:
         cost[n_w] = prob.obj_t
-    return _Compiled(cost=cost, quad=np.zeros((nv, nv)), blocks=blocks,
-                     cut_a=cut_a, cut_b=cut_b, quad_a=np.zeros((0, nv, nv)),
-                     quad_b=np.zeros((0, nv)), quad_c=np.zeros(0))
+    return _Compiled(cost=cost, blocks=blocks, cut_a=cut_a, cut_b=cut_b)
 
 
 def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
@@ -514,36 +488,176 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
 
 
 # ---------------------------------------------------------------------------
-# QCQP front end
+# QCQP: Newton on the Lagrangian dual
+#
+# With multipliers lam >= 0 the Lagrangian is x^H M x + 2 Re(b^H x) + c,
+# M = A0 + sum lam_i A_i, b = b0 + sum lam_i b_i, c = c0 + sum lam_i c_i.
+# For M > 0 it is minimized by x(lam) = -M^-1 b, and the dual function
+# d(lam) = c - b^H M^-1 b is concave with gradient f_i(x(lam)) and Hessian
+# -2 Re(g_i^H M^-1 g_j), g_i = A_i x + b_i.  Minimizing -t d(lam) - sum log
+# lam_i gives t lam_i f_i(x) = -1: x is the interior point's central point
+# at barrier weight t, and the duality gap f_0(x) - d(lam) = -lam . f(x) is
+# m / t there.
 
 
-def _embed_real(a: np.ndarray, b: np.ndarray):
-    """Real lifting of x^H A x + 2 Re(b^H x) with z = [Re x; Im x]."""
-    a_r = np.block([[a.real, -a.imag], [a.imag, a.real]])
-    b_r = np.concatenate([b.real, b.imag])
-    return 0.5 * (a_r + a_r.T), b_r
+def _final_weight(m: int, bound: float) -> float:
+    """The barrier weight the path follower ends on when the gap bound is
+    ``bound``: the first of t = 1, 5, 25, ... with m / t <= bound."""
+    t_bar = 1.0
+    while m / t_bar > bound:
+        t_bar /= GAP_SHRINK
+    return t_bar
 
 
-def _compile_qcqp(prob: QcqpProblem) -> _Compiled:
-    nv = 2 * prob.dim
-    lifted = [_embed_real(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-              for a, b, _ in (prob.objective, *prob.constraints)]
-    (a0, b0), cons = lifted[0], lifted[1:]
-    return _Compiled(cost=2.0 * b0, quad=a0, blocks=[],
-                     cut_a=np.zeros((0, nv)), cut_b=np.zeros(0),
-                     quad_a=np.array([a for a, _ in cons]).reshape(-1, nv, nv),
-                     quad_b=np.array([b for _, b in cons]).reshape(-1, nv),
-                     quad_c=np.array([float(c) for _, _, c in prob.constraints]),
-                     offset=float(prob.objective[2]))
+class _Stacked:
+    """A QCQP with its m constraints stacked: A (m, n, n), b (m, n), c (m,)."""
+
+    def __init__(self, prob: QcqpProblem):
+        n, m = prob.dim, len(prob.constraints)
+        a0, b0, c0 = prob.objective
+        self.a0, self.b0, self.c0 = np.asarray(a0, complex), np.asarray(b0, complex), float(c0)
+        self.a = np.array([a for a, _, _ in prob.constraints], dtype=complex).reshape(m, n, n)
+        self.b = np.array([b for _, b, _ in prob.constraints], dtype=complex).reshape(m, n)
+        self.c = np.array([float(c) for _, _, c in prob.constraints])
+
+    def combined(self, lam: np.ndarray) -> np.ndarray:
+        """sum lam_i A_i."""
+        return (lam @ self.a.reshape(lam.size, self.a0.size)).reshape(self.a0.shape)
+
+    def farkas(self, lam: np.ndarray) -> bool:
+        """Whether lam certifies infeasibility: min_x sum lam_i f_i(x) > 0,
+        which no feasible x allows."""
+        try:
+            chol = np.linalg.cholesky(self.combined(lam))
+        except np.linalg.LinAlgError:
+            return False
+        y = np.linalg.solve(chol, lam @ self.b)
+        return float(lam @ self.c) - float(np.vdot(y, y).real) > 0.0
 
 
-def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
+class _DualPoint:
+    """The dual at multipliers lam > 0: M(lam), the Lagrangian minimizer x,
+    the objective and constraint values there, and the Hessian
+    2 Re(g_i^H M^-1 g_j) of the negated dual.  Raises LinAlgError when
+    M(lam) is not positive definite."""
+
+    def __init__(self, qp: _Stacked, lam: np.ndarray):
+        self.qp = qp
+        self.lam = lam
+        self.mat = qp.a0 + qp.combined(lam)
+        l_inv = np.linalg.inv(np.linalg.cholesky(self.mat))
+        self.x = -(l_inv.conj().T @ (l_inv @ (qp.b0 + lam @ qp.b)))
+        ax = qp.a @ self.x                                   # A_i x, (m, n)
+        x_conj = self.x.conj()
+        self.f = np.real(ax @ x_conj + 2.0 * (qp.b @ x_conj)) + qp.c
+        white = l_inv @ (ax + qp.b).T                        # L^-1 g_i, (n, m)
+        self.curv = 2.0 * np.real(white.conj().T @ white)
+
+    @property
+    def objective(self) -> float:
+        qp, x = self.qp, self.x
+        return float(np.real(np.vdot(x, qp.a0 @ x) + 2.0 * np.vdot(qp.b0, x))) + qp.c0
+
+
+def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
+               multipliers: Optional[np.ndarray] = None) -> ConicReport:
     """Solve a convex complex QCQP; gap tolerance relative to 1 + |obj|.
 
-    In z = [Re x; Im x] the objective is z^T A0 z + 2 b0^T z + c0 and each
-    constraint is a quadratic cut of the barrier engine.
+    Newton on the log-barrier dual over the m multipliers, started from
+    ``multipliers`` (all ones when None).  The barrier weight t stays on the
+    path follower's grid t = 1, 5, 25, ..., and the answer is the central
+    point at the first grid weight whose gap m / t is within tol (1 + |f_0|)
+    at that point: the point the barrier path follower would return.  The
+    solve starts at the grid weight that meets the bound for the objective
+    at the starting multipliers' minimizer.  A centred point is certified
+    when x is feasible as evaluated and its gap -lam . f(x) is within
+    tol (1 + |f_0(x)|); a certified point moves t one grid step down while
+    the lower weight could still meet the bound, an uncertified one moves t
+    up, or ends the solve at the certified point of the weight above.
+
+    Steps are scaled by lam, capped at 0.95 of the way to lam = 0 and
+    backtracked on the exact dual merit change
+    t (d(lam) - d(lam')) - sum log(lam'_i / lam_i) with
+    d(lam') - d(lam) = (lam' - lam) . f(x) - (x - x')^H M' (x - x'),
+    so no difference of two large merit values is formed.  The solve is
+    centred when half the squared Newton decrement is at most CENTER_TOL, or
+    at most LOOSE_CENTER_TOL and it fell by less than half in the last step
+    (the roundoff floor).  ``infeasible`` is reported only with a Farkas
+    certificate (:meth:`_Stacked.farkas`), tested when a step would more
+    than double a multiplier and when the solve ends uncertified; the
+    report's multipliers are then that certificate, normalized to sum 1.
+    M(lam) must be positive definite for lam > 0 (a power ball gives this);
+    otherwise, or when DUAL_NEWTON_STEPS run out, the status is ``max_iter``.
     """
-    x, report = _solve(_compile_qcqp(prob), tol)
-    if x is not None:
-        report.solution = x[:prob.dim] + 1j * x[prob.dim:]
-    return report
+    qp = _Stacked(prob)
+    m = qp.c.size
+    lam = np.ones(m) if multipliers is None else np.array(multipliers, dtype=float)
+    if lam.shape != (m,) or not np.all(lam > 0.0):
+        raise ValueError("QCQP multipliers must be m positive numbers")
+    try:
+        point = _DualPoint(qp, lam)
+    except np.linalg.LinAlgError:
+        return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
+                           iterations=0, status=MAXITER)
+    t_bar = _final_weight(m, tol * (1.0 + abs(point.objective)))
+    steps, previous, decrement, trace, fallback = 0, np.inf, np.nan, [], None
+    while True:
+        lam, f = point.lam, point.f
+        grad = -t_bar * lam * f - 1.0                   # scaled by lam
+        hess = t_bar * (lam[:, None] * point.curv * lam[None, :]) + np.eye(m)
+        try:
+            step = -np.linalg.solve(hess, grad) if m else grad
+        except np.linalg.LinAlgError:
+            break                                       # overflow on an unbounded dual
+        decrement = float(-grad @ step)
+        if decrement / 2.0 <= CENTER_TOL or (decrement / 2.0 <= LOOSE_CENTER_TOL
+                                             and decrement > 0.5 * previous):
+            primal = point.objective
+            gap = -float(lam @ f)
+            bound = tol * (1.0 + abs(primal))
+            if np.max(f, initial=-np.inf) <= 0.0 and gap <= bound:
+                trace.append((primal, primal - gap))
+                fallback = ConicReport(solution=point.x, aux=None, objective=primal, gap=gap,
+                                       iterations=steps, status=OPTIMAL, duality_trace=trace,
+                                       decrement=decrement, multipliers=lam)
+                if t_bar == 1.0 or m / (t_bar * GAP_SHRINK) > bound:
+                    return fallback
+                t_bar *= GAP_SHRINK     # the previous weight may meet the bound too
+                previous = np.inf
+                continue
+            if fallback is not None:
+                fallback.iterations = steps
+                return fallback
+            t_bar = max(t_bar / GAP_SHRINK, _final_weight(m, bound))
+            previous = np.inf
+            continue
+        # an unbounded dual shows as multipliers that more than double per step
+        if steps >= DUAL_NEWTON_STEPS or not np.isfinite(decrement) or (
+                np.max(step, initial=0.0) > 1.0 and qp.farkas(lam)):
+            break
+        # fraction-to-boundary cap, then backtrack on the exact merit change
+        alpha = min(1.0, 0.95 / max(float(-step.min()), 1e-300))
+        direction = lam * step
+        slope = float(direction @ f)
+        while alpha > 1e-14:
+            try:
+                trial = _DualPoint(qp, lam + alpha * direction)
+            except np.linalg.LinAlgError:
+                alpha *= 0.5
+                continue
+            dx = trial.x - point.x
+            rise = alpha * slope - float(np.vdot(dx, trial.mat @ dx).real)
+            change = -t_bar * rise - float(np.sum(np.log1p(alpha * step)))
+            if change <= -0.25 * alpha * decrement:
+                break
+            alpha *= 0.5
+        if alpha <= 1e-14:
+            break
+        point, previous = trial, decrement
+        steps += 1
+    if qp.farkas(lam):
+        return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
+                           iterations=steps, status=INFEASIBLE, multipliers=lam / lam.sum())
+    return ConicReport(solution=point.x, aux=None, objective=point.objective, gap=np.nan,
+                       iterations=steps, status=MAXITER, duality_trace=trace,
+                       decrement=decrement, multipliers=lam)

@@ -88,7 +88,7 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
         w = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=cfg.power_budget,
                                                omega=omega))[:, None]
         iterations, status, kkt, trace = 0, "closed_form", None, None
-        extras = {"reduced_dim": cfg.n_tx}
+        extras = {"reduced_dim": cfg.n_tx, "inner_steps": None}
     else:
         reduced, basis = model.reduce_instance(inst)
         if scheme == "sdr":
@@ -96,7 +96,8 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
             z = report.w[:, None]
             iterations, status = report.conic_report.iterations, report.conic_report.status
             kkt, trace = None, None
-            extras = {"mi_bound_bits": model.nats_to_bits(report.bound_nats)}
+            extras = {"mi_bound_bits": model.nats_to_bits(report.bound_nats),
+                      "inner_steps": None}
         else:
             if scheme == "mm-single":
                 report = mm.solve_single_user(reduced, eps1=opts.eps1, max_iters=opts.max_iters)
@@ -109,7 +110,8 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
         if scheme != "sdr":
             if reduced is not inst:
                 cert = mm.kkt_certificate(inst, mm.build_surrogate(inst, w), w)
-            kkt, extras = cert[0], {"comp_power": cert[1], "comp_rate": cert[2]}
+            kkt, extras = cert[0], {"comp_power": cert[1], "comp_rate": cert[2],
+                                    "inner_steps": report.inner_steps}
         extras["reduced_dim"] = basis.shape[1]
 
     wall = time.perf_counter() - started

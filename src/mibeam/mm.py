@@ -7,8 +7,10 @@ Newton solve for the power multiplier in the eigenbasis of the surrogate
 curvature; the iteration is accelerated by SQUAREM extrapolation and
 its stationary point polished by Newton steps on the MM fixed-point
 equation.  For multiple users the subproblem keeps the linearized per-user
-rate constraints and is handed to the dense QCQP solver; its solution is
-scaled to the full power budget, which raises the MI and every rate.
+rate constraints, a convex QCQP solved through its Lagrangian dual by Newton
+steps in the K + 1 multipliers (:func:`conic.solve_qcqp`), each solve
+warm-started from the multipliers of the one before; its solution is scaled
+to the full power budget, which raises the MI and every rate.
 
 One KKT certificate serves both regimes (:func:`kkt_certificate`): the power
 and rate multipliers are fitted to the MI gradient of the true problem, so
@@ -145,6 +147,9 @@ class MmReport:
     kkt_residual: Optional[float] = None
     comp_power: Optional[float] = None
     comp_rate: Optional[float] = None
+    # inner-solve work: dual Newton steps of the QCQP (K users), or
+    # evaluations of ShiftedCurvature.step in the multiplier solve (one user)
+    inner_steps: int = 0
     wall_time_s: float = 0.0
 
 
@@ -156,6 +161,7 @@ class ShiftedCurvature:
     Eigenvalues within the relative cutoff of zero are treated as an exact
     null space (dropped at tau = 0, inverted as 1/tau otherwise), so the
     transmit power is a continuous function of the multiplier.
+    ``evaluations`` counts the calls of :meth:`step`.
     """
 
     NULL_RTOL = 1e-12
@@ -169,6 +175,7 @@ class ShiftedCurvature:
         basis = vecs.conj().T
         self.c = basis @ sur.lin
         self.r = basis @ (h * complex(np.vdot(h, w_ref)))
+        self.evaluations = 0
 
     def step(self, omega_shift: float, tau: float):
         """(x, mu, p, dp/dtau) at power multiplier tau, in O(N_T): the maximizer
@@ -185,6 +192,7 @@ class ShiftedCurvature:
         null space at tau = 0 still is.  The absolute test comes first,
         because it costs nothing.
         """
+        self.evaluations += 1
         shifted = self.vals + tau
         s = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
         x = s * self.c
@@ -262,10 +270,10 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
     return hi, w, mu
 
 
-def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float,
-                p0: float) -> np.ndarray:
+def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float, p0: float):
     """Solve the subproblem built at w: maximize the surrogate under the
-    power budget and the rate constraint linearized at w.
+    power budget and the rate constraint linearized at w.  Returns the
+    maximizer and the number of step evaluations it took.
 
     The tau = 0 step is the minimizer when it meets the budget and, for a
     rank-deficient curvature, c + mu r has no component along the flat
@@ -277,8 +285,9 @@ def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float,
     rhs = curvature.c + mu * curvature.r
     flat = float(np.linalg.norm(rhs[curvature.vals == 0.0]))
     if power <= p0 and flat <= 1e-10 * max(float(np.linalg.norm(rhs)), 1e-300):
-        return curvature.vecs @ x
-    return bisect_power_multiplier(curvature, omega_shift, p0)[1]
+        return curvature.vecs @ x, curvature.evaluations
+    w_next = bisect_power_multiplier(curvature, omega_shift, p0)[1]
+    return w_next, curvature.evaluations
 
 
 class _SingleUserMap:
@@ -298,6 +307,7 @@ class _SingleUserMap:
         self.p0 = cfg.power_budget
         self.rate = cfg.rate_targets[0]
         self.omega = model.rate_power_threshold(self.rate, cfg.comm_noise)
+        self.inner_steps = 0
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         """One MM step, with the common phase of the result set so that
@@ -306,7 +316,8 @@ class _SingleUserMap:
         trajectory unchanged while keeping successive differences (which the
         extrapolation and the polish use) free of arbitrary phase turns."""
         sur = build_surrogate(self.inst, w)
-        w_next = _inner_step(sur, self.h, w, self.omega, self.p0)
+        w_next, evaluations = _inner_step(sur, self.h, w, self.omega, self.p0)
+        self.inner_steps += evaluations
         overlap = complex(np.vdot(w, w_next))
         return w_next * (np.conj(overlap) / abs(overlap)) if overlap != 0.0 else w_next
 
@@ -493,7 +504,7 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
     residual, comp_power, comp_rate = cert
     return MmReport(w=w[:, None], mi_trace=trace, iterations=iterations, status=status,
                     kkt_residual=residual, comp_power=comp_power, comp_rate=comp_rate,
-                    wall_time_s=time.perf_counter() - started)
+                    inner_steps=step.inner_steps, wall_time_s=time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -537,24 +548,34 @@ def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate) -> conic.
                     -cfg.power_budget)]
 
     # user k's cut acts on vec(W) through h_k h_k^H on column k (its own
-    # signal) and on every other column (the interference it receives)
-    for k, e_k in enumerate(np.eye(cfg.n_users)):
+    # signal) and on every other column (the interference it receives), one
+    # diagonal block each; the signal term is multiplied over all of vec(W)
+    # so that its roundoff is that of the Kronecker-product construction
+    blocks = [slice(j * cfg.n_tx, (j + 1) * cfg.n_tx) for j in range(cfg.n_users)]
+    for k, own_block in enumerate(blocks):
         h_k = inst.channel[k].conj()
         nu_k = 2.0 ** cfg.rate_targets[k] - 1.0
         gram_k = np.outer(h_k, h_k.conj())
-        own = np.kron(np.diag(e_k), gram_k)
-        a_k = hermitianize(nu_k * np.kron(np.diag(1.0 - e_k), gram_k))
-        b_k = -(own @ w_vec)
-        c_k = float(np.real(np.vdot(w_vec, own @ w_vec))) + nu_k * cfg.comm_noise
-        constraints.append((a_k, b_k, c_k))
+        own = np.zeros((dim, dim), dtype=complex)
+        own[own_block, own_block] = gram_k
+        interference = hermitianize(nu_k * gram_k)
+        a_k = np.zeros((dim, dim), dtype=complex)
+        for j, block in enumerate(blocks):
+            if j != k:
+                a_k[block, block] = interference
+        signal = own @ w_vec
+        c_k = float(np.real(np.vdot(w_vec, signal))) + nu_k * cfg.comm_noise
+        constraints.append((a_k, -signal, c_k))
     return conic.QcqpProblem(dim=dim, objective=objective, constraints=tuple(constraints))
 
 
 def _subproblem_step(inst: model.Instance, w_mat: np.ndarray, sur: Surrogate,
-                     iteration: int) -> np.ndarray:
-    """The subproblem solution at w_mat, scaled to the full power budget."""
+                     iteration: int, multipliers=None):
+    """The subproblem solution at w_mat, scaled to the full power budget, and
+    the solver's report; ``multipliers`` warm-start the dual solve."""
     cfg = inst.config
-    report = conic.solve_qcqp(multiuser_subproblem(inst, w_mat, sur), tol=SUBPROBLEM_GAP_TOL)
+    report = conic.solve_qcqp(multiuser_subproblem(inst, w_mat, sur), SUBPROBLEM_GAP_TOL,
+                              multipliers)
     if report.status == conic.INFEASIBLE:
         raise Infeasible(f"subproblem infeasible at iteration {iteration}")
     if report.status != conic.OPTIMAL or report.solution is None:
@@ -562,7 +583,7 @@ def _subproblem_step(inst: model.Instance, w_mat: np.ndarray, sur: Surrogate,
             f"subproblem ended with status {report.status} at iteration {iteration}"
         )
     w_next = unvec(report.solution, cfg.n_tx, cfg.n_users)
-    return w_next * np.sqrt(cfg.power_budget / float(np.linalg.norm(w_next) ** 2))
+    return w_next * np.sqrt(cfg.power_budget / float(np.linalg.norm(w_next) ** 2)), report
 
 
 def _nonnegative_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -636,20 +657,22 @@ def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
     """MM + successive convex approximation for K users.
 
     Starts from the zero-forcing beamformer and alternates surrogate
-    construction with a conic subproblem solve.  Each subproblem solution is
+    construction with a dual Newton solve of the subproblem QCQP, started
+    from the previous subproblem's multipliers.  Each subproblem solution is
     scaled to the full power budget before the MI test.  MI(cW) and every
     SINR increase in c (the noise term scales as 1/c^2), so this is an
     ascent step that keeps feasibility and the stationary points.  Without
-    echo interference the subproblem's optimal set is a face whose analytic
-    centre, which the interior point returns, lies below full power; there
-    the scaling cuts hundreds of maps to tens.  The iteration stops on
+    echo interference the subproblem's optimal set is a face whose central
+    point, which the solve returns, lies below full power; there the scaling
+    cuts hundreds of maps to tens.  The iteration stops on
     relative objective change <= eps2 (``converged``) or the cap.  After an
     eps2 stop, up to MULTI_POLISH_MAPS further maps (within the cap) run
     while the KKT residual of :func:`kkt_certificate` is above
     MULTI_POLISH_RTOL; a map that would lower the MI ends them.  The
     returned design's certificate is reported; it is not a stop rule.
     Every iterate meets all rate targets and the power budget, and the
-    objective trace is non-decreasing.
+    objective trace is non-decreasing.  ``inner_steps`` totals the dual
+    Newton steps.
     """
     started = time.perf_counter()
     w_mat = zero_forcing_init(inst)
@@ -659,6 +682,8 @@ def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
     iterations = 0
     polish = 0
     cert = None                   # certificate of w_mat, once computed
+    multipliers = None            # of the last subproblem, to warm-start the next
+    inner_steps = 0
     while iterations < max_iters:
         sur = build_surrogate(inst, w_mat)
         if status == "converged":
@@ -667,7 +692,8 @@ def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
                 break
             polish -= 1
         iterations += 1
-        w_next = _subproblem_step(inst, w_mat, sur, iterations)
+        w_next, sub = _subproblem_step(inst, w_mat, sur, iterations, multipliers)
+        multipliers, inner_steps = sub.multipliers, inner_steps + sub.iterations
         g_next = model.mutual_information(inst, w_next)
         if g_next < g_val - 1e-12 * max(1.0, abs(g_val)):
             if status != "converged":
@@ -685,4 +711,4 @@ def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
     residual, comp_power, comp_rate = cert
     return MmReport(w=w_mat, mi_trace=trace, iterations=iterations, status=status,
                     kkt_residual=residual, comp_power=comp_power, comp_rate=comp_rate,
-                    wall_time_s=time.perf_counter() - started)
+                    inner_steps=inner_steps, wall_time_s=time.perf_counter() - started)

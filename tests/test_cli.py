@@ -163,6 +163,21 @@ def test_invalid_grid_is_config_error(tmp_path, capsys, args, overrides, source)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("overrides, source", [
+    ({"sweep": {"variable": "n_slots", "grid": [1.0, 2.0]}}, "sweep.variable"),
+    ({}, "sweep"),
+], ids=["unknown_variable", "no_sweep_section"])
+def test_invalid_sweep_is_config_error_before_output(tmp_path, capsys, overrides, source):
+    cfg_path = write_config(tmp_path / "cfg.yaml", **overrides)
+    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--threads", "2"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["reason"].startswith(source)
+    assert not (tmp_path / "o").exists()
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.yaml",
                             system={"rate_targets": [30.0]})
@@ -271,6 +286,7 @@ def test_solve_sdr_reports_reduced_dimension_and_reruns_identically(tmp_path):
     assert payload["reduced_dim"] == 3  # target, interferer and the channel outside them
     assert len(payload["w_re"]) == 6
     assert payload["kkt_residual"] is payload["comp_power"] is payload["comp_rate"] is None
+    assert payload["inner_steps"] is None
     assert (tmp_path / "a" / "solution.json").read_bytes() == \
         (tmp_path / "b" / "solution.json").read_bytes()
 
@@ -319,6 +335,7 @@ def test_solve_multi_user_config_reports_certificate_and_reruns_identically(tmp_
     assert payload["reduced_dim"] == 6  # 50 interferer angles span all 6 antennas
     assert np.isfinite(payload["kkt_residual"]) and payload["kkt_residual"] > 0.0
     assert payload["comp_power"] >= 0.0 and payload["comp_rate"] >= 0.0
+    assert payload["inner_steps"] >= payload["iterations"]  # dual Newton steps
     for name in ("solution.json", "trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

@@ -209,6 +209,23 @@ def test_qcqp_infeasible_detection():
     assert report.status == conic.INFEASIBLE
 
 
+def test_qcqp_without_a_definite_lagrangian_is_max_iter():
+    # M(lam) = A0 + sum lam_i A_i singular for every lam: no Lagrangian minimizer
+    n = 2
+    linear = conic.QcqpProblem(
+        dim=n, objective=(np.zeros((n, n), dtype=complex), np.ones(n, dtype=complex), 0.0),
+        constraints=((np.zeros((n, n), dtype=complex), np.ones(n, dtype=complex), -1.0),))
+    assert conic.solve_qcqp(linear).status == conic.MAXITER
+    # infeasible, but every combination of the cuts is singular, so no Farkas
+    # certificate of the Cholesky form exists: the unbounded dual runs out
+    flat = np.diag([1.0, 0.0]).astype(complex)
+    slabs = conic.QcqpProblem(
+        dim=n, objective=(np.eye(n, dtype=complex), np.zeros(n, dtype=complex), 0.0),
+        constraints=((flat, np.zeros(n, dtype=complex), -1.0),
+                     (flat, np.array([-3.0, 0.0], dtype=complex), 8.5)))
+    assert conic.solve_qcqp(slabs).status == conic.MAXITER
+
+
 def test_qcqp_constraints_hold_at_solution():
     rng = np.random.default_rng(6)
     n = 5
@@ -230,10 +247,9 @@ def test_qcqp_constraints_hold_at_solution():
 
 
 def three_family_problem():
-    """A compiled problem with every barrier family: the PSD block of a 2x2
-    Hermitian X, an LMI block (1 + t) I + [Tr(C_pq X)], the trace cut
-    Tr X <= 1 and the quadratic cut ||x||^2 <= 4 on the parameter vector
-    x = (X00, X11, Re X01, Im X01, t).  The objective gains a PSD term."""
+    """A compiled problem with both barrier families: the PSD block of a 2x2
+    Hermitian X, an LMI block (1 + t) I + [Tr(C_pq X)] and the trace cut
+    Tr X <= 1 on the parameter vector x = (X00, X11, Re X01, Im X01, t)."""
     rng = np.random.default_rng(7)
     c = 0.1 * random_complex(rng, 2, 2, 2, 2)
     coeff = 0.5 * (c + c.transpose(1, 0, 3, 2).conj())
@@ -242,16 +258,12 @@ def three_family_problem():
     prob = conic.SdpProblem(
         dim=2, obj_mat=herm(rng, 2), obj_t=-1.0, lmi_blocks=(lmi,),
         trace_constraints=(conic.TraceConstraint(np.eye(2, dtype=complex), 1.0, "le"),))
-    comp = conic._compile_sdp(prob)
-    nv = comp.cost.size
-    q = rng.standard_normal((nv, nv))
-    return replace(comp, quad=q @ q.T, quad_a=np.eye(nv)[None], quad_b=np.zeros((1, nv)),
-                   quad_c=np.array([-4.0]))
+    return conic._compile_sdp(prob)
 
 
 def direct_terms(comp, x):
-    """Each barrier term -log det S, -log s, -log(-f) evaluated from scratch,
-    or None for a term whose argument has left the domain."""
+    """Each barrier term -log det S, -log s evaluated from scratch, or None
+    for a term whose argument has left the domain."""
     terms = []
     for const, ds in comp.blocks:
         s_mat = const + np.tensordot(x, ds, axes=(0, 0))
@@ -261,22 +273,18 @@ def direct_terms(comp, x):
     for a, b in zip(comp.cut_a, comp.cut_b):
         s = a @ x + b
         terms.append(-np.log(s) if s > 0.0 else None)
-    for a, b, c in zip(comp.quad_a, comp.quad_b, comp.quad_c):
-        f = x @ a @ x + 2.0 * b @ x + c
-        terms.append(-np.log(-f) if f < 0.0 else None)
     return terms
 
 
 def test_ray_matches_direct_barrier_evaluation():
     comp = three_family_problem()
     x = np.array([0.1, 0.1, 0.0, 0.0, 1.0])
-    families = ["block X", "block LMI", "trace cut", "quadratic cut"]
+    families = ["block X", "block LMI", "trace cut"]
     base = direct_terms(comp, x)
     assert all(v is not None for v in base)
     e = np.eye(x.size)
     # each direction first leaves the domain through one known family
     cases = [(-e[0], "block X"), (e[0] + e[1], "trace cut"), (-e[4], "block LMI"),
-             (e[4], "quadratic cut"),
              (np.random.default_rng(8).standard_normal(x.size), None)]
     t_bar = 3.0
     for dx, binding in cases:
@@ -299,46 +307,123 @@ def test_ray_matches_direct_barrier_evaluation():
         assert ray.barrier_change(ray.alpha_max * (1.0 + 1e-9)) == np.inf
 
 
-def test_qcqp_multi_user_subproblem_regression():
-    # the first MM subproblem of the shipped 3-user config
+def first_multi_user_subproblem():
+    """The first MM subproblem of the shipped 3-user config."""
     inst = model.build_instance(parse_config(CONFIGS / "multi_user.yaml").scenario)
     w0 = mm.zero_forcing_init(inst)
-    prob = mm.multiuser_subproblem(inst, w0, mm.build_surrogate(inst, w0))
+    return mm.multiuser_subproblem(inst, w0, mm.build_surrogate(inst, w0))
+
+
+def constraint_values(prob, x):
+    return np.array([float(np.real(np.vdot(x, a @ x) + 2.0 * np.vdot(b, x))) + c
+                     for a, b, c in prob.constraints])
+
+
+def test_qcqp_multi_user_subproblem_regression():
+    prob = first_multi_user_subproblem()
     r1 = conic.solve_qcqp(prob, tol=mm.SUBPROBLEM_GAP_TOL)
     r2 = conic.solve_qcqp(prob, tol=mm.SUBPROBLEM_GAP_TOL)
     assert r1.status == conic.OPTIMAL
     assert r1.objective == pytest.approx(-49.9231471853, rel=1e-9)
-    # predictor steps and loose intermediate rounds solve this problem in 21
-    # Newton steps (57 with every round centred strictly from the last centre)
-    assert r1.iterations <= 30
+    # 16 dual Newton steps from all-ones multipliers
+    assert r1.iterations <= 16
     assert np.array_equal(r1.solution, r2.solution)
     assert r1.iterations == r2.iterations
     for primal, dual in r1.duality_trace:
         assert dual <= primal
-    # the answer is the strict central point at the final barrier weight:
-    # one more centring there leaves it in place
-    comp = conic._compile_qcqp(prob)
-    x = np.concatenate([r1.solution.real, r1.solution.imag])
-    recentred = conic._newton_center(comp, x, comp.nu / r1.gap, conic.NEWTON_PER_ROUND)[0]
-    assert np.linalg.norm(recentred - x) <= 1e-9 * np.linalg.norm(x)
+    # the answer is the central point at its barrier weight: a solve started
+    # from its multipliers leaves it in place
+    again = conic.solve_qcqp(prob, mm.SUBPROBLEM_GAP_TOL, r1.multipliers)
+    assert np.linalg.norm(again.solution - r1.solution) <= 1e-9 * np.linalg.norm(r1.solution)
 
 
 def test_qcqp_newton_steps_over_multi_user_solve(monkeypatch):
     # a deterministic work count in place of wall time: 20 MM iterations of
-    # the shipped 3-user config take 529 Newton steps (at most 34 per
-    # subproblem); centring every round strictly from the last centre took
-    # 1309 (at most 77)
-    reports = []
+    # the shipped 3-user config take 97 dual Newton steps (16 in the first,
+    # cold subproblem), each later solve warm-started from the multipliers of
+    # the one before; restarting every solve from all-ones multipliers takes
+    # 336
+    calls = []
     solve = conic.solve_qcqp
 
-    def recording(prob, tol=conic.DEFAULT_GAP_TOL):
-        reports.append(solve(prob, tol))
-        return reports[-1]
+    def recording(prob, tol=conic.DEFAULT_GAP_TOL, multipliers=None):
+        calls.append((prob, tol, solve(prob, tol, multipliers)))
+        return calls[-1][2]
 
     monkeypatch.setattr(conic, "solve_qcqp", recording)
     inst = model.build_instance(parse_config(CONFIGS / "multi_user.yaml").scenario)
     mm.solve_multi_user(inst, max_iters=20)
-    assert len(reports) == 20
-    assert sum(r.iterations for r in reports) <= 700
-    # every subproblem ends strictly centred
-    assert max(r.decrement for r in reports) <= 2.0 * conic.CENTER_TOL
+    assert len(calls) == 20
+    assert sum(report.iterations for _, _, report in calls) <= 110
+    # every answer is certified: feasible as evaluated, gap within tol
+    for prob, tol, report in calls:
+        assert report.status == conic.OPTIMAL
+        assert constraint_values(prob, report.solution).max() <= 0.0
+        assert report.gap <= tol * (1.0 + abs(report.objective))
+
+
+def test_qcqp_warm_start_from_own_multipliers():
+    # on the projection instances of test_qcqp_projection_onto_ball (inside
+    # and outside the ball) and the first multi-user subproblem
+    rng = np.random.default_rng(3)
+    n = 4
+    problems = [first_multi_user_subproblem()]
+    for _ in range(3):
+        c = random_complex(rng, n)
+        problems.append(conic.QcqpProblem(
+            dim=n, objective=(np.eye(n, dtype=complex), -c, float(np.linalg.norm(c) ** 2)),
+            constraints=((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -1.0),)))
+    for prob in problems:
+        report = conic.solve_qcqp(prob, tol=1e-9)
+        again = conic.solve_qcqp(prob, 1e-9, report.multipliers)
+        assert again.status == conic.OPTIMAL
+        assert again.iterations <= 2
+        assert np.linalg.norm(again.solution - report.solution) \
+            <= 1e-9 * np.linalg.norm(report.solution)
+
+
+def test_qcqp_kkt_at_the_answer():
+    rng = np.random.default_rng(10)
+    prob = first_multi_user_subproblem()
+    n = prob.dim
+    # and a random instance with three ball constraints
+    a0 = random_complex(rng, n, n)
+    balls = conic.QcqpProblem(
+        dim=n, objective=(a0 @ a0.conj().T / n, random_complex(rng, n), 0.0),
+        constraints=tuple((np.eye(n, dtype=complex), 0.3 * random_complex(rng, n), -1.0 - r)
+                          for r in rng.uniform(0.0, 1.0, 3)))
+    for qp in (prob, balls):
+        report = conic.solve_qcqp(qp, tol=1e-9)
+        assert report.status == conic.OPTIMAL
+        x, lam = report.solution, report.multipliers
+        assert lam.shape == (len(qp.constraints),) and np.all(lam > 0.0)
+        a0, b0, _ = qp.objective
+        residual = a0 @ x + b0 + sum(l * (a @ x + b) for l, (a, b, _) in zip(lam, qp.constraints))
+        scale = np.linalg.norm(a0 @ x) + np.linalg.norm(b0) + sum(
+            l * (np.linalg.norm(a @ x) + np.linalg.norm(b)) for l, (a, b, _) in zip(lam, qp.constraints))
+        assert np.linalg.norm(residual) <= 1e-8 * scale
+        f = constraint_values(qp, x)
+        assert np.all(f <= 0.0)
+        assert np.all(lam * np.abs(f) <= report.gap)
+        assert report.gap <= 1e-9 * (1.0 + abs(report.objective))
+
+
+def test_qcqp_infeasible_returns_farkas_certificate():
+    # the instance of test_qcqp_infeasible_detection: two disjoint balls
+    n = 2
+    prob = conic.QcqpProblem(
+        dim=n, objective=(np.eye(n, dtype=complex), np.zeros(n, dtype=complex), 0.0),
+        constraints=((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -1.0),
+                     (np.eye(n, dtype=complex), -3.0 * np.ones(n, dtype=complex),
+                      2.0 * n * 9.0 / 2.0 - 0.5)))
+    report = conic.solve_qcqp(prob)
+    assert report.status == conic.INFEASIBLE
+    lam = report.multipliers
+    assert np.all(lam >= 0.0) and lam.sum() == pytest.approx(1.0)
+    # min_x sum lam_i f_i(x) > 0: no x meets every constraint
+    a = sum(l * a for l, (a, _, _) in zip(lam, prob.constraints))
+    b = sum(l * b for l, (_, b, _) in zip(lam, prob.constraints))
+    c = sum(l * c for l, (_, _, c) in zip(lam, prob.constraints))
+    x = -np.linalg.solve(a, b)
+    assert float(np.real(np.vdot(x, a @ x) + 2.0 * np.vdot(b, x))) + c > 0.0
+    assert np.all(np.linalg.eigvalsh(a) > 0.0)

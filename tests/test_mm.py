@@ -443,7 +443,7 @@ def test_inner_step_solves_for_the_multiplier_along_a_flat_direction():
     h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
     p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0)  # twice the power at tau = 0
     # a rate requirement far below anything attainable leaves the cut slack
-    power = float(np.linalg.norm(mm._inner_step(sur, h, h, -1e6, p0)) ** 2)
+    power = float(np.linalg.norm(mm._inner_step(sur, h, h, -1e6, p0)[0]) ** 2)
     assert p0 * (1.0 - 1e-12) <= power <= p0
 
 
@@ -478,6 +478,8 @@ def test_power_multiplier_work_per_inner_solve(monkeypatch):
     assert 1.0 <= (len(evals) - len(inner)) / len(solves) <= 12.0
     # w is formed in the antenna basis once per multiplier solve
     assert len(steps) == len(solves)
+    # the report counts every evaluation
+    assert report.inner_steps == len(evals)
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +743,35 @@ def test_multiuser_rate_quadratics_are_psd():
         expected = nu_k * (power.sum() - power[k] + cfg.comm_noise) - power[k]
         value = np.real(np.vdot(w_vec, a_k @ w_vec) + 2.0 * np.vdot(b_k, w_vec)) + c_k
         assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+def kron_rate_cuts(inst, w):
+    """The linearized rate cuts built with Kronecker products, as a
+    reference for the block assignment of mm.multiuser_subproblem."""
+    cfg = inst.config
+    w_vec = linalg.vec(w)
+    cuts = []
+    for k, e_k in enumerate(np.eye(cfg.n_users)):
+        h_k = inst.channel[k].conj()
+        nu_k = 2.0 ** cfg.rate_targets[k] - 1.0
+        gram_k = np.outer(h_k, h_k.conj())
+        own = np.kron(np.diag(e_k), gram_k)
+        a_k = linalg.hermitianize(nu_k * np.kron(np.diag(1.0 - e_k), gram_k))
+        c_k = float(np.real(np.vdot(w_vec, own @ w_vec))) + nu_k * cfg.comm_noise
+        cuts.append((a_k, -(own @ w_vec), c_k))
+    return cuts
+
+
+def test_multiuser_rate_cuts_match_kronecker_construction_exactly():
+    rng = np.random.default_rng(14)
+    for n_users, n_tx in ((2, 4), (3, 5), (1, 3)):
+        inst = multi_user_instance(seed=132, n_users=n_users, n_tx=n_tx)
+        cfg = inst.config
+        w = random_complex(rng, cfg.n_tx, cfg.n_users)
+        prob = mm.multiuser_subproblem(inst, w, mm.build_surrogate(inst, w))
+        for (a, b, c), (a_ref, b_ref, c_ref) in zip(prob.constraints[1:],
+                                                    kron_rate_cuts(inst, w), strict=True):
+            assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref) and c == c_ref
 
 
 def test_multi_user_converges_and_meets_rates():

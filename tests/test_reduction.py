@@ -79,6 +79,9 @@ def test_dispatch_reports_the_reduced_dimension():
     assert result.extras["reduced_dim"] == 3 and result.w.shape == (16, 1)
     closed = replace(scenario, interference=None)
     assert dispatch.solve_scenario(closed, "closed").extras["reduced_dim"] == 16
+    # neither scheme has an MM inner solve
+    assert result.extras["inner_steps"] is None
+    assert dispatch.solve_scenario(closed, "closed").extras["inner_steps"] is None
 
 
 @pytest.mark.parametrize("scheme, n_users", [("mm-single", 1), ("mm-multi", 3)])
