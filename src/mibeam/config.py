@@ -50,8 +50,8 @@ class EvalOptions:
         if self.trials < 1:
             raise ConfigError("eval.trials: must be >= 1")
         for name in ("angle_grid_step", "beampattern_step"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"eval.{name}: must be > 0")
+            if not 0.0 < getattr(self, name) <= 90.0:
+                raise ConfigError(f"eval.{name}: must be in (0, 90] degrees")
         if not self.diagonal_load >= 0.0:
             raise ConfigError("eval.diagonal_load: must be >= 0")
         check_seed(self.echo_seed, "eval.echo_seed")

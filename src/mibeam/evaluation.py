@@ -6,7 +6,11 @@ streams keyed by (seed, grid index, trial index) so results are reproducible
 and invariant to the number of trials run.  Steering vectors on an angle
 grid come from one :func:`model.steering_matrix` call, and the RMSE sweep
 builds the per-design part of the angle estimator (see
-:func:`mle_estimator`) once per SNR point, not once per trial.
+:func:`mle_estimator`) once per SNR point, not once per trial.  Every
+quadratic or bilinear form over a grid (the Capon denominator, the
+estimator's numerator and filter norms) is one BLAS product of the
+grid-sized matrix with the small per-echo matrix followed by a row dot
+(:func:`_row_forms`).
 """
 
 from __future__ import annotations
@@ -63,9 +67,18 @@ class RmsePoint:
 
 
 def default_grid(step: float = DEFAULT_PATTERN_STEP) -> np.ndarray:
-    """Symmetric angle grid over [-90, 90] containing 0 exactly."""
+    """Symmetric angle grid inside [-90, 90] containing 0 exactly; it reaches
+    endfire when ``step`` divides 90."""
     half = int(round(90.0 / step))
+    if half * step > 90.0:
+        half -= 1
     return np.arange(-half, half + 1) * step
+
+
+def _row_forms(left: np.ndarray, mat: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row g of ``left @ mat`` dotted with row g of ``right``, unconjugated:
+    one BLAS product with the small ``mat``, then one row dot."""
+    return np.einsum("gk,gk->g", left @ mat, right)
 
 
 def _normalize_db(values: np.ndarray) -> np.ndarray:
@@ -115,7 +128,7 @@ def capon_spectrum(y_r: np.ndarray, grid_deg,
     except np.linalg.LinAlgError as exc:
         raise NumericalError("sample covariance is singular even after loading") from exc
     steer = model.steering_matrix(grid, n_rx)
-    denom = np.einsum("gi,ij,gj->g", steer.conj(), cov_inv, steer).real
+    denom = _row_forms(steer.conj(), cov_inv, steer).real
     power = 1.0 / denom
     return SpectrumResult(angles_deg=grid, values_db=_normalize_db(power))
 
@@ -149,12 +162,12 @@ def mle_estimator(w, inst: model.Instance,
         y = np.asarray(y_r, dtype=complex)
         if tx_data is None:
             cov = y @ y.conj().T
-            stat = np.einsum("gi,ij,gj->g", steer_rx_h, cov, steer_rx).real
+            stat = _row_forms(steer_rx_h, cov, steer_rx).real
         else:
             y_corr = y @ tx_data.conj().T                # (N_R, K)
             gram = tx_data @ tx_data.conj().T            # (K, K)
-            numer = np.abs(np.einsum("gi,ik,gk->g", steer_rx_h, y_corr, filt)) ** 2
-            denom = np.einsum("gk,kl,gl->g", filt_h, gram, filt).real
+            numer = np.abs(_row_forms(steer_rx_h, y_corr, filt)) ** 2
+            denom = _row_forms(filt_h, gram, filt).real
             with np.errstate(divide="ignore", invalid="ignore"):
                 stat = np.where(denom > 0.0, numer / denom, 0.0)
         return float(grid[int(np.argmax(stat))])

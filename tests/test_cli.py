@@ -111,6 +111,8 @@ def test_randomizations_below_one_is_config_error(tmp_path, capsys, count):
     ("rmse", "trials", 0),
     ("rmse", "snr_grid_db", []),
     ("rmse", "snr_grid_db", [10, 0]),
+    ("rmse", "angle_grid_step", 90.5),
+    ("beampattern", "beampattern_step", 120.0),
 ])
 def test_invalid_eval_option_is_config_error(tmp_path, capsys, kind, field, value):
     # rejected at parse time, before any design is solved or file written

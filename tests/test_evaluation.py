@@ -4,6 +4,9 @@ import pytest
 from mibeam import evaluation, model
 from mibeam.model import ScattererModel, Scenario, SystemConfig
 
+# the statistics guard their divisions; a RuntimeWarning means one leaked
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def make_config(**overrides):
     base = dict(
@@ -38,6 +41,21 @@ def test_beampattern_grid_size():
     assert spec.angles_deg.size == 1801
 
 
+@pytest.mark.parametrize("step, half", [(0.05, 1800), (0.1, 900), (0.25, 360), (0.3, 300)])
+def test_default_grid_unchanged_for_steps_dividing_90(step, half):
+    assert np.array_equal(evaluation.default_grid(step), np.arange(-half, half + 1) * step)
+
+
+@pytest.mark.parametrize("step", [0.07, 0.13, 0.33, 7.0, 60.0])
+def test_default_grid_stays_inside_endfire(step):
+    grid = evaluation.default_grid(step)
+    assert grid[0] >= -90.0 and grid[-1] <= 90.0
+    assert grid[-1] + step > 90.0            # no room for one more point
+    assert 0.0 in grid
+    assert np.array_equal(grid, -grid[::-1])
+    np.testing.assert_allclose(np.diff(grid), step, rtol=1e-12)
+
+
 def test_capon_strong_source_peak():
     cfg = make_config(n_slots=100)
     inst = make_instance(cfg, ScattererModel.point(0.0, 200.0))
@@ -56,6 +74,24 @@ def test_capon_pure_noise_is_flat():
     y = model.simulate_echo(inst, np.ones(cfg.n_tx), seed=4)
     spec = evaluation.capon_spectrum(y, evaluation.default_grid(0.5))
     assert np.max(spec.values_db) - np.min(spec.values_db) <= 3.0
+
+
+def test_capon_matches_per_angle_reference():
+    cfg = make_config(n_slots=40)
+    inst = make_instance(cfg, ScattererModel.point(15.0, 5.0))
+    w = np.sqrt(cfg.power_budget) * model.steering_vector(15.0, cfg.n_tx) / np.sqrt(cfg.n_tx)
+    y = model.simulate_echo(inst, w, seed=12)
+    grid = evaluation.default_grid(0.25)
+    load = 1e-2
+    spec = evaluation.capon_spectrum(y, grid, diagonal_load=load)
+    cov = y @ y.conj().T / cfg.n_slots
+    cov += load * (np.trace(cov).real / cfg.n_rx) * np.eye(cfg.n_rx)
+    power = []
+    for theta in grid:
+        b = model.steering_vector(theta, cfg.n_rx)
+        power.append(1.0 / np.vdot(b, np.linalg.solve(cov, b)).real)
+    power = np.array(power)
+    np.testing.assert_allclose(10.0 ** (spec.values_db / 10.0), power / power.max(), rtol=1e-12)
 
 
 def test_mle_noiseless_exact():
@@ -135,6 +171,19 @@ def test_mle_estimator_reused_equals_fresh_mle_angle():
                                                                      tx_data=tx_data)
 
 
+def test_mle_estimator_zero_tx_data_is_finite():
+    # every transmit filter norm is 0, so the denom > 0 guard sets the whole
+    # statistic to 0 and the search returns the first grid angle
+    cfg = make_config(n_users=3, rate_targets=(1.0,) * 3)
+    inst = make_instance(cfg, ScattererModel.point(12.0, 1.0))
+    w = np.sqrt(cfg.power_budget / (cfg.n_tx * 3)) * np.ones((cfg.n_tx, 3), dtype=complex)
+    grid = evaluation.default_grid(0.25)
+    draw = model.simulate_echo_parts(inst, w, seed=13)
+    est = evaluation.mle_estimator(w, inst, grid)(draw.y, np.zeros_like(draw.tx_data))
+    assert np.isfinite(est)
+    assert est == grid[0]
+
+
 def test_strength_for_radar_snr_roundtrip():
     cfg = make_config()
     strength = evaluation.strength_for_radar_snr(20.0, cfg)
@@ -183,3 +232,21 @@ def test_rmse_decreases_with_snr():
                                 scheme="closed", trials=60, seed=1)
     low, high = evaluation.rmse_sweep(spec, scenario)
     assert high.rmse_deg < low.rmse_deg
+
+
+def test_rmse_sweep_estimates_are_pinned():
+    # recorded from the three-operand einsum statistic; each estimate is
+    # pinned as its index on the 0.05-degree grid
+    scenario = _scenario_for_rmse()
+    spec = evaluation.SweepSpec(variable="radar_snr_db", grid=(-10.0, 20.0),
+                                scheme="closed", trials=20, seed=2)
+    low, high = evaluation.rmse_sweep(spec, scenario)
+    pinned = {
+        -10.0: [94, -133, 52, 90, -812, -141, -15, -39, -247, -33,
+                840, -414, -13, -132, 23, 8, 90, 133, 100, -732],
+        20.0: [-1, -4, -1, 4, 4, -2, 8, 87, 1, 1, 9, -1, 0, 0, 6, 3, 2, 1, 1, 0],
+    }
+    for point in (low, high):
+        assert point.estimates_deg == tuple((np.array(pinned[point.value]) * 0.05).tolist())
+    assert low.rmse_deg == pytest.approx(16.76004549516498, rel=1e-12)
+    assert high.rmse_deg == pytest.approx(0.988812419015862, rel=1e-12)
