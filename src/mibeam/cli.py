@@ -89,6 +89,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
         "comp_rate": result.extras.get("comp_rate"),
         "reduced_dim": result.extras["reduced_dim"],
         "inner_steps": result.extras["inner_steps"],
+        "finish_steps": result.extras["finish_steps"],
         **_meta(cfg, seed),
     }
     _write_json(out_dir / "solution.json", payload)

@@ -4,19 +4,18 @@ The nonconcave mutual information is minorized at each iterate by a touching
 concave quadratic in w.  For a single user the per-iteration subproblem is
 solved in closed form through its Lagrangian dual, with a secular-equation
 Newton solve for the power multiplier in the eigenbasis of the surrogate
-curvature; the iteration is accelerated by SQUAREM extrapolation and
-its stationary point polished by Newton steps on the MM fixed-point
-equation.  For multiple users the subproblem keeps the linearized per-user
-rate constraints, a convex QCQP solved through its Lagrangian dual by Newton
+curvature, and the iteration is accelerated by SQUAREM extrapolation.  For
+multiple users the subproblem keeps the linearized per-user rate
+constraints, a convex QCQP solved through its Lagrangian dual by Newton
 steps in the K + 1 multipliers (:func:`conic.solve_qcqp`), each solve
 warm-started from the multipliers of the one before; its solution is scaled
 to the full power budget, which raises the MI and every rate.
 
-One KKT certificate serves both regimes (:func:`kkt_certificate`): the power
-and rate multipliers are fitted to the MI gradient of the true problem, so
-it reads only the design, never how a subproblem was solved.  It steers the
-single-user Newton polish and the bounded multi-user polish after the eps2
-stop.
+One outer loop, one KKT certificate and one finish serve both regimes.  The
+certificate (:func:`kkt_certificate`) fits the power and rate multipliers to
+the MI gradient of the true problem, so it reads only the design, never how
+a subproblem was solved.  After the eps stop the finish (:func:`_finish`)
+takes Newton steps on the KKT system of the true problem.
 
 Both regimes build the minorizer from the scatterer factors of the instance
 (R = F F^H, one column per component), as the mutual information does; no
@@ -44,24 +43,22 @@ DEFAULT_MAX_ITERS = 2000
 # relative (the size of the eps1 rule itself), and the multiplier it leaves
 # floors the KKT certificate near 1e-7.
 POWER_RTOL = 1e-12
-ACCEPT_POWER_RTOL = 1e-9   # an extrapolated or polished point's power slack
+ACCEPT_POWER_RTOL = 1e-9   # an extrapolated or finished point's power slack
 ACCEPT_RATE_ATOL = 1e-6    # and its rate slack, bits/s/Hz
 # Bound on the SQUAREM steplength |a|.  Under strong interference plain MM
 # creeps along a curved ridge; steps much longer than this leave the ridge
 # and can settle on a lower local maximum than plain MM from the same start.
 SQUAREM_MAX_STEP = 32.0
 SQUAREM_BACKTRACKS = 4     # extrapolation lengths tried before the plain step
-POLISH_STEPS = 4           # Newton iterations after the relative-change stop
-POLISH_RTOL = 1e-8         # KKT residual at which the polish stops
+FINISH_STEPS = 60          # iterations after the eps stop: Newton and MM steps
+FINISH_RTOL = 1e-9         # KKT residual at which the finish stops
 MULTIPLIER_EVALS = 200     # power evaluations allowed per multiplier solve
 # Step-down factor of the multiplier while no infeasible tau is known: the
 # multiplier can be as small as 1e-11 when the curvature is rank deficient,
 # which halving from tau = 1 reaches only after about 36 steps.
 MULTIPLIER_DECADE = 100.0
-FD_RSTEP = 1e-6            # relative forward-difference step of the map Jacobian
+FD_RSTEP = 1e-6            # relative forward-difference step of the KKT Jacobian
 SUBPROBLEM_GAP_TOL = 1e-9  # conic gap for the multi-user subproblem
-MULTI_POLISH_MAPS = 50     # multi-user maps after the eps2 stop, at most
-MULTI_POLISH_RTOL = 1e-6   # KKT residual at which those maps stop
 
 
 @dataclass(frozen=True)
@@ -150,6 +147,7 @@ class MmReport:
     # inner-solve work: dual Newton steps of the QCQP (K users), or
     # evaluations of ShiftedCurvature.step in the multiplier solve (one user)
     inner_steps: int = 0
+    finish_steps: int = 0     # Newton steps of the accepted finishes
     wall_time_s: float = 0.0
 
 
@@ -290,133 +288,95 @@ def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float, p0: 
     return w_next, curvature.evaluations
 
 
-class _SingleUserMap:
-    """The single-user MM map: w -> maximizer of the surrogate built at w,
-    under the power budget and the rate constraint linearized at w.
+class _MmMap:
+    """An MM map with its per-solve constants, and what the outer loop and
+    the finish ask of a point.  ``advance`` is the scheme's step, (w, MI)
+    -> (w, MI)."""
 
-    Holds the per-solve constants, so the same map serves the plain
-    iteration, the extrapolation and the polish.  Its output meets the rate
-    target for any input w, because the linearized constraint is a
-    restriction of the true one.
+    inner_steps = 0         # set per instance by the first inner solve
+
+    def __init__(self, inst: model.Instance):
+        self.inst = inst
+        self.p0 = inst.config.power_budget
+
+    def mi(self, w: np.ndarray) -> float:
+        return model.mutual_information(self.inst, w)
+
+    def admissible(self, w: np.ndarray) -> bool:
+        """Power and rates within the tolerances every returned design meets."""
+        floor = np.asarray(self.inst.config.rate_targets) - ACCEPT_RATE_ATOL
+        return (float(np.linalg.norm(w) ** 2) <= self.p0 * (1.0 + ACCEPT_POWER_RTOL)
+                and bool(np.all(model.achieved_rates(self.inst, w) >= floor)))
+
+    def certificate(self, w: np.ndarray):
+        return kkt_certificate(self.inst, build_surrogate(self.inst, w), w)
+
+
+class _SingleUserMap(_MmMap):
+    """The single-user MM map: w -> maximizer of the surrogate built at w,
+    under the power budget and the rate constraint linearized at w.  Its
+    output meets the rate target for any input w, because the linearized
+    constraint is a restriction of the true one.
     """
 
     def __init__(self, inst: model.Instance):
-        cfg = inst.config
-        self.inst = inst
+        super().__init__(inst)
         self.h = inst.channel[0].conj()
-        self.p0 = cfg.power_budget
-        self.rate = cfg.rate_targets[0]
-        self.omega = model.rate_power_threshold(self.rate, cfg.comm_noise)
-        self.inner_steps = 0
+        self.omega = model.rate_power_threshold(inst.config.rate_targets[0],
+                                                inst.config.comm_noise)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         """One MM step, with the common phase of the result set so that
         w^H w_next is real and nonnegative.  Objective and constraints ignore
         that phase and the map commutes with it, so this leaves the MI
         trajectory unchanged while keeping successive differences (which the
-        extrapolation and the polish use) free of arbitrary phase turns."""
+        extrapolation uses) free of arbitrary phase turns."""
         sur = build_surrogate(self.inst, w)
         w_next, evaluations = _inner_step(sur, self.h, w, self.omega, self.p0)
         self.inner_steps += evaluations
         overlap = complex(np.vdot(w, w_next))
         return w_next * (np.conj(overlap) / abs(overlap)) if overlap != 0.0 else w_next
 
-    def mi(self, w: np.ndarray) -> float:
-        return model.mutual_information(self.inst, w)
+    def advance(self, w: np.ndarray, g_val: float):
+        """One SQUAREM cycle (Varadhan & Roland 2008, steplength S3).
 
-    def admissible(self, w: np.ndarray) -> bool:
-        """Power and rate within the tolerances every returned design meets."""
-        return (float(np.linalg.norm(w) ** 2) <= self.p0 * (1.0 + ACCEPT_POWER_RTOL)
-                and model.achievable_rate(self.inst, w, 0) >= self.rate - ACCEPT_RATE_ATOL)
-
-    def certificate(self, w: np.ndarray):
-        return kkt_certificate(self.inst, build_surrogate(self.inst, w), w)
-
-
-def _extrapolated_step(step: _SingleUserMap, w: np.ndarray, g_val: float):
-    """One SQUAREM cycle (Varadhan & Roland 2008, steplength S3).
-
-    Two MM maps give w1 and w2.  The extrapolation w - 2a r + a^2 v, with
-    r = w1 - w, v = w2 - 2 w1 + w and a = -|r|/|v| bounded by
-    SQUAREM_MAX_STEP, is pulled into the power ball and mapped once more,
-    which restores feasibility.  The result replaces the plain two-step
-    point w2 only if it is admissible and its MI is at least that of w and
-    of w2; otherwise a is moved halfway towards -1 (where the extrapolation
-    is w2) a few times before w2 itself is taken.  Returns (w, MI).
-    """
-    w1 = step(w)
-    w2 = step(w1)
-    g2 = step.mi(w2)
-    r = w1 - w
-    v = (w2 - w1) - r
-    v_norm = float(np.linalg.norm(v))
-    if v_norm == 0.0:
+        Two MM maps give w1 and w2.  The extrapolation w - 2a r + a^2 v, with
+        r = w1 - w, v = w2 - 2 w1 + w and a = -|r|/|v| bounded by
+        SQUAREM_MAX_STEP, is pulled into the power ball and mapped once more,
+        which restores feasibility.  The result replaces the plain two-step
+        point w2 only if it is admissible and its MI is at least that of w and
+        of w2; otherwise a is moved halfway towards -1 (where the extrapolation
+        is w2) a few times before w2 itself is taken.  Returns (w, MI).
+        """
+        w1 = self(w)
+        w2 = self(w1)
+        g2 = self.mi(w2)
+        r = w1 - w
+        v = (w2 - w1) - r
+        v_norm = float(np.linalg.norm(v))
+        if v_norm == 0.0:
+            return w2, g2
+        alpha = max(-float(np.linalg.norm(r)) / v_norm, -SQUAREM_MAX_STEP)
+        for _ in range(SQUAREM_BACKTRACKS):
+            if alpha >= -1.0:
+                break
+            w_ext = w - 2.0 * alpha * r + alpha ** 2 * v
+            norm2 = float(np.linalg.norm(w_ext) ** 2)
+            if norm2 > self.p0:
+                w_ext = w_ext * np.sqrt(self.p0 / norm2)
+            try:
+                cand = self(w_ext)
+                g_cand = self.mi(cand)
+            except NumericalError:
+                g_cand = -np.inf
+            if g_cand >= max(g_val, g2) and self.admissible(cand):
+                return cand, g_cand
+            alpha = 0.5 * (alpha - 1.0)
         return w2, g2
-    alpha = max(-float(np.linalg.norm(r)) / v_norm, -SQUAREM_MAX_STEP)
-    for _ in range(SQUAREM_BACKTRACKS):
-        if alpha >= -1.0:
-            break
-        w_ext = w - 2.0 * alpha * r + alpha ** 2 * v
-        norm2 = float(np.linalg.norm(w_ext) ** 2)
-        if norm2 > step.p0:
-            w_ext = w_ext * np.sqrt(step.p0 / norm2)
-        try:
-            cand = step(w_ext)
-            g_cand = step.mi(cand)
-        except NumericalError:
-            g_cand = -np.inf
-        if g_cand >= max(g_val, g2) and step.admissible(cand):
-            return cand, g_cand
-        alpha = 0.5 * (alpha - 1.0)
-    return w2, g2
 
 
 def _real(w: np.ndarray) -> np.ndarray:
     return np.concatenate([w.real, w.imag])
-
-
-def _complex(x: np.ndarray) -> np.ndarray:
-    half = x.size // 2
-    return x[:half] + 1j * x[half:]
-
-
-def _newton_candidate(step: _SingleUserMap, w: np.ndarray, w_next: np.ndarray) -> np.ndarray:
-    """Newton step on the fixed-point equation step(w) = w, mapped once.
-
-    The map is real-differentiable, not complex-differentiable, so it is
-    linearized in (Re w, Im w) by forward differences.  The common phase of
-    w is a direction of fixed points (the objective and both constraints
-    ignore it), so one extra row keeps the step orthogonal to i w.  Where
-    the active set is stable the map is smooth and the step converges
-    quadratically; where it is not, the caller's guard rejects the result.
-    """
-    x = _real(w)
-    fx = _real(w_next)
-    n = x.size
-    h = FD_RSTEP * float(np.linalg.norm(x))
-    jac = np.empty((n, n))
-    for j in range(n):
-        probe = x.copy()
-        probe[j] += h
-        jac[:, j] = (_real(step(_complex(probe))) - fx) / h
-    lhs = np.vstack([jac - np.eye(n), _real(1j * w)[None, :]])
-    rhs = np.concatenate([x - fx, [0.0]])
-    delta = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-    return step(_complex(x + delta))
-
-
-def _polished(step: _SingleUserMap, w: np.ndarray, w_plain: np.ndarray,
-              g_val: float, cert):
-    """The Newton candidate with its MI and certificate, or None unless it is
-    admissible, keeps the MI and lowers the stationarity residual."""
-    try:
-        cand = _newton_candidate(step, w, w_plain)
-        g_cand, cert_cand = step.mi(cand), step.certificate(cand)
-    except NumericalError:
-        return None
-    if g_cand >= g_val and cert_cand[0] < cert[0] and step.admissible(cand):
-        return cand, g_cand, cert_cand
-    return None
 
 
 def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
@@ -427,24 +387,16 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
     iterates touching-minorizer maximization with the Lagrangian-dual inner
     step (secular-equation Newton on the power multiplier), accelerated by
     SQUAREM extrapolation (one outer iteration is one guarded cycle, see
-    :func:`_extrapolated_step`).  It stops on relative objective change <=
-    eps1 or the iteration cap.
-
-    The relative-change rule bounds the MI gain, which near the optimum
-    scales with the square of the stationarity residual, so the point where
-    it fires can still be 1e-3 from stationary.  After a converged stop, up
-    to POLISH_STEPS further iterations (within the cap) take Newton steps on
-    the MM fixed-point equation until the KKT residual is at most
-    POLISH_RTOL.  A Newton candidate is kept only if it is admissible, does
-    not lower the MI and lowers the residual; otherwise the plain MM step is
-    taken (if it does not lower the MI) and the polish ends.  The objective
-    trace is non-decreasing.  A step that would lower the MI ends the
-    iteration as ``stalled``, unpolished.  The reported residuals are those
-    of :func:`kkt_certificate`.  A zero-strength target returns the MRT start,
-    converged with MI 0 and a zero certificate.
+    :meth:`_SingleUserMap.advance`).  It stops on relative objective change
+    <= eps1, on a step that would lower the MI (``stalled``) or at the cap.
+    The eps1 rule bounds the MI gain, which scales with the square of the
+    stationarity residual, so its point can still be 1e-3 from stationary;
+    after it :func:`_finish` (SQUAREM cycles as the fallback) runs within the
+    cap.  The objective trace is non-decreasing and the residuals are those
+    of :func:`kkt_certificate`.  A zero-strength target returns the MRT
+    start, converged with MI 0 and a zero certificate.
     """
-    cfg = inst.config
-    if cfg.n_users != 1:
+    if inst.config.n_users != 1:
         raise ValueError("solve_single_user requires exactly one user")
     started = time.perf_counter()
     step = _SingleUserMap(inst)
@@ -453,19 +405,26 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
         raise Infeasible("rate target is not strictly feasible under the power budget")
 
     w = np.sqrt(p0) * h / np.linalg.norm(h)
-    g_val = step.mi(w)
-    trace = [g_val]
     if not np.any(inst.target_factor):
         # A silent target makes the MI, and every surrogate, identically
         # zero: each feasible point is stationary, the MRT start among them.
-        return MmReport(w=w[:, None], mi_trace=trace, iterations=0, status="converged",
+        return MmReport(w=w[:, None], mi_trace=[step.mi(w)], iterations=0, status="converged",
                         kkt_residual=0.0, comp_power=0.0, comp_rate=0.0,
                         wall_time_s=time.perf_counter() - started)
-    status = "max_iterations"
-    iterations = 0
-    for _ in range(max_iters):
+    return _iterate(step, w, eps1, max_iters, started)
+
+
+def _iterate(step: _MmMap, w: np.ndarray, eps: float, max_iters: int,
+             started: float) -> MmReport:
+    """MM steps from w until the relative MI change is at most eps
+    (``converged``, then :func:`_finish`), a step lowers the MI by more than
+    1e-12 relative (``stalled``) or the cap is reached."""
+    g_val = step.mi(w)
+    trace = [g_val]
+    status, iterations = "max_iterations", 0
+    while iterations < max_iters:
         iterations += 1
-        w_next, g_next = _extrapolated_step(step, w, g_val)
+        w_next, g_next = step.advance(w, g_val)
         if g_next < g_val - 1e-12 * max(1.0, abs(g_val)):
             status = "stalled"
             break
@@ -473,38 +432,103 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
         trace.append(g_next)
         change = abs(g_next - g_val) / max(abs(g_val), 1e-300)
         g_val = g_next
-        if change <= eps1:
+        if change <= eps:
             status = "converged"
             break
 
+    budget = min(FINISH_STEPS, max_iters - iterations) if status == "converged" else 0
+    w, cert, used, finish_steps = _finish(step, w, g_val, trace, budget)
+    return MmReport(w=model.as_beam_matrix(w, step.inst.config), mi_trace=trace,
+                    iterations=iterations + used, status=status, kkt_residual=cert[0],
+                    comp_power=cert[1], comp_rate=cert[2], inner_steps=step.inner_steps,
+                    finish_steps=finish_steps, wall_time_s=time.perf_counter() - started)
+
+
+def _finish(step: _MmMap, w: np.ndarray, g_val: float, trace: list, budget: int):
+    """Work the certificate of an eps stop down to FINISH_RTOL in ``budget``
+    iterations; returns (w, certificate, iterations used, Newton steps kept).
+    MM limits are stationary only asymptotically, so :func:`_kkt_newton`
+    goes first.  Its end point is kept if admissible, with a lower
+    certificate and the MI within the stall tolerance; else the scheme's own
+    steps follow while they do not lower the MI, and Newton is retried once
+    the certificate has halved.  Each Newton or MM step is one iteration."""
     cert = step.certificate(w)
-    polish = POLISH_STEPS if status == "converged" else 0
-    while polish and iterations < max_iters and cert[0] > POLISH_RTOL:
-        polish -= 1
-        iterations += 1
+    used, kept, retry_below = 0, 0, np.inf
+    while used < budget and cert[0] > FINISH_RTOL:
+        if cert[0] <= retry_below:
+            try:
+                w_end, cert_end, taken = _kkt_newton(step, w, budget - used)
+                g_end = step.mi(w_end)
+            except NumericalError:
+                cert_end, taken = cert, 0
+            used += taken
+            if (cert_end[0] < cert[0] and g_end >= g_val - 1e-12 * max(1.0, abs(g_val))
+                    and step.admissible(w_end)):
+                w, g_val, cert, kept = w_end, g_end, cert_end, kept + taken
+                trace.append(g_val)
+            retry_below = cert[0] / 2.0
+            continue
+        used += 1
         try:
-            w_plain = step(w)
+            w_next, g_next = step.advance(w, g_val)
+            if g_next < g_val:
+                break
+            cert = step.certificate(w_next)
         except NumericalError:
             break
-        polished = _polished(step, w, w_plain, g_val, cert)
-        if polished is not None:
-            w, g_val, cert = polished
-            trace.append(g_val)
-            continue
-        g_plain = step.mi(w_plain)
-        if g_plain >= g_val:
-            try:
-                cert = step.certificate(w_plain)
-            except NumericalError:
-                break
-            w, g_val = w_plain, g_plain
-            trace.append(g_val)
-        break
+        w, g_val = w_next, g_next
+        trace.append(g_val)
+    return w, cert, used, kept
 
-    residual, comp_power, comp_rate = cert
-    return MmReport(w=w[:, None], mi_trace=trace, iterations=iterations, status=status,
-                    kkt_residual=residual, comp_power=comp_power, comp_rate=comp_rate,
-                    inner_steps=step.inner_steps, wall_time_s=time.perf_counter() - started)
+
+def _kkt_newton(step: _MmMap, w: np.ndarray, steps: int):
+    """At most ``steps`` Newton steps from w on the KKT system of the true
+    problem; returns the end point, its certificate and the steps taken.
+
+    Unknowns: W, tau and the mu_k above 1e-4 tau (a bare mu_k > 0 picks up
+    fitting noise on slack cuts), refitted by the certificate at every
+    iterate.  Equations: g - tau vec(W) + sum_k mu_k grad c_k = 0, ||W||^2 =
+    P0 and c_k = 0.  Jacobian: forward differences in (Re W, Im W), one
+    surrogate each, plus one row per column that keeps the step orthogonal
+    to its phase turn i w_k.  Each least-squares step is rescaled to P0.  A
+    full step from far out can raise the certificate before it falls, so the
+    run ends at FINISH_RTOL or after three steps without a new lowest one.
+    """
+    inst, cfg = step.inst, step.inst.config
+
+    def terms_at(x):
+        w_mat = unvec(x[:x.size // 2] + 1j * x[x.size // 2:], cfg.n_tx, cfg.n_users)
+        return w_mat, _kkt_terms(inst, build_surrogate(inst, w_mat), w_mat)
+
+    def system(x, cols, lam, terms):
+        grad, basis, cuts = terms
+        return np.concatenate([_real(grad - basis[:, cols] @ lam), [x @ x - step.p0],
+                               cuts[cols[1:] - 1]])
+
+    x = _real(vec(model.as_beam_matrix(w, cfg)))
+    n = x.size
+    w_mat, terms = terms_at(x)
+    cert, coef = _kkt_fit(inst, w_mat, *terms)
+    best, stale, taken = cert[0], 0, 0
+    while taken < steps and cert[0] > FINISH_RTOL and stale < 3:
+        taken += 1
+        cols = np.flatnonzero(np.concatenate([[True], coef[1:] > 1e-4 * coef[0]]))
+        f = system(x, cols, coef[cols], terms)
+        h = FD_RSTEP * float(np.linalg.norm(x))
+        jac = np.zeros((f.size + cfg.n_users, n + cols.size))
+        for j, e in enumerate(h * np.eye(n)):
+            jac[:f.size, j] = (system(x + e, cols, coef[cols], terms_at(x + e)[1]) - f) / h
+        jac[:n, n:] = -_real(terms[1][:, cols])
+        turns = [vec(1j * w_mat * (np.arange(cfg.n_users) == k)) for k in range(cfg.n_users)]
+        jac[f.size:, :n] = _real(np.column_stack(turns)).T
+        delta = np.linalg.lstsq(jac, np.concatenate([-f, np.zeros(cfg.n_users)]), rcond=None)[0]
+        x = x + delta[:n]
+        x *= np.sqrt(step.p0 / (x @ x))
+        w_mat, terms = terms_at(x)
+        cert, coef = _kkt_fit(inst, w_mat, *terms)
+        stale = 0 if cert[0] < best else stale + 1
+        best = min(best, cert[0])
+    return w_mat.reshape(np.shape(w)), cert, taken
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +536,14 @@ def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
 
 
 def zero_forcing_init(inst: model.Instance) -> np.ndarray:
-    """Zero-forcing start scaled to the full power budget.
+    """Feasible start at the full power budget.
 
-    Columns are pseudo-inverse directions so the effective channel is
-    diagonal; per-user amplitudes meet the rate targets exactly before the
-    common full-power scaling.  Raises when even the unscaled allocation
-    exceeds the budget.
+    Zero forcing when it fits: pseudo-inverse columns make the effective
+    channel diagonal, and per-user amplitudes meet the rate targets exactly
+    before the common full-power scaling.  Otherwise the design of
+    :func:`_minimum_power_design`, scaled to the budget, which keeps every
+    rate.  Raises :class:`Infeasible`, naming the least power that meets the
+    targets, when that exceeds the budget.
     """
     cfg = inst.config
     directions = pinv(inst.channel)  # (N_T, K), channel @ directions = I
@@ -526,13 +552,55 @@ def zero_forcing_init(inst: model.Instance) -> np.ndarray:
     base = directions * amps[None, :]
     needed = float(np.linalg.norm(base) ** 2)
     if needed > cfg.power_budget * (1.0 + 1e-12):
-        raise Infeasible(
-            f"zero-forcing start needs {needed:.6g} W for the rate targets, "
-            f"budget is {cfg.power_budget:.6g} W"
-        )
+        base = _minimum_power_design(inst)
+        needed = float(np.linalg.norm(base) ** 2)
+        if needed > cfg.power_budget * (1.0 + 1e-12):
+            raise Infeasible(f"the rate targets need at least {needed:.6g} W, "
+                             f"budget is {cfg.power_budget:.6g} W")
     if needed == 0.0:
         return base
     return base * np.sqrt(cfg.power_budget / needed)
+
+
+def _minimum_power_design(inst: model.Instance) -> np.ndarray:
+    """The beamformer that meets every rate target with equality at the least
+    total power, by uplink-downlink duality (Bengtsson & Ottersten 2001;
+    Wiesel, Eldar & Shamai, IEEE TSP 2006).
+
+    On the noise-normalized channels g_k = h_k / sigma the dual powers are
+    the least fixed point of lambda = f(lambda), f_k = nu_k / ((1 + nu_k)
+    g_k^H A^{-1} g_k) with A = I + sum_j lambda_j g_j g_j^H, and their sum is
+    the least power.  f is concave and increasing, so Newton on lambda -
+    f(lambda) falls monotonically to that point from any lambda >= f(lambda)
+    (Ortega & Rheinboldt 1970, ch. 13); t (1, ..., 1) is one once t is the
+    largest per-user zero-forcing power nu_k [(G^H G)^{-1}]_kk.  The beams
+    point along A^{-1} g_k, and the downlink powers solve the K x K linear
+    system that sets every SINR to nu_k.  Raises :class:`Infeasible` when
+    no finite power meets the targets.  Needs K <= N_T, which zero forcing
+    needs too.
+    """
+    cfg = inst.config
+    g = inst.channel.conj().T / np.sqrt(cfg.comm_noise)     # columns g_k
+    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
+    zero_forcing = nu * np.linalg.pinv(g.conj().T @ g).diagonal().real
+    lam = np.full(cfg.n_users, np.max(zero_forcing))
+    for _ in range(100):
+        a = np.eye(cfg.n_tx) + (g * lam) @ g.conj().T
+        q = g.conj().T @ np.linalg.solve(a, g)                 # g_k^H A^{-1} g_j
+        f = nu / ((1.0 + nu) * q.diagonal().real)
+        if np.max(np.abs(lam - f)) <= 1e-12 * np.max(lam):
+            break
+        jac = np.eye(cfg.n_users) - (f / q.diagonal().real)[:, None] * np.abs(q) ** 2
+        lam = lam - np.linalg.solve(jac, lam - f)
+    else:
+        raise Infeasible("no beamformer meets the rate targets at any power")
+    beams = np.linalg.solve(a, g)
+    beams /= np.linalg.norm(beams, axis=0)
+    gains = np.abs(g.conj().T @ beams) ** 2                    # |g_k^H u_j|^2 at (k, j)
+    powers = np.linalg.solve(np.diag(gains.diagonal() * (1.0 + nu)) - nu[:, None] * gains, nu)
+    if not np.all(powers >= 0.0):
+        raise Infeasible("no beamformer meets the rate targets at any power")
+    return beams * np.sqrt(powers)
 
 
 def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate) -> conic.QcqpProblem:
@@ -569,23 +637,6 @@ def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate) -> conic.
     return conic.QcqpProblem(dim=dim, objective=objective, constraints=tuple(constraints))
 
 
-def _subproblem_step(inst: model.Instance, w_mat: np.ndarray, sur: Surrogate,
-                     iteration: int, multipliers=None):
-    """The subproblem solution at w_mat, scaled to the full power budget, and
-    the solver's report; ``multipliers`` warm-start the dual solve."""
-    cfg = inst.config
-    report = conic.solve_qcqp(multiuser_subproblem(inst, w_mat, sur), SUBPROBLEM_GAP_TOL,
-                              multipliers)
-    if report.status == conic.INFEASIBLE:
-        raise Infeasible(f"subproblem infeasible at iteration {iteration}")
-    if report.status != conic.OPTIMAL or report.solution is None:
-        raise NumericalError(
-            f"subproblem ended with status {report.status} at iteration {iteration}"
-        )
-    w_next = unvec(report.solution, cfg.n_tx, cfg.n_users)
-    return w_next * np.sqrt(cfg.power_budget / float(np.linalg.norm(w_next) ** 2)), report
-
-
 def _nonnegative_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin ||a x - b|| over x >= 0 for a matrix with few columns, by the
     Lawson-Hanson active-set method.  A column enters the free set while its
@@ -615,6 +666,34 @@ def _nonnegative_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _kkt_terms(inst: model.Instance, sur: Surrogate, w_mat: np.ndarray):
+    """The terms of :func:`kkt_certificate`: g, the columns [vec W,
+    -grad c_1, ..., -grad c_K] fitted to it, and the cut values c_k."""
+    cfg = inst.config
+    amps = inst.channel @ w_mat                       # h_k^H w_j at (k, j)
+    power = np.abs(amps) ** 2
+    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
+    columns = [vec(w_mat)]
+    cuts = np.empty(cfg.n_users)
+    for k in range(cfg.n_users):
+        # d c_k / d conj(w_j) = h_k h_k^H w_j, times -nu_k for j != k
+        weights = -nu[k] * amps[k]
+        weights[k] = amps[k, k]
+        columns.append(-vec(np.outer(inst.channel[k].conj(), weights)))
+        cuts[k] = power[k, k] - nu[k] * (power[k].sum() - power[k, k] + cfg.comm_noise)
+    return sur.gradient(vec(w_mat)), np.column_stack(columns), cuts
+
+
+def _kkt_fit(inst: model.Instance, w_mat: np.ndarray, grad, basis, cuts):
+    """The certificate from its terms, and the fit (tau, mu_1, ..., mu_K)."""
+    coef = _nonnegative_fit(_real(basis), _real(grad))
+    grad_norm = float(np.linalg.norm(grad))
+    residual = float(np.linalg.norm(grad - basis @ coef)) / (1.0 + grad_norm)
+    comp_power = float(coef[0]) * abs(inst.config.power_budget - float(np.linalg.norm(w_mat) ** 2))
+    comp_rate = float(np.max(coef[1:] * np.abs(cuts)))
+    return (residual, comp_power, comp_rate), coef
+
+
 def kkt_certificate(inst: model.Instance, sur: Surrogate, w):
     """KKT residuals of a design with any number of users on the true problem.
 
@@ -628,35 +707,41 @@ def kkt_certificate(inst: model.Instance, sur: Surrogate, w):
     problem enters, not how a subproblem was solved.  A silent target has
     g = 0, so every multiplier and residual is zero.
     """
-    cfg = inst.config
-    w_mat = model.as_beam_matrix(w, cfg)
-    grad = sur.gradient(vec(w_mat))
-    amps = inst.channel @ w_mat                       # h_k^H w_j at (k, j)
-    power = np.abs(amps) ** 2
-    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
-    columns = [vec(w_mat)]
-    cuts = np.empty(cfg.n_users)
-    for k in range(cfg.n_users):
-        # d c_k / d conj(w_j) = h_k h_k^H w_j, times -nu_k for j != k
-        weights = -nu[k] * amps[k]
-        weights[k] = amps[k, k]
-        columns.append(-vec(np.outer(inst.channel[k].conj(), weights)))
-        cuts[k] = power[k, k] - nu[k] * (power[k].sum() - power[k, k] + cfg.comm_noise)
-    basis = np.column_stack(columns)
-    coef = _nonnegative_fit(np.vstack([basis.real, basis.imag]),
-                            np.concatenate([grad.real, grad.imag]))
-    grad_norm = float(np.linalg.norm(grad))
-    residual = float(np.linalg.norm(grad - basis @ coef)) / (1.0 + grad_norm)
-    comp_power = float(coef[0]) * abs(cfg.power_budget - float(np.linalg.norm(w_mat) ** 2))
-    comp_rate = float(np.max(coef[1:] * np.abs(cuts)))
-    return residual, comp_power, comp_rate
+    w_mat = model.as_beam_matrix(w, inst.config)
+    return _kkt_fit(inst, w_mat, *_kkt_terms(inst, sur, w_mat))[0]
+
+
+class _MultiUserMap(_MmMap):
+    """The K-user MM map: w -> the solution of :func:`multiuser_subproblem`
+    at w, scaled to the full power budget.  Each dual solve is warm-started
+    from the multipliers of the one before."""
+
+    maps = 0                # calls so far, set per instance by the first
+    multipliers = None
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        self.maps += 1
+        report = conic.solve_qcqp(multiuser_subproblem(self.inst, w, build_surrogate(self.inst, w)),
+                                  SUBPROBLEM_GAP_TOL, self.multipliers)
+        if report.status == conic.INFEASIBLE:
+            raise Infeasible(f"subproblem infeasible at map {self.maps}")
+        if report.status != conic.OPTIMAL or report.solution is None:
+            raise NumericalError(f"subproblem ended with status {report.status} at map {self.maps}")
+        self.multipliers = report.multipliers
+        self.inner_steps += report.iterations
+        w_next = unvec(report.solution, *w.shape)
+        return w_next * np.sqrt(self.p0 / float(np.linalg.norm(w_next) ** 2))
+
+    def advance(self, w: np.ndarray, g_val: float):
+        w_next = self(w)
+        return w_next, self.mi(w_next)
 
 
 def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
                      max_iters: int = DEFAULT_MAX_ITERS) -> MmReport:
     """MM + successive convex approximation for K users.
 
-    Starts from the zero-forcing beamformer and alternates surrogate
+    Starts from :func:`zero_forcing_init` and alternates surrogate
     construction with a dual Newton solve of the subproblem QCQP, started
     from the previous subproblem's multipliers.  Each subproblem solution is
     scaled to the full power budget before the MI test.  MI(cW) and every
@@ -664,51 +749,10 @@ def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
     ascent step that keeps feasibility and the stationary points.  Without
     echo interference the subproblem's optimal set is a face whose central
     point, which the solve returns, lies below full power; there the scaling
-    cuts hundreds of maps to tens.  The iteration stops on
-    relative objective change <= eps2 (``converged``) or the cap.  After an
-    eps2 stop, up to MULTI_POLISH_MAPS further maps (within the cap) run
-    while the KKT residual of :func:`kkt_certificate` is above
-    MULTI_POLISH_RTOL; a map that would lower the MI ends them.  The
-    returned design's certificate is reported; it is not a stop rule.
-    Every iterate meets all rate targets and the power budget, and the
-    objective trace is non-decreasing.  ``inner_steps`` totals the dual
-    Newton steps.
+    cuts hundreds of maps to tens.  The stops and the finish are those of
+    :func:`solve_single_user`, with eps2, and plain maps as the fallback.
+    Every iterate meets all rate targets and the power budget.
+    ``inner_steps`` totals the dual Newton steps.
     """
     started = time.perf_counter()
-    w_mat = zero_forcing_init(inst)
-    g_val = model.mutual_information(inst, w_mat)
-    trace = [g_val]
-    status = "max_iterations"
-    iterations = 0
-    polish = 0
-    cert = None                   # certificate of w_mat, once computed
-    multipliers = None            # of the last subproblem, to warm-start the next
-    inner_steps = 0
-    while iterations < max_iters:
-        sur = build_surrogate(inst, w_mat)
-        if status == "converged":
-            cert = kkt_certificate(inst, sur, w_mat)
-            if polish == 0 or cert[0] <= MULTI_POLISH_RTOL:
-                break
-            polish -= 1
-        iterations += 1
-        w_next, sub = _subproblem_step(inst, w_mat, sur, iterations, multipliers)
-        multipliers, inner_steps = sub.multipliers, inner_steps + sub.iterations
-        g_next = model.mutual_information(inst, w_next)
-        if g_next < g_val - 1e-12 * max(1.0, abs(g_val)):
-            if status != "converged":
-                status = "stalled"
-            break
-        w_mat, cert = w_next, None
-        trace.append(g_next)
-        change = abs(g_next - g_val) / max(abs(g_val), 1e-300)
-        g_val = g_next
-        if status != "converged" and change <= eps2:
-            status, polish = "converged", MULTI_POLISH_MAPS
-
-    if cert is None:
-        cert = kkt_certificate(inst, build_surrogate(inst, w_mat), w_mat)
-    residual, comp_power, comp_rate = cert
-    return MmReport(w=w_mat, mi_trace=trace, iterations=iterations, status=status,
-                    kkt_residual=residual, comp_power=comp_power, comp_rate=comp_rate,
-                    inner_steps=inner_steps, wall_time_s=time.perf_counter() - started)
+    return _iterate(_MultiUserMap(inst), zero_forcing_init(inst), eps2, max_iters, started)

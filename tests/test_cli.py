@@ -288,7 +288,7 @@ def test_solve_sdr_reports_reduced_dimension_and_reruns_identically(tmp_path):
     assert payload["reduced_dim"] == 3  # target, interferer and the channel outside them
     assert len(payload["w_re"]) == 6
     assert payload["kkt_residual"] is payload["comp_power"] is payload["comp_rate"] is None
-    assert payload["inner_steps"] is None
+    assert payload["inner_steps"] is payload["finish_steps"] is None
     assert (tmp_path / "a" / "solution.json").read_bytes() == \
         (tmp_path / "b" / "solution.json").read_bytes()
 
@@ -338,6 +338,18 @@ def test_solve_multi_user_config_reports_certificate_and_reruns_identically(tmp_
     assert np.isfinite(payload["kkt_residual"]) and payload["kkt_residual"] > 0.0
     assert payload["comp_power"] >= 0.0 and payload["comp_rate"] >= 0.0
     assert payload["inner_steps"] >= payload["iterations"]  # dual Newton steps
+    assert payload["finish_steps"] == 0  # the cap came before the eps2 stop
+    for name in ("solution.json", "trace.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_solve_mm_single_reports_finish_steps_and_reruns_identically(tmp_path):
+    cfg_path = CONFIGS / "single_user_extended.yaml"
+    for out in ("a", "b"):
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
+    payload = json.loads((tmp_path / "a" / "solution.json").read_text())
+    assert payload["status"] == "converged"
+    assert payload["finish_steps"] >= 1 and payload["kkt_residual"] <= 1e-9
     for name in ("solution.json", "trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

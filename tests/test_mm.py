@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mibeam import dispatch, linalg, mm, model
+from mibeam import dispatch, evaluation, linalg, mm, model
 from mibeam.closed_form import ClosedFormInputs, solve_closed_form
 from mibeam.errors import BracketFailure, DegenerateConstraint, Infeasible
 from mibeam.model import ScattererModel, Scenario, SystemConfig
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_complex(rng, *shape):
@@ -602,18 +604,78 @@ def test_single_user_dip_away_from_stationarity_is_stalled(monkeypatch):
     assert report.kkt_residual == 1.0
 
 
-def test_single_user_failed_polish_does_not_raise(monkeypatch):
+def test_single_user_failed_finish_does_not_raise(monkeypatch):
+    # a Newton finish that raises is a rejected one: SQUAREM cycles follow
     inst = single_user_instance(seed=111, gamma2=100.0, m_interf=12)
     reference = mm.solve_single_user(inst)
+    assert reference.finish_steps >= 1
 
     def broken(*args):
-        raise DegenerateConstraint("polish diverged")
+        raise DegenerateConstraint("finish diverged")
 
-    monkeypatch.setattr(mm, "_newton_candidate", broken)
+    monkeypatch.setattr(mm, "_kkt_newton", broken)
     report = mm.solve_single_user(inst)
-    assert report.status == "converged"
-    assert report.mi_trace[-1] <= reference.mi_trace[-1]
+    assert report.status == "converged" and report.finish_steps == 0
+    assert np.all(np.diff(report.mi_trace) >= -1e-9)
+    assert report.mi_trace[-1] <= reference.mi_trace[-1] + 1e-12
     assert report.kkt_residual is not None
+
+
+def criterion_5_instance(channel_seed):
+    return single_user_instance(n_tx=6, n_rx=6, seed=channel_seed, gamma2=100.0, m_interf=50,
+                                rate=6.0)
+
+
+def rmse_eval_design_scenario():
+    """The -10 dB design of the RMSE evaluation: three users at 4 bits/s/Hz,
+    no echo interference."""
+    cfg = SystemConfig(n_tx=6, n_rx=6, n_users=3, n_slots=30, power_budget=10.0,
+                       comm_noise=0.1, radar_noise=1.0, rate_targets=(4.0,) * 3)
+    return Scenario(cfg, ScattererModel.point(0.0, evaluation.strength_for_radar_snr(-10.0, cfg)),
+                    None, model.rayleigh_channel(3, 6, 1))
+
+
+def test_one_finish_serves_every_number_of_users(monkeypatch):
+    calls = []
+    finish = mm._finish
+
+    def recording(step, *args):
+        calls.append(type(step).__name__)
+        return finish(step, *args)
+
+    monkeypatch.setattr(mm, "_finish", recording)
+    single = mm.solve_single_user(criterion_5_instance(1))
+    multi = dispatch.solve_scenario(rmse_eval_design_scenario(), "mm-multi")
+    assert calls == ["_SingleUserMap", "_MultiUserMap"]
+    assert single.finish_steps >= 1 and multi.extras["finish_steps"] >= 1
+    assert single.kkt_residual <= 1e-9 and multi.kkt_residual <= 1e-9
+
+
+def test_each_newton_step_is_one_iteration(monkeypatch):
+    steps = []
+    newton = mm._kkt_newton
+
+    def counting(step, w, budget):
+        out = newton(step, w, budget)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(mm, "_kkt_newton", counting)
+    inst = criterion_5_instance(1)
+    full = mm.solve_single_user(inst)
+    # one accepted finish, no MM step after it: one trace entry for all
+    # its Newton steps, one iteration for each
+    assert steps == [full.finish_steps] and full.finish_steps >= 2
+    main = len(full.mi_trace) - 2
+    assert full.iterations == main + full.finish_steps
+    # a cap one past the eps1 stop leaves the finish a single step
+    steps.clear()
+    capped = mm.solve_single_user(inst, max_iters=main + 1)
+    assert capped.status == "converged" and steps == [1]
+    assert capped.iterations == main + 1
+    # and at the stop itself none
+    steps.clear()
+    assert mm.solve_single_user(inst, max_iters=main).iterations == main and steps == []
 
 
 def test_single_user_rejected_extrapolation_takes_plain_step(monkeypatch):
@@ -696,8 +758,46 @@ def test_zero_forcing_init_diagonalizes():
 
 def test_zero_forcing_init_infeasible_targets():
     inst = multi_user_instance(seed=121, rate=20.0)
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match="need at least"):
         mm.zero_forcing_init(inst)
+
+
+def shipped_geometry_instance(n_users, rate, channel_seed):
+    """configs/multi_user.yaml with n_users users at ``rate`` bits/s/Hz."""
+    return multi_user_instance(n_tx=6, n_rx=6, n_users=n_users, seed=channel_seed, gamma2=100.0,
+                               m_interf=50, rate=rate)
+
+
+def test_zero_forcing_init_falls_back_to_minimum_power():
+    # zero forcing needs 18.43 W here; the least power that meets every
+    # target is 2.0607 W, so the start is that design scaled to the budget
+    inst = shipped_geometry_instance(6, 2.0, 5)
+    cfg = inst.config
+    zf = np.linalg.pinv(inst.channel) * np.sqrt(model.rate_power_threshold(2.0, cfg.comm_noise))
+    assert np.linalg.norm(zf) ** 2 == pytest.approx(18.4296, rel=1e-5)
+    least = mm._minimum_power_design(inst)
+    assert np.linalg.norm(least) ** 2 == pytest.approx(2.0607, rel=1e-4)
+    assert np.allclose(model.achieved_rates(inst, least), 2.0, rtol=0.0, atol=1e-9)
+    w = mm.zero_forcing_init(inst)
+    assert np.linalg.norm(w) ** 2 == pytest.approx(cfg.power_budget, rel=1e-12)
+    assert np.all(model.achieved_rates(inst, w) >= 2.0)
+    report = mm.solve_multi_user(inst, max_iters=3)
+    assert np.all(np.diff(report.mi_trace) >= 0.0)
+    assert np.all(model.achieved_rates(inst, report.w) >= 2.0 - 1e-6)
+
+
+@pytest.mark.parametrize("channel_seed, least_w", [(9, "10.323"), (11, "12.2295")])
+def test_zero_forcing_init_names_the_least_power_when_infeasible(channel_seed, least_w):
+    with pytest.raises(Infeasible, match=f"need at least {least_w} W"):
+        mm.zero_forcing_init(shipped_geometry_instance(3, 6.0, channel_seed))
+
+
+def test_zero_forcing_init_keeps_zero_forcing_when_it_fits():
+    inst = shipped_geometry_instance(3, 6.0, 1)
+    cfg = inst.config
+    zf = np.linalg.pinv(inst.channel) * np.sqrt(model.rate_power_threshold(6.0, cfg.comm_noise))
+    expected = zf * np.sqrt(cfg.power_budget / float(np.linalg.norm(zf) ** 2))
+    assert np.array_equal(mm.zero_forcing_init(inst), expected)
 
 
 def test_multiuser_subproblem_reduces_to_single_user():

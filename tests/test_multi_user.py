@@ -3,6 +3,7 @@ exact SDR optimum for designs without echo interference."""
 
 import functools
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from mibeam.model import ScattererModel, Scenario, SystemConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 POWER_W = 10.0
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def reference_config(rate):
@@ -30,8 +33,11 @@ def interference_free(channel_seed, strength, rate):
         Scenario(cfg, ScattererModel.point(0.0, strength), None, channel))
 
 
-def multi_user_config_instance():
-    return model.build_instance(parse_config(CONFIGS / "multi_user.yaml").scenario)
+def multi_user_config_instance(channel_seed=1):
+    """configs/multi_user.yaml, whose own channel is seed 1, on any channel."""
+    scenario = parse_config(CONFIGS / "multi_user.yaml").scenario
+    channel = model.rayleigh_channel(3, 6, channel_seed)
+    return model.build_instance(replace(scenario, channel=channel))
 
 
 def _blockdiag(blocks):
@@ -120,8 +126,8 @@ def test_multi_user_reaches_sdr_optimum(case):
 def test_criterion_14_designs_take_few_maps(monkeypatch):
     # a deterministic work count in place of wall time: the two designs of
     # the criterion-14 sweep took 955 maps in all while each subproblem
-    # solution was kept below full power, and take 93 with the full-power
-    # step and the certificate polish
+    # solution was kept below full power, took 93 with the full-power step
+    # and a polish of plain maps, and take 50 with the Newton finish
     reports = []
     solve = mm.solve_multi_user
 
@@ -140,6 +146,43 @@ def test_criterion_14_designs_take_few_maps(monkeypatch):
     assert sum(r.iterations for r in reports) <= 150
     for report in reports:
         assert np.linalg.norm(report.w) ** 2 == pytest.approx(POWER_W, rel=1e-12)
+
+
+# MI (nats) at the eps2 stop plus 50 plain maps, the bounded polish this
+# finish replaced
+POLISHED_MI = {5: 8.611831665892998, 6: 8.918773463653793}
+
+
+@pytest.mark.parametrize("channel_seed", sorted(POLISHED_MI))
+def test_finish_keeps_the_mi_of_the_maps_it_replaced(monkeypatch, channel_seed):
+    # channel 5 is certified by the finish; on channel 6 Newton ends above
+    # its start, so the finish is rejected and the rest of the post-stop
+    # budget goes to plain maps, which still gain on the old polish
+    maps, newton, stops = [], [], []
+    advance, kkt_newton, finish = mm._MultiUserMap.advance, mm._kkt_newton, mm._finish
+
+    def counted_newton(*args):
+        out = kkt_newton(*args)
+        newton.append(out[2])
+        return out
+
+    monkeypatch.setattr(mm._MultiUserMap, "advance",
+                        lambda self, w, g: maps.append(g) or advance(self, w, g))
+    monkeypatch.setattr(mm, "_kkt_newton", counted_newton)
+    monkeypatch.setattr(mm, "_finish", lambda *args: stops.append(len(maps)) or finish(*args))
+    inst = multi_user_config_instance(channel_seed)
+    report = mm.solve_multi_user(inst)
+    assert report.status == "converged"
+    assert report.mi_trace[-1] >= POLISHED_MI[channel_seed] * (1.0 - 1e-12)
+    assert np.all(np.diff(report.mi_trace) >= -1e-9)
+    assert np.all(model.achieved_rates(inst, report.w) >= 6.0 - 1e-6)
+    assert report.iterations == len(maps) + sum(newton)  # one iteration per Newton step
+    if channel_seed == 5:
+        assert report.kkt_residual <= 1e-9 and report.finish_steps == sum(newton) >= 1
+    else:
+        assert report.finish_steps == 0 and len(newton) == 1
+        assert report.iterations == stops[0] + mm.FINISH_STEPS
+        assert len(maps) - stops[0] == mm.FINISH_STEPS - newton[0]
 
 
 def test_multi_user_bounded_run_ends_at_full_power():

@@ -79,9 +79,10 @@ def test_dispatch_reports_the_reduced_dimension():
     assert result.extras["reduced_dim"] == 3 and result.w.shape == (16, 1)
     closed = replace(scenario, interference=None)
     assert dispatch.solve_scenario(closed, "closed").extras["reduced_dim"] == 16
-    # neither scheme has an MM inner solve
-    assert result.extras["inner_steps"] is None
-    assert dispatch.solve_scenario(closed, "closed").extras["inner_steps"] is None
+    # neither scheme has an MM inner solve or finish
+    assert result.extras["inner_steps"] is result.extras["finish_steps"] is None
+    closed_extras = dispatch.solve_scenario(closed, "closed").extras
+    assert closed_extras["inner_steps"] is closed_extras["finish_steps"] is None
 
 
 @pytest.mark.parametrize("scheme, n_users", [("mm-single", 1), ("mm-multi", 3)])
@@ -98,8 +99,8 @@ def test_silent_target_reduced_solve_reports_zero_certificate(scheme, n_users):
 
 def test_multi_user_reduced_solve_matches_full_space_solve():
     """Three users without echo interference (rmse-eval at -10 dB) reduce
-    to dim 4: the same maps as the full-space solve, the same MI, and a
-    full-space certificate at the multi-user polish level."""
+    to dim 4: the same iterations as the full-space solve, the same MI, and
+    a full-space certificate at the level where the finish stops."""
     cfg = SystemConfig(n_tx=6, n_rx=6, n_users=3, n_slots=30, power_budget=10.0,
                        comm_noise=0.1, radar_noise=1.0, rate_targets=(4.0,) * 3)
     strength = evaluation.strength_for_radar_snr(-10.0, cfg)
@@ -111,7 +112,7 @@ def test_multi_user_reduced_solve_matches_full_space_solve():
     assert (result.status, result.iterations) == (full.status, full.iterations)
     assert result.mi_nats == pytest.approx(model.mutual_information(
         model.build_instance(scenario), full.w), rel=1e-9)
-    assert result.kkt_residual <= mm.MULTI_POLISH_RTOL
+    assert result.kkt_residual <= mm.FINISH_RTOL
 
 
 # Design MI (nats) of the full-space SDR on the channels whose SDP never
