@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dispatch, evaluation, model
-from .config import ExperimentConfig, check_grid, check_seed, parse_config
+from .config import ExperimentConfig, check_seed, parse_config
 from .errors import ConfigError, Infeasible, MibeamError, NumericalError
 
 CSV_FORMAT = "%.12g"
@@ -174,7 +174,7 @@ def _parse_grid(text: str) -> list:
             raise ConfigError("--grid: range form is start:stop:step with step > 0")
         start, stop, step = grid
         grid = list(np.arange(start, stop + 0.5 * step, step))
-    check_grid(grid, "--grid")
+    evaluation.check_grid(grid, "--grid")
     return grid
 
 

@@ -16,10 +16,8 @@ import numpy as np
 import yaml
 
 from . import evaluation, model
-from .dispatch import SCHEMES, SolverOptions
+from .dispatch import SolverOptions, validate_scheme
 from .errors import ConfigError
-
-SWEEP_VARIABLES = ("power_dbm", "rate_target", "radar_snr_db")
 
 
 def check_seed(seed: int, source: str) -> int:
@@ -27,14 +25,6 @@ def check_seed(seed: int, source: str) -> int:
     if seed < 0:
         raise ConfigError(f"{source}: must be >= 0, got {seed}")
     return seed
-
-
-def check_grid(grid, source: str) -> None:
-    """A sweep grid: non-empty and strictly increasing."""
-    if len(grid) == 0:
-        raise ConfigError(f"{source}: must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"{source}: must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -55,7 +45,7 @@ class EvalOptions:
         if not self.diagonal_load >= 0.0:
             raise ConfigError("eval.diagonal_load: must be >= 0")
         check_seed(self.echo_seed, "eval.echo_seed")
-        check_grid(self.snr_grid_db, "eval.snr_grid_db")
+        evaluation.check_grid(self.snr_grid_db, "eval.snr_grid_db")
 
 
 @dataclass(frozen=True)
@@ -172,8 +162,7 @@ def parse_config(path) -> ExperimentConfig:
 
     solver_node = _require(raw, "solver", "config")
     scheme = str(_require(solver_node, "name", "solver"))
-    if scheme not in SCHEMES:
-        raise ConfigError(f"solver.name: unknown scheme {scheme!r} (choose from {SCHEMES})")
+    validate_scheme(scenario, scheme)
     solver_default = SolverOptions()
     solver = SolverOptions(
         eps1=float(solver_node.get("eps1", solver_default.eps1)),
@@ -205,10 +194,10 @@ def parse_config(path) -> ExperimentConfig:
             variable=str(_require(sweep_node, "variable", "sweep")),
             grid=tuple(float(v) for v in _require(sweep_node, "grid", "sweep")),
         )
-        if sweep.variable not in SWEEP_VARIABLES:
+        if sweep.variable not in evaluation.SWEEP_VARIABLES:
             raise ConfigError(f"sweep.variable: unknown variable {sweep.variable!r} "
-                              f"(choose from {SWEEP_VARIABLES})")
-        check_grid(sweep.grid, "sweep.grid")
+                              f"(choose from {evaluation.SWEEP_VARIABLES})")
+        evaluation.check_grid(sweep.grid, "sweep.grid")
 
     return ExperimentConfig(
         scenario=scenario, scheme=scheme, solver=solver, evaluation=eval_opts,

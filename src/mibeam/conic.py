@@ -16,11 +16,11 @@ line search evaluates the merit change exactly from coefficients computed
 once per step.  Problems here have at most a few dozen real parameters, so
 no sparsity or scaling tricks are attempted.
 
-``solve_qcqp`` solves a convex complex QCQP by Newton steps on its
-log-barrier Lagrangian dual in the m constraint multipliers, one Cholesky
-solve per evaluation; it returns the interior point's central point, and a
-warm start from the multipliers of a nearby problem gets there in a few
-steps.
+``solve_qcqp`` solves a convex complex QCQP, its m constraints stacked in a
+:class:`QcqpProblem`, by Newton steps on its log-barrier Lagrangian dual in
+the multipliers, one Cholesky solve per evaluation; it returns the interior
+point's central point, and a warm start from the multipliers of a nearby
+problem gets there in a few steps.
 """
 
 from __future__ import annotations
@@ -114,19 +114,38 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class QcqpProblem:
-    """minimize x^H A0 x + 2 Re(b0^H x) + c0 over complex x, each constraint
-    triple (A, b, c) meaning x^H A x + 2 Re(b^H x) + c <= 0; all A PSD."""
+    """minimize x^H A0 x + 2 Re(b0^H x) + c0 over complex x subject to
+    x^H A_i x + 2 Re(b_i^H x) + c_i <= 0 for the m >= 0 stacked constraints
+    (A (m, n, n), b (m, n), c (m,)); all A PSD, each checked Hermitian."""
 
-    dim: int
     objective: tuple
     constraints: tuple
 
     def __post_init__(self):
-        for a, b, _ in (self.objective, *self.constraints):
-            if a.shape != (self.dim, self.dim) or b.shape != (self.dim,):
-                raise ValueError("QCQP term has wrong shape")
-            if not is_hermitian(a):
-                raise ValueError("QCQP quadratic matrices must be Hermitian")
+        a0, b0, _ = self.objective
+        a, b, c = self.constraints
+        n, m = a0.shape[0], c.shape[0]
+        shapes = (a0.shape, b0.shape, a.shape, b.shape, c.shape)
+        if shapes != ((n, n), (n,), (m, n, n), (m, n), (m,)):
+            raise ValueError("QCQP term has wrong shape")
+        if not (is_hermitian(a0) and is_hermitian(a)):
+            raise ValueError("QCQP quadratic matrices must be Hermitian")
+
+    def combined(self, lam: np.ndarray) -> np.ndarray:
+        """sum lam_i A_i."""
+        a0, a = self.objective[0], self.constraints[0]
+        return (lam @ a.reshape(lam.size, a0.size)).reshape(a0.shape)
+
+    def farkas(self, lam: np.ndarray) -> bool:
+        """Whether lam certifies infeasibility: min_x sum lam_i f_i(x) > 0,
+        which no feasible x allows."""
+        _, b, c = self.constraints
+        try:
+            chol = np.linalg.cholesky(self.combined(lam))
+        except np.linalg.LinAlgError:
+            return False
+        y = np.linalg.solve(chol, lam @ b)
+        return float(lam @ c) - float(np.vdot(y, y).real) > 0.0
 
 
 @dataclass
@@ -509,54 +528,29 @@ def _final_weight(m: int, bound: float) -> float:
     return t_bar
 
 
-class _Stacked:
-    """A QCQP with its m constraints stacked: A (m, n, n), b (m, n), c (m,)."""
-
-    def __init__(self, prob: QcqpProblem):
-        n, m = prob.dim, len(prob.constraints)
-        a0, b0, c0 = prob.objective
-        self.a0, self.b0, self.c0 = np.asarray(a0, complex), np.asarray(b0, complex), float(c0)
-        self.a = np.array([a for a, _, _ in prob.constraints], dtype=complex).reshape(m, n, n)
-        self.b = np.array([b for _, b, _ in prob.constraints], dtype=complex).reshape(m, n)
-        self.c = np.array([float(c) for _, _, c in prob.constraints])
-
-    def combined(self, lam: np.ndarray) -> np.ndarray:
-        """sum lam_i A_i."""
-        return (lam @ self.a.reshape(lam.size, self.a0.size)).reshape(self.a0.shape)
-
-    def farkas(self, lam: np.ndarray) -> bool:
-        """Whether lam certifies infeasibility: min_x sum lam_i f_i(x) > 0,
-        which no feasible x allows."""
-        try:
-            chol = np.linalg.cholesky(self.combined(lam))
-        except np.linalg.LinAlgError:
-            return False
-        y = np.linalg.solve(chol, lam @ self.b)
-        return float(lam @ self.c) - float(np.vdot(y, y).real) > 0.0
-
-
 class _DualPoint:
     """The dual at multipliers lam > 0: M(lam), the Lagrangian minimizer x,
     the objective and constraint values there, and the Hessian
     2 Re(g_i^H M^-1 g_j) of the negated dual.  Raises LinAlgError when
     M(lam) is not positive definite."""
 
-    def __init__(self, qp: _Stacked, lam: np.ndarray):
+    def __init__(self, qp: QcqpProblem, lam: np.ndarray):
+        (a0, b0, _), (a, b, c) = qp.objective, qp.constraints
         self.qp = qp
         self.lam = lam
-        self.mat = qp.a0 + qp.combined(lam)
+        self.mat = a0 + qp.combined(lam)
         l_inv = np.linalg.inv(np.linalg.cholesky(self.mat))
-        self.x = -(l_inv.conj().T @ (l_inv @ (qp.b0 + lam @ qp.b)))
-        ax = qp.a @ self.x                                   # A_i x, (m, n)
+        self.x = -(l_inv.conj().T @ (l_inv @ (b0 + lam @ b)))
+        ax = a @ self.x                                      # A_i x, (m, n)
         x_conj = self.x.conj()
-        self.f = np.real(ax @ x_conj + 2.0 * (qp.b @ x_conj)) + qp.c
-        white = l_inv @ (ax + qp.b).T                        # L^-1 g_i, (n, m)
+        self.f = np.real(ax @ x_conj + 2.0 * (b @ x_conj)) + c
+        white = l_inv @ (ax + b).T                           # L^-1 g_i, (n, m)
         self.curv = 2.0 * np.real(white.conj().T @ white)
 
     @property
     def objective(self) -> float:
-        qp, x = self.qp, self.x
-        return float(np.real(np.vdot(x, qp.a0 @ x) + 2.0 * np.vdot(qp.b0, x))) + qp.c0
+        a0, b0, c0 = self.qp.objective
+        return float(np.real(np.vdot(self.x, a0 @ self.x) + 2.0 * np.vdot(b0, self.x))) + float(c0)
 
 
 def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
@@ -583,19 +577,18 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
     centred when half the squared Newton decrement is at most CENTER_TOL, or
     at most LOOSE_CENTER_TOL and it fell by less than half in the last step
     (the roundoff floor).  ``infeasible`` is reported only with a Farkas
-    certificate (:meth:`_Stacked.farkas`), tested when a step would more
+    certificate (:meth:`QcqpProblem.farkas`), tested when a step would more
     than double a multiplier and when the solve ends uncertified; the
     report's multipliers are then that certificate, normalized to sum 1.
     M(lam) must be positive definite for lam > 0 (a power ball gives this);
     otherwise, or when DUAL_NEWTON_STEPS run out, the status is ``max_iter``.
     """
-    qp = _Stacked(prob)
-    m = qp.c.size
+    m = prob.constraints[2].size
     lam = np.ones(m) if multipliers is None else np.array(multipliers, dtype=float)
     if lam.shape != (m,) or not np.all(lam > 0.0):
         raise ValueError("QCQP multipliers must be m positive numbers")
     try:
-        point = _DualPoint(qp, lam)
+        point = _DualPoint(prob, lam)
     except np.linalg.LinAlgError:
         return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
                            iterations=0, status=MAXITER)
@@ -633,7 +626,7 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
             continue
         # an unbounded dual shows as multipliers that more than double per step
         if steps >= DUAL_NEWTON_STEPS or not np.isfinite(decrement) or (
-                np.max(step, initial=0.0) > 1.0 and qp.farkas(lam)):
+                np.max(step, initial=0.0) > 1.0 and prob.farkas(lam)):
             break
         # fraction-to-boundary cap, then backtrack on the exact merit change
         alpha = min(1.0, 0.95 / max(float(-step.min()), 1e-300))
@@ -641,7 +634,7 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
         slope = float(direction @ f)
         while alpha > 1e-14:
             try:
-                trial = _DualPoint(qp, lam + alpha * direction)
+                trial = _DualPoint(prob, lam + alpha * direction)
             except np.linalg.LinAlgError:
                 alpha *= 0.5
                 continue
@@ -655,7 +648,7 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
             break
         point, previous = trial, decrement
         steps += 1
-    if qp.farkas(lam):
+    if prob.farkas(lam):
         return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
                            iterations=steps, status=INFEASIBLE, multipliers=lam / lam.sum())
     return ConicReport(solution=point.x, aux=None, objective=point.objective, gap=np.nan,

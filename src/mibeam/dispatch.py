@@ -58,6 +58,10 @@ def validate_scheme(scenario: model.Scenario, scheme: str) -> None:
         raise ConfigError(f"solver.name: unknown scheme {scheme!r} (choose from {SCHEMES})")
     if scheme in ("closed", "sdr", "mm-single") and cfg.n_users != 1:
         raise ConfigError(f"solver.name: {scheme!r} requires n_users == 1, got {cfg.n_users}")
+    if scheme == "mm-multi" and cfg.n_users > cfg.n_tx:
+        # both starts, zero forcing and the minimum-power design, need K <= N_T
+        raise ConfigError(f"system.n_users: 'mm-multi' requires n_users <= system.n_tx, "
+                          f"got {cfg.n_users} > {cfg.n_tx}")
     if scenario.target.kind != "point":
         raise ConfigError("target: all solvers assume a point sensing target")
     if scheme == "closed" and not _is_silent(scenario.interference):
@@ -109,7 +113,7 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
         w = z if reduced is inst else basis @ z
         if scheme != "sdr":
             if reduced is not inst:
-                cert = mm.kkt_certificate(inst, mm.build_surrogate(inst, w), w)
+                cert = mm.kkt_certificate(inst, w)
             kkt, extras = cert[0], {"comp_power": cert[1], "comp_rate": cert[2],
                                     "inner_steps": report.inner_steps,
                                     "finish_steps": report.finish_steps}

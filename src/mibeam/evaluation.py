@@ -26,6 +26,15 @@ from .errors import ConfigError, NumericalError
 DEFAULT_DIAGONAL_LOAD = 1e-3
 DEFAULT_ANGLE_STEP = 0.05
 DEFAULT_PATTERN_STEP = 0.1
+SWEEP_VARIABLES = ("power_dbm", "rate_target", "radar_snr_db")
+
+
+def check_grid(grid, source: str) -> None:
+    """A sweep grid: non-empty and strictly increasing."""
+    if len(grid) == 0:
+        raise ConfigError(f"{source}: must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{source}: must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -45,14 +54,10 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variable not in ("power_dbm", "rate_target", "radar_snr_db"):
+        if self.variable not in SWEEP_VARIABLES:
             raise ConfigError(f"sweep.variable: unknown variable {self.variable!r}")
-        grid = tuple(float(v) for v in self.grid)
-        object.__setattr__(self, "grid", grid)
-        if not grid:
-            raise ConfigError("sweep.grid: must be non-empty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("sweep.grid: must be strictly increasing")
+        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+        check_grid(self.grid, "sweep.grid")
         if self.trials < 1:
             raise ConfigError("sweep.trials: must be >= 1")
 

@@ -31,13 +31,17 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^H) / 2; removes roundoff asymmetry."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A^H) / 2 of a matrix or of each matrix of a
+    stack; removes roundoff asymmetry."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(a: np.ndarray, rtol: float = 1e-10) -> bool:
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    return float(np.max(np.abs(a - a.conj().T))) <= rtol * scale
+    """Whether a matrix, or every matrix of a stack, is Hermitian to rtol
+    of its own largest entry."""
+    scale = np.abs(a).max(axis=(-2, -1))
+    skew = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return bool((skew <= rtol * np.maximum(scale, 1e-300)).all())
 
 
 def logdet_hermitian(a: np.ndarray) -> float:

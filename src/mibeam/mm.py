@@ -6,10 +6,11 @@ solved in closed form through its Lagrangian dual, with a secular-equation
 Newton solve for the power multiplier in the eigenbasis of the surrogate
 curvature, and the iteration is accelerated by SQUAREM extrapolation.  For
 multiple users the subproblem keeps the linearized per-user rate
-constraints, a convex QCQP solved through its Lagrangian dual by Newton
-steps in the K + 1 multipliers (:func:`conic.solve_qcqp`), each solve
-warm-started from the multipliers of the one before; its solution is scaled
-to the full power budget, which raises the MI and every rate.
+constraints, a convex QCQP built as one stack (:func:`multiuser_subproblem`)
+and solved through its Lagrangian dual by Newton steps in the K + 1
+multipliers (:func:`conic.solve_qcqp`), each warm-started from the
+multipliers of the one before; its solution is scaled to the full power
+budget, which raises the MI and every rate.
 
 One outer loop, one KKT certificate and one finish serve both regimes.  The
 certificate (:func:`kkt_certificate`) fits the power and rate multipliers to
@@ -308,9 +309,6 @@ class _MmMap:
         return (float(np.linalg.norm(w) ** 2) <= self.p0 * (1.0 + ACCEPT_POWER_RTOL)
                 and bool(np.all(model.achieved_rates(self.inst, w) >= floor)))
 
-    def certificate(self, w: np.ndarray):
-        return kkt_certificate(self.inst, build_surrogate(self.inst, w), w)
-
 
 class _SingleUserMap(_MmMap):
     """The single-user MM map: w -> maximizer of the surrogate built at w,
@@ -452,7 +450,7 @@ def _finish(step: _MmMap, w: np.ndarray, g_val: float, trace: list, budget: int)
     certificate and the MI within the stall tolerance; else the scheme's own
     steps follow while they do not lower the MI, and Newton is retried once
     the certificate has halved.  Each Newton or MM step is one iteration."""
-    cert = step.certificate(w)
+    cert = kkt_certificate(step.inst, w)
     used, kept, retry_below = 0, 0, np.inf
     while used < budget and cert[0] > FINISH_RTOL:
         if cert[0] <= retry_below:
@@ -473,7 +471,7 @@ def _finish(step: _MmMap, w: np.ndarray, g_val: float, trace: list, budget: int)
             w_next, g_next = step.advance(w, g_val)
             if g_next < g_val:
                 break
-            cert = step.certificate(w_next)
+            cert = kkt_certificate(step.inst, w_next)
         except NumericalError:
             break
         w, g_val = w_next, g_next
@@ -605,36 +603,32 @@ def _minimum_power_design(inst: model.Instance) -> np.ndarray:
 
 def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate) -> conic.QcqpProblem:
     """Convex QCQP in vec(W): surrogate objective, power ball, and the
-    linearized per-user rate constraints."""
+    linearized per-user rate constraints.  User k's cut acts through h_k h_k^H
+    on column k (its own signal, linearized at w_prev) and, times nu_k, on
+    every other column (the interference it receives); the signal term is
+    multiplied over all of vec(W), as the Kronecker-product construction is."""
     cfg = inst.config
-    w_mat = model.as_beam_matrix(w_prev, cfg)
-    w_vec = vec(w_mat)
-    dim = cfg.n_tx * cfg.n_users
+    n_tx, n_users = cfg.n_tx, cfg.n_users
+    dim = n_tx * n_users
+    w_vec = vec(model.as_beam_matrix(w_prev, cfg))
+    h = inst.channel.conj()                                  # row k is h_k
+    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
+    gram = h[:, :, None] * h.conj()[:, None, :]              # h_k h_k^H, (K, N_T, N_T)
+    users = np.arange(n_users)
+    victim, column = np.nonzero(users[:, None] != users[None, :])
 
-    objective = (sur.delta * sur.quad, -sur.lin, 0.0)
-    constraints = [(np.eye(dim, dtype=complex), np.zeros(dim, dtype=complex),
-                    -cfg.power_budget)]
-
-    # user k's cut acts on vec(W) through h_k h_k^H on column k (its own
-    # signal) and on every other column (the interference it receives), one
-    # diagonal block each; the signal term is multiplied over all of vec(W)
-    # so that its roundoff is that of the Kronecker-product construction
-    blocks = [slice(j * cfg.n_tx, (j + 1) * cfg.n_tx) for j in range(cfg.n_users)]
-    for k, own_block in enumerate(blocks):
-        h_k = inst.channel[k].conj()
-        nu_k = 2.0 ** cfg.rate_targets[k] - 1.0
-        gram_k = np.outer(h_k, h_k.conj())
-        own = np.zeros((dim, dim), dtype=complex)
-        own[own_block, own_block] = gram_k
-        interference = hermitianize(nu_k * gram_k)
-        a_k = np.zeros((dim, dim), dtype=complex)
-        for j, block in enumerate(blocks):
-            if j != k:
-                a_k[block, block] = interference
-        signal = own @ w_vec
-        c_k = float(np.real(np.vdot(w_vec, signal))) + nu_k * cfg.comm_noise
-        constraints.append((a_k, -signal, c_k))
-    return conic.QcqpProblem(dim=dim, objective=objective, constraints=tuple(constraints))
+    a = np.zeros((n_users + 1, dim, dim), dtype=complex)
+    np.fill_diagonal(a[0], 1.0)                              # the power ball
+    # the cuts and the own-signal terms indexed (user, block row, :, block column, :)
+    cuts = a[1:].reshape(n_users, n_users, n_tx, n_users, n_tx)
+    cuts[victim, column, :, column, :] = hermitianize(nu[:, None, None] * gram)[victim]
+    own = np.zeros_like(cuts)
+    own[users, users, :, users, :] = gram
+    signal = own.reshape(n_users, dim, dim) @ w_vec
+    b = np.concatenate([np.zeros((1, dim), dtype=complex), -signal])
+    c = np.array([-cfg.power_budget, *(float(np.real(np.vdot(w_vec, s))) for s in signal)])
+    c[1:] += nu * cfg.comm_noise
+    return conic.QcqpProblem(objective=(sur.delta * sur.quad, -sur.lin, 0.0), constraints=(a, b, c))
 
 
 def _nonnegative_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -694,11 +688,11 @@ def _kkt_fit(inst: model.Instance, w_mat: np.ndarray, grad, basis, cuts):
     return (residual, comp_power, comp_rate), coef
 
 
-def kkt_certificate(inst: model.Instance, sur: Surrogate, w):
+def kkt_certificate(inst: model.Instance, w):
     """KKT residuals of a design with any number of users on the true problem.
 
-    ``sur`` must be built at w, where its gradient g is the MI gradient
-    (w.r.t. conj(vec W)).  With the rate constraints written c_k(W) =
+    g is the MI gradient (w.r.t. conj(vec W)), read from the surrogate built
+    at w, where the two agree.  With the rate constraints written c_k(W) =
     |h_k^H w_k|^2 - nu_k (sum_{j != k} |h_k^H w_j|^2 + sigma^2) >= 0, the
     multipliers tau (power) and mu_k (user k) are the nonnegative
     least-squares fit of g = tau vec(W) - sum_k mu_k grad c_k.  Returns the
@@ -708,7 +702,7 @@ def kkt_certificate(inst: model.Instance, sur: Surrogate, w):
     g = 0, so every multiplier and residual is zero.
     """
     w_mat = model.as_beam_matrix(w, inst.config)
-    return _kkt_fit(inst, w_mat, *_kkt_terms(inst, sur, w_mat))[0]
+    return _kkt_fit(inst, w_mat, *_kkt_terms(inst, build_surrogate(inst, w), w_mat))[0]
 
 
 class _MultiUserMap(_MmMap):

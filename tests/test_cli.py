@@ -85,6 +85,24 @@ def test_incompatible_solver_is_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config"
     assert "n_users" in err["reason"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_more_users_than_antennas_is_config_error(tmp_path, capsys):
+    # both mm-multi starts, zero forcing and the minimum-power design, need
+    # n_users <= n_tx, so without that check the solve fails unproven
+    cfg_path = write_config(
+        tmp_path / "cfg.yaml",
+        system={"n_tx": 3, "n_users": 4, "rate_targets": [1.5] * 4},
+        channel={"kind": "rayleigh", "seed": 1},
+        solver={"name": "mm-multi"},
+    )
+    code = cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert "system.n_users" in err["reason"] and "system.n_tx" in err["reason"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,17 +102,44 @@ def test_sdp_solution_is_psd_and_feasible():
 # QCQP
 
 
+def qcqp(objective, *constraints):
+    """A QcqpProblem from its objective and its constraint triples (A, b, c),
+    stacked."""
+    n, m = objective[0].shape[0], len(constraints)
+    return conic.QcqpProblem(objective=objective, constraints=(
+        np.array([a for a, _, _ in constraints], dtype=complex).reshape(m, n, n),
+        np.array([b for _, b, _ in constraints], dtype=complex).reshape(m, n),
+        np.array([c for _, _, c in constraints], dtype=float)))
+
+
+SKEW = np.triu(np.ones((3, 3))).astype(complex)   # not Hermitian
+
+
+@pytest.mark.parametrize("term, bad, message", [
+    ("objective", (np.eye(3, dtype=complex), np.zeros(2, dtype=complex), 0.0), "wrong shape"),
+    ("constraints", (np.zeros((2, 3, 3), dtype=complex), np.zeros((2, 3), dtype=complex),
+                     np.zeros(1)), "wrong shape"),
+    ("objective", (SKEW, np.zeros(3, dtype=complex), 0.0), "Hermitian"),
+    ("constraints", (np.stack([np.eye(3, dtype=complex), SKEW]), np.zeros((2, 3), dtype=complex),
+                     np.zeros(2)), "Hermitian"),
+], ids=["objective shape", "stack shape", "objective skew", "stack member skew"])
+def test_qcqp_problem_rejects_bad_terms(term, bad, message):
+    valid = {"objective": (np.eye(3, dtype=complex), np.zeros(3, dtype=complex), 0.0),
+             "constraints": (np.eye(3, dtype=complex)[None], np.zeros((1, 3), dtype=complex),
+                             np.array([-1.0]))}
+    conic.QcqpProblem(**valid)
+    with pytest.raises(ValueError, match=message):
+        conic.QcqpProblem(**{**valid, term: bad})
+
+
 def test_qcqp_projection_onto_ball():
     rng = np.random.default_rng(3)
     for _ in range(5):
         n = 4
         c = random_complex(rng, n)
         # min ||x - c||^2 s.t. ||x||^2 <= 1
-        prob = conic.QcqpProblem(
-            dim=n,
-            objective=(np.eye(n, dtype=complex), -c, float(np.linalg.norm(c) ** 2)),
-            constraints=((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -1.0),),
-        )
+        prob = qcqp((np.eye(n, dtype=complex), -c, float(np.linalg.norm(c) ** 2)),
+                    (np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -1.0))
         report = conic.solve_qcqp(prob, tol=1e-9)
         assert report.status == conic.OPTIMAL
         expected = c / max(1.0, np.linalg.norm(c))
@@ -125,17 +151,14 @@ def test_qcqp_loose_ball_recovers_unconstrained_minimum():
     n = 3
     b = random_complex(rng, n)
     # min x^H x - 2 Re(b^H x) inside a ball that never binds
-    prob = conic.QcqpProblem(
-        dim=n,
-        objective=(np.eye(n, dtype=complex), -b, 0.0),
-        constraints=((np.eye(n, dtype=complex), np.zeros(n, dtype=complex),
-                      -100.0 * float(np.linalg.norm(b) ** 2 + 1.0)),),
-    )
+    prob = qcqp((np.eye(n, dtype=complex), -b, 0.0),
+                (np.eye(n, dtype=complex), np.zeros(n, dtype=complex),
+                 -100.0 * float(np.linalg.norm(b) ** 2 + 1.0)))
     report = conic.solve_qcqp(prob, tol=1e-10)
     assert report.status == conic.OPTIMAL
     assert np.linalg.norm(report.solution - b) <= 1e-5
     # and with no constraint at all, where the engine has no barrier term
-    report = conic.solve_qcqp(replace(prob, constraints=()), tol=1e-10)
+    report = conic.solve_qcqp(qcqp(prob.objective), tol=1e-10)
     assert report.status == conic.OPTIMAL
     assert np.linalg.norm(report.solution - b) <= 1e-5
 
@@ -171,8 +194,7 @@ def test_qcqp_matches_projected_gradient_oracle():
         balls.append((center, radius))
         constraints.append((np.eye(n, dtype=complex), -center,
                             float(np.linalg.norm(center) ** 2 - radius ** 2)))
-    prob = conic.QcqpProblem(dim=n, objective=(a0, -b0, 0.0),
-                             constraints=tuple(constraints))
+    prob = qcqp((a0, -b0, 0.0), *constraints)
     report = conic.solve_qcqp(prob, tol=1e-10)
     assert report.status == conic.OPTIMAL
 
@@ -202,9 +224,7 @@ def test_qcqp_infeasible_detection():
         (np.eye(n, dtype=complex), -3.0 * np.ones(n, dtype=complex),
          2.0 * n * 9.0 / 2.0 - 0.5),  # ||x - 3e||^2 <= 0.5
     )
-    prob = conic.QcqpProblem(dim=n, objective=(np.eye(n, dtype=complex),
-                                               np.zeros(n, dtype=complex), 0.0),
-                             constraints=constraints)
+    prob = qcqp((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), 0.0), *constraints)
     report = conic.solve_qcqp(prob)
     assert report.status == conic.INFEASIBLE
 
@@ -212,17 +232,15 @@ def test_qcqp_infeasible_detection():
 def test_qcqp_without_a_definite_lagrangian_is_max_iter():
     # M(lam) = A0 + sum lam_i A_i singular for every lam: no Lagrangian minimizer
     n = 2
-    linear = conic.QcqpProblem(
-        dim=n, objective=(np.zeros((n, n), dtype=complex), np.ones(n, dtype=complex), 0.0),
-        constraints=((np.zeros((n, n), dtype=complex), np.ones(n, dtype=complex), -1.0),))
+    linear = qcqp((np.zeros((n, n), dtype=complex), np.ones(n, dtype=complex), 0.0),
+                  (np.zeros((n, n), dtype=complex), np.ones(n, dtype=complex), -1.0))
     assert conic.solve_qcqp(linear).status == conic.MAXITER
     # infeasible, but every combination of the cuts is singular, so no Farkas
     # certificate of the Cholesky form exists: the unbounded dual runs out
     flat = np.diag([1.0, 0.0]).astype(complex)
-    slabs = conic.QcqpProblem(
-        dim=n, objective=(np.eye(n, dtype=complex), np.zeros(n, dtype=complex), 0.0),
-        constraints=((flat, np.zeros(n, dtype=complex), -1.0),
-                     (flat, np.array([-3.0, 0.0], dtype=complex), 8.5)))
+    slabs = qcqp((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), 0.0),
+                 (flat, np.zeros(n, dtype=complex), -1.0),
+                 (flat, np.array([-3.0, 0.0], dtype=complex), 8.5))
     assert conic.solve_qcqp(slabs).status == conic.MAXITER
 
 
@@ -230,11 +248,8 @@ def test_qcqp_constraints_hold_at_solution():
     rng = np.random.default_rng(6)
     n = 5
     b0 = random_complex(rng, n)
-    prob = conic.QcqpProblem(
-        dim=n,
-        objective=(np.eye(n, dtype=complex), -b0, 0.0),
-        constraints=((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -0.3),),
-    )
+    prob = qcqp((np.eye(n, dtype=complex), -b0, 0.0),
+                (np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -0.3))
     report = conic.solve_qcqp(prob, tol=1e-9)
     x = report.solution
     assert float(np.linalg.norm(x) ** 2) <= 0.3 + 1e-7
@@ -316,7 +331,7 @@ def first_multi_user_subproblem():
 
 def constraint_values(prob, x):
     return np.array([float(np.real(np.vdot(x, a @ x) + 2.0 * np.vdot(b, x))) + c
-                     for a, b, c in prob.constraints])
+                     for a, b, c in zip(*prob.constraints)])
 
 
 def test_qcqp_multi_user_subproblem_regression():
@@ -370,9 +385,8 @@ def test_qcqp_warm_start_from_own_multipliers():
     problems = [first_multi_user_subproblem()]
     for _ in range(3):
         c = random_complex(rng, n)
-        problems.append(conic.QcqpProblem(
-            dim=n, objective=(np.eye(n, dtype=complex), -c, float(np.linalg.norm(c) ** 2)),
-            constraints=((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -1.0),)))
+        problems.append(qcqp((np.eye(n, dtype=complex), -c, float(np.linalg.norm(c) ** 2)),
+                             (np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -1.0)))
     for prob in problems:
         report = conic.solve_qcqp(prob, tol=1e-9)
         again = conic.solve_qcqp(prob, 1e-9, report.multipliers)
@@ -385,22 +399,22 @@ def test_qcqp_warm_start_from_own_multipliers():
 def test_qcqp_kkt_at_the_answer():
     rng = np.random.default_rng(10)
     prob = first_multi_user_subproblem()
-    n = prob.dim
+    n = prob.objective[0].shape[0]
     # and a random instance with three ball constraints
     a0 = random_complex(rng, n, n)
-    balls = conic.QcqpProblem(
-        dim=n, objective=(a0 @ a0.conj().T / n, random_complex(rng, n), 0.0),
-        constraints=tuple((np.eye(n, dtype=complex), 0.3 * random_complex(rng, n), -1.0 - r)
-                          for r in rng.uniform(0.0, 1.0, 3)))
+    balls = qcqp((a0 @ a0.conj().T / n, random_complex(rng, n), 0.0),
+                 *((np.eye(n, dtype=complex), 0.3 * random_complex(rng, n), -1.0 - r)
+                   for r in rng.uniform(0.0, 1.0, 3)))
     for qp in (prob, balls):
         report = conic.solve_qcqp(qp, tol=1e-9)
         assert report.status == conic.OPTIMAL
         x, lam = report.solution, report.multipliers
-        assert lam.shape == (len(qp.constraints),) and np.all(lam > 0.0)
+        assert lam.shape == qp.constraints[2].shape and np.all(lam > 0.0)
         a0, b0, _ = qp.objective
-        residual = a0 @ x + b0 + sum(l * (a @ x + b) for l, (a, b, _) in zip(lam, qp.constraints))
-        scale = np.linalg.norm(a0 @ x) + np.linalg.norm(b0) + sum(
-            l * (np.linalg.norm(a @ x) + np.linalg.norm(b)) for l, (a, b, _) in zip(lam, qp.constraints))
+        a, b, _ = qp.constraints
+        residual = a0 @ x + b0 + lam @ (a @ x + b)
+        scale = np.linalg.norm(a0 @ x) + np.linalg.norm(b0) + lam @ (
+            np.linalg.norm(a @ x, axis=1) + np.linalg.norm(b, axis=1))
         assert np.linalg.norm(residual) <= 1e-8 * scale
         f = constraint_values(qp, x)
         assert np.all(f <= 0.0)
@@ -411,19 +425,16 @@ def test_qcqp_kkt_at_the_answer():
 def test_qcqp_infeasible_returns_farkas_certificate():
     # the instance of test_qcqp_infeasible_detection: two disjoint balls
     n = 2
-    prob = conic.QcqpProblem(
-        dim=n, objective=(np.eye(n, dtype=complex), np.zeros(n, dtype=complex), 0.0),
-        constraints=((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -1.0),
-                     (np.eye(n, dtype=complex), -3.0 * np.ones(n, dtype=complex),
-                      2.0 * n * 9.0 / 2.0 - 0.5)))
+    prob = qcqp((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), 0.0),
+                (np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -1.0),
+                (np.eye(n, dtype=complex), -3.0 * np.ones(n, dtype=complex),
+                 2.0 * n * 9.0 / 2.0 - 0.5))
     report = conic.solve_qcqp(prob)
     assert report.status == conic.INFEASIBLE
     lam = report.multipliers
     assert np.all(lam >= 0.0) and lam.sum() == pytest.approx(1.0)
     # min_x sum lam_i f_i(x) > 0: no x meets every constraint
-    a = sum(l * a for l, (a, _, _) in zip(lam, prob.constraints))
-    b = sum(l * b for l, (_, b, _) in zip(lam, prob.constraints))
-    c = sum(l * c for l, (_, _, c) in zip(lam, prob.constraints))
+    a, b, c = (np.tensordot(lam, stack, axes=1) for stack in prob.constraints)
     x = -np.linalg.solve(a, b)
     assert float(np.real(np.vdot(x, a @ x) + 2.0 * np.vdot(b, x))) + c > 0.0
     assert np.all(np.linalg.eigvalsh(a) > 0.0)

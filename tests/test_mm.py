@@ -1,15 +1,17 @@
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mibeam import dispatch, evaluation, linalg, mm, model
 from mibeam.closed_form import ClosedFormInputs, solve_closed_form
+from mibeam.config import parse_config
 from mibeam.errors import BracketFailure, DegenerateConstraint, Infeasible
 from mibeam.model import ScattererModel, Scenario, SystemConfig
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_complex(rng, *shape):
@@ -598,7 +600,7 @@ def test_single_user_dip_away_from_stationarity_is_stalled(monkeypatch):
     calls = itertools.count()
     monkeypatch.setattr(mm._SingleUserMap, "mi",
                         lambda self, w: true_mi(self, w) - 1e-6 * next(calls))
-    monkeypatch.setattr(mm._SingleUserMap, "certificate", lambda self, w: (1.0, 0.0, 0.0))
+    monkeypatch.setattr(mm, "kkt_certificate", lambda inst, w: (1.0, 0.0, 0.0))
     report = mm.solve_single_user(target_inside_interferer(100.0, 1))
     assert report.status == "stalled"
     assert report.kkt_residual == 1.0
@@ -813,8 +815,8 @@ def test_multiuser_subproblem_reduces_to_single_user():
     assert np.allclose(b0, -sur.lin, atol=1e-12)
     # one power ball plus one rate cut; the rate cut equals the linearized
     # single-user constraint
-    assert len(prob.constraints) == 2
-    a1, b1, c1 = prob.constraints[1]
+    assert prob.constraints[2].size == 2
+    a1, b1, c1 = (stack[1] for stack in prob.constraints)
     h = inst.channel[0].conj()
     omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
     assert np.allclose(a1, 0.0, atol=1e-12)
@@ -827,7 +829,7 @@ def test_multiuser_rate_quadratics_are_psd():
     w = mm.zero_forcing_init(inst)
     sur = mm.build_surrogate(inst, w)
     prob = mm.multiuser_subproblem(inst, w, sur)
-    for a_k, _, _ in prob.constraints:
+    for a_k in prob.constraints[0]:
         vals = np.linalg.eigvalsh(a_k)
         assert vals.min() >= -1e-10 * max(1.0, vals.max())
 
@@ -837,7 +839,7 @@ def test_multiuser_rate_quadratics_are_psd():
     w = random_complex(np.random.default_rng(13), cfg.n_tx, cfg.n_users)
     w_vec = linalg.vec(w)
     prob = mm.multiuser_subproblem(inst, w, sur)
-    for k, (a_k, b_k, c_k) in enumerate(prob.constraints[1:]):
+    for k, (a_k, b_k, c_k) in enumerate(zip(*(stack[1:] for stack in prob.constraints))):
         power = np.abs(inst.channel[k] @ w) ** 2
         nu_k = 2.0 ** cfg.rate_targets[k] - 1.0
         expected = nu_k * (power.sum() - power[k] + cfg.comm_noise) - power[k]
@@ -845,21 +847,33 @@ def test_multiuser_rate_quadratics_are_psd():
         assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
-def kron_rate_cuts(inst, w):
-    """The linearized rate cuts built with Kronecker products, as a
-    reference for the block assignment of mm.multiuser_subproblem."""
+def kron_constraints(inst, w):
+    """The stacked (A, b, c) of the power ball and the linearized rate cuts,
+    built one user at a time with Kronecker products, as a reference for
+    the broadcast construction of mm.multiuser_subproblem."""
     cfg = inst.config
+    dim = cfg.n_tx * cfg.n_users
     w_vec = linalg.vec(w)
-    cuts = []
+    a, b, c = [np.eye(dim, dtype=complex)], [np.zeros(dim, dtype=complex)], [-cfg.power_budget]
     for k, e_k in enumerate(np.eye(cfg.n_users)):
         h_k = inst.channel[k].conj()
         nu_k = 2.0 ** cfg.rate_targets[k] - 1.0
         gram_k = np.outer(h_k, h_k.conj())
         own = np.kron(np.diag(e_k), gram_k)
-        a_k = linalg.hermitianize(nu_k * np.kron(np.diag(1.0 - e_k), gram_k))
-        c_k = float(np.real(np.vdot(w_vec, own @ w_vec))) + nu_k * cfg.comm_noise
-        cuts.append((a_k, -(own @ w_vec), c_k))
-    return cuts
+        a.append(linalg.hermitianize(nu_k * np.kron(np.diag(1.0 - e_k), gram_k)))
+        b.append(-(own @ w_vec))
+        c.append(float(np.real(np.vdot(w_vec, own @ w_vec))) + nu_k * cfg.comm_noise)
+    return np.array(a), np.array(b), np.array(c)
+
+
+def assert_kronecker_stack(inst, w):
+    sur = mm.build_surrogate(inst, w)
+    prob = mm.multiuser_subproblem(inst, w, sur)
+    a0, b0, c0 = prob.objective
+    assert np.array_equal(a0, sur.delta * sur.quad) and np.array_equal(b0, -sur.lin)
+    assert c0 == 0.0
+    for stack, reference in zip(prob.constraints, kron_constraints(inst, w), strict=True):
+        assert stack.shape == reference.shape and np.array_equal(stack, reference)
 
 
 def test_multiuser_rate_cuts_match_kronecker_construction_exactly():
@@ -867,11 +881,17 @@ def test_multiuser_rate_cuts_match_kronecker_construction_exactly():
     for n_users, n_tx in ((2, 4), (3, 5), (1, 3)):
         inst = multi_user_instance(seed=132, n_users=n_users, n_tx=n_tx)
         cfg = inst.config
-        w = random_complex(rng, cfg.n_tx, cfg.n_users)
-        prob = mm.multiuser_subproblem(inst, w, mm.build_surrogate(inst, w))
-        for (a, b, c), (a_ref, b_ref, c_ref) in zip(prob.constraints[1:],
-                                                    kron_rate_cuts(inst, w), strict=True):
-            assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref) and c == c_ref
+        assert_kronecker_stack(inst, random_complex(rng, cfg.n_tx, cfg.n_users))
+
+
+def test_multiuser_subproblem_stack_matches_kronecker_along_a_solve():
+    # the shipped 3-user config at its zero-forcing start and after 1-4 maps
+    inst = model.build_instance(parse_config(CONFIGS / "multi_user.yaml").scenario)
+    step = mm._MultiUserMap(inst)
+    w = mm.zero_forcing_init(inst)
+    for _ in range(5):
+        assert_kronecker_stack(inst, w)
+        w = step(w)
 
 
 def test_multi_user_converges_and_meets_rates():

@@ -152,5 +152,5 @@ def test_large_array_single_user_converges_with_full_space_certificate():
     assert result.extras["reduced_dim"] < 16
     assert result.kkt_residual <= 1e-6
     inst = model.build_instance(scenario)
-    full = mm.kkt_certificate(inst, mm.build_surrogate(inst, result.w), result.w)
+    full = mm.kkt_certificate(inst, result.w)
     assert result.kkt_residual == full[0]
