@@ -50,14 +50,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _apply_variable(scenario: model.Scenario, variable: str, value: float) -> model.Scenario:
+    """The scenario at one grid point of a variable that parsing checked
+    (:func:`evaluation.check_variable`)."""
     cfg = scenario.config
     if variable == "power_dbm":
         return replace(scenario, config=replace(cfg, power_budget=model.dbm_to_watts(value)))
     if variable == "rate_target":
         return replace(scenario, config=replace(cfg, rate_targets=(value,) * cfg.n_users))
-    if variable == "radar_snr_db":
-        return scenario.with_target_strength(evaluation.strength_for_radar_snr(value, cfg))
-    raise ConfigError(f"sweep.variable: unknown variable {variable!r}")
+    # radar_snr_db
+    return scenario.with_target_strength(evaluation.strength_for_radar_snr(value, cfg))
 
 
 def _solve_grid_point(args):

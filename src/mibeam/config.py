@@ -194,9 +194,7 @@ def parse_config(path) -> ExperimentConfig:
             variable=str(_require(sweep_node, "variable", "sweep")),
             grid=tuple(float(v) for v in _require(sweep_node, "grid", "sweep")),
         )
-        if sweep.variable not in evaluation.SWEEP_VARIABLES:
-            raise ConfigError(f"sweep.variable: unknown variable {sweep.variable!r} "
-                              f"(choose from {evaluation.SWEEP_VARIABLES})")
+        evaluation.check_variable(sweep.variable)
         evaluation.check_grid(sweep.grid, "sweep.grid")
 
     return ExperimentConfig(

@@ -3,18 +3,18 @@ interior point for small SDPs, and a dual Newton solve for QCQPs.
 
 ``solve_sdp`` compiles small Hermitian semidefinite programs with affine LMI
 blocks and trace constraints in a PSD matrix variable (plus an optional
-scalar) into a real parameter vector x, a linear objective cost @ x and two
-barrier families: Hermitian PSD blocks affine in x (-log det) and affine
-cuts (-log s).  One phase one, adding a slack to every barrier, finds a
-strictly feasible point; one deterministic path follower with Newton
-centering steps does the rest.  Between rounds it predicts along the
+scalar) into a real parameter vector x, a linear objective cost @ x and one
+barrier -log det S(x): S is a Hermitian block-diagonal matrix affine in x
+whose diagonal blocks are the matrix variable, each LMI block and each
+trace constraint's slack (1 x 1).  One phase one, adding a slack s I to S,
+finds a strictly feasible point; one deterministic path follower with
+Newton centering steps does the rest.  Between rounds it predicts along the
 tangent of the central path, and it centres loosely (Newton decrement
 lambda <= 0.1) in every round but the last, which it centres strictly;
-phase one keeps strict centring in every round and takes no predictor step.
-Every barrier term changes along a search ray as -log(1 + alpha c), so the
-line search evaluates the merit change exactly from coefficients computed
-once per step.  Problems here have at most a few dozen real parameters, so
-no sparsity or scaling tricks are attempted.
+phase one, which needs only a feasible point, centres every round loosely
+and takes no predictor step.  Every barrier term changes along a search ray
+as -log(1 + alpha c), so the line search evaluates the merit change exactly
+from coefficients computed once per step.
 
 ``solve_qcqp`` solves a convex complex QCQP, its m constraints stacked in a
 :class:`QcqpProblem`, by Newton steps on its log-barrier Lagrangian dual in
@@ -26,6 +26,7 @@ problem gets there in a few steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -61,12 +62,11 @@ class LmiBlock:
             raise ValueError("LMI block shapes are inconsistent")
         if not (is_hermitian(self.const) and is_hermitian(self.t_coeff)):
             raise ValueError("LMI block const/t_coeff must be Hermitian")
-        for p in range(m):
-            for q in range(m):
-                diff = np.max(np.abs(self.coeff[p, q] - self.coeff[q, p].conj().T))
-                scale = max(float(np.max(np.abs(self.coeff[p, q]))), 1e-300)
-                if diff > 1e-10 * max(scale, 1.0):
-                    raise ValueError("LMI coefficient tensor is not Hermitian-symmetric")
+        # coeff[q, p] = coeff[p, q]^H to 1e-10 relative to max(|coeff[p, q]|, 1)
+        diff = np.abs(self.coeff - self.coeff.transpose(1, 0, 3, 2).conj()).max(axis=(2, 3))
+        scale = np.maximum(np.abs(self.coeff).max(axis=(2, 3)), 1.0)
+        if np.any(diff > 1e-10 * scale):
+            raise ValueError("LMI coefficient tensor is not Hermitian-symmetric")
 
 
 @dataclass(frozen=True)
@@ -169,33 +169,10 @@ class ConicReport:
 # Hermitian parameterization
 
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def _herm_basis(n: int) -> np.ndarray:
-    """Stack of n^2 Hermitian basis matrices matching :func:`_herm_of_params`."""
-    cached = _BASIS_CACHE.get(n)
-    if cached is not None:
-        return cached
-    mats = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        mats.append(e)
-    iu = np.triu_indices(n, 1)
-    for i, j in zip(*iu):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, j] = 1.0
-        e[j, i] = 1.0
-        mats.append(e)
-    for i, j in zip(*iu):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, j] = 1.0j
-        e[j, i] = -1.0j
-        mats.append(e)
-    basis = np.stack(mats)
-    _BASIS_CACHE[n] = basis
-    return basis
+    """Stack of n^2 Hermitian basis matrices, _herm_of_params of each unit vector."""
+    return np.stack([_herm_of_params(e, n) for e in np.eye(n * n)])
 
 
 def _herm_of_params(x: np.ndarray, n: int) -> np.ndarray:
@@ -214,83 +191,85 @@ def _herm_of_params(x: np.ndarray, n: int) -> np.ndarray:
 # The barrier engine
 #
 # A compiled problem minimizes cost @ x over a real parameter vector x inside
-# two families of self-concordant barriers:
-#   * PSD blocks       S_b(x) = const_b + sum_k x_k ds_b[k] > 0   -log det S_b
-#   * affine cuts      s_i(x) = a_i @ x + b_i > 0                -log s_i
-# with barrier degree nu = sum of block sizes + number of cuts.
+# one self-concordant barrier -log det S(x), S(x) = const + sum_k x_k ds_k
+# Hermitian block diagonal, barrier degree nu = size of S.  An affine cut
+# s_i(x) = a_i @ x + b_i > 0 is a 1 x 1 block.
 
 
 @dataclass
 class _Compiled:
     cost: np.ndarray      # (nv,)
-    blocks: list          # (const (m, m), ds (nv, m, m))
-    cut_a: np.ndarray     # (n_cuts, nv)
-    cut_b: np.ndarray     # (n_cuts,)
+    const: np.ndarray     # (m, m) Hermitian, block diagonal
+    ds: np.ndarray        # (nv, m, m) Hermitian, the same blocks
+    sizes: tuple          # sizes of the diagonal blocks
 
     @property
     def nu(self) -> float:
-        return float(sum(const.shape[0] for const, _ in self.blocks) + self.cut_b.size)
+        return float(self.const.shape[0])
 
     def objective(self, x: np.ndarray) -> float:
         return float(self.cost @ x)
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Flat indices of the entries of S's diagonal blocks."""
+        label = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        return np.flatnonzero(label[:, None] == label[None, :])
+
+
+def _block_diag(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """One (const, ds) from diagonal blocks (const_b (m_b, m_b), ds_b (nv, m_b, m_b))."""
+    nv = blocks[0][1].shape[0]
+    m = sum(const.shape[0] for const, _ in blocks)
+    const = np.zeros((m, m), dtype=complex)
+    ds = np.zeros((nv, m, m), dtype=complex)
+    at = 0
+    for const_b, ds_b in blocks:
+        span = slice(at, at + const_b.shape[0])
+        const[span, span] = const_b
+        ds[:, span, span] = ds_b
+        at = span.stop
+    return const, ds
+
 
 class _Local:
-    """The barriers at one strictly feasible point x, as the Newton system
-    and the ray along its direction both use them: per block the whitened
-    coefficients M_k = L^-1 ds_k L^-H with S(x) = L L^H, and the affine
-    slacks s_i.  An empty family is skipped."""
+    """The barrier at one strictly feasible point x, as the Newton system
+    and the ray along its direction both use it: the whitened coefficients
+    M_k = L^-1 ds_k L^-H with S(x) = L L^H, block diagonal like S."""
 
     def __init__(self, comp: _Compiled, x: np.ndarray):
         self.comp = comp
         self.x = x
-        self.white = []
-        for const, ds in comp.blocks:
-            chol = np.linalg.cholesky(const + np.tensordot(x, ds, axes=(0, 0)))
-            l_inv = np.linalg.inv(chol)
-            self.white.append(l_inv @ ds @ l_inv.conj().T)
-        if comp.cut_b.size:
-            self.slack = comp.cut_a @ x + comp.cut_b
+        s_mat = comp.const + (x @ comp.ds.reshape(x.size, -1)).reshape(comp.const.shape)
+        l_inv = np.linalg.inv(np.linalg.cholesky(s_mat))
+        self.white = l_inv @ comp.ds @ l_inv.conj().T
 
     def grad_hess(self):
-        """Gradient and Hessian of the barrier sum."""
-        comp = self.comp
+        """Gradient and Hessian of the barrier: grad_k = -Tr M_k and
+        hess_kl = Tr(M_k M_l), a Gram matrix since every M_k is Hermitian,
+        taken over the entries of S's diagonal blocks, the only ones M_k has."""
         nv = self.x.size
-        grad = np.zeros(nv)
-        hess = np.zeros((nv, nv))
-        for white in self.white:
-            # grad_k = -Tr M_k; hess_kl = Tr(M_k M_l), a Gram matrix since
-            # every M_k is Hermitian
-            grad -= np.trace(white, axis1=1, axis2=2).real
-            flat = white.reshape(nv, -1)
-            hess += (flat.conj() @ flat.T).real
-        if comp.cut_b.size:
-            rates = comp.cut_a / self.slack[:, None]                 # a_i / s_i
-            grad -= rates.sum(axis=0)
-            hess += rates.T @ rates
-        return grad, hess
+        grad = -np.trace(self.white, axis1=1, axis2=2).real
+        # the real view pairs (Re, Im), so its Gram matrix is Re(M_k^* . M_l)
+        flat = self.white.reshape(nv, -1).take(self.comp.support, axis=1).view(float)
+        return grad, flat @ flat.T
 
 
 class _Ray:
     """The merit change along x + alpha dx, exact in alpha.
 
-    Every barrier term has one form, -log(1 + alpha c), with coefficients
-    computed once per search direction: a PSD block contributes one term per
-    eigenvalue c of L^-1 dS L^-H = sum_k dx_k M_k, an affine cut c = a.dx / s.
-    The objective changes by alpha * slope.  No difference of two large
-    merit values is formed, so the Armijo test stays exact at large barrier
-    weights.  ``alpha_max``, the first alpha that leaves the domain, is the
-    smallest -1/c over the negative coefficients.
+    Every barrier term has one form, -log(1 + alpha c), one per eigenvalue c
+    of L^-1 dS L^-H = sum_k dx_k M_k, computed once per search direction (a
+    cut's c is a.dx / s).  The objective changes by alpha * slope.  No
+    difference of two large merit values is formed, so the Armijo test stays
+    exact at large barrier weights.  ``alpha_max``, the first alpha that
+    leaves the domain, is the smallest -1/c over the negative coefficients.
     """
 
     def __init__(self, local: _Local, dx: np.ndarray):
-        comp = local.comp
-        lin = [np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-               for inner in (np.tensordot(dx, white, axes=(0, 0)) for white in local.white)]
-        if comp.cut_b.size:
-            lin.append((comp.cut_a @ dx) / local.slack)
-        self.coef = np.concatenate([np.zeros(0), *lin])
-        self.slope = float(comp.cost @ dx)
+        inner = (dx @ local.white.reshape(dx.size, -1)).reshape(local.white.shape[1:])
+        self.coef = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+        self.slope = float(local.comp.cost @ dx)
         roots = np.divide(-1.0, self.coef, out=np.full(self.coef.size, np.inf),
                           where=self.coef < 0.0)
         self.alpha_max = float(np.min(roots, initial=np.inf))
@@ -314,23 +293,31 @@ def _solve_newton(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(hess, rhs, rcond=None)[0]
 
 
+def _centred(decrement: float, previous: float, tol: float = CENTER_TOL) -> bool:
+    """The centring test of both solvers: half the squared Newton decrement
+    is at most tol, or at most LOOSE_CENTER_TOL and it fell by less than
+    half in the last step (from previous), the roundoff floor."""
+    return decrement / 2.0 <= tol or (decrement / 2.0 <= LOOSE_CENTER_TOL
+                                      and decrement > 0.5 * previous)
+
+
 def _newton_center(comp: _Compiled, x: np.ndarray, t_bar: float, budget: int,
                    tol: float = CENTER_TOL, stop_when=None):
-    """Minimize t_bar * objective(x) + barrier(x) until half the squared
-    Newton decrement is at most tol or the step budget is spent.
+    """Minimize t_bar * objective(x) + barrier(x) until it is
+    :func:`_centred` to tol or the step budget is spent.
 
-    Returns (x, steps, local, hess, decrement): the barriers, the merit
+    Returns (x, steps, local, hess, decrement): the barrier, the merit
     Hessian and the squared decrement of the last centring test, which is
     taken at the returned x unless stop_when ended the loop.
     """
-    steps = 0
+    steps, previous = 0, np.inf
     while True:
         local = _Local(comp, x)
         grad_b, hess = local.grad_hess()
         grad = t_bar * comp.cost + grad_b
         dx = _solve_newton(hess, -grad)
         decrement = float(-grad @ dx)
-        if not decrement / 2.0 > tol or steps >= budget:
+        if not np.isfinite(decrement) or _centred(decrement, previous, tol) or steps >= budget:
             break
         # fraction-to-boundary cap, then backtrack on the exact ray merit
         ray = _Ray(local, dx)
@@ -339,7 +326,7 @@ def _newton_center(comp: _Compiled, x: np.ndarray, t_bar: float, budget: int,
             alpha *= 0.5
         if alpha <= 1e-14:
             break
-        x = x + alpha * dx
+        x, previous = x + alpha * dx, decrement
         steps += 1
         if stop_when is not None and stop_when(x):
             break
@@ -375,8 +362,9 @@ def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float,
     only the last trace entry is a certified duality gap.  Between rounds a
     predictor step follows the tangent of the central path.
 
-    Phase one passes ``stop_when`` and may end in any round, so there every
-    round is centred strictly and no predictor step is taken.
+    Phase one passes ``stop_when``, which it tests after every Newton step:
+    it needs a strictly feasible point, not a central one, so there every
+    round is centred loosely, the last too, and no predictor step is taken.
     """
     follow = stop_when is None
     x = np.array(x0, dtype=float)
@@ -385,8 +373,7 @@ def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float,
     trace = []
     for _ in range(max_rounds):
         x, steps, local, hess, decrement = _newton_center(
-            comp, x, t_bar, NEWTON_PER_ROUND, LOOSE_CENTER_TOL if follow else CENTER_TOL,
-            stop_when)
+            comp, x, t_bar, NEWTON_PER_ROUND, LOOSE_CENTER_TOL, stop_when)
         used += steps
         gap = comp.nu / t_bar
         done = ((stop_when is not None and stop_when(x))
@@ -407,28 +394,19 @@ def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float,
 def _phase_one(comp: _Compiled):
     """Find a strictly feasible point; returns (x or None, newton_steps).
 
-    Minimizes a slack s added to every barrier (S_b + s I > 0,
-    s_i + s > 0) from x = 0, where every margin is positive
-    once s exceeds the worst violation.  The slack is bounded below, so
-    minimizing it cannot run away, and a whiff of the true objective keeps
-    directions the barriers alone cannot bound (an SDP's auxiliary scalar)
-    bounded.
+    Minimizes a slack s added to the one matrix, S(x) + s I > 0, from
+    x = 0, where that holds once s exceeds the worst violation of S(0).
+    A 1 x 1 block s + cap > 0 bounds the slack below, so minimizing it
+    cannot run away, and a whiff of the true objective keeps directions the
+    barrier alone cannot bound (an SDP's auxiliary scalar) bounded.
     """
-    nv = comp.cost.size
-    n_cuts = comp.cut_b.size
-    violations = [0.0, *(-comp.cut_b)]
-    violations += [-np.linalg.eigvalsh(const).min() for const, _ in comp.blocks]
-    s0 = float(max(violations))
+    nv, m = comp.ds.shape[:2]
+    s0 = max(0.0, -float(np.linalg.eigvalsh(comp.const).min()))
     cap = 10.0 * (s0 + 1.0)
-    slack = np.zeros(nv + 1)
-    slack[-1] = 1.0
-    comp1 = _Compiled(
-        cost=np.append(PHASE1_OBJECTIVE_BLEND * comp.cost, 1.0),
-        blocks=[(const, np.concatenate([ds, np.eye(const.shape[0])[None]]))
-                for const, ds in comp.blocks],
-        cut_a=np.vstack([np.hstack([comp.cut_a, np.ones((n_cuts, 1))]), slack]),
-        cut_b=np.append(comp.cut_b, cap),
-    )
+    const, ds = _block_diag([(comp.const, np.concatenate([comp.ds, np.eye(m)[None]])),
+                             (np.array([[cap]]), np.eye(nv + 1)[nv, :, None, None])])
+    comp1 = _Compiled(cost=np.append(PHASE1_OBJECTIVE_BLEND * comp.cost, 1.0),
+                      const=const, ds=ds, sizes=comp.sizes + (1,))
     exit_level = -max(1e-6, 1e-6 * (1.0 + s0))
     x, _, steps, _, _, _ = _barrier_solve(comp1, np.append(np.zeros(nv), s0 + 1.0),
                                           gap_tol=1e-10, stop_when=lambda p: p[-1] <= exit_level)
@@ -468,32 +446,28 @@ def _compile_sdp(prob: SdpProblem) -> _Compiled:
     has_t = prob.has_t
     nv = n_w + (1 if has_t else 0)
 
-    # PSD constraint on the matrix variable itself
-    ds = np.zeros((nv, n, n), dtype=complex)
-    ds[:n_w] = basis
-    blocks = [(np.zeros((n, n), dtype=complex), ds)]
-    for blk in prob.lmi_blocks:
-        m = blk.const.shape[0]
-        ds = np.zeros((nv, m, m), dtype=complex)
-        # entry (p, q) is Tr(coeff[p, q] @ X): derivative w.r.t. x_k is
-        # Tr(coeff[p, q] @ E_k)
-        ds[:n_w] = np.einsum("pqij,kji->kpq", blk.coeff, basis)
-        if has_t:
-            ds[n_w] = blk.t_coeff
-        blocks.append((blk.const.astype(complex), ds))
+    def in_x(ds_w, ds_t=0.0):
+        """Block coefficients of x: ds_w for the entries of X, ds_t for t."""
+        return np.concatenate([ds_w, np.broadcast_to(ds_t, (nv - n_w, *ds_w.shape[1:]))])
 
-    cut_a = np.zeros((len(prob.trace_constraints), nv))
-    cut_b = np.zeros(len(prob.trace_constraints))
-    for i, con in enumerate(prob.trace_constraints):
+    # the blocks of S: the matrix variable X itself, each LMI block, whose
+    # entry (p, q) Tr(coeff[p, q] @ X) has derivative Tr(coeff[p, q] @ E_k)
+    # in x_k, and each trace constraint's signed slack
+    blocks = [(np.zeros((n, n)), in_x(basis))]
+    blocks += [(blk.const, in_x(np.einsum("pqij,kji->kpq", blk.coeff, basis), blk.t_coeff))
+               for blk in prob.lmi_blocks]
+    for con in prob.trace_constraints:
         sign = -1.0 if con.sense == "le" else 1.0
-        cut_a[i, :n_w] = sign * np.einsum("ij,kji->k", con.mat, basis).real
-        cut_b[i] = -sign * con.bound
+        blocks.append((np.array([[-sign * con.bound]]),
+                       in_x(sign * np.einsum("ij,kji->k", con.mat, basis)[:, None, None].real)))
+    const, ds = _block_diag(blocks)
 
     cost = np.zeros(nv)
     cost[:n_w] = np.einsum("ij,kji->k", prob.obj_mat, basis).real
     if has_t:
         cost[n_w] = prob.obj_t
-    return _Compiled(cost=cost, blocks=blocks, cut_a=cut_a, cut_b=cut_b)
+    return _Compiled(cost=cost, const=const, ds=ds,
+                     sizes=tuple(const_b.shape[0] for const_b, _ in blocks))
 
 
 def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
@@ -574,12 +548,11 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
     t (d(lam) - d(lam')) - sum log(lam'_i / lam_i) with
     d(lam') - d(lam) = (lam' - lam) . f(x) - (x - x')^H M' (x - x'),
     so no difference of two large merit values is formed.  The solve is
-    centred when half the squared Newton decrement is at most CENTER_TOL, or
-    at most LOOSE_CENTER_TOL and it fell by less than half in the last step
-    (the roundoff floor).  ``infeasible`` is reported only with a Farkas
-    certificate (:meth:`QcqpProblem.farkas`), tested when a step would more
-    than double a multiplier and when the solve ends uncertified; the
-    report's multipliers are then that certificate, normalized to sum 1.
+    centred when :func:`_centred` holds at CENTER_TOL, the SDP's test.
+    ``infeasible`` is reported only with a Farkas certificate
+    (:meth:`QcqpProblem.farkas`), tested when a step would more than double
+    a multiplier and when the solve ends uncertified; the report's
+    multipliers are then that certificate, normalized to sum 1.
     M(lam) must be positive definite for lam > 0 (a power ball gives this);
     otherwise, or when DUAL_NEWTON_STEPS run out, the status is ``max_iter``.
     """
@@ -603,8 +576,7 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
         except np.linalg.LinAlgError:
             break                                       # overflow on an unbounded dual
         decrement = float(-grad @ step)
-        if decrement / 2.0 <= CENTER_TOL or (decrement / 2.0 <= LOOSE_CENTER_TOL
-                                             and decrement > 0.5 * previous):
+        if _centred(decrement, previous):
             primal = point.objective
             gap = -float(lam @ f)
             bound = tol * (1.0 + abs(primal))

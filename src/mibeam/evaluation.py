@@ -29,6 +29,13 @@ DEFAULT_PATTERN_STEP = 0.1
 SWEEP_VARIABLES = ("power_dbm", "rate_target", "radar_snr_db")
 
 
+def check_variable(variable: str) -> None:
+    """A sweep variable: one of SWEEP_VARIABLES."""
+    if variable not in SWEEP_VARIABLES:
+        raise ConfigError(f"sweep.variable: unknown variable {variable!r} "
+                          f"(choose from {SWEEP_VARIABLES})")
+
+
 def check_grid(grid, source: str) -> None:
     """A sweep grid: non-empty and strictly increasing."""
     if len(grid) == 0:
@@ -54,8 +61,7 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ConfigError(f"sweep.variable: unknown variable {self.variable!r}")
+        check_variable(self.variable)
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
         check_grid(self.grid, "sweep.grid")
         if self.trials < 1:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import yaml
 
-from mibeam import cli
+from mibeam import cli, evaluation
 from mibeam.config import EvalOptions, parse_config
 from mibeam.dispatch import SolverOptions
+from mibeam.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -181,6 +182,16 @@ def test_invalid_grid_is_config_error(tmp_path, capsys, args, overrides, source)
     assert err["error"] == "config"
     assert source in err["reason"]
     assert not (tmp_path / "o").exists()
+
+
+def test_sweep_variable_has_one_check(tmp_path):
+    cfg_path = write_config(tmp_path / "cfg.yaml", sweep={"variable": "n_slots", "grid": [1.0]})
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(cfg_path)
+    with pytest.raises(ConfigError) as spec:
+        evaluation.SweepSpec(variable="n_slots", grid=(1.0,), scheme="closed")
+    assert str(parsed.value) == str(spec.value)
+    assert str(spec.value).startswith("sweep.variable: unknown variable 'n_slots'")
 
 
 @pytest.mark.parametrize("overrides, source", [

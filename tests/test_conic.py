@@ -3,8 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mibeam import conic, mm, model
+from mibeam import conic, mm, model, sdr
 from mibeam.config import parse_config
+from test_reduction import sdr_point_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -41,6 +42,55 @@ def test_sdp_lambda_max_matches_eigenvalue_oracle():
         report = conic.solve_sdp(lambda_max_problem(a), tol=1e-9)
         assert report.status == conic.OPTIMAL
         assert report.aux == pytest.approx(expected, abs=1e-6)
+
+
+def hermitian_symmetric_by_loop(coeff):
+    """The LMI coefficient check as a loop over (p, q): coeff[q, p] must be
+    coeff[p, q]^H to 1e-10 relative to max(|coeff[p, q]|, 1)."""
+    m = coeff.shape[0]
+    for p in range(m):
+        for q in range(m):
+            diff = np.max(np.abs(coeff[p, q] - coeff[q, p].conj().T))
+            if diff > 1e-10 * max(float(np.max(np.abs(coeff[p, q]))), 1.0):
+                return False
+    return True
+
+
+def test_lmi_block_rejects_non_hermitian_coefficients():
+    n = 2
+    coeff = np.zeros((2, 2, n, n), dtype=complex)
+    coeff[0, 1] = [[1.0, 2.0], [0.0, 1.0]]
+    coeff[1, 0] = coeff[0, 1].conj().T
+    eye = np.eye(2, dtype=complex)
+    conic.LmiBlock(coeff=coeff, const=eye, t_coeff=eye)
+    # entry (1, 0) off by more than 1e-10 of max(|coeff[1, 0]|, 1) = 2
+    coeff[1, 0, 1, 0] += 3e-10
+    with pytest.raises(ValueError, match="not Hermitian-symmetric"):
+        conic.LmiBlock(coeff=coeff, const=eye, t_coeff=eye)
+    # within it, though not within 1e-10 absolute: accepted
+    coeff[1, 0, 1, 0] -= 1.5e-10
+    conic.LmiBlock(coeff=coeff, const=eye, t_coeff=eye)
+
+
+def test_lmi_block_check_matches_the_loop():
+    # tensors of mixed scale with one entry moved by up to four times the
+    # tolerance, so both verdicts occur
+    rng = np.random.default_rng(11)
+    eye = np.eye(3, dtype=complex)
+    verdicts = []
+    for _ in range(200):
+        c = random_complex(rng, 3, 3, 2, 2) * 10.0 ** rng.uniform(-3, 3, (3, 3, 1, 1))
+        coeff = 0.5 * (c + c.transpose(1, 0, 3, 2).conj())
+        p, q, i, j = rng.integers(0, (3, 3, 2, 2))
+        coeff[p, q, i, j] += rng.uniform(0.0, 4e-10) * max(np.abs(coeff[p, q]).max(), 1.0)
+        verdicts.append(hermitian_symmetric_by_loop(coeff))
+        try:
+            conic.LmiBlock(coeff=coeff, const=eye, t_coeff=eye)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == verdicts[-1]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_sdp_trace_maximization():
@@ -262,7 +312,7 @@ def test_qcqp_constraints_hold_at_solution():
 
 
 def three_family_problem():
-    """A compiled problem with both barrier families: the PSD block of a 2x2
+    """An SDP with all three kinds of diagonal block: the PSD block of a 2x2
     Hermitian X, an LMI block (1 + t) I + [Tr(C_pq X)] and the trace cut
     Tr X <= 1 on the parameter vector x = (X00, X11, Re X01, Im X01, t)."""
     rng = np.random.default_rng(7)
@@ -273,29 +323,99 @@ def three_family_problem():
     prob = conic.SdpProblem(
         dim=2, obj_mat=herm(rng, 2), obj_t=-1.0, lmi_blocks=(lmi,),
         trace_constraints=(conic.TraceConstraint(np.eye(2, dtype=complex), 1.0, "le"),))
-    return conic._compile_sdp(prob)
+    return prob
 
 
-def direct_terms(comp, x):
-    """Each barrier term -log det S, -log s evaluated from scratch, or None
-    for a term whose argument has left the domain."""
+def reduced_sdr_problem(channel_seed):
+    """The SDR relaxation of a reduced sdr-point instance (3x3 X)."""
+    reduced, _ = model.reduce_instance(model.build_instance(sdr_point_scenario(channel_seed)))
+    return sdr.build_sdp(reduced)
+
+
+def block_slices(prob):
+    """The diagonal blocks of the compiled S(x): X, each LMI block, each
+    trace constraint."""
+    sizes = [prob.dim, *(blk.const.shape[0] for blk in prob.lmi_blocks),
+             *(1 for _ in prob.trace_constraints)]
+    ends = np.cumsum(sizes)
+    return [slice(end - size, end) for size, end in zip(sizes, ends)]
+
+
+def s_matrix(comp, x):
+    """S(x) = const + sum_k x_k ds_k, from scratch."""
+    return comp.const + np.einsum("k,kij->ij", x, comp.ds)
+
+
+def direct_terms(comp, blocks, x):
+    """Each diagonal block's barrier term -log det of S(x), evaluated from
+    scratch, or None for a block that has left the PSD cone."""
+    s_mat = s_matrix(comp, x)
     terms = []
-    for const, ds in comp.blocks:
-        s_mat = const + np.tensordot(x, ds, axes=(0, 0))
-        sign, logdet = np.linalg.slogdet(s_mat)
-        pd = np.linalg.eigvalsh(0.5 * (s_mat + s_mat.conj().T)).min() > 0.0
+    for span in blocks:
+        sub = s_mat[span, span]
+        sign, logdet = np.linalg.slogdet(sub)
+        pd = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T)).min() > 0.0
         terms.append(-logdet if pd and sign.real > 0.0 else None)
-    for a, b in zip(comp.cut_a, comp.cut_b):
-        s = a @ x + b
-        terms.append(-np.log(s) if s > 0.0 else None)
     return terms
 
 
-def test_ray_matches_direct_barrier_evaluation():
-    comp = three_family_problem()
+@pytest.mark.parametrize("build", [three_family_problem, lambda: reduced_sdr_problem(1)],
+                         ids=["three families", "reduced sdr-point"])
+def test_compiled_blocks_are_the_constraint_values(build):
+    prob = build()
+    comp = conic._compile_sdp(prob)
+    n = prob.dim
+    x = np.random.default_rng(9).standard_normal(comp.cost.size)
+    mat, t = conic._herm_of_params(x[:n * n], n), x[n * n]
+    s_mat = s_matrix(comp, x)
+    blocks = block_slices(prob)
+    assert comp.sizes == tuple(span.stop - span.start for span in blocks)
+    inside = np.zeros(s_mat.shape, dtype=bool)
+    for span in blocks:
+        inside[span, span] = True
+    assert not np.any(s_mat[~inside])
+    np.testing.assert_allclose(s_mat[blocks[0], blocks[0]], mat, rtol=0, atol=1e-14)
+    for blk, span in zip(prob.lmi_blocks, blocks[1:]):
+        value = blk.const + t * blk.t_coeff + np.einsum("pqij,ji->pq", blk.coeff, mat)
+        np.testing.assert_allclose(s_mat[span, span], value, rtol=1e-12, atol=1e-12)
+    for con, span in zip(prob.trace_constraints, blocks[1 + len(prob.lmi_blocks):]):
+        sign = -1.0 if con.sense == "le" else 1.0
+        slack = sign * (np.trace(con.mat @ mat).real - con.bound)
+        assert s_mat[span, span][0, 0] == pytest.approx(slack, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lambda_max_problem(herm(np.random.default_rng(0), 3)),
+    lambda: reduced_sdr_problem(27)], ids=["lambda_max", "reduced sdr-point"])
+def test_phase_one_point_is_strictly_feasible(build):
+    prob = build()
+    comp = conic._compile_sdp(prob)
+    x, _ = conic._phase_one(comp)
+    assert x is not None
+    s_mat = s_matrix(comp, x)
+    for span in block_slices(prob):
+        assert np.linalg.eigvalsh(s_mat[span, span]).min() > 0.0
+
+
+def test_barrier_derivatives_match_the_dense_formula():
+    # grad_k = -Tr(S^-1 ds_k), hess_kl = Tr(S^-1 ds_k S^-1 ds_l) at S(x)
+    comp = conic._compile_sdp(three_family_problem())
     x = np.array([0.1, 0.1, 0.0, 0.0, 1.0])
+    s_inv_ds = np.linalg.inv(s_matrix(comp, x)) @ comp.ds
+    grad, hess = conic._Local(comp, x).grad_hess()
+    np.testing.assert_allclose(grad, -np.einsum("kii->k", s_inv_ds).real, rtol=1e-12)
+    np.testing.assert_allclose(hess, np.einsum("kij,lji->kl", s_inv_ds, s_inv_ds).real,
+                               rtol=1e-12, atol=1e-14)
+
+
+def test_ray_matches_direct_barrier_evaluation():
+    prob = three_family_problem()
+    comp = conic._compile_sdp(prob)
+    blocks = block_slices(prob)
+    x = np.array([0.1, 0.1, 0.0, 0.0, 1.0])
+    # a family is named by the diagonal block of S(x) it owns
     families = ["block X", "block LMI", "trace cut"]
-    base = direct_terms(comp, x)
+    base = direct_terms(comp, blocks, x)
     assert all(v is not None for v in base)
     e = np.eye(x.size)
     # each direction first leaves the domain through one known family
@@ -307,15 +427,15 @@ def test_ray_matches_direct_barrier_evaluation():
         assert np.isfinite(ray.alpha_max)
         for frac in (1e-3, 0.1, 0.5, 0.9, 0.999):
             alpha = frac * ray.alpha_max
-            moved = direct_terms(comp, x + alpha * dx)
+            moved = direct_terms(comp, blocks, x + alpha * dx)
             direct = sum(moved) - sum(base)
             assert ray.barrier_change(alpha) == pytest.approx(direct, rel=1e-10, abs=1e-13)
             objective = comp.objective(x + alpha * dx) - comp.objective(x)
             assert ray.merit_change(alpha, t_bar) == pytest.approx(
                 t_bar * objective + direct, rel=1e-10, abs=1e-13)
         # alpha_max is where the direct evaluation first leaves the domain
-        inside = direct_terms(comp, x + ray.alpha_max * (1.0 - 1e-9) * dx)
-        outside = direct_terms(comp, x + ray.alpha_max * (1.0 + 1e-9) * dx)
+        inside = direct_terms(comp, blocks, x + ray.alpha_max * (1.0 - 1e-9) * dx)
+        outside = direct_terms(comp, blocks, x + ray.alpha_max * (1.0 + 1e-9) * dx)
         assert all(v is not None for v in inside)
         left = [name for name, v in zip(families, outside) if v is None]
         assert left and (binding is None or left == [binding])

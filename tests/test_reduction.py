@@ -130,6 +130,18 @@ def test_sdr_on_uncentred_channels_meets_its_bound(channel_seed):
     assert result.mi_nats >= UNCENTRED_SDR_MI[channel_seed]
 
 
+def test_flat_reduced_sdp_ends_at_its_centring_floor():
+    """Channel 27's reduced SDP has a flat direction: in the final round the
+    merit Hessian's condition number is about 1e15, and the strict centring
+    stalls at a squared decrement near 1e-9, above 2 CENTER_TOL.  The
+    roundoff-floor test ends it there, centred to the loose tolerance, so
+    the whole solve fits in one round's Newton budget."""
+    reduced, _ = model.reduce_instance(model.build_instance(sdr_point_scenario(27)))
+    report = conic.solve_sdp(sdr.build_sdp(reduced))
+    assert report.status == conic.OPTIMAL
+    assert report.iterations < conic.NEWTON_PER_ROUND
+
+
 def test_uncentred_full_space_sdp_is_not_optimal():
     """The full 6x6 SDP of channel 29 spends every round's Newton budget and
     ends far from the centre, so its gap bound certifies nothing."""
