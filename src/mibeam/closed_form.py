@@ -2,8 +2,8 @@
 
 Maximizes the target-direction gain |a^H w|^2 subject to ||w||^2 <= P0 and a
 minimum received power |h^H w|^2 >= omega; the optimizer always spends the
-full power budget.  Also hosts the feasibility bound used as the strict
-feasibility (Slater) test by every single-user solver.
+full power budget.  Also hosts the feasibility bound that the closed form
+checks the received-power target against.
 """
 
 from __future__ import annotations

@@ -49,18 +49,12 @@ class EvalOptions:
 
 
 @dataclass(frozen=True)
-class SweepOptions:
-    variable: str
-    grid: tuple
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     scenario: model.Scenario
     scheme: str
     solver: SolverOptions
     evaluation: EvalOptions
-    sweep: Optional[SweepOptions]
+    sweep: Optional[evaluation.SweepSpec]
     output_dir: str
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -70,20 +64,49 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _power_watts(node, path: str) -> float:
-    if isinstance(node, dict):
-        if set(node) == {"dbm"}:
-            return model.dbm_to_watts(float(node["dbm"]))
-        if set(node) == {"watts"}:
-            return float(node["watts"])
-        raise ConfigError(f"{path}: power must be tagged {{dbm: x}} or {{watts: x}}")
-    raise ConfigError(f"{path}: power must be tagged {{dbm: x}} or {{watts: x}}")
+_REQUIRED = object()
 
 
-def _require(mapping, key, path):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return mapping[key]
+def _field(node, section: str, key: str, convert=lambda value: value, default=_REQUIRED):
+    """``node[key]`` through ``convert``, or ``default`` when the key is
+    absent.  A node that is no mapping, a missing required key, and a value
+    that ``convert`` rejects with ValueError or TypeError are
+    :class:`ConfigError`s naming <section> or <section>.<key>."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{section}: expected a mapping")
+    if key not in node:
+        if default is _REQUIRED:
+            raise ConfigError(f"{section}.{key}: missing required field")
+        return default
+    try:
+        return convert(node[key])
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{section}.{key}: cannot read {node[key]!r}: {exc}") from exc
+
+
+def _fields(node, section: str, **converters) -> dict:
+    """The keys of ``converters`` that node has, each read by :func:`_field`;
+    the dataclass they are passed to supplies the defaults of the rest."""
+    read = {key: _field(node, section, key, convert, None) for key, convert in converters.items()}
+    return {key: value for key, value in read.items() if value is not None}
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _span(values) -> tuple:
+    lo, hi = _floats(values)
+    return lo, hi
+
+
+def _power_watts(node) -> float:
+    """A power tagged {dbm: x} or {watts: x}, in watts."""
+    if isinstance(node, dict) and set(node) == {"dbm"}:
+        return model.dbm_to_watts(float(node["dbm"]))
+    if isinstance(node, dict) and set(node) == {"watts"}:
+        return float(node["watts"])
+    raise ValueError("power must be tagged {dbm: x} or {watts: x}")
 
 
 def _scatterer(node, path: str) -> Optional[model.ScattererModel]:
@@ -91,39 +114,33 @@ def _scatterer(node, path: str) -> Optional[model.ScattererModel]:
         return None
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping or 'none'")
-    try:
-        if "span" in node:
-            lo, hi = (float(v) for v in node["span"])
-            return model.ScattererModel.extended(lo, hi, int(node.get("count", 50)),
-                                                 float(_require(node, "strength", path)))
-        angles = [float(a) for a in _require(node, "angles", path)]
-        strengths = [float(s) for s in _require(node, "strengths", path)]
-        return model.ScattererModel(tuple(angles), tuple(strengths))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    if "span" in node:
+        lo, hi = _field(node, path, "span", _span)
+        return model.ScattererModel.extended(lo, hi, _field(node, path, "count", int, 50),
+                                             _field(node, path, "strength", float))
+    return model.ScattererModel(_field(node, path, "angles", _floats),
+                                _field(node, path, "strengths", _floats))
 
 
 def _channel(node, cfg: model.SystemConfig, base: Path) -> np.ndarray:
-    if not isinstance(node, dict) or "kind" not in node:
-        raise ConfigError("channel.kind: must be 'rayleigh' or 'file'")
-    kind = node["kind"]
+    kind = _field(node, "channel", "kind")
     if kind == "rayleigh":
-        seed = check_seed(int(node.get("seed", cfg.rng_seed)), "channel.seed")
+        seed = check_seed(_field(node, "channel", "seed", int, cfg.rng_seed), "channel.seed")
         return model.rayleigh_channel(cfg.n_users, cfg.n_tx, seed)
     if kind == "file":
-        path = base / str(_require(node, "path", "channel"))
+        path = base / _field(node, "channel", "path", str)
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(path.read_text())
             h = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
         except Exception as exc:
             raise ConfigError(f"channel.path: cannot read matrix from {path}: {exc}") from exc
         if h.shape != (cfg.n_users, cfg.n_tx):
             raise ConfigError(
                 f"channel.path: matrix shape {h.shape} != {(cfg.n_users, cfg.n_tx)}")
+        if not np.all(np.isfinite(h)):
+            raise ConfigError(f"channel.path: matrix in {path} has non-finite entries")
         return h
-    raise ConfigError(f"channel.kind: unknown kind {kind!r}")
+    raise ConfigError(f"channel.kind: unknown kind {kind!r} (choose 'rayleigh' or 'file')")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -137,67 +154,49 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
-    sys_node = _require(raw, "system", "config")
+    sys_node = _field(raw, "config", "system")
     cfg = model.SystemConfig(
-        n_tx=int(_require(sys_node, "n_tx", "system")),
-        n_rx=int(_require(sys_node, "n_rx", "system")),
-        n_users=int(_require(sys_node, "n_users", "system")),
-        n_slots=int(_require(sys_node, "n_slots", "system")),
-        power_budget=_power_watts(_require(sys_node, "power_budget", "system"),
-                                  "system.power_budget"),
-        comm_noise=_power_watts(_require(sys_node, "comm_noise", "system"),
-                                "system.comm_noise"),
-        radar_noise=_power_watts(_require(sys_node, "radar_noise", "system"),
-                                 "system.radar_noise"),
-        rate_targets=tuple(float(r) for r in _require(sys_node, "rate_targets", "system")),
-        rng_seed=int(sys_node.get("rng_seed", 0)),
+        **{key: _field(sys_node, "system", key, int)
+           for key in ("n_tx", "n_rx", "n_users", "n_slots")},
+        **{key: _field(sys_node, "system", key, _power_watts)
+           for key in ("power_budget", "comm_noise", "radar_noise")},
+        rate_targets=_field(sys_node, "system", "rate_targets", _floats),
+        rng_seed=_field(sys_node, "system", "rng_seed", int, 0),
     )
 
-    target = _scatterer(_require(raw, "target", "config"), "target")
+    target = _scatterer(_field(raw, "config", "target"), "target")
     if target is None:
         raise ConfigError("target: must be a scatterer, not 'none'")
-    interference = _scatterer(raw.get("interference"), "interference")
-    channel = _channel(_require(raw, "channel", "config"), cfg, path.parent)
+    interference = _scatterer(_field(raw, "config", "interference", default=None), "interference")
+    channel = _channel(_field(raw, "config", "channel"), cfg, path.parent)
     scenario = model.Scenario(cfg, target, interference, channel)
 
-    solver_node = _require(raw, "solver", "config")
-    scheme = str(_require(solver_node, "name", "solver"))
+    solver_node = _field(raw, "config", "solver")
+    scheme = _field(solver_node, "solver", "name", str)
     validate_scheme(scenario, scheme)
-    solver_default = SolverOptions()
     solver = SolverOptions(
-        eps1=float(solver_node.get("eps1", solver_default.eps1)),
-        eps2=float(solver_node.get("eps2", solver_default.eps2)),
-        max_iters=int(solver_node.get("max_iters", solver_default.max_iters)),
-        n_randomizations=int(solver_node.get("randomizations", solver_default.n_randomizations)),
-        seed=check_seed(int(solver_node.get("seed", cfg.rng_seed)), "solver.seed"),
+        **_fields(solver_node, "solver", eps1=float, eps2=float, max_iters=int),
+        n_randomizations=_field(solver_node, "solver", "randomizations", int,
+                                SolverOptions.n_randomizations),
+        seed=check_seed(_field(solver_node, "solver", "seed", int, cfg.rng_seed), "solver.seed"),
     )
     if solver.n_randomizations < 1:
         raise ConfigError(
             f"solver.randomizations: must be at least 1, got {solver.n_randomizations}")
 
-    eval_node = raw.get("eval", {}) or {}
-    eval_default = EvalOptions()
+    eval_node = _field(raw, "config", "eval", default=None) or {}
     eval_opts = EvalOptions(
-        trials=int(eval_node.get("trials", eval_default.trials)),
-        angle_grid_step=float(eval_node.get("angle_grid_step", eval_default.angle_grid_step)),
-        beampattern_step=float(eval_node.get("beampattern_step", eval_default.beampattern_step)),
-        diagonal_load=float(eval_node.get("diagonal_load", eval_default.diagonal_load)),
-        echo_seed=int(eval_node.get("echo_seed", cfg.rng_seed)),
-        snr_grid_db=tuple(float(v) for v in eval_node.get("snr_grid_db",
-                                                          eval_default.snr_grid_db)),
+        **_fields(eval_node, "eval", trials=int, angle_grid_step=float, beampattern_step=float,
+                  diagonal_load=float, snr_grid_db=_floats),
+        echo_seed=_field(eval_node, "eval", "echo_seed", int, cfg.rng_seed),
     )
 
-    sweep = None
-    if raw.get("sweep") is not None:
-        sweep_node = raw["sweep"]
-        sweep = SweepOptions(
-            variable=str(_require(sweep_node, "variable", "sweep")),
-            grid=tuple(float(v) for v in _require(sweep_node, "grid", "sweep")),
-        )
-        evaluation.check_variable(sweep.variable)
-        evaluation.check_grid(sweep.grid, "sweep.grid")
+    sweep_node = _field(raw, "config", "sweep", default=None)
+    sweep = None if sweep_node is None else evaluation.SweepSpec(
+        variable=_field(sweep_node, "sweep", "variable", str),
+        grid=_field(sweep_node, "sweep", "grid", _floats), scheme=scheme)
 
     return ExperimentConfig(
-        scenario=scenario, scheme=scheme, solver=solver, evaluation=eval_opts,
-        sweep=sweep, output_dir=str(raw.get("output", "out")), raw=raw,
+        scenario=scenario, scheme=scheme, solver=solver, evaluation=eval_opts, sweep=sweep,
+        output_dir=_field(raw, "config", "output", str, "out"), raw=raw,
     )

@@ -1,24 +1,25 @@
 """Minorize-maximize solvers for the extended-interference designs.
 
 The nonconcave mutual information is minorized at each iterate by a touching
-concave quadratic in w.  For a single user the per-iteration subproblem is
-solved in closed form through its Lagrangian dual, with a secular-equation
-Newton solve for the power multiplier in the eigenbasis of the surrogate
-curvature, and the iteration is accelerated by SQUAREM extrapolation.  For
-multiple users the subproblem keeps the linearized per-user rate
-constraints, a convex QCQP built as one stack (:func:`multiuser_subproblem`)
-and solved through its Lagrangian dual by Newton steps in the K + 1
-multipliers (:func:`conic.solve_qcqp`), each warm-started from the
-multipliers of the one before; its solution is scaled to the full power
-budget, which raises the MI and every rate.
+concave quadratic in w; the schemes differ only in the subproblem.  For one
+user it is solved in closed form through its Lagrangian dual, with a
+secular-equation Newton solve for the power multiplier in the eigenbasis of
+the surrogate curvature, and SQUAREM extrapolation accelerates the map.  For
+K users the subproblem keeps the linearized per-user rate constraints, a
+convex QCQP built as one stack (:func:`multiuser_subproblem`) and solved
+through its Lagrangian dual by Newton steps in the K + 1 multipliers
+(:func:`conic.solve_qcqp`), each warm-started from the multipliers of the
+one before.
 
-One outer loop, one KKT certificate and one finish serve both regimes.  The
+One solve path (:func:`_solve`) serves both: one start with its feasibility
+verdict, one map that scales every subproblem answer to the full power
+budget, one outer loop, one KKT certificate and one finish.  The
 certificate (:func:`kkt_certificate`) fits the power and rate multipliers to
 the MI gradient of the true problem, so it reads only the design, never how
 a subproblem was solved.  After the eps stop the finish (:func:`_finish`)
 takes Newton steps on the KKT system of the true problem.
 
-Both regimes build the minorizer from the scatterer factors of the instance
+Both schemes build the minorizer from the scatterer factors of the instance
 (R = F F^H, one column per component), as the mutual information does; no
 (N_T N_R)-dimensional matrix is formed.
 """
@@ -32,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from . import conic, model
-from .closed_form import feasibility_bound
 from .errors import BracketFailure, DegenerateConstraint, Infeasible, NumericalError
 from .linalg import hermitianize, pinv, unvec, vec
 
@@ -290,15 +290,32 @@ def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float, p0: 
 
 
 class _MmMap:
-    """An MM map with its per-solve constants, and what the outer loop and
-    the finish ask of a point.  ``advance`` is the scheme's step, (w, MI)
-    -> (w, MI)."""
-
-    inner_steps = 0         # set per instance by the first inner solve
+    """The MM map of one scheme with its per-solve constants, and what the
+    outer loop and the finish ask of a point.  A scheme supplies
+    ``subproblem(w)``, the maximizer of the surrogate built at w under its
+    constraints; ``advance`` is the scheme's step, (w, MI) -> (w, MI), here
+    one plain map."""
 
     def __init__(self, inst: model.Instance):
         self.inst = inst
         self.p0 = inst.config.power_budget
+        self.inner_steps = 0
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        """One MM step: the subproblem's answer at w scaled to ||W||^2 = P0,
+        an ascent that keeps feasibility (MI(cW) and every SINR increase in
+        c), with its common phase turned so that w^H w_next is real and
+        nonnegative.  That phase changes neither objective nor constraints;
+        the turn keeps successive differences, which the extrapolation
+        uses, free of arbitrary phase turns."""
+        w_next = self.subproblem(w)
+        w_next = w_next * np.sqrt(self.p0 / float(np.linalg.norm(w_next) ** 2))
+        overlap = complex(np.vdot(w, w_next))
+        return w_next * (np.conj(overlap) / abs(overlap)) if overlap != 0.0 else w_next
+
+    def advance(self, w: np.ndarray, g_val: float):
+        w_next = self(w)
+        return w_next, self.mi(w_next)
 
     def mi(self, w: np.ndarray) -> float:
         return model.mutual_information(self.inst, w)
@@ -311,10 +328,10 @@ class _MmMap:
 
 
 class _SingleUserMap(_MmMap):
-    """The single-user MM map: w -> maximizer of the surrogate built at w,
-    under the power budget and the rate constraint linearized at w.  Its
-    output meets the rate target for any input w, because the linearized
-    constraint is a restriction of the true one.
+    """The single-user subproblem: the maximizer of the surrogate built at w
+    under the power budget and the rate constraint linearized at w, by
+    :func:`_inner_step`.  Its answer meets the rate target for any input w,
+    because the linearized constraint is a restriction of the true one.
     """
 
     def __init__(self, inst: model.Instance):
@@ -323,17 +340,11 @@ class _SingleUserMap(_MmMap):
         self.omega = model.rate_power_threshold(inst.config.rate_targets[0],
                                                 inst.config.comm_noise)
 
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        """One MM step, with the common phase of the result set so that
-        w^H w_next is real and nonnegative.  Objective and constraints ignore
-        that phase and the map commutes with it, so this leaves the MI
-        trajectory unchanged while keeping successive differences (which the
-        extrapolation uses) free of arbitrary phase turns."""
-        sur = build_surrogate(self.inst, w)
-        w_next, evaluations = _inner_step(sur, self.h, w, self.omega, self.p0)
+    def subproblem(self, w: np.ndarray) -> np.ndarray:
+        w_next, evaluations = _inner_step(build_surrogate(self.inst, w), self.h, w, self.omega,
+                                          self.p0)
         self.inner_steps += evaluations
-        overlap = complex(np.vdot(w, w_next))
-        return w_next * (np.conj(overlap) / abs(overlap)) if overlap != 0.0 else w_next
+        return w_next.reshape(w.shape)
 
     def advance(self, w: np.ndarray, g_val: float):
         """One SQUAREM cycle (Varadhan & Roland 2008, steplength S3).
@@ -379,44 +390,41 @@ def _real(w: np.ndarray) -> np.ndarray:
 
 def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
                       max_iters: int = DEFAULT_MAX_ITERS) -> MmReport:
-    """MM solver for one user with arbitrary (e.g. extended) interference.
-
-    Starts from the maximum-ratio-transmission vector at full power and
-    iterates touching-minorizer maximization with the Lagrangian-dual inner
-    step (secular-equation Newton on the power multiplier), accelerated by
-    SQUAREM extrapolation (one outer iteration is one guarded cycle, see
-    :meth:`_SingleUserMap.advance`).  It stops on relative objective change
-    <= eps1, on a step that would lower the MI (``stalled``) or at the cap.
-    The eps1 rule bounds the MI gain, which scales with the square of the
-    stationarity residual, so its point can still be 1e-3 from stationary;
-    after it :func:`_finish` (SQUAREM cycles as the fallback) runs within the
-    cap.  The objective trace is non-decreasing and the residuals are those
-    of :func:`kkt_certificate`.  A zero-strength target returns the MRT
-    start, converged with MI 0 and a zero certificate.
-    """
+    """MM solver for one user with arbitrary (e.g. extended) interference:
+    :func:`_solve` with the Lagrangian-dual inner step (secular-equation
+    Newton on the power multiplier), one SQUAREM cycle per outer iteration
+    (:meth:`_SingleUserMap.advance`) and the eps1 rule."""
     if inst.config.n_users != 1:
         raise ValueError("solve_single_user requires exactly one user")
-    started = time.perf_counter()
-    step = _SingleUserMap(inst)
-    h, p0 = step.h, step.p0
-    if feasibility_bound(h, p0) <= step.omega:
-        raise Infeasible("rate target is not strictly feasible under the power budget")
+    return _solve(_SingleUserMap(inst), eps1, max_iters)
 
-    w = np.sqrt(p0) * h / np.linalg.norm(h)
-    if not np.any(inst.target_factor):
-        # A silent target makes the MI, and every surrogate, identically
-        # zero: each feasible point is stationary, the MRT start among them.
-        return MmReport(w=w[:, None], mi_trace=[step.mi(w)], iterations=0, status="converged",
+
+def _solve(step: _MmMap, eps: float, max_iters: int) -> MmReport:
+    """The MM solve of every scheme, from :func:`zero_forcing_init` (for one
+    user the maximum-ratio-transmission vector at full power), which raises
+    :class:`Infeasible` when the least power that meets the rate targets
+    exceeds the budget.  A silent target makes the MI, and every surrogate,
+    identically zero: each feasible point is stationary, so the start is
+    returned, converged with a zero certificate.  Otherwise
+    :func:`_iterate`."""
+    started = time.perf_counter()
+    w = zero_forcing_init(step.inst)
+    if not np.any(step.inst.target_factor):
+        return MmReport(w=w, mi_trace=[step.mi(w)], iterations=0, status="converged",
                         kkt_residual=0.0, comp_power=0.0, comp_rate=0.0,
                         wall_time_s=time.perf_counter() - started)
-    return _iterate(step, w, eps1, max_iters, started)
+    return _iterate(step, w, eps, max_iters, started)
 
 
 def _iterate(step: _MmMap, w: np.ndarray, eps: float, max_iters: int,
              started: float) -> MmReport:
     """MM steps from w until the relative MI change is at most eps
-    (``converged``, then :func:`_finish`), a step lowers the MI by more than
-    1e-12 relative (``stalled``) or the cap is reached."""
+    (``converged``, then :func:`_finish` within the cap), a step lowers the
+    MI by more than 1e-12 relative (``stalled``) or the cap is reached.  The
+    eps rule bounds the MI gain, which scales with the square of the
+    stationarity residual, so its point can still be 1e-3 from stationary.
+    The objective trace is non-decreasing and the residuals are those of
+    :func:`kkt_certificate`."""
     g_val = step.mi(w)
     trace = [g_val]
     status, iterations = "max_iterations", 0
@@ -706,14 +714,16 @@ def kkt_certificate(inst: model.Instance, w):
 
 
 class _MultiUserMap(_MmMap):
-    """The K-user MM map: w -> the solution of :func:`multiuser_subproblem`
-    at w, scaled to the full power budget.  Each dual solve is warm-started
-    from the multipliers of the one before."""
+    """The K-user subproblem: the solution of :func:`multiuser_subproblem` at
+    w.  Each dual solve is warm-started from the multipliers of the one
+    before."""
 
-    maps = 0                # calls so far, set per instance by the first
-    multipliers = None
+    def __init__(self, inst: model.Instance):
+        super().__init__(inst)
+        self.maps = 0
+        self.multipliers = None
 
-    def __call__(self, w: np.ndarray) -> np.ndarray:
+    def subproblem(self, w: np.ndarray) -> np.ndarray:
         self.maps += 1
         report = conic.solve_qcqp(multiuser_subproblem(self.inst, w, build_surrogate(self.inst, w)),
                                   SUBPROBLEM_GAP_TOL, self.multipliers)
@@ -723,30 +733,16 @@ class _MultiUserMap(_MmMap):
             raise NumericalError(f"subproblem ended with status {report.status} at map {self.maps}")
         self.multipliers = report.multipliers
         self.inner_steps += report.iterations
-        w_next = unvec(report.solution, *w.shape)
-        return w_next * np.sqrt(self.p0 / float(np.linalg.norm(w_next) ** 2))
-
-    def advance(self, w: np.ndarray, g_val: float):
-        w_next = self(w)
-        return w_next, self.mi(w_next)
+        return unvec(report.solution, *w.shape)
 
 
 def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
                      max_iters: int = DEFAULT_MAX_ITERS) -> MmReport:
-    """MM + successive convex approximation for K users.
-
-    Starts from :func:`zero_forcing_init` and alternates surrogate
-    construction with a dual Newton solve of the subproblem QCQP, started
-    from the previous subproblem's multipliers.  Each subproblem solution is
-    scaled to the full power budget before the MI test.  MI(cW) and every
-    SINR increase in c (the noise term scales as 1/c^2), so this is an
-    ascent step that keeps feasibility and the stationary points.  Without
-    echo interference the subproblem's optimal set is a face whose central
-    point, which the solve returns, lies below full power; there the scaling
-    cuts hundreds of maps to tens.  The stops and the finish are those of
-    :func:`solve_single_user`, with eps2, and plain maps as the fallback.
-    Every iterate meets all rate targets and the power budget.
-    ``inner_steps`` totals the dual Newton steps.
-    """
-    started = time.perf_counter()
-    return _iterate(_MultiUserMap(inst), zero_forcing_init(inst), eps2, max_iters, started)
+    """MM + successive convex approximation for K users: :func:`_solve` with
+    a dual Newton solve of the subproblem QCQP, started from the previous
+    subproblem's multipliers, plain maps and the eps2 rule.  Without echo
+    interference the subproblem's optimal set is a face whose central point,
+    which the solve returns, lies below full power; there the map's scaling
+    cuts hundreds of maps to tens.  ``inner_steps`` totals the dual Newton
+    steps."""
+    return _solve(_MultiUserMap(inst), eps2, max_iters)

@@ -209,6 +209,62 @@ def test_invalid_sweep_is_config_error_before_output(tmp_path, capsys, overrides
     assert not (tmp_path / "o").exists()
 
 
+def write_channel(path: Path, h) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"re": np.real(h).tolist(), "im": np.imag(h).tolist()}))
+    return path
+
+
+@pytest.mark.parametrize("overrides, source", [
+    ({"system": {"n_tx": "six"}}, "system.n_tx"),
+    ({"system": {"rate_targets": 5}}, "system.rate_targets"),
+    ({"system": {"power_budget": {"watts": "abc"}}}, "system.power_budget"),
+    ({"channel": {"seed": "x"}}, "channel.seed"),
+    ({"solver": {"max_iters": "many"}}, "solver.max_iters"),
+    ({"solver": {"eps1": "tiny"}}, "solver.eps1"),
+    ({"eval": {"trials": "x"}}, "eval.trials"),
+    ({"sweep": {"variable": "power_dbm", "grid": 5}}, "sweep.grid"),
+    ({"channel": {"kind": "file", "path": "h.json"}}, "channel.path"),
+], ids=["n_tx", "rate_targets", "watts", "channel_seed", "max_iters", "eps1", "trials",
+        "sweep_grid", "nan_channel"])
+def test_malformed_value_is_config_error_naming_its_field(tmp_path, capsys, overrides, source):
+    h = np.ones((1, 6), dtype=complex)
+    h[0, 2] = np.nan
+    write_channel(tmp_path / "h.json", h)
+    cfg_path = write_config(tmp_path / "cfg.yaml", **overrides)
+    code = cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["reason"].startswith(source)
+    assert not (tmp_path / "o").exists()
+
+
+def test_file_channel_relative_to_config_reads_back_bit_identical(tmp_path):
+    h = parse_config(write_config(tmp_path / "rayleigh.yaml")).scenario.channel
+    write_channel(tmp_path / "configs" / "channels" / "h.json", h)
+    cfg_path = write_config(tmp_path / "configs" / "cfg.yaml",
+                            channel={"kind": "file", "path": "channels/h.json"})
+    read = parse_config(cfg_path).scenario.channel
+    assert read.dtype == h.dtype and np.array_equal(read, h)
+
+
+def test_power_in_watts_equals_power_in_dbm(tmp_path):
+    watts = parse_config(write_config(tmp_path / "w.yaml", system={"power_budget": {"watts": 10.0}}))
+    dbm = parse_config(write_config(tmp_path / "d.yaml", system={"power_budget": {"dbm": 40.0}}))
+    assert watts.scenario.config == dbm.scenario.config
+
+
+def test_file_channel_of_the_wrong_shape_is_config_error(tmp_path, capsys):
+    write_channel(tmp_path / "h.json", np.ones((2, 6), dtype=complex))
+    cfg_path = write_config(tmp_path / "cfg.yaml", channel={"kind": "file", "path": "h.json"})
+    code = cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "channel.path" in err["reason"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.yaml",
                             system={"rate_targets": [30.0]})

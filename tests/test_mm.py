@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -702,7 +703,7 @@ def test_single_user_interference_costs_information():
 
 def test_single_user_infeasible_rate():
     inst = single_user_instance(seed=114, rate=30.0)  # far beyond the budget
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match="need at least"):
         mm.solve_single_user(inst)
 
 
@@ -719,6 +720,42 @@ def test_single_user_zero_strength_target_returns_mrt():
     assert result.kkt_residual == 0.0
     assert np.allclose(result.w[:, 0], mrt, rtol=0, atol=1e-12)
     assert result.rates_bits[0] >= cfg.rate_targets[0]
+
+
+def test_large_array_single_user_converges_at_full_power():
+    # configs/single_user_extended.yaml at 32 x 32, channel 2: a map that
+    # stopped below the budget left the solve at the cap with 6.9 W and a
+    # KKT residual of 0.17
+    scenario = parse_config(CONFIGS / "single_user_extended.yaml").scenario
+    cfg = replace(scenario.config, n_tx=32, n_rx=32)
+    scenario = replace(scenario, config=cfg, channel=model.rayleigh_channel(1, 32, 2))
+    result = dispatch.solve_scenario(scenario, "mm-single")
+    assert result.status == "converged"
+    assert result.kkt_residual <= 1e-6
+    assert np.linalg.norm(result.w) ** 2 == pytest.approx(cfg.power_budget, rel=1e-9)
+
+
+def admissible_start(step, rng):
+    """A random full-power beamformer that meets every rate target."""
+    cfg = step.inst.config
+    while True:
+        w = random_complex(rng, cfg.n_tx, cfg.n_users)
+        w *= np.sqrt(cfg.power_budget) / np.linalg.norm(w)
+        if step.admissible(w):
+            return w
+
+
+@pytest.mark.parametrize("make_step", [
+    lambda: mm._SingleUserMap(single_user_instance(seed=116)),
+    lambda: mm._MultiUserMap(multi_user_instance(n_tx=5, n_users=3, seed=122, rate=1.0)),
+], ids=["one_user", "three_users"])
+def test_map_output_is_at_full_power_and_phase_aligned(make_step):
+    step = make_step()
+    w = admissible_start(step, np.random.default_rng(17))
+    w_next = step(w)
+    assert np.linalg.norm(w_next) ** 2 == pytest.approx(step.p0, rel=1e-12)
+    overlap = complex(np.vdot(w, w_next))
+    assert overlap.real > 0.0 and abs(overlap.imag) <= 1e-12 * abs(overlap)
 
 
 def test_large_array_pipeline_stays_factored():
@@ -800,6 +837,15 @@ def test_zero_forcing_init_keeps_zero_forcing_when_it_fits():
     zf = np.linalg.pinv(inst.channel) * np.sqrt(model.rate_power_threshold(6.0, cfg.comm_noise))
     expected = zf * np.sqrt(cfg.power_budget / float(np.linalg.norm(zf) ** 2))
     assert np.array_equal(mm.zero_forcing_init(inst), expected)
+
+
+def test_multi_user_silent_target_returns_the_start():
+    inst = multi_user_instance(seed=123, n_users=3, n_tx=5, target=ScattererModel.point(0.0, 0.0))
+    report = mm.solve_multi_user(inst)
+    assert report.status == "converged" and report.iterations == 0
+    assert np.array_equal(report.w, mm.zero_forcing_init(inst))
+    assert report.mi_trace == [0.0]
+    assert (report.kkt_residual, report.comp_power, report.comp_rate) == (0.0, 0.0, 0.0)
 
 
 def test_multiuser_subproblem_reduces_to_single_user():
