@@ -84,13 +84,6 @@ def _field(node, section: str, key: str, convert=lambda value: value, default=_R
         raise ConfigError(f"{section}.{key}: cannot read {node[key]!r}: {exc}") from exc
 
 
-def _fields(node, section: str, **converters) -> dict:
-    """The keys of ``converters`` that node has, each read by :func:`_field`;
-    the dataclass they are passed to supplies the defaults of the rest."""
-    read = {key: _field(node, section, key, convert, None) for key, convert in converters.items()}
-    return {key: value for key, value in read.items() if value is not None}
-
-
 def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
@@ -175,7 +168,9 @@ def parse_config(path) -> ExperimentConfig:
     scheme = _field(solver_node, "solver", "name", str)
     validate_scheme(scenario, scheme)
     solver = SolverOptions(
-        **_fields(solver_node, "solver", eps1=float, eps2=float, max_iters=int),
+        eps1=_field(solver_node, "solver", "eps1", float, SolverOptions.eps1),
+        eps2=_field(solver_node, "solver", "eps2", float, SolverOptions.eps2),
+        max_iters=_field(solver_node, "solver", "max_iters", int, SolverOptions.max_iters),
         n_randomizations=_field(solver_node, "solver", "randomizations", int,
                                 SolverOptions.n_randomizations),
         seed=check_seed(_field(solver_node, "solver", "seed", int, cfg.rng_seed), "solver.seed"),
@@ -186,8 +181,13 @@ def parse_config(path) -> ExperimentConfig:
 
     eval_node = _field(raw, "config", "eval", default=None) or {}
     eval_opts = EvalOptions(
-        **_fields(eval_node, "eval", trials=int, angle_grid_step=float, beampattern_step=float,
-                  diagonal_load=float, snr_grid_db=_floats),
+        trials=_field(eval_node, "eval", "trials", int, EvalOptions.trials),
+        angle_grid_step=_field(eval_node, "eval", "angle_grid_step", float,
+                               EvalOptions.angle_grid_step),
+        beampattern_step=_field(eval_node, "eval", "beampattern_step", float,
+                                EvalOptions.beampattern_step),
+        diagonal_load=_field(eval_node, "eval", "diagonal_load", float, EvalOptions.diagonal_load),
+        snr_grid_db=_field(eval_node, "eval", "snr_grid_db", _floats, EvalOptions.snr_grid_db),
         echo_seed=_field(eval_node, "eval", "echo_seed", int, cfg.rng_seed),
     )
 

@@ -403,10 +403,10 @@ def _solve(step: _MmMap, eps: float, max_iters: int) -> MmReport:
     """The MM solve of every scheme, from :func:`zero_forcing_init` (for one
     user the maximum-ratio-transmission vector at full power), which raises
     :class:`Infeasible` when the least power that meets the rate targets
-    exceeds the budget.  A silent target makes the MI, and every surrogate,
-    identically zero: each feasible point is stationary, so the start is
-    returned, converged with a zero certificate.  Otherwise
-    :func:`_iterate`."""
+    exceeds the budget or a user's channel is zero.  A silent target makes
+    the MI, and every surrogate, identically zero: each feasible point is
+    stationary, so the start is returned, converged with a zero certificate.
+    Otherwise :func:`_iterate`."""
     started = time.perf_counter()
     w = zero_forcing_init(step.inst)
     if not np.any(step.inst.target_factor):
@@ -546,16 +546,20 @@ def zero_forcing_init(inst: model.Instance) -> np.ndarray:
 
     Zero forcing when it fits: pseudo-inverse columns make the effective
     channel diagonal, and per-user amplitudes meet the rate targets exactly
-    before the common full-power scaling.  Otherwise the design of
-    :func:`_minimum_power_design`, scaled to the budget, which keeps every
-    rate.  Raises :class:`Infeasible`, naming the least power that meets the
-    targets, when that exceeds the budget.
+    before the common full-power scaling; when every target is zero, the
+    unit-norm columns (for one user the maximum-ratio-transmission vector).
+    Otherwise :func:`_minimum_power_design`, scaled to the budget, which
+    keeps every rate.  Raises :class:`Infeasible`, naming the least power that meets the
+    targets, when that exceeds the budget, and when a user's channel is zero:
+    no beamformer then meets its rate constraint strictly.
     """
     cfg = inst.config
+    if not np.all(np.any(inst.channel, axis=1)):
+        raise Infeasible("a user's channel is zero, so its rate target is not strictly feasible")
     directions = pinv(inst.channel)  # (N_T, K), channel @ directions = I
     amps = np.sqrt([model.rate_power_threshold(r, cfg.comm_noise)
                     for r in cfg.rate_targets])
-    base = directions * amps[None, :]
+    base = directions * amps if np.any(amps) else directions / np.linalg.norm(directions, axis=0)
     needed = float(np.linalg.norm(base) ** 2)
     if needed > cfg.power_budget * (1.0 + 1e-12):
         base = _minimum_power_design(inst)
@@ -563,8 +567,6 @@ def zero_forcing_init(inst: model.Instance) -> np.ndarray:
         if needed > cfg.power_budget * (1.0 + 1e-12):
             raise Infeasible(f"the rate targets need at least {needed:.6g} W, "
                              f"budget is {cfg.power_budget:.6g} W")
-    if needed == 0.0:
-        return base
     return base * np.sqrt(cfg.power_budget / needed)
 
 

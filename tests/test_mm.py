@@ -707,6 +707,35 @@ def test_single_user_infeasible_rate():
         mm.solve_single_user(inst)
 
 
+def test_single_user_zero_rate_target_converges_at_full_power():
+    # a zero target gives zero forcing no amplitude: the start is the MRT
+    # vector at full power, not the zero vector the map cannot scale
+    inst = single_user_instance(seed=116, rate=0.0)
+    cfg = inst.config
+    h = inst.channel[0].conj()
+    mrt = np.sqrt(cfg.power_budget) * h / np.linalg.norm(h)
+    assert np.allclose(mm.zero_forcing_init(inst)[:, 0], mrt, rtol=0, atol=1e-12)
+    scenario = Scenario(cfg, ScattererModel.point(0.0, 1.0),
+                        ScattererModel.extended(-30.0, -25.0, 8, 50.0), inst.channel)
+    result = dispatch.solve_scenario(scenario, "mm-single")
+    assert result.status == "converged"
+    assert np.all(np.isfinite(result.w)) and result.mi_nats > 0.0
+    assert np.linalg.norm(result.w) ** 2 == pytest.approx(cfg.power_budget, rel=1e-9)
+    assert result.kkt_residual <= 1e-6
+
+
+@pytest.mark.parametrize("scheme, n_users, rate", [
+    ("mm-single", 1, 4.0), ("mm-single", 1, 0.0), ("mm-multi", 3, 2.0)])
+def test_zero_user_channel_is_infeasible(scheme, n_users, rate):
+    inst = multi_user_instance(n_tx=5, n_users=n_users, seed=117, rate=rate)
+    channel = inst.channel.copy()
+    channel[-1] = 0.0
+    scenario = Scenario(inst.config, ScattererModel.point(0.0, 1.0),
+                        ScattererModel.extended(-30.0, -25.0, 6, 10.0), channel)
+    with pytest.raises(Infeasible, match="channel is zero"):
+        dispatch.solve_scenario(scenario, scheme)
+
+
 def test_single_user_zero_strength_target_returns_mrt():
     inst = single_user_instance(seed=115, beta2=0.0)
     cfg = inst.config
