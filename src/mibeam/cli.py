@@ -139,7 +139,8 @@ def cmd_eval(cfg: ExperimentConfig, kind: str, out_dir: Path, seed: int,
                                     scheme=cfg.scheme, trials=cfg.evaluation.trials,
                                     seed=seed)
         points = evaluation.rmse_sweep(spec, scenario,
-                                       angle_step=cfg.evaluation.angle_grid_step)
+                                       angle_step=cfg.evaluation.angle_grid_step,
+                                       opts=replace(cfg.solver, seed=seed))
         rows = [(p.value, p.rmse_deg, p.trials) for p in points]
         _write_csv(out_dir / "rmse.csv", ["snr_db", "rmse_deg", "trials"], rows,
                    _meta(cfg, seed))

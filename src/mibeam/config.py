@@ -173,7 +173,7 @@ def parse_config(path) -> ExperimentConfig:
         max_iters=_field(solver_node, "solver", "max_iters", int, SolverOptions.max_iters),
         n_randomizations=_field(solver_node, "solver", "randomizations", int,
                                 SolverOptions.n_randomizations),
-        seed=check_seed(_field(solver_node, "solver", "seed", int, cfg.rng_seed), "solver.seed"),
+        seed=cfg.rng_seed,
     )
     if solver.n_randomizations < 1:
         raise ConfigError(

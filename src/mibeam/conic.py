@@ -18,9 +18,11 @@ from coefficients computed once per step.
 
 ``solve_qcqp`` solves a convex complex QCQP, its m constraints stacked in a
 :class:`QcqpProblem`, by Newton steps on its log-barrier Lagrangian dual in
-the multipliers, one Cholesky solve per evaluation; it returns the interior
-point's central point, and a warm start from the multipliers of a nearby
-problem gets there in a few steps.
+the multipliers, one Cholesky solve per evaluation.  It returns the first
+certified central point on the grid t = 1, 5, 25, ...; a warm start from the
+multipliers of a nearby problem gets there in a few steps.  It certifies no
+infeasibility: the multi-user MM map solves only problems feasible at their
+own expansion point.
 """
 
 from __future__ import annotations
@@ -131,22 +133,6 @@ class QcqpProblem:
         if not (is_hermitian(a0) and is_hermitian(a)):
             raise ValueError("QCQP quadratic matrices must be Hermitian")
 
-    def combined(self, lam: np.ndarray) -> np.ndarray:
-        """sum lam_i A_i."""
-        a0, a = self.objective[0], self.constraints[0]
-        return (lam @ a.reshape(lam.size, a0.size)).reshape(a0.shape)
-
-    def farkas(self, lam: np.ndarray) -> bool:
-        """Whether lam certifies infeasibility: min_x sum lam_i f_i(x) > 0,
-        which no feasible x allows."""
-        _, b, c = self.constraints
-        try:
-            chol = np.linalg.cholesky(self.combined(lam))
-        except np.linalg.LinAlgError:
-            return False
-        y = np.linalg.solve(chol, lam @ b)
-        return float(lam @ c) - float(np.vdot(y, y).real) > 0.0
-
 
 @dataclass
 class ConicReport:
@@ -159,7 +145,7 @@ class ConicReport:
     status: str
     # SDP: (primal, primal - nu / t) per round, only the last, strictly
     # centred round's entry a certified duality gap; QCQP: (primal, dual)
-    # per certified central point
+    # of the certified central point it returns
     duality_trace: list = field(default_factory=list)
     decrement: float = np.nan      # squared Newton decrement of the final centring test
     multipliers: Optional[np.ndarray] = None  # QCQP constraint multipliers
@@ -348,8 +334,7 @@ def _predict(comp: _Compiled, local: _Local, hess: np.ndarray, t_bar: float,
     return x + min(1.0, 0.95 * _Ray(local, dx).alpha_max) * dx
 
 
-def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float,
-                   max_rounds: int = MAX_ROUNDS, stop_when=None):
+def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float, stop_when=None):
     """Path-following loop over t_bar = 1, 5, 25, ...; returns (x, gap,
     newton_steps, hit_cap, trace, decrement).
 
@@ -371,7 +356,7 @@ def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float,
     t_bar = 1.0
     used = 0
     trace = []
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         x, steps, local, hess, decrement = _newton_center(
             comp, x, t_bar, NEWTON_PER_ROUND, LOOSE_CENTER_TOL, stop_when)
         used += steps
@@ -512,7 +497,7 @@ class _DualPoint:
         (a0, b0, _), (a, b, c) = qp.objective, qp.constraints
         self.qp = qp
         self.lam = lam
-        self.mat = a0 + qp.combined(lam)
+        self.mat = a0 + (lam @ a.reshape(lam.size, a0.size)).reshape(a0.shape)
         l_inv = np.linalg.inv(np.linalg.cholesky(self.mat))
         self.x = -(l_inv.conj().T @ (l_inv @ (b0 + lam @ b)))
         ax = a @ self.x                                      # A_i x, (m, n)
@@ -533,15 +518,12 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
 
     Newton on the log-barrier dual over the m multipliers, started from
     ``multipliers`` (all ones when None).  The barrier weight t stays on the
-    path follower's grid t = 1, 5, 25, ..., and the answer is the central
-    point at the first grid weight whose gap m / t is within tol (1 + |f_0|)
-    at that point: the point the barrier path follower would return.  The
-    solve starts at the grid weight that meets the bound for the objective
-    at the starting multipliers' minimizer.  A centred point is certified
-    when x is feasible as evaluated and its gap -lam . f(x) is within
-    tol (1 + |f_0(x)|); a certified point moves t one grid step down while
-    the lower weight could still meet the bound, an uncertified one moves t
-    up, or ends the solve at the certified point of the weight above.
+    path follower's grid t = 1, 5, 25, ..., starting at the weight whose gap
+    m / t meets tol (1 + |f_0|) for the objective at the starting
+    multipliers' minimizer.  The answer is the first centred point that is
+    certified: x feasible as evaluated and its gap -lam . f(x) within
+    tol (1 + |f_0(x)|).  A centred point that is not certified moves t up
+    the grid, at least to the weight whose gap meets that point's bound.
 
     Steps are scaled by lam, capped at 0.95 of the way to lam = 0 and
     backtracked on the exact dual merit change
@@ -549,12 +531,11 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
     d(lam') - d(lam) = (lam' - lam) . f(x) - (x - x')^H M' (x - x'),
     so no difference of two large merit values is formed.  The solve is
     centred when :func:`_centred` holds at CENTER_TOL, the SDP's test.
-    ``infeasible`` is reported only with a Farkas certificate
-    (:meth:`QcqpProblem.farkas`), tested when a step would more than double
-    a multiplier and when the solve ends uncertified; the report's
-    multipliers are then that certificate, normalized to sum 1.
-    M(lam) must be positive definite for lam > 0 (a power ball gives this);
-    otherwise, or when DUAL_NEWTON_STEPS run out, the status is ``max_iter``.
+    The status is ``optimal`` or ``max_iter``, never ``infeasible``: the
+    caller's problem is feasible, and an unbounded dual (an infeasible
+    problem) ends when DUAL_NEWTON_STEPS run out or the Newton system
+    overflows.  M(lam) must be positive definite for lam > 0 (a power ball
+    gives this); otherwise the status is ``max_iter`` too.
     """
     m = prob.constraints[2].size
     lam = np.ones(m) if multipliers is None else np.array(multipliers, dtype=float)
@@ -566,7 +547,7 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
         return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
                            iterations=0, status=MAXITER)
     t_bar = _final_weight(m, tol * (1.0 + abs(point.objective)))
-    steps, previous, decrement, trace, fallback = 0, np.inf, np.nan, [], None
+    steps, previous, decrement = 0, np.inf, np.nan
     while True:
         lam, f = point.lam, point.f
         grad = -t_bar * lam * f - 1.0                   # scaled by lam
@@ -581,24 +562,14 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
             gap = -float(lam @ f)
             bound = tol * (1.0 + abs(primal))
             if np.max(f, initial=-np.inf) <= 0.0 and gap <= bound:
-                trace.append((primal, primal - gap))
-                fallback = ConicReport(solution=point.x, aux=None, objective=primal, gap=gap,
-                                       iterations=steps, status=OPTIMAL, duality_trace=trace,
-                                       decrement=decrement, multipliers=lam)
-                if t_bar == 1.0 or m / (t_bar * GAP_SHRINK) > bound:
-                    return fallback
-                t_bar *= GAP_SHRINK     # the previous weight may meet the bound too
-                previous = np.inf
-                continue
-            if fallback is not None:
-                fallback.iterations = steps
-                return fallback
+                return ConicReport(solution=point.x, aux=None, objective=primal, gap=gap,
+                                   iterations=steps, status=OPTIMAL,
+                                   duality_trace=[(primal, primal - gap)],
+                                   decrement=decrement, multipliers=lam)
             t_bar = max(t_bar / GAP_SHRINK, _final_weight(m, bound))
             previous = np.inf
             continue
-        # an unbounded dual shows as multipliers that more than double per step
-        if steps >= DUAL_NEWTON_STEPS or not np.isfinite(decrement) or (
-                np.max(step, initial=0.0) > 1.0 and prob.farkas(lam)):
+        if steps >= DUAL_NEWTON_STEPS or not np.isfinite(decrement):
             break
         # fraction-to-boundary cap, then backtrack on the exact merit change
         alpha = min(1.0, 0.95 / max(float(-step.min()), 1e-300))
@@ -620,9 +591,5 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
             break
         point, previous = trial, decrement
         steps += 1
-    if prob.farkas(lam):
-        return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
-                           iterations=steps, status=INFEASIBLE, multipliers=lam / lam.sum())
     return ConicReport(solution=point.x, aux=None, objective=point.objective, gap=np.nan,
-                       iterations=steps, status=MAXITER, duality_trace=trace,
-                       decrement=decrement, multipliers=lam)
+                       iterations=steps, status=MAXITER, decrement=decrement, multipliers=lam)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import model
+from . import dispatch, model
 from .errors import ConfigError, NumericalError
 
 DEFAULT_DIAGONAL_LOAD = 1e-3
@@ -197,19 +197,17 @@ def strength_for_radar_snr(snr_db: float, cfg: model.SystemConfig) -> float:
     return 10.0 ** (snr_db / 10.0) * cfg.radar_noise / (cfg.n_slots * cfg.power_budget)
 
 
-def rmse_sweep(spec: SweepSpec, scenario: model.Scenario,
-               angle_step: float = DEFAULT_ANGLE_STEP) -> list[RmsePoint]:
+def rmse_sweep(spec: SweepSpec, scenario: model.Scenario, angle_step: float = DEFAULT_ANGLE_STEP,
+               *, opts: dispatch.SolverOptions = dispatch.SolverOptions()) -> list[RmsePoint]:
     """Angle-estimation RMSE versus radar SNR for one solver scheme.
 
     For each grid point the target strength implied by the SNR is installed,
-    the scheme is re-solved, and ``trials`` echoes are drawn with per-trial
-    seeds; each estimate comes from the matched-subspace search on a grid of
-    ``angle_step`` degrees.  The per-design part of that search (steering
-    matrix and transmit filters) is built once per SNR point and shared by
-    its trials.
+    the scheme is re-solved with the solver options ``opts``, and ``trials``
+    echoes are drawn with per-trial seeds; each estimate comes from the
+    matched-subspace search on a grid of ``angle_step`` degrees.  The
+    per-design part of that search (steering matrix and transmit filters) is
+    built once per SNR point and shared by its trials.
     """
-    from . import dispatch
-
     if spec.variable != "radar_snr_db":
         raise ConfigError("rmse_sweep sweeps radar_snr_db only")
     truth = scenario.target.angles_deg[0]
@@ -219,7 +217,7 @@ def rmse_sweep(spec: SweepSpec, scenario: model.Scenario,
         strength = strength_for_radar_snr(snr_db, scenario.config)
         scen = scenario.with_target_strength(strength)
         inst = model.build_instance(scen)
-        result = dispatch.solve_scenario(scen, spec.scheme)
+        result = dispatch.solve_scenario(scen, spec.scheme, opts)
         estimate = mle_estimator(result.w, inst, grid)
         estimates = []
         sq_sum = 0.0

@@ -616,7 +616,9 @@ def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate) -> conic.
     linearized per-user rate constraints.  User k's cut acts through h_k h_k^H
     on column k (its own signal, linearized at w_prev) and, times nu_k, on
     every other column (the interference it receives); the signal term is
-    multiplied over all of vec(W), as the Kronecker-product construction is."""
+    multiplied over all of vec(W), as the Kronecker-product construction is.
+    Each cut equals user k's rate constraint at w_prev, so the problem is
+    feasible there when w_prev meets the budget and every rate target."""
     cfg = inst.config
     n_tx, n_users = cfg.n_tx, cfg.n_users
     dim = n_tx * n_users
@@ -729,9 +731,7 @@ class _MultiUserMap(_MmMap):
         self.maps += 1
         report = conic.solve_qcqp(multiuser_subproblem(self.inst, w, build_surrogate(self.inst, w)),
                                   SUBPROBLEM_GAP_TOL, self.multipliers)
-        if report.status == conic.INFEASIBLE:
-            raise Infeasible(f"subproblem infeasible at map {self.maps}")
-        if report.status != conic.OPTIMAL or report.solution is None:
+        if report.status != conic.OPTIMAL:
             raise NumericalError(f"subproblem ended with status {report.status} at map {self.maps}")
         self.multipliers = report.multipliers
         self.inner_steps += report.iterations

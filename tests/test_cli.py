@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mibeam import cli, evaluation
+from mibeam import cli, dispatch, evaluation
 from mibeam.config import EvalOptions, parse_config
 from mibeam.dispatch import SolverOptions
 from mibeam.errors import ConfigError
@@ -148,9 +148,8 @@ def test_invalid_eval_option_is_config_error(tmp_path, capsys, kind, field, valu
     (["eval", "capon"], {"eval": {"echo_seed": -1}}, "eval.echo_seed"),
     (["solve", "--seed", "-1"], {}, "--seed"),
     (["solve"], {"channel": {"seed": -2}}, "channel.seed"),
-    (["solve"], {"solver": {"seed": -1}}, "solver.seed"),
     (["solve"], {"system": {"rng_seed": -3}}, "system.rng_seed"),
-], ids=["echo_seed", "cli_seed", "channel_seed", "solver_seed", "rng_seed"])
+], ids=["echo_seed", "cli_seed", "channel_seed", "rng_seed"])
 def test_negative_seed_is_config_error(tmp_path, capsys, args, overrides, source):
     # rejected at parse time, before numpy sees the seed or a file is written
     cfg_path = write_config(tmp_path / "cfg.yaml", **overrides)
@@ -351,6 +350,24 @@ def test_eval_rmse_table_shape(tmp_path):
     assert header == ["snr_db", "rmse_deg", "trials"]
     assert len(rows) == 5
     assert all(int(r[2]) == 50 for r in rows)
+
+
+def test_eval_rmse_solves_with_the_config_solver_options(tmp_path, monkeypatch):
+    # every design of the sweep is solved with the config's solver section
+    # and the run's seed, as ``solve`` does
+    received = []
+    solve = dispatch.solve_scenario
+
+    def recording(scenario, scheme, opts=SolverOptions()):
+        received.append(opts)
+        return solve(scenario, scheme, opts)
+
+    monkeypatch.setattr(dispatch, "solve_scenario", recording)
+    cfg_path = write_config(tmp_path / "cfg.yaml", solver={"max_iters": 3},
+                            eval={"trials": 2, "snr_grid_db": [0, 20]})
+    assert cli.main(["eval", "rmse", "--config", str(cfg_path), "--seed", "11",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert received == [SolverOptions(max_iters=3, seed=11)] * 2
 
 
 @pytest.mark.parametrize("kind, name", [("rmse", "rmse.csv"), ("capon", "spectrum.csv")])

@@ -11,7 +11,9 @@ import pytest
 
 from mibeam import conic, evaluation, mm, model
 from mibeam.config import parse_config
+from mibeam.linalg import vec
 from mibeam.model import ScattererModel, Scenario, SystemConfig
+from test_conic import constraint_values
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 POWER_W = 10.0
@@ -189,6 +191,25 @@ def test_multi_user_bounded_run_ends_at_full_power():
     assert report.status == "max_iterations"
     assert np.linalg.norm(report.w) ** 2 == pytest.approx(inst.config.power_budget, rel=1e-12)
     assert np.isfinite(report.kkt_residual)
+
+
+@pytest.mark.parametrize("channel_seed", [1, 2, 3])
+def test_every_subproblem_is_feasible_at_its_expansion_point(monkeypatch, channel_seed):
+    # why conic.solve_qcqp needs no infeasibility certificate: at w_prev the
+    # power ball and every linearized rate cut hold, to roundoff
+    worst = []
+    build = mm.multiuser_subproblem
+
+    def recording(inst, w_prev, sur):
+        prob = build(inst, w_prev, sur)
+        values = constraint_values(prob, vec(model.as_beam_matrix(w_prev, inst.config)))
+        worst.append(values.max() / np.abs(prob.constraints[2]).max())
+        return prob
+
+    monkeypatch.setattr(mm, "multiuser_subproblem", recording)
+    mm.solve_multi_user(multi_user_config_instance(channel_seed), max_iters=20)
+    assert len(worst) == 20
+    assert max(worst) <= 1e-12
 
 
 def test_scaling_up_raises_mi_and_every_rate():
