@@ -49,26 +49,9 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", newline="\n")
 
 
-def _apply_variable(scenario: model.Scenario, variable: str, value: float) -> model.Scenario:
-    """The scenario at one grid point of a variable that parsing checked
-    (:func:`evaluation.check_variable`)."""
-    cfg = scenario.config
-    if variable == "power_dbm":
-        return replace(scenario, config=replace(cfg, power_budget=model.dbm_to_watts(value)))
-    if variable == "rate_target":
-        return replace(scenario, config=replace(cfg, rate_targets=(value,) * cfg.n_users))
-    # radar_snr_db
-    return scenario.with_target_strength(evaluation.strength_for_radar_snr(value, cfg))
-
-
-def _solve_grid_point(args):
-    config_path, variable, value, index, seed = args
-    cfg = parse_config(config_path)
-    scenario = _apply_variable(cfg.scenario, variable, value)
-    # deterministic per-point stream regardless of worker scheduling
-    opts = replace(cfg.solver, seed=seed * 1_000_003 + index)
-    result = dispatch.solve_scenario(scenario, cfg.scheme, opts)
-    return index, value, result
+def _solve_grid_point(job):
+    index, value, scenario, scheme, opts = job
+    return index, value, dispatch.solve_scenario(scenario, scheme, opts)
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
@@ -103,12 +86,15 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, seed: int, config_path: Path,
-              threads: int, grid_override=None) -> int:
-    variable = cfg.sweep.variable if cfg.sweep else "power_dbm"
-    grid = list(grid_override if grid_override is not None else cfg.sweep.grid)
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int,
+              grid_override=None) -> int:
+    spec = cfg.sweep or evaluation.SweepSpec("power_dbm", grid_override, cfg.scheme)
+    if grid_override is not None:
+        spec = replace(spec, grid=grid_override)
 
-    jobs = [(str(config_path), variable, float(v), i, seed) for i, v in enumerate(grid)]
+    # deterministic per-point stream regardless of worker scheduling
+    jobs = [(i, v, evaluation.apply_variable(cfg.scenario, spec.variable, v), spec.scheme,
+             replace(cfg.solver, seed=seed * 1_000_003 + i)) for i, v in enumerate(spec.grid)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = sorted(pool.map(_solve_grid_point, jobs))
@@ -118,18 +104,16 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, seed: int, config_path: Path
     n_users = cfg.scenario.config.n_users
     header = ["variable", "value", "scheme", "mi_bits"] + \
         [f"rate_{k + 1}_bits" for k in range(n_users)] + ["iterations", "seed"]
-    sweep_rows = [tuple([variable, value, result.scheme, result.mi_bits]
+    sweep_rows = [tuple([spec.variable, value, result.scheme, result.mi_bits]
                         + list(result.rates_bits) + [result.iterations, seed])
                   for _, value, result in results]
     _write_csv(out_dir / "sweep.csv", header, sweep_rows, _meta(cfg, seed))
-    print(f"sweep: {len(grid)} points of {variable} -> {out_dir / 'sweep.csv'}")
+    print(f"sweep: {len(spec.grid)} points of {spec.variable} -> {out_dir / 'sweep.csv'}")
     return 0
 
 
 def cmd_eval(cfg: ExperimentConfig, kind: str, out_dir: Path, seed: int,
              grid_override=None) -> int:
-    if kind not in ("beampattern", "capon", "rmse"):
-        raise ConfigError(f"eval: unknown kind {kind!r}")
     scenario = cfg.scenario
 
     if kind == "rmse":
@@ -192,15 +176,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (YAML)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
-        p.add_argument("--grid", default=None,
-                       help="grid override: 'a,b,c' or 'start:stop:step'")
 
     common(sub.add_parser("solve", help="solve one design problem"))
-    common(sub.add_parser("sweep", help="sweep a variable and record the MI"))
+    sweep_p = sub.add_parser("sweep", help="sweep a variable and record the MI")
+    common(sweep_p)
+    sweep_p.add_argument("--threads", type=int, default=1, help="worker processes")
     eval_p = sub.add_parser("eval", help="produce an evaluation artifact")
     eval_p.add_argument("kind", choices=("beampattern", "capon", "rmse"))
     common(eval_p)
+    for p in (sweep_p, eval_p):
+        p.add_argument("--grid", default=None,
+                       help="grid override: 'a,b,c' or 'start:stop:step'")
     return parser
 
 
@@ -210,7 +196,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         seed = (check_seed(args.seed, "--seed") if args.seed is not None
                 else cfg.scenario.config.rng_seed)
-        grid = _parse_grid(args.grid) if args.grid else None
+        grid = _parse_grid(args.grid) if getattr(args, "grid", None) else None
         if args.command == "sweep" and cfg.sweep is None and grid is None:
             raise ConfigError("sweep: config has no sweep section and no --grid was given")
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
@@ -218,7 +204,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, out_dir, seed)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, seed, Path(args.config), args.threads, grid)
+            return cmd_sweep(cfg, out_dir, seed, args.threads, grid)
         return cmd_eval(cfg, args.kind, out_dir, seed, grid)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "reason": str(exc)}), file=sys.stderr)

@@ -42,8 +42,8 @@ class EvalOptions:
         for name in ("angle_grid_step", "beampattern_step"):
             if not 0.0 < getattr(self, name) <= 90.0:
                 raise ConfigError(f"eval.{name}: must be in (0, 90] degrees")
-        if not self.diagonal_load >= 0.0:
-            raise ConfigError("eval.diagonal_load: must be >= 0")
+        if not 0.0 <= self.diagonal_load < np.inf:
+            raise ConfigError("eval.diagonal_load: must be finite and >= 0")
         check_seed(self.echo_seed, "eval.echo_seed")
         evaluation.check_grid(self.snr_grid_db, "eval.snr_grid_db")
 
@@ -175,9 +175,6 @@ def parse_config(path) -> ExperimentConfig:
                                 SolverOptions.n_randomizations),
         seed=cfg.rng_seed,
     )
-    if solver.n_randomizations < 1:
-        raise ConfigError(
-            f"solver.randomizations: must be at least 1, got {solver.n_randomizations}")
 
     eval_node = _field(raw, "config", "eval", default=None) or {}
     eval_opts = EvalOptions(

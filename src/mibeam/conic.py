@@ -400,26 +400,6 @@ def _phase_one(comp: _Compiled):
     return x[:-1], steps
 
 
-def _solve(comp: _Compiled, tol: float):
-    """Phase one, then the path follower; returns (x or None, report) with
-    the report's solution left for the front end to fill in.  The status is
-    ``optimal`` only when the final centring test passes at
-    LOOSE_CENTER_TOL; the strict CENTER_TOL is not required, because valid
-    solves stop at roundoff slightly above it."""
-    x0, steps1 = _phase_one(comp)
-    if x0 is None:
-        return None, ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
-                                 iterations=steps1, status=INFEASIBLE)
-    x, gap, steps, hit_cap, trace, decrement = _barrier_solve(comp, x0, gap_tol=tol)
-    # nu / t bounds the gap only at a central point: a final centring that
-    # ran out of steps far from the centre certifies nothing
-    centred = decrement / 2.0 <= LOOSE_CENTER_TOL
-    return x, ConicReport(solution=None, aux=None, objective=comp.objective(x), gap=gap,
-                          iterations=steps1 + steps,
-                          status=OPTIMAL if centred and not hit_cap else MAXITER,
-                          duality_trace=trace, decrement=decrement)
-
-
 # ---------------------------------------------------------------------------
 # SDP front end
 
@@ -456,13 +436,26 @@ def _compile_sdp(prob: SdpProblem) -> _Compiled:
 
 
 def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
-    """Solve an :class:`SdpProblem`; gap tolerance is relative to 1 + |obj|."""
-    x, report = _solve(_compile_sdp(prob), tol)
-    if x is not None:
-        n = prob.dim
-        report.solution = _herm_of_params(x[:n * n], n)
-        report.aux = float(x[n * n]) if prob.has_t else None
-    return report
+    """Solve an :class:`SdpProblem` by phase one, then the path follower;
+    gap tolerance is relative to 1 + |obj|.  The status is ``optimal`` only
+    when the final centring test passes at LOOSE_CENTER_TOL; the strict
+    CENTER_TOL is not required, because valid solves stop at roundoff
+    slightly above it."""
+    comp = _compile_sdp(prob)
+    x0, steps1 = _phase_one(comp)
+    if x0 is None:
+        return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
+                           iterations=steps1, status=INFEASIBLE)
+    x, gap, steps, hit_cap, trace, decrement = _barrier_solve(comp, x0, gap_tol=tol)
+    # nu / t bounds the gap only at a central point: a final centring that
+    # ran out of steps far from the centre certifies nothing
+    centred = decrement / 2.0 <= LOOSE_CENTER_TOL
+    n = prob.dim
+    return ConicReport(solution=_herm_of_params(x[:n * n], n),
+                       aux=float(x[n * n]) if prob.has_t else None,
+                       objective=comp.objective(x), gap=gap, iterations=steps1 + steps,
+                       status=OPTIMAL if centred and not hit_cap else MAXITER,
+                       duality_trace=trace, decrement=decrement)
 
 
 # ---------------------------------------------------------------------------

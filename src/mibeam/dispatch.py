@@ -32,6 +32,16 @@ class SolverOptions:
     n_randomizations: int = sdr.DEFAULT_RANDOMIZATIONS
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("eps1", "eps2"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"solver.{name}: must be in (0, 1)")
+        if self.max_iters < 1:
+            raise ConfigError(f"solver.max_iters: must be at least 1, got {self.max_iters}")
+        if self.n_randomizations < 1:
+            raise ConfigError(
+                f"solver.randomizations: must be at least 1, got {self.n_randomizations}")
+
 
 @dataclass
 class SolveResult:

@@ -15,7 +15,7 @@ grid-sized matrix with the small per-echo matrix followed by a row dot
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,9 +37,11 @@ def check_variable(variable: str) -> None:
 
 
 def check_grid(grid, source: str) -> None:
-    """A sweep grid: non-empty and strictly increasing."""
+    """A sweep grid: non-empty, finite and strictly increasing."""
     if len(grid) == 0:
         raise ConfigError(f"{source}: must be non-empty")
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"{source}: must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{source}: must be strictly increasing")
 
@@ -197,6 +199,18 @@ def strength_for_radar_snr(snr_db: float, cfg: model.SystemConfig) -> float:
     return 10.0 ** (snr_db / 10.0) * cfg.radar_noise / (cfg.n_slots * cfg.power_budget)
 
 
+def apply_variable(scenario: model.Scenario, variable: str, value: float) -> model.Scenario:
+    """The scenario at one grid point of a sweep variable (one of
+    SWEEP_VARIABLES, see :func:`check_variable`)."""
+    cfg = scenario.config
+    if variable == "power_dbm":
+        return replace(scenario, config=replace(cfg, power_budget=model.dbm_to_watts(value)))
+    if variable == "rate_target":
+        return replace(scenario, config=replace(cfg, rate_targets=(value,) * cfg.n_users))
+    # radar_snr_db
+    return scenario.with_target_strength(strength_for_radar_snr(value, cfg))
+
+
 def rmse_sweep(spec: SweepSpec, scenario: model.Scenario, angle_step: float = DEFAULT_ANGLE_STEP,
                *, opts: dispatch.SolverOptions = dispatch.SolverOptions()) -> list[RmsePoint]:
     """Angle-estimation RMSE versus radar SNR for one solver scheme.
@@ -214,8 +228,7 @@ def rmse_sweep(spec: SweepSpec, scenario: model.Scenario, angle_step: float = DE
     grid = default_grid(angle_step)
     points = []
     for idx, snr_db in enumerate(spec.grid):
-        strength = strength_for_radar_snr(snr_db, scenario.config)
-        scen = scenario.with_target_strength(strength)
+        scen = apply_variable(scenario, spec.variable, snr_db)
         inst = model.build_instance(scen)
         result = dispatch.solve_scenario(scen, spec.scheme, opts)
         estimate = mle_estimator(result.w, inst, grid)

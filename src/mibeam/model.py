@@ -64,13 +64,13 @@ class SystemConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"system.{name}: must be >= 1")
         for name in ("power_budget", "comm_noise", "radar_noise"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"system.{name}: must be > 0")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"system.{name}: must be finite and > 0")
         object.__setattr__(self, "rate_targets", tuple(float(r) for r in self.rate_targets))
         if len(self.rate_targets) != self.n_users:
             raise ConfigError("system.rate_targets: need one entry per user")
-        if any(r < 0.0 for r in self.rate_targets):
-            raise ConfigError("system.rate_targets: must be >= 0")
+        if not all(0.0 <= r < np.inf for r in self.rate_targets):
+            raise ConfigError("system.rate_targets: must be finite and >= 0")
         if self.rng_seed < 0:
             raise ConfigError(f"system.rng_seed: must be >= 0, got {self.rng_seed}")
 
@@ -94,8 +94,8 @@ class ScattererModel:
             raise ConfigError("scatterer: angles and strengths must be equal-length, non-empty")
         if any(not (-90.0 < a < 90.0) for a in self.angles_deg):
             raise ConfigError("scatterer: angles must lie in (-90, 90) degrees")
-        if any(s < 0.0 for s in self.strengths):
-            raise ConfigError("scatterer: strengths must be >= 0")
+        if not all(0.0 <= s < np.inf for s in self.strengths):
+            raise ConfigError("scatterer: strengths must be finite and >= 0")
 
     @property
     def kind(self) -> str:

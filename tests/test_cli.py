@@ -10,7 +10,8 @@ from mibeam.config import EvalOptions, parse_config
 from mibeam.dispatch import SolverOptions
 from mibeam.errors import ConfigError
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 PAPER_SYSTEM = {
     "n_tx": 6, "n_rx": 6, "n_users": 1, "n_slots": 30,
@@ -52,6 +53,15 @@ def test_minimal_config_parses_to_dataclass_defaults(tmp_path):
     assert cfg.solver == SolverOptions(seed=seed)
     assert cfg.evaluation == EvalOptions(echo_seed=seed)
     assert cfg.sweep is None
+
+
+@pytest.mark.parametrize("path", sorted([*CONFIGS.glob("*.yaml"),
+                                          *(ROOT / "bench" / "configs").glob("*.yaml")]),
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_shipped_config_parses(path):
+    # the benchmark runs the configs under bench/: a stricter check that
+    # rejected one would fail every benchmark run
+    parse_config(path)
 
 
 def test_solve_paper_config_meets_rate(tmp_path):
@@ -132,6 +142,8 @@ def test_randomizations_below_one_is_config_error(tmp_path, capsys, count):
     ("rmse", "snr_grid_db", [10, 0]),
     ("rmse", "angle_grid_step", 90.5),
     ("beampattern", "beampattern_step", 120.0),
+    ("capon", "diagonal_load", np.inf),
+    ("rmse", "snr_grid_db", [0, np.nan]),
 ])
 def test_invalid_eval_option_is_config_error(tmp_path, capsys, kind, field, value):
     # rejected at parse time, before any design is solved or file written
@@ -172,7 +184,10 @@ def test_negative_seed_is_config_error(tmp_path, capsys, args, overrides, source
      "--grid"),
     (["eval", "rmse", "--grid", "10,0"], {}, "--grid"),
     (["eval", "rmse", "--grid", "0:x:5"], {}, "--grid"),
-], ids=["sweep_empty", "sweep_repeated", "cli_empty", "cli_decreasing", "cli_unparsable"])
+    (["sweep", "--grid", "nan"], {"sweep": {"variable": "rate_target", "grid": [1.0]}},
+     "--grid"),
+], ids=["sweep_empty", "sweep_repeated", "cli_empty", "cli_decreasing", "cli_unparsable",
+        "cli_nan"])
 def test_invalid_grid_is_config_error(tmp_path, capsys, args, overrides, source):
     cfg_path = write_config(tmp_path / "cfg.yaml", **overrides)
     code = cli.main(args + ["--config", str(cfg_path), "--out", str(tmp_path / "o")])
@@ -180,6 +195,20 @@ def test_invalid_grid_is_config_error(tmp_path, capsys, args, overrides, source)
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config"
     assert source in err["reason"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--threads", "2"],
+    ["solve", "--grid", "1,2"],
+    ["eval", "capon", "--threads", "2"],
+], ids=["solve_threads", "solve_grid", "eval_threads"])
+def test_flag_the_command_does_not_use_is_usage_error(tmp_path, capsys, args):
+    cfg_path = write_config(tmp_path / "cfg.yaml")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(args + ["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -224,8 +253,15 @@ def write_channel(path: Path, h) -> Path:
     ({"eval": {"trials": "x"}}, "eval.trials"),
     ({"sweep": {"variable": "power_dbm", "grid": 5}}, "sweep.grid"),
     ({"channel": {"kind": "file", "path": "h.json"}}, "channel.path"),
+    ({"system": {"rate_targets": [np.nan]}}, "system.rate_targets"),
+    ({"system": {"power_budget": {"watts": np.inf}}}, "system.power_budget"),
+    ({"interference": {"span": [-30.0, -25.0], "count": 50, "strength": np.nan},
+      "solver": {"name": "mm-single"}}, "scatterer: strengths"),
+    ({"solver": {"eps1": np.nan}}, "solver.eps1"),
+    ({"solver": {"max_iters": -5}}, "solver.max_iters"),
 ], ids=["n_tx", "rate_targets", "watts", "channel_seed", "max_iters", "eps1", "trials",
-        "sweep_grid", "nan_channel"])
+        "sweep_grid", "nan_channel", "nan_rate_target", "inf_watts", "nan_strength",
+        "nan_eps1", "negative_max_iters"])
 def test_malformed_value_is_config_error_naming_its_field(tmp_path, capsys, overrides, source):
     h = np.ones((1, 6), dtype=complex)
     h[0, 2] = np.nan
@@ -308,6 +344,20 @@ def test_sweep_grid_override_and_empty_grid(tmp_path, capsys):
                      "--grid", "5,4"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_sweep_parses_its_config_once(tmp_path, monkeypatch):
+    parsed = []
+
+    def counting(path):
+        parsed.append(path)
+        return parse_config(path)
+
+    monkeypatch.setattr(cli, "parse_config", counting)
+    cfg_path = write_config(tmp_path / "cfg.yaml",
+                            sweep={"variable": "rate_target", "grid": [1.0, 2.0, 3.0]})
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert len(parsed) == 1
 
 
 def test_sweep_threads_match_sequential(tmp_path):
