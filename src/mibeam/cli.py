@@ -95,6 +95,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int,
     # deterministic per-point stream regardless of worker scheduling
     jobs = [(i, v, evaluation.apply_variable(cfg.scenario, spec.variable, v), spec.scheme,
              replace(cfg.solver, seed=seed * 1_000_003 + i)) for i, v in enumerate(spec.grid)]
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once every grid value is valid
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = sorted(pool.map(_solve_grid_point, jobs))
@@ -200,11 +201,11 @@ def main(argv=None) -> int:
         if args.command == "sweep" and cfg.sweep is None and grid is None:
             raise ConfigError("sweep: config has no sweep section and no --grid was given")
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
+        if args.command == "sweep":
+            return cmd_sweep(cfg, out_dir, seed, args.threads, grid)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
             return cmd_solve(cfg, out_dir, seed)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, seed, args.threads, grid)
         return cmd_eval(cfg, args.kind, out_dir, seed, grid)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "reason": str(exc)}), file=sys.stderr)

@@ -223,7 +223,8 @@ def rate_constrained_step(curvature: ShiftedCurvature, omega_shift: float, tau: 
     return curvature.vecs @ x, mu
 
 
-def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0: float):
+def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0: float,
+                            tau: float = 1.0):
     """Find the power multiplier with ||w(tau)||^2 = P0 by a safeguarded
     secular-equation Newton iteration (More & Sorensen 1983).
 
@@ -231,17 +232,19 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
     unpenalized step exceeds the budget.  Newton runs on phi = 1/sqrt(p) -
     1/sqrt(P_t), nearly linear in tau, aimed at P_t = P0 (1 - POWER_RTOL/2)
     so that it stops inside [P0 (1 - POWER_RTOL), P0].  Each evaluation is
-    :meth:`ShiftedCurvature.step`.  A bracket [lo, hi] safeguards it: tau
-    starts at 1 and at least doubles while no feasible tau is known; an
-    iterate outside the bracket is replaced by hi / MULTIPLIER_DECADE while
-    lo = 0, by the geometric midpoint otherwise.  Returns (tau, w, mu) from
-    the feasible side, w formed once at the end by
-    :func:`rate_constrained_step`.  The name, from the bisection this
-    replaced, is kept for the benchmark's tracer, which looks the function
-    up by it.
+    :meth:`ShiftedCurvature.step`.  tau starts at the given positive value
+    (the MM map passes the multiplier of its previous solve, which is close)
+    and a bracket [lo, hi] safeguards it: while no feasible tau is known, a
+    Newton step from the left is taken whenever it increases tau, and tau
+    doubles otherwise; once one is, an iterate outside the bracket is
+    replaced by hi / MULTIPLIER_DECADE while lo = 0, by the geometric
+    midpoint otherwise.  Returns (tau, w, mu) from the feasible side, w
+    formed once at the end by :func:`rate_constrained_step`.  The name, from
+    the bisection this replaced, is kept for the benchmark's tracer, which
+    looks the function up by it.
     """
     target = p0 * (1.0 - 0.5 * POWER_RTOL)
-    lo, hi, tau = 0.0, np.inf, 1.0
+    lo, hi = 0.0, np.inf
     for _ in range(MULTIPLIER_EVALS):
         _, _, p, slope = curvature.step(omega_shift, tau)
         # the band less a margin for the roundoff of forming w from x
@@ -254,7 +257,7 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
             lo = tau
         newton = tau + 2.0 * p * (1.0 - np.sqrt(p / target)) / slope if slope < 0.0 else np.nan
         if hi == np.inf:
-            tau = newton if newton > 2.0 * tau else 2.0 * tau
+            tau = newton if newton > tau else 2.0 * tau
         elif hi - lo <= 4.0 * np.finfo(float).eps * hi:
             break  # bracket exhausted at machine precision
         elif lo < newton < hi:
@@ -269,24 +272,26 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
     return hi, w, mu
 
 
-def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float, p0: float):
+def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float, p0: float,
+                tau: float):
     """Solve the subproblem built at w: maximize the surrogate under the
     power budget and the rate constraint linearized at w.  Returns the
-    maximizer and the number of step evaluations it took.
+    maximizer, its power multiplier and the number of step evaluations it
+    took.
 
     The tau = 0 step is the minimizer when it meets the budget and, for a
     rank-deficient curvature, c + mu r has no component along the flat
     directions; otherwise the power diverges as tau -> 0 and the multiplier
-    is found by :func:`bisect_power_multiplier`."""
+    is found by :func:`bisect_power_multiplier`, started from tau."""
     curvature = ShiftedCurvature(sur, h, w)
     omega_shift = float(np.abs(np.vdot(h, w)) ** 2) + omega
     x, mu, power, _ = curvature.step(omega_shift, 0.0)
     rhs = curvature.c + mu * curvature.r
     flat = float(np.linalg.norm(rhs[curvature.vals == 0.0]))
     if power <= p0 and flat <= 1e-10 * max(float(np.linalg.norm(rhs)), 1e-300):
-        return curvature.vecs @ x, curvature.evaluations
-    w_next = bisect_power_multiplier(curvature, omega_shift, p0)[1]
-    return w_next, curvature.evaluations
+        return curvature.vecs @ x, 0.0, curvature.evaluations
+    tau, w_next, _ = bisect_power_multiplier(curvature, omega_shift, p0, tau)
+    return w_next, tau, curvature.evaluations
 
 
 class _MmMap:
@@ -332,6 +337,9 @@ class _SingleUserMap(_MmMap):
     under the power budget and the rate constraint linearized at w, by
     :func:`_inner_step`.  Its answer meets the rate target for any input w,
     because the linearized constraint is a restriction of the true one.
+    ``tau`` is the last positive power multiplier of this solve, 1 at the
+    start; each multiplier solve starts from it, since the multiplier moves
+    little from one map to the next.
     """
 
     def __init__(self, inst: model.Instance):
@@ -339,10 +347,13 @@ class _SingleUserMap(_MmMap):
         self.h = inst.channel[0].conj()
         self.omega = model.rate_power_threshold(inst.config.rate_targets[0],
                                                 inst.config.comm_noise)
+        self.tau = 1.0
 
     def subproblem(self, w: np.ndarray) -> np.ndarray:
-        w_next, evaluations = _inner_step(build_surrogate(self.inst, w), self.h, w, self.omega,
-                                          self.p0)
+        w_next, tau, evaluations = _inner_step(build_surrogate(self.inst, w), self.h, w,
+                                               self.omega, self.p0, self.tau)
+        if tau > 0.0:
+            self.tau = tau
         self.inner_steps += evaluations
         return w_next.reshape(w.shape)
 

@@ -237,6 +237,19 @@ def test_invalid_sweep_is_config_error_before_output(tmp_path, capsys, overrides
     assert not (tmp_path / "o").exists()
 
 
+def test_invalid_sweep_value_is_config_error_before_output(tmp_path, capsys):
+    # -1 passes the grid check (finite, increasing) but makes an invalid
+    # scenario only once it is applied as a rate target
+    cfg_path = write_config(tmp_path / "cfg.yaml",
+                            sweep={"variable": "rate_target", "grid": [1.0, 2.0]})
+    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--grid=-1,2"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and err["reason"].startswith("system.rate_targets")
+    assert not (tmp_path / "o").exists()
+
+
 def write_channel(path: Path, h) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"re": np.real(h).tolist(), "im": np.imag(h).tolist()}))
