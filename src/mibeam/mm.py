@@ -217,7 +217,9 @@ def rate_constrained_step(curvature: ShiftedCurvature, omega_shift: float, tau: 
 
     Returns (w, mu) of :meth:`ShiftedCurvature.step`; mu = 0 when the
     unconstrained minimizer already satisfies the constraint, otherwise
-    mu > 0 enforces it with equality.
+    mu > 0 enforces it with equality.  A reference step at a given tau: the
+    MM map forms its answer from the step :func:`bisect_power_multiplier`
+    accepted, and does not call this.
     """
     x, mu, _, _ = curvature.step(omega_shift, tau)
     return curvature.vecs @ x, mu
@@ -238,21 +240,21 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
     Newton step from the left is taken whenever it increases tau, and tau
     doubles otherwise; once one is, an iterate outside the bracket is
     replaced by hi / MULTIPLIER_DECADE while lo = 0, by the geometric
-    midpoint otherwise.  Returns (tau, w, mu) from the feasible side, w
-    formed once at the end by :func:`rate_constrained_step`.  The name, from
-    the bisection this replaced, is kept for the benchmark's tracer, which
-    looks the function up by it.
+    midpoint otherwise.  Returns (tau, x, mu) from the feasible side: the
+    step of the evaluation that set hi, in the eigenbasis (w = V x), so no
+    evaluation is repeated.  The name, from the bisection this replaced, is
+    kept for the benchmark's tracer, which looks the function up by it.
     """
     target = p0 * (1.0 - 0.5 * POWER_RTOL)
     lo, hi = 0.0, np.inf
     for _ in range(MULTIPLIER_EVALS):
-        _, _, p, slope = curvature.step(omega_shift, tau)
+        x, mu, p, slope = curvature.step(omega_shift, tau)
         # the band less a margin for the roundoff of forming w from x
         if abs(p - target) <= 0.45 * POWER_RTOL * p0:
-            hi = tau
+            hi, accepted = tau, (x, mu)
             break
         if p < target:
-            hi = tau
+            hi, accepted = tau, (x, mu)
         else:
             lo = tau
         newton = tau + 2.0 * p * (1.0 - np.sqrt(p / target)) / slope if slope < 0.0 else np.nan
@@ -268,30 +270,7 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
             tau = np.sqrt(lo * hi)
     if hi == np.inf:
         raise BracketFailure("could not bracket the power multiplier")
-    w, mu = rate_constrained_step(curvature, omega_shift, hi)
-    return hi, w, mu
-
-
-def _inner_step(sur: Surrogate, h: np.ndarray, w: np.ndarray, omega: float, p0: float,
-                tau: float):
-    """Solve the subproblem built at w: maximize the surrogate under the
-    power budget and the rate constraint linearized at w.  Returns the
-    maximizer, its power multiplier and the number of step evaluations it
-    took.
-
-    The tau = 0 step is the minimizer when it meets the budget and, for a
-    rank-deficient curvature, c + mu r has no component along the flat
-    directions; otherwise the power diverges as tau -> 0 and the multiplier
-    is found by :func:`bisect_power_multiplier`, started from tau."""
-    curvature = ShiftedCurvature(sur, h, w)
-    omega_shift = float(np.abs(np.vdot(h, w)) ** 2) + omega
-    x, mu, power, _ = curvature.step(omega_shift, 0.0)
-    rhs = curvature.c + mu * curvature.r
-    flat = float(np.linalg.norm(rhs[curvature.vals == 0.0]))
-    if power <= p0 and flat <= 1e-10 * max(float(np.linalg.norm(rhs)), 1e-300):
-        return curvature.vecs @ x, 0.0, curvature.evaluations
-    tau, w_next, _ = bisect_power_multiplier(curvature, omega_shift, p0, tau)
-    return w_next, tau, curvature.evaluations
+    return (hi, *accepted)
 
 
 class _MmMap:
@@ -334,12 +313,12 @@ class _MmMap:
 
 class _SingleUserMap(_MmMap):
     """The single-user subproblem: the maximizer of the surrogate built at w
-    under the power budget and the rate constraint linearized at w, by
-    :func:`_inner_step`.  Its answer meets the rate target for any input w,
-    because the linearized constraint is a restriction of the true one.
-    ``tau`` is the last positive power multiplier of this solve, 1 at the
-    start; each multiplier solve starts from it, since the multiplier moves
-    little from one map to the next.
+    under the power budget and the rate constraint linearized at w.  Its
+    answer meets the rate target for any input w, because the linearized
+    constraint is a restriction of the true one.  ``tau`` is the last
+    positive power multiplier of this solve, 1 at the start; each multiplier
+    solve starts from it, since the multiplier moves little from one map to
+    the next.
     """
 
     def __init__(self, inst: model.Instance):
@@ -350,12 +329,20 @@ class _SingleUserMap(_MmMap):
         self.tau = 1.0
 
     def subproblem(self, w: np.ndarray) -> np.ndarray:
-        w_next, tau, evaluations = _inner_step(build_surrogate(self.inst, w), self.h, w,
-                                               self.omega, self.p0, self.tau)
-        if tau > 0.0:
-            self.tau = tau
-        self.inner_steps += evaluations
-        return w_next.reshape(w.shape)
+        """The tau = 0 step is the maximizer when it meets the budget and,
+        for a rank-deficient curvature, c + mu r has no component along the
+        flat directions; otherwise the power diverges as tau -> 0 and the
+        multiplier is found by :func:`bisect_power_multiplier`, started from
+        ``tau``.  Either way w = V x is formed once, from the accepted step."""
+        curvature = ShiftedCurvature(build_surrogate(self.inst, w), self.h, w)
+        omega_shift = float(np.abs(np.vdot(self.h, w)) ** 2) + self.omega
+        x, mu, power, _ = curvature.step(omega_shift, 0.0)
+        rhs = curvature.c + mu * curvature.r
+        flat = float(np.linalg.norm(rhs[curvature.vals == 0.0]))
+        if power > self.p0 or flat > 1e-10 * max(float(np.linalg.norm(rhs)), 1e-300):
+            self.tau, x, _ = bisect_power_multiplier(curvature, omega_shift, self.p0, self.tau)
+        self.inner_steps += curvature.evaluations
+        return (curvature.vecs @ x).reshape(w.shape)
 
     def advance(self, w: np.ndarray, g_val: float):
         """One SQUAREM cycle (Varadhan & Roland 2008, steplength S3).

@@ -304,9 +304,9 @@ def test_bisection_meets_power_budget():
     w_free, _ = mm.rate_constrained_step(curv, omega_shift, 0.0)
     if np.linalg.norm(w_free) ** 2 <= cfg.power_budget:
         pytest.skip("unpenalized step already inside the budget for this seed")
-    tau, w, _ = mm.bisect_power_multiplier(curv, omega_shift, cfg.power_budget)
+    tau, x, _ = mm.bisect_power_multiplier(curv, omega_shift, cfg.power_budget)
     assert tau > 0.0
-    power = float(np.linalg.norm(w) ** 2)
+    power = float(np.linalg.norm(curv.vecs @ x) ** 2)
     assert power <= cfg.power_budget * (1.0 + 1e-12)
     assert abs(power - cfg.power_budget) <= 1e-7 * cfg.power_budget
 
@@ -329,7 +329,7 @@ def test_bisection_bracket_iteration_bound(monkeypatch):
     # with the budget met at tau = 1 the bracket starts as [0, 1]; the
     # safeguarded Newton solve then needs a handful of O(N_T) power
     # evaluations (8 here; halving the bracket to 1e-8 took 28 steps) and
-    # forms the step once
+    # returns the step of the evaluation it accepted, so none is repeated
     rng = np.random.default_rng(18)
     inst = single_user_instance(seed=91)
     cfg = inst.config
@@ -349,10 +349,11 @@ def test_bisection_bracket_iteration_bound(monkeypatch):
 
     evals = count_calls(monkeypatch, "step", mm.ShiftedCurvature)
     steps = count_calls(monkeypatch, "rate_constrained_step")
-    mm.bisect_power_multiplier(curv, omega_shift, cfg.power_budget)
-    # the Newton evaluations, plus the one that forms w
-    assert len(evals) <= 11
-    assert len(steps) == 1
+    tau, x, mu = mm.bisect_power_multiplier(curv, omega_shift, cfg.power_budget)
+    assert len(evals) <= 10
+    assert len(steps) == 0
+    x_at, mu_at, _, _ = curv.step(omega_shift, tau)
+    assert np.array_equal(x, x_at) and mu == mu_at
 
 
 def reference_multiplier(curv, omega_shift, p0):
@@ -416,8 +417,8 @@ def test_power_multiplier_matches_reference_bisection(case):
     tau_ref, mu_ref = reference_multiplier(curv, omega_shift, p0)
     for tau0 in (1.0, 1e-12 * tau_ref, (1.0 - 1e-3) * tau_ref, (1.0 + 1e-3) * tau_ref,
                  1e6 * tau_ref):
-        tau, w, mu = mm.bisect_power_multiplier(curv, omega_shift, p0, tau0)
-        power = float(np.linalg.norm(w) ** 2)
+        tau, x, mu = mm.bisect_power_multiplier(curv, omega_shift, p0, tau0)
+        power = float(np.linalg.norm(curv.vecs @ x) ** 2)
         assert p0 * (1.0 - 1e-12) <= power <= p0
         assert tau == pytest.approx(tau_ref, rel=1e-8)
         assert mu == pytest.approx(mu_ref, rel=1e-8, abs=0.0)
@@ -432,9 +433,9 @@ def test_power_multiplier_matches_reference_bisection(case):
 @pytest.mark.parametrize("case", ["inactive", "active", "null"])
 def test_power_slope_matches_central_differences(case):
     curv, _, _, omega_shift, p0 = multiplier_case(case)
-    tau, w, mu = mm.bisect_power_multiplier(curv, omega_shift, p0)
+    tau, x, mu = mm.bisect_power_multiplier(curv, omega_shift, p0)
     _, _, power, slope = curv.step(omega_shift, tau)
-    assert power == pytest.approx(float(np.linalg.norm(w) ** 2), rel=1e-13)
+    assert power == pytest.approx(float(np.linalg.norm(curv.vecs @ x) ** 2), rel=1e-13)
     step = 1e-4 * tau
     plus = curv.step(omega_shift, tau + step)[2]
     minus = curv.step(omega_shift, tau - step)[2]
@@ -444,17 +445,21 @@ def test_power_slope_matches_central_differences(case):
     assert slope == pytest.approx((plus - minus) / (2.0 * step), rel=1e-6)
 
 
-def test_inner_step_solves_for_the_multiplier_along_a_flat_direction():
+def test_inner_step_solves_for_the_multiplier_along_a_flat_direction(monkeypatch):
     # lin has a component along the null space of the curvature, so the
     # power diverges as tau -> 0: the budget binds even when it is above the
     # power of the tau = 0 step, which drops that component
     sur = mm.Surrogate(lin=np.ones(4, dtype=complex), quad=np.diag([0.0, 1.0, 2.0, 3.0]),
                        offset=0.0, delta=1.0)
-    h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
-    p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0)  # twice the power at tau = 0
+    monkeypatch.setattr(mm, "build_surrogate", lambda inst, w: sur)
+    step = mm._SingleUserMap(single_user_instance(n_tx=4))
+    step.h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
+    step.p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0)  # twice the power at tau = 0
     # a rate requirement far below anything attainable leaves the cut slack
-    power = float(np.linalg.norm(mm._inner_step(sur, h, h, -1e6, p0, 1.0)[0]) ** 2)
-    assert p0 * (1.0 - 1e-12) <= power <= p0
+    step.omega = -1e6
+    power = float(np.linalg.norm(step.subproblem(step.h)) ** 2)
+    assert step.p0 * (1.0 - 1e-12) <= power <= step.p0
+    assert step.tau > 0.0
 
 
 def test_power_multiplier_unreachable_rate_cut_is_bracket_failure():
@@ -474,22 +479,22 @@ def test_power_multiplier_unreachable_rate_cut_is_bracket_failure():
 
 def test_power_multiplier_work_per_inner_solve(monkeypatch):
     # a deterministic work count in place of wall time: started from the
-    # multiplier of the map before, a full criterion-5 solve needs 4.7 O(N_T)
-    # power evaluations per multiplier solve (9.3 from tau = 1 every time)
-    # and forms the step once, where bisection took about 48
-    # rate_constrained_step calls
+    # multiplier of the map before, a full criterion-5 solve needs 3.7 O(N_T)
+    # power evaluations per multiplier solve beyond the tau = 0 one, where
+    # bisection took about 48 rate_constrained_step calls.  The map forms w
+    # from the step the multiplier solve accepted, so no evaluation repeats
+    # and the antenna-basis reference step is never called
     inst = extended_family(1)
     evals = count_calls(monkeypatch, "step", mm.ShiftedCurvature)
     steps = count_calls(monkeypatch, "rate_constrained_step")
-    inner = count_calls(monkeypatch, "_inner_step")
+    maps = count_calls(monkeypatch, "subproblem", mm._SingleUserMap)
     solves = count_calls(monkeypatch, "bisect_power_multiplier")
     report = mm.solve_single_user(inst)
     assert report.status == "converged"
     assert len(solves) > 100
-    # beyond the tau = 0 evaluation of every inner step
-    assert 1.0 <= (len(evals) - len(inner)) / len(solves) <= 6.0
-    # w is formed in the antenna basis once per multiplier solve
-    assert len(steps) == len(solves)
+    # beyond the tau = 0 evaluation of every map
+    assert 1.0 <= (len(evals) - len(maps)) / len(solves) <= 5.0
+    assert len(steps) == 0
     # the report counts every evaluation
     assert report.inner_steps == len(evals)
 
