@@ -158,8 +158,9 @@ class ShiftedCurvature:
     once for the whole secular-equation Newton solve of the power multiplier.
 
     Eigenvalues within the relative cutoff of zero are treated as an exact
-    null space (dropped at tau = 0, inverted as 1/tau otherwise), so the
-    transmit power is a continuous function of the multiplier.
+    null space (inverted as 1/tau for tau > 0, and at tau = 0 used only to
+    meet the rate cut; see :meth:`step`), so the transmit power is a
+    continuous function of the multiplier.
     ``evaluations`` counts the calls of :meth:`step`.
     """
 
@@ -182,13 +183,17 @@ class ShiftedCurvature:
         tau ||w||^2 under the rate cut 2 Re(w_ref^H h h^H w) >= omega_shift,
         its rate multiplier mu, its power p and the power's slope.
 
-        mu = 0 when s * c already meets the cut; otherwise mu = a/b, a =
-        omega_shift - 2 Re r^H (s c), b = 2 sum s |r|^2, enforces it with
-        equality, and mu' follows from a' and b'.  The cut is degenerate when
-        b is below the absolute 1e-14 and below 1e-14 of its bound
-        2 ||r||^2 max(s): that bound shrinks with tau as b does, so a cut that
-        only weakens as tau grows is not degenerate, while r = 0 or r in the
-        null space at tau = 0 still is.  The absolute test comes first,
+        mu = 0 when s * c already meets the cut.  At tau = 0 the flat
+        directions (lambda = 0, where s = 0) meet the cut's deficit at no
+        cost in objective, so a cut with a flat part r_flat is met by the
+        minimum-norm point x_flat = deficit r_flat / (2 ||r_flat||^2), with
+        mu = 0: the limit of the step as tau -> 0, where mu ~ tau.
+        Otherwise mu = a/b, a = omega_shift - 2 Re r^H (s c), b = 2 sum s
+        |r|^2, enforces the cut with equality, and mu' follows from a' and
+        b'.  The cut is degenerate when b is below the absolute 1e-14 and
+        below 1e-14 of its bound 2 ||r||^2 max(s): that bound shrinks with
+        tau as b does, so a cut that only weakens as tau grows is not
+        degenerate, while r = 0 still is.  The absolute test comes first,
         because it costs nothing.
         """
         self.evaluations += 1
@@ -196,6 +201,13 @@ class ShiftedCurvature:
         s = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
         x = s * self.c
         attained = 2.0 * float(np.real(np.vdot(self.r, x)))
+        if attained < omega_shift and tau == 0.0:
+            # the flat directions meet the deficit at no cost in objective
+            r_flat = np.where(shifted > 0.0, 0.0, self.r)
+            flat = 2.0 * float(np.vdot(r_flat, r_flat).real)
+            if flat > 0.0:
+                x = x + ((omega_shift - attained) / flat) * r_flat
+                attained = omega_shift
         if attained >= omega_shift:
             return x, 0.0, float(np.vdot(x, x).real), -2.0 * float(np.sum(s * np.abs(x) ** 2))
         sr = s * self.r
@@ -247,27 +259,33 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
     """
     target = p0 * (1.0 - 0.5 * POWER_RTOL)
     lo, hi = 0.0, np.inf
-    for _ in range(MULTIPLIER_EVALS):
-        x, mu, p, slope = curvature.step(omega_shift, tau)
-        # the band less a margin for the roundoff of forming w from x
-        if abs(p - target) <= 0.45 * POWER_RTOL * p0:
-            hi, accepted = tau, (x, mu)
-            break
-        if p < target:
-            hi, accepted = tau, (x, mu)
-        else:
-            lo = tau
-        newton = tau + 2.0 * p * (1.0 - np.sqrt(p / target)) / slope if slope < 0.0 else np.nan
-        if hi == np.inf:
-            tau = newton if newton > tau else 2.0 * tau
-        elif hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break  # bracket exhausted at machine precision
-        elif lo < newton < hi:
-            tau = newton
-        elif lo == 0.0:
-            tau = hi / MULTIPLIER_DECADE
-        else:
-            tau = np.sqrt(lo * hi)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            for _ in range(MULTIPLIER_EVALS):
+                x, mu, p, slope = curvature.step(omega_shift, tau)
+                # the band less a margin for the roundoff of forming w from x
+                if abs(p - target) <= 0.45 * POWER_RTOL * p0:
+                    hi, accepted = tau, (x, mu)
+                    break
+                if p < target:
+                    hi, accepted = tau, (x, mu)
+                else:
+                    lo = tau
+                newton = (tau + 2.0 * p * (1.0 - np.sqrt(p / target)) / slope
+                          if slope < 0.0 else np.nan)
+                if hi == np.inf:
+                    tau = newton if newton > tau else 2.0 * tau
+                elif hi - lo <= 4.0 * np.finfo(float).eps * hi:
+                    break  # bracket exhausted at machine precision
+                elif lo < newton < hi:
+                    tau = newton
+                elif lo == 0.0:
+                    tau = hi / MULTIPLIER_DECADE
+                else:
+                    tau = np.sqrt(lo * hi)
+        except ArithmeticError as exc:  # overflow, or a divisor that underflowed to 0
+            raise BracketFailure(f"the power multiplier left the range of finite "
+                                 f"arithmetic at tau = {tau:.3g}") from exc
     if hi == np.inf:
         raise BracketFailure("could not bracket the power multiplier")
     return (hi, *accepted)
@@ -330,16 +348,16 @@ class _SingleUserMap(_MmMap):
 
     def subproblem(self, w: np.ndarray) -> np.ndarray:
         """The tau = 0 step is the maximizer when it meets the budget and,
-        for a rank-deficient curvature, c + mu r has no component along the
-        flat directions; otherwise the power diverges as tau -> 0 and the
-        multiplier is found by :func:`bisect_power_multiplier`, started from
-        ``tau``.  Either way w = V x is formed once, from the accepted step."""
+        for a rank-deficient curvature, c has no component along the flat
+        directions (the step meets the cut there with mu = 0, so c alone
+        decides); otherwise the budget binds, and the multiplier is found by
+        :func:`bisect_power_multiplier`, started from ``tau``.  Either way w = V x is formed once, from the accepted step."""
         curvature = ShiftedCurvature(build_surrogate(self.inst, w), self.h, w)
         omega_shift = float(np.abs(np.vdot(self.h, w)) ** 2) + self.omega
-        x, mu, power, _ = curvature.step(omega_shift, 0.0)
-        rhs = curvature.c + mu * curvature.r
-        flat = float(np.linalg.norm(rhs[curvature.vals == 0.0]))
-        if power > self.p0 or flat > 1e-10 * max(float(np.linalg.norm(rhs)), 1e-300):
+        x, _, power, _ = curvature.step(omega_shift, 0.0)
+        c = curvature.c
+        flat = float(np.linalg.norm(c[curvature.vals == 0.0]))
+        if power > self.p0 or flat > 1e-10 * max(float(np.linalg.norm(c)), 1e-300):
             self.tau, x, _ = bisect_power_multiplier(curvature, omega_shift, self.p0, self.tau)
         self.inner_steps += curvature.evaluations
         return (curvature.vecs @ x).reshape(w.shape)
@@ -547,9 +565,11 @@ def zero_forcing_init(inst: model.Instance) -> np.ndarray:
     before the common full-power scaling; when every target is zero, the
     unit-norm columns (for one user the maximum-ratio-transmission vector).
     Otherwise :func:`_minimum_power_design`, scaled to the budget, which
-    keeps every rate.  Raises :class:`Infeasible`, naming the least power that meets the
-    targets, when that exceeds the budget, and when a user's channel is zero:
-    no beamformer then meets its rate constraint strictly.
+    keeps every rate.  "Fits" leaves the map room to move: a start whose
+    power reaches P0 (1 - POWER_RTOL) is not taken.  Raises
+    :class:`Infeasible`, naming the least power that meets the targets,
+    when that reaches P0 (1 - POWER_RTOL), and when a user's channel is
+    zero: no beamformer then meets its rate constraint strictly.
     """
     cfg = inst.config
     if not np.all(np.any(inst.channel, axis=1)):
@@ -557,15 +577,21 @@ def zero_forcing_init(inst: model.Instance) -> np.ndarray:
     directions = pinv(inst.channel)  # (N_T, K), channel @ directions = I
     amps = np.sqrt([model.rate_power_threshold(r, cfg.comm_noise)
                     for r in cfg.rate_targets])
-    base = directions * amps if np.any(amps) else directions / np.linalg.norm(directions, axis=0)
-    needed = float(np.linalg.norm(base) ** 2)
-    if needed > cfg.power_budget * (1.0 + 1e-12):
-        base = _minimum_power_design(inst)
-        needed = float(np.linalg.norm(base) ** 2)
-        if needed > cfg.power_budget * (1.0 + 1e-12):
-            raise Infeasible(f"the rate targets need at least {needed:.6g} W, "
-                             f"budget is {cfg.power_budget:.6g} W")
-    return base * np.sqrt(cfg.power_budget / needed)
+    if not np.any(amps):
+        base = directions / np.linalg.norm(directions, axis=0)
+    else:
+        base = directions * amps
+        room = cfg.power_budget * (1.0 - POWER_RTOL)
+        if float(np.linalg.norm(base) ** 2) >= room:
+            base = _minimum_power_design(inst)
+            needed = float(np.linalg.norm(base) ** 2)
+            if needed >= room:
+                raise Infeasible(
+                    f"the rate targets need at least {needed:.6g} W, budget is "
+                    f"{cfg.power_budget:.6g} W: the least power is "
+                    f"{needed / cfg.power_budget - 1.0:+.2g} relative to the budget, and "
+                    f"a design needs it below -{POWER_RTOL:g}")
+    return base * np.sqrt(cfg.power_budget / float(np.linalg.norm(base) ** 2))
 
 
 def _minimum_power_design(inst: model.Instance) -> np.ndarray:
@@ -581,9 +607,10 @@ def _minimum_power_design(inst: model.Instance) -> np.ndarray:
     (Ortega & Rheinboldt 1970, ch. 13); t (1, ..., 1) is one once t is the
     largest per-user zero-forcing power nu_k [(G^H G)^{-1}]_kk.  The beams
     point along A^{-1} g_k, and the downlink powers solve the K x K linear
-    system that sets every SINR to nu_k.  Raises :class:`Infeasible` when
-    no finite power meets the targets.  Needs K <= N_T, which zero forcing
-    needs too.
+    system that sets every SINR to nu_k; a zero target's power is exactly
+    0, since its constraint holds at any power.  Raises :class:`Infeasible`
+    when no finite power meets the targets.  Needs K <= N_T, which zero
+    forcing needs too.
     """
     cfg = inst.config
     g = inst.channel.conj().T / np.sqrt(cfg.comm_noise)     # columns g_k
@@ -604,6 +631,7 @@ def _minimum_power_design(inst: model.Instance) -> np.ndarray:
     beams /= np.linalg.norm(beams, axis=0)
     gains = np.abs(g.conj().T @ beams) ** 2                    # |g_k^H u_j|^2 at (k, j)
     powers = np.linalg.solve(np.diag(gains.diagonal() * (1.0 + nu)) - nu[:, None] * gains, nu)
+    powers[nu == 0.0] = 0.0      # exactly, not the solve's roundoff
     if not np.all(powers >= 0.0):
         raise Infeasible("no beamformer meets the rate targets at any power")
     return beams * np.sqrt(powers)
@@ -616,25 +644,28 @@ def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate) -> conic.
     every other column (the interference it receives); the signal term is
     multiplied over all of vec(W), as the Kronecker-product construction is.
     Each cut equals user k's rate constraint at w_prev, so the problem is
-    feasible there when w_prev meets the budget and every rate target."""
+    feasible there when w_prev meets the budget and every rate target.  A
+    zero target's constraint |h_k^H w_k|^2 >= 0 always holds, so its cut is
+    left out of the stack: the stack holds the power ball, then one cut per
+    user with a positive target, in user order."""
     cfg = inst.config
     n_tx, n_users = cfg.n_tx, cfg.n_users
     dim = n_tx * n_users
     w_vec = vec(model.as_beam_matrix(w_prev, cfg))
     h = inst.channel.conj()                                  # row k is h_k
     nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
-    gram = h[:, :, None] * h.conj()[:, None, :]              # h_k h_k^H, (K, N_T, N_T)
-    users = np.arange(n_users)
-    victim, column = np.nonzero(users[:, None] != users[None, :])
+    users = np.flatnonzero(nu > 0.0)
+    nu, gram = nu[users], h[users, :, None] * h[users].conj()[:, None, :]  # h_k h_k^H
+    cut, column = np.nonzero(users[:, None] != np.arange(n_users)[None, :])
 
-    a = np.zeros((n_users + 1, dim, dim), dtype=complex)
+    a = np.zeros((users.size + 1, dim, dim), dtype=complex)
     np.fill_diagonal(a[0], 1.0)                              # the power ball
-    # the cuts and the own-signal terms indexed (user, block row, :, block column, :)
-    cuts = a[1:].reshape(n_users, n_users, n_tx, n_users, n_tx)
-    cuts[victim, column, :, column, :] = hermitianize(nu[:, None, None] * gram)[victim]
+    # the cuts and the own-signal terms indexed (cut, block row, :, block column, :)
+    cuts = a[1:].reshape(users.size, n_users, n_tx, n_users, n_tx)
+    cuts[cut, column, :, column, :] = hermitianize(nu[:, None, None] * gram)[cut]
     own = np.zeros_like(cuts)
-    own[users, users, :, users, :] = gram
-    signal = own.reshape(n_users, dim, dim) @ w_vec
+    own[np.arange(users.size), users, :, users, :] = gram
+    signal = own.reshape(users.size, dim, dim) @ w_vec
     b = np.concatenate([np.zeros((1, dim), dtype=complex), -signal])
     c = np.array([-cfg.power_budget, *(float(np.real(np.vdot(w_vec, s))) for s in signal)])
     c[1:] += nu * cfg.comm_noise
