@@ -158,9 +158,8 @@ class ShiftedCurvature:
     once for the whole secular-equation Newton solve of the power multiplier.
 
     Eigenvalues within the relative cutoff of zero are treated as an exact
-    null space (inverted as 1/tau for tau > 0, and at tau = 0 used only to
-    meet the rate cut; see :meth:`step`), so the transmit power is a
-    continuous function of the multiplier.
+    null space (at tau = 0 used only to meet the rate cut, inverted as 1/tau
+    otherwise), so the transmit power is a continuous function of tau.
     ``evaluations`` counts the calls of :meth:`step`.
     """
 
@@ -259,33 +258,32 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
     """
     target = p0 * (1.0 - 0.5 * POWER_RTOL)
     lo, hi = 0.0, np.inf
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
+    for _ in range(MULTIPLIER_EVALS):
         try:
-            for _ in range(MULTIPLIER_EVALS):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
                 x, mu, p, slope = curvature.step(omega_shift, tau)
-                # the band less a margin for the roundoff of forming w from x
-                if abs(p - target) <= 0.45 * POWER_RTOL * p0:
-                    hi, accepted = tau, (x, mu)
-                    break
-                if p < target:
-                    hi, accepted = tau, (x, mu)
-                else:
-                    lo = tau
-                newton = (tau + 2.0 * p * (1.0 - np.sqrt(p / target)) / slope
-                          if slope < 0.0 else np.nan)
-                if hi == np.inf:
-                    tau = newton if newton > tau else 2.0 * tau
-                elif hi - lo <= 4.0 * np.finfo(float).eps * hi:
-                    break  # bracket exhausted at machine precision
-                elif lo < newton < hi:
-                    tau = newton
-                elif lo == 0.0:
-                    tau = hi / MULTIPLIER_DECADE
-                else:
-                    tau = np.sqrt(lo * hi)
         except ArithmeticError as exc:  # overflow, or a divisor that underflowed to 0
             raise BracketFailure(f"the power multiplier left the range of finite "
                                  f"arithmetic at tau = {tau:.3g}") from exc
+        # the band less a margin for the roundoff of forming w from x
+        if abs(p - target) <= 0.45 * POWER_RTOL * p0:
+            hi, accepted = tau, (x, mu)
+            break
+        if p < target:
+            hi, accepted = tau, (x, mu)
+        else:
+            lo = tau
+        newton = tau + 2.0 * p * (1.0 - np.sqrt(p / target)) / slope if slope < 0.0 else np.nan
+        if hi == np.inf:
+            tau = newton if newton > tau else 2.0 * tau
+        elif hi - lo <= 4.0 * np.finfo(float).eps * hi:
+            break  # bracket exhausted at machine precision
+        elif lo < newton < hi:
+            tau = newton
+        elif lo == 0.0:
+            tau = hi / MULTIPLIER_DECADE
+        else:
+            tau = np.sqrt(lo * hi)
     if hi == np.inf:
         raise BracketFailure("could not bracket the power multiplier")
     return (hi, *accepted)
@@ -351,7 +349,8 @@ class _SingleUserMap(_MmMap):
         for a rank-deficient curvature, c has no component along the flat
         directions (the step meets the cut there with mu = 0, so c alone
         decides); otherwise the budget binds, and the multiplier is found by
-        :func:`bisect_power_multiplier`, started from ``tau``.  Either way w = V x is formed once, from the accepted step."""
+        :func:`bisect_power_multiplier`, started from ``tau``.  Either way
+        w = V x is formed once, from the accepted step."""
         curvature = ShiftedCurvature(build_surrogate(self.inst, w), self.h, w)
         omega_shift = float(np.abs(np.vdot(self.h, w)) ** 2) + self.omega
         x, _, power, _ = curvature.step(omega_shift, 0.0)
@@ -565,11 +564,10 @@ def zero_forcing_init(inst: model.Instance) -> np.ndarray:
     before the common full-power scaling; when every target is zero, the
     unit-norm columns (for one user the maximum-ratio-transmission vector).
     Otherwise :func:`_minimum_power_design`, scaled to the budget, which
-    keeps every rate.  "Fits" leaves the map room to move: a start whose
-    power reaches P0 (1 - POWER_RTOL) is not taken.  Raises
-    :class:`Infeasible`, naming the least power that meets the targets,
-    when that reaches P0 (1 - POWER_RTOL), and when a user's channel is
-    zero: no beamformer then meets its rate constraint strictly.
+    keeps every rate.  Raises :class:`Infeasible`, naming the least power
+    that meets the targets, when that reaches P0 (1 - POWER_RTOL), which
+    leaves the map no room to move, and when a user's channel is zero: no
+    beamformer then meets its rate constraint strictly.
     """
     cfg = inst.config
     if not np.all(np.any(inst.channel, axis=1)):
@@ -577,21 +575,19 @@ def zero_forcing_init(inst: model.Instance) -> np.ndarray:
     directions = pinv(inst.channel)  # (N_T, K), channel @ directions = I
     amps = np.sqrt([model.rate_power_threshold(r, cfg.comm_noise)
                     for r in cfg.rate_targets])
-    if not np.any(amps):
-        base = directions / np.linalg.norm(directions, axis=0)
-    else:
-        base = directions * amps
-        room = cfg.power_budget * (1.0 - POWER_RTOL)
-        if float(np.linalg.norm(base) ** 2) >= room:
-            base = _minimum_power_design(inst)
-            needed = float(np.linalg.norm(base) ** 2)
-            if needed >= room:
-                raise Infeasible(
-                    f"the rate targets need at least {needed:.6g} W, budget is "
-                    f"{cfg.power_budget:.6g} W: the least power is "
-                    f"{needed / cfg.power_budget - 1.0:+.2g} relative to the budget, and "
-                    f"a design needs it below -{POWER_RTOL:g}")
-    return base * np.sqrt(cfg.power_budget / float(np.linalg.norm(base) ** 2))
+    base = directions * amps if np.any(amps) else directions / np.linalg.norm(directions, axis=0)
+    # with every target zero the start meets them at any scale
+    room = cfg.power_budget * (1.0 - POWER_RTOL) if np.any(amps) else np.inf
+    needed = float(np.linalg.norm(base) ** 2)
+    if needed >= room:
+        base = _minimum_power_design(inst)
+        needed = float(np.linalg.norm(base) ** 2)
+        if needed >= room:
+            raise Infeasible(f"the rate targets need at least {needed:.6g} W, budget is "
+                             f"{cfg.power_budget:.6g} W: the least power is "
+                             f"{needed / cfg.power_budget - 1.0:+.2g} relative to the budget, "
+                             f"and a design needs it below -{POWER_RTOL:g}")
+    return base * np.sqrt(cfg.power_budget / needed)
 
 
 def _minimum_power_design(inst: model.Instance) -> np.ndarray:

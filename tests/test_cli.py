@@ -77,6 +77,25 @@ def test_solve_paper_config_meets_rate(tmp_path):
     assert (tmp_path / "o" / "meta.json").exists()
 
 
+@pytest.mark.parametrize("config, overrides", [
+    # a zero target's cut was identically zero: exit 4 at map 1
+    ("multi_user.yaml", {"system": {"rate_targets": [0.0, 6.0, 6.0]},
+                         "solver": {"max_iters": 20}}),
+    # the multiplier of the flat directions was walked down to an overflow
+    ("single_user_clean.yaml", {"solver": {"name": "mm-single"}}),
+], ids=["zero-target", "mm-single-clean"])
+def test_solve_shipped_config_variant_meets_every_target(tmp_path, config, overrides):
+    cfg = yaml.safe_load((CONFIGS / config).read_text())
+    for key, value in overrides.items():
+        cfg[key].update(value)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    payload = json.loads((tmp_path / "o" / "solution.json").read_text())
+    targets = cfg["system"]["rate_targets"]
+    assert all(rate >= target - 1e-6 for rate, target in zip(payload["rates_bits"], targets))
+
+
 def test_solve_is_byte_identical(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.yaml")
     assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0

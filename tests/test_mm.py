@@ -477,6 +477,38 @@ def test_power_multiplier_unreachable_rate_cut_is_bracket_failure():
     assert attained == pytest.approx(omega_shift, rel=1e-9)
 
 
+def test_power_multiplier_outside_finite_arithmetic_is_bracket_failure():
+    # an unreachable cut drives tau up until the step's divisor b^2
+    # underflows, and a flat direction drives its step past overflow as tau
+    # falls: the multiplier solve ends as a bracket failure, which SQUAREM
+    # takes as a rejected extrapolation, not as an uncaught arithmetic error
+    curv, _, _, omega_shift, _ = multiplier_case("null")
+    for tau in (1e160, 1e-160):
+        with pytest.raises(BracketFailure, match="finite arithmetic"):
+            mm.bisect_power_multiplier(curv, omega_shift, 0.01, tau)
+
+
+def test_step_meets_the_cut_along_flat_directions_at_tau_zero():
+    # c has no flat part, r has one: at tau = 0 the flat direction meets the
+    # cut's deficit at no cost in objective, with mu = 0, at the minimum-norm
+    # point, which is the limit of the step as tau -> 0 (mu ~ tau there)
+    sur = mm.Surrogate(lin=np.array([0.0, 1.0, 1.0, 1.0], dtype=complex),
+                       quad=np.diag([0.0, 1.0, 2.0, 3.0]), offset=0.0, delta=1.0)
+    h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
+    curv = mm.ShiftedCurvature(sur, h, h)
+    flat = curv.vals == 0.0
+    assert np.count_nonzero(flat) == 1 and not np.any(curv.c[flat])
+    omega_shift = 10.0  # above the 2 Re r^H x = 1.25 the curved directions attain
+    x, mu, power, _ = curv.step(omega_shift, 0.0)
+    assert mu == 0.0
+    assert 2.0 * float(np.real(np.vdot(curv.r, x))) == pytest.approx(omega_shift, rel=1e-12)
+    assert np.allclose(x[~flat], curv.c[~flat] / curv.vals[~flat], rtol=0.0, atol=1e-15)
+    assert power == pytest.approx(float(np.linalg.norm(x) ** 2), rel=1e-15)
+    x_near, mu_near, _, _ = curv.step(omega_shift, 1e-9)
+    assert 0.0 < mu_near <= 1e-8
+    assert np.linalg.norm(x_near - x) <= 1e-7 * np.linalg.norm(x)
+
+
 def test_power_multiplier_work_per_inner_solve(monkeypatch):
     # a deterministic work count in place of wall time: started from the
     # multiplier of the map before, a full criterion-5 solve needs 3.7 O(N_T)
@@ -880,6 +912,50 @@ def test_zero_forcing_init_falls_back_to_minimum_power():
 def test_zero_forcing_init_names_the_least_power_when_infeasible(channel_seed, least_w):
     with pytest.raises(Infeasible, match=f"need at least {least_w} W"):
         mm.zero_forcing_init(shipped_geometry_instance(3, 6.0, channel_seed))
+
+
+@pytest.mark.parametrize("scheme, n_users, channel_seed, least_w", [
+    ("mm-single", 1, 3, "0.457422"), ("mm-multi", 1, 3, "0.457422"),
+    ("mm-multi", 3, 1, "1.25955")])
+@pytest.mark.parametrize("factor", [1.0 - 1e-13, 1.0, 1.0 + 1e-14])
+def test_budget_at_the_least_power_is_infeasible(scheme, n_users, channel_seed, least_w, factor):
+    # a start at the least power leaves the map no room to move: the
+    # multiplier solve failed to bracket (one user) or the QCQP ended max_iter
+    # or overflowed (three users).  Targets whose least power reaches
+    # P0 (1 - POWER_RTOL) are infeasible, and the message tells the two
+    # powers apart
+    rate = 6.0 if n_users == 1 else 4.0
+    inst = shipped_geometry_instance(n_users, rate, channel_seed)
+    least = float(np.linalg.norm(mm._minimum_power_design(inst)) ** 2)
+    cfg = replace(inst.config, power_budget=factor * least)
+    scenario = Scenario(cfg, ScattererModel.point(0.0, 1.0),
+                        ScattererModel.extended(-30.0, -25.0, 50, 100.0), inst.channel)
+    with pytest.raises(Infeasible, match=f"need at least {least_w} W, budget is {least_w} W") \
+            as excinfo:
+        dispatch.solve_scenario(scenario, scheme)
+    gap = float(str(excinfo.value).split("the least power is ")[1].split(" relative")[0])
+    assert gap == pytest.approx(1.0 / factor - 1.0, rel=0.1, abs=1e-15)
+    cfg = replace(cfg, power_budget=(1.0 + 1e-12) * least)
+    result = dispatch.solve_scenario(replace(scenario, config=cfg), scheme,
+                                     dispatch.SolverOptions(max_iters=5))
+    assert np.linalg.norm(result.w) ** 2 <= cfg.power_budget * (1.0 + 1e-9)
+    assert np.all(result.rates_bits >= rate - 1e-6)
+
+
+def test_minimum_power_design_gives_a_zero_target_exactly_zero_power():
+    # the linear solve left -7.2e-18 W for the zero-target user, which read
+    # as "no beamformer meets the rate targets at any power"
+    cfg = SystemConfig(n_tx=3, n_rx=1, n_users=3, n_slots=30, power_budget=1.0,
+                       comm_noise=0.1, radar_noise=1.0, rate_targets=(0.0, 0.5, 2.0), rng_seed=0)
+    channel = model.rayleigh_channel(3, 3, 0)
+    scenario = Scenario(cfg, ScattererModel.point(0.0, 1.0), None, channel)
+    least = mm._minimum_power_design(model.build_instance(scenario))
+    assert not np.any(least[:, 0])
+    assert np.linalg.norm(least) ** 2 == pytest.approx(0.180, abs=5e-4)
+    # a budget below the zero-forcing power of 0.994 W needs that design
+    scenario = replace(scenario, config=replace(cfg, power_budget=0.9 * 0.994))
+    result = dispatch.solve_scenario(scenario, "mm-multi", dispatch.SolverOptions(max_iters=5))
+    assert np.all(result.rates_bits >= np.asarray(cfg.rate_targets) - 1e-6)
 
 
 def test_zero_forcing_init_keeps_zero_forcing_when_it_fits():

@@ -212,6 +212,33 @@ def test_every_subproblem_is_feasible_at_its_expansion_point(monkeypatch, channe
     assert max(worst) <= 1e-12
 
 
+@pytest.mark.parametrize("targets", [(0.0, 6.0, 6.0), (4.0, 0.0, 4.0), (0.0, 0.0, 4.0),
+                                     (0.0, 0.0, 0.0)])
+@pytest.mark.parametrize("interfered", [True, False], ids=["interference", "clean"])
+def test_zero_rate_targets_leave_their_cuts_out(monkeypatch, targets, interfered):
+    # zero forcing gives a zero-target user a zero column, so its cut was
+    # identically zero and the QCQP ended max_iter at map 1.  Its constraint
+    # |h_k^H w_k|^2 >= 0 always holds: the stack holds the power ball and one
+    # cut per positive target, and every target is met
+    scenario = parse_config(CONFIGS / "multi_user.yaml").scenario
+    scenario = replace(scenario, config=replace(scenario.config, rate_targets=targets),
+                       interference=scenario.interference if interfered else None)
+    inst = model.build_instance(scenario)
+    sizes = []
+    build = mm.multiuser_subproblem
+
+    def recording(inst, w_prev, sur):
+        prob = build(inst, w_prev, sur)
+        sizes.append(prob.constraints[2].size)
+        return prob
+
+    monkeypatch.setattr(mm, "multiuser_subproblem", recording)
+    report = mm.solve_multi_user(inst, max_iters=5)
+    assert set(sizes) == {1 + np.count_nonzero(targets)}
+    assert np.linalg.norm(report.w) ** 2 <= POWER_W * (1.0 + 1e-9)
+    assert np.all(model.achieved_rates(inst, report.w) >= np.asarray(targets) - 1e-6)
+
+
 def test_scaling_up_raises_mi_and_every_rate():
     # why the full-power step is an ascent step: MI(cW) and every SINR grow
     # with c > 1, here under the shipped config's extended interference
