@@ -8,25 +8,12 @@ checks the received-power target against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import Infeasible
 
 # |1 - r| below this counts as h parallel to a (the aligned special case)
 ALIGNED_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ClosedFormInputs:
-    """Target steering vector, user channel, power budget and the minimum
-    received power omega implied by the rate target."""
-
-    a: np.ndarray
-    h: np.ndarray
-    p0: float
-    omega: float
 
 
 def feasibility_bound(h: np.ndarray, p0: float) -> float:
@@ -38,20 +25,27 @@ def feasibility_bound(h: np.ndarray, p0: float) -> float:
     return p0 * float(np.linalg.norm(h) ** 2)
 
 
-def solve_closed_form(inputs: ClosedFormInputs) -> np.ndarray:
-    """Closed-form beamformer; always returns ||w||^2 = P0 exactly.
+def solve_closed_form(a: np.ndarray, h: np.ndarray, p0: float, omega: float) -> np.ndarray:
+    """Closed-form beamformer for target steering vector a, user channel h,
+    power budget P0 and the minimum received power omega implied by the rate
+    target; always returns ||w||^2 = P0 exactly.
 
     Three branches: full power straight at the target when that already
     meets the received-power constraint; the matched filter when the channel
     is (numerically) parallel to the steering vector; otherwise the
-    two-vector combination that meets the constraint with equality.
+    two-vector combination that meets the constraint with equality.  Raises
+    :class:`Infeasible` when omega exceeds :func:`feasibility_bound` or h is
+    zero.  ``dispatch`` applies the verdict of :func:`mm.zero_forcing_init`
+    first, as for every scheme; this check serves direct callers.
     """
-    a = np.asarray(inputs.a, dtype=complex)
-    h = np.asarray(inputs.h, dtype=complex)
-    p0, omega = float(inputs.p0), float(inputs.omega)
+    a = np.asarray(a, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    p0, omega = float(p0), float(omega)
     norm_a = float(np.linalg.norm(a))
     norm_h = float(np.linalg.norm(h))
 
+    if norm_h == 0.0:
+        raise Infeasible("the user's channel is zero, so its rate target is not strictly feasible")
     bound = feasibility_bound(h, p0)
     if bound < omega:
         raise Infeasible(

@@ -42,7 +42,7 @@ MAXITER = "max_iter"
 GAP_SHRINK = 0.2        # duality-gap reduction per outer round
 DEFAULT_GAP_TOL = 1e-7  # relative: stop when nu/t <= tol * (1 + |objective|)
 MAX_ROUNDS = 200        # path-following round cap per solve phase
-DUAL_NEWTON_STEPS = 100  # Newton step budget of one QCQP solve
+DUAL_NEWTON_STEPS = 100  # Newton step budget of each start of a QCQP solve
 NEWTON_PER_ROUND = 60   # centering step budget within one round
 CENTER_TOL = 1e-10      # centering stops when half the Newton decrement is below this
 LOOSE_CENTER_TOL = 5e-3  # the same, in a round the path follower does not end on
@@ -528,7 +528,9 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
     caller's problem is feasible, and an unbounded dual (an infeasible
     problem) ends when DUAL_NEWTON_STEPS run out or the Newton system
     overflows.  M(lam) must be positive definite for lam > 0 (a power ball
-    gives this); otherwise the status is ``max_iter`` too.
+    gives this); otherwise the status is ``max_iter`` too.  A cold start
+    (all-ones multipliers) that fails is retried once from t = 1: at a
+    weight as high as 6e9 the first line search can fail to pass.
     """
     m = prob.constraints[2].size
     lam = np.ones(m) if multipliers is None else np.array(multipliers, dtype=float)
@@ -539,50 +541,54 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
     except np.linalg.LinAlgError:
         return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
                            iterations=0, status=MAXITER)
-    t_bar = _final_weight(m, tol * (1.0 + abs(point.objective)))
-    steps, previous, decrement = 0, np.inf, np.nan
-    while True:
-        lam, f = point.lam, point.f
-        grad = -t_bar * lam * f - 1.0                   # scaled by lam
-        hess = t_bar * (lam[:, None] * point.curv * lam[None, :]) + np.eye(m)
-        try:
-            step = -np.linalg.solve(hess, grad) if m else grad
-        except np.linalg.LinAlgError:
-            break                                       # overflow on an unbounded dual
-        decrement = float(-grad @ step)
-        if _centred(decrement, previous):
-            primal = point.objective
-            gap = -float(lam @ f)
-            bound = tol * (1.0 + abs(primal))
-            if np.max(f, initial=-np.inf) <= 0.0 and gap <= bound:
-                return ConicReport(solution=point.x, aux=None, objective=primal, gap=gap,
-                                   iterations=steps, status=OPTIMAL,
-                                   duality_trace=[(primal, primal - gap)],
-                                   decrement=decrement, multipliers=lam)
-            t_bar = max(t_bar / GAP_SHRINK, _final_weight(m, bound))
-            previous = np.inf
-            continue
-        if steps >= DUAL_NEWTON_STEPS or not np.isfinite(decrement):
-            break
-        # fraction-to-boundary cap, then backtrack on the exact merit change
-        alpha = min(1.0, 0.95 / max(float(-step.min()), 1e-300))
-        direction = lam * step
-        slope = float(direction @ f)
-        while alpha > 1e-14:
+    start, steps = point, 0
+    weights = [_final_weight(m, tol * (1.0 + abs(point.objective)))]
+    if multipliers is None and weights[0] > 1.0:
+        weights.append(1.0)
+    for t_bar in weights:
+        point, previous, decrement, budget = start, np.inf, np.nan, steps + DUAL_NEWTON_STEPS
+        while True:
+            lam, f = point.lam, point.f
+            grad = -t_bar * lam * f - 1.0                   # scaled by lam
+            hess = t_bar * (lam[:, None] * point.curv * lam[None, :]) + np.eye(m)
             try:
-                trial = _DualPoint(prob, lam + alpha * direction)
+                step = -np.linalg.solve(hess, grad) if m else grad
             except np.linalg.LinAlgError:
-                alpha *= 0.5
+                break                                       # overflow on an unbounded dual
+            decrement = float(-grad @ step)
+            if _centred(decrement, previous):
+                primal = point.objective
+                gap = -float(lam @ f)
+                bound = tol * (1.0 + abs(primal))
+                if np.max(f, initial=-np.inf) <= 0.0 and gap <= bound:
+                    return ConicReport(solution=point.x, aux=None, objective=primal, gap=gap,
+                                       iterations=steps, status=OPTIMAL,
+                                       duality_trace=[(primal, primal - gap)],
+                                       decrement=decrement, multipliers=lam)
+                t_bar = max(t_bar / GAP_SHRINK, _final_weight(m, bound))
+                previous = np.inf
                 continue
-            dx = trial.x - point.x
-            rise = alpha * slope - float(np.vdot(dx, trial.mat @ dx).real)
-            change = -t_bar * rise - float(np.sum(np.log1p(alpha * step)))
-            if change <= -0.25 * alpha * decrement:
+            if steps >= budget or not np.isfinite(decrement):
                 break
-            alpha *= 0.5
-        if alpha <= 1e-14:
-            break
-        point, previous = trial, decrement
-        steps += 1
+            # fraction-to-boundary cap, then backtrack on the exact merit change
+            alpha = min(1.0, 0.95 / max(float(-step.min()), 1e-300))
+            direction = lam * step
+            slope = float(direction @ f)
+            while alpha > 1e-14:
+                try:
+                    trial = _DualPoint(prob, lam + alpha * direction)
+                except np.linalg.LinAlgError:
+                    alpha *= 0.5
+                    continue
+                dx = trial.x - point.x
+                rise = alpha * slope - float(np.vdot(dx, trial.mat @ dx).real)
+                change = -t_bar * rise - float(np.sum(np.log1p(alpha * step)))
+                if change <= -0.25 * alpha * decrement:
+                    break
+                alpha *= 0.5
+            if alpha <= 1e-14:
+                break
+            point, previous = trial, decrement
+            steps += 1
     return ConicReport(solution=point.x, aux=None, objective=point.objective, gap=np.nan,
                        iterations=steps, status=MAXITER, decrement=decrement, multipliers=lam)

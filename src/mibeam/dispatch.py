@@ -6,7 +6,8 @@ reduction to the sensing subspace; the closed form takes the target's
 transmit steering vector and the channel), and returns
 one report shape for the CLI, the sweep drivers, and the evaluation
 pipeline.  For every scheme the reported MI is :func:`model.mutual_information`
-of the returned design.
+of the returned design, and ``Infeasible`` is the verdict of
+:func:`mm.zero_forcing_init`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import mm, model, sdr
-from .closed_form import ClosedFormInputs, solve_closed_form
+from .closed_form import solve_closed_form
 from .errors import ConfigError
 
 SCHEMES = ("closed", "sdr", "mm-single", "mm-multi")
@@ -96,11 +97,10 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
     started = time.perf_counter()
 
     if scheme == "closed":
+        mm.zero_forcing_init(inst)  # the feasibility verdict of every scheme
         a = model.steering_vector(scenario.target.angles_deg[0], cfg.n_tx)
-        h = inst.channel[0].conj()
         omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
-        w = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=cfg.power_budget,
-                                               omega=omega))[:, None]
+        w = solve_closed_form(a, inst.channel[0].conj(), cfg.power_budget, omega)[:, None]
         iterations, status, kkt, trace = 0, "closed_form", None, None
         extras = {"reduced_dim": cfg.n_tx, "inner_steps": None, "finish_steps": None}
     else:

@@ -57,35 +57,31 @@ def logdet_hermitian(a: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
-def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S = A.
-
-    Eigenvalues within PSD_CLAMP_RTOL * ||A|| of zero are treated as exact
-    zeros (rank deficient scatterer covariances produce such roundoff, and
-    the square root would amplify it); anything below -PSD_REJECT_RTOL *
-    ||A|| raises :class:`NotPSD`.
-    """
+def _psd_eigen(a: np.ndarray):
+    """Eigenvalues and eigenvectors of the Hermitian part of a nearly-PSD
+    matrix under the one eigenvalue policy of this module: eigenvalues
+    within PSD_CLAMP_RTOL * ||A|| of zero are exact zeros (rank deficient
+    scatterer covariances produce such roundoff, and a square root would
+    amplify it), smaller negative ones within PSD_REJECT_RTOL * ||A|| are
+    clipped to zero, and anything below raises :class:`NotPSD`."""
     vals, vecs = np.linalg.eigh(hermitianize(a))
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     if float(np.min(vals)) < -PSD_REJECT_RTOL * scale:
         raise NotPSD(f"eigenvalue {vals.min():.3e} below -{PSD_REJECT_RTOL:g} * {scale:.3e}")
-    vals = np.where(np.abs(vals) <= PSD_CLAMP_RTOL * scale, 0.0, np.clip(vals, 0.0, None))
+    return np.where(np.abs(vals) <= PSD_CLAMP_RTOL * scale, 0.0, np.clip(vals, 0.0, None)), vecs
+
+
+def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
+    """Hermitian PSD square root S with S @ S = A, under the eigenvalue
+    policy of :func:`_psd_eigen`."""
+    vals, vecs = _psd_eigen(a)
     return hermitianize((vecs * np.sqrt(vals)) @ vecs.conj().T)
 
 
 def psd_floor(a: np.ndarray) -> np.ndarray:
-    """Project a nearly-PSD Hermitian matrix onto the PSD cone.
-
-    Same eigenvalue policy as :func:`hermitian_sqrt` but returns the clamped
-    matrix itself.
-    """
-    vals, vecs = np.linalg.eigh(hermitianize(a))
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    if float(np.min(vals)) < -PSD_REJECT_RTOL * scale:
-        raise NotPSD(f"eigenvalue {vals.min():.3e} below -{PSD_REJECT_RTOL:g} * {scale:.3e}")
-    if float(np.min(vals)) >= 0.0:
-        return hermitianize(a)
-    vals = np.clip(vals, 0.0, None)
+    """Projection of a nearly-PSD Hermitian matrix onto the PSD cone, under
+    the eigenvalue policy of :func:`_psd_eigen`."""
+    vals, vecs = _psd_eigen(a)
     return hermitianize((vecs * vals) @ vecs.conj().T)
 
 

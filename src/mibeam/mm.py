@@ -567,7 +567,8 @@ def zero_forcing_init(inst: model.Instance) -> np.ndarray:
     keeps every rate.  Raises :class:`Infeasible`, naming the least power
     that meets the targets, when that reaches P0 (1 - POWER_RTOL), which
     leaves the map no room to move, and when a user's channel is zero: no
-    beamformer then meets its rate constraint strictly.
+    beamformer then meets its rate constraint strictly.  That is the one
+    feasibility verdict: ``sdr`` and ``dispatch``'s closed form call it too.
     """
     cfg = inst.config
     if not np.all(np.any(inst.channel, axis=1)):
@@ -703,16 +704,16 @@ def _kkt_terms(inst: model.Instance, sur: Surrogate, w_mat: np.ndarray):
     cfg = inst.config
     amps = inst.channel @ w_mat                       # h_k^H w_j at (k, j)
     power = np.abs(amps) ** 2
+    signal = power.diagonal()
     nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
-    columns = [vec(w_mat)]
-    cuts = np.empty(cfg.n_users)
-    for k in range(cfg.n_users):
-        # d c_k / d conj(w_j) = h_k h_k^H w_j, times -nu_k for j != k
-        weights = -nu[k] * amps[k]
-        weights[k] = amps[k, k]
-        columns.append(-vec(np.outer(inst.channel[k].conj(), weights)))
-        cuts[k] = power[k, k] - nu[k] * (power[k].sum() - power[k, k] + cfg.comm_noise)
-    return sur.gradient(vec(w_mat)), np.column_stack(columns), cuts
+    # d c_k / d conj(w_j) = h_k h_k^H w_j, times -nu_k for j != k: column k
+    # is -vec of the N_T x K matrix conj(h_k) weights[k]
+    weights = -nu[:, None] * amps
+    np.fill_diagonal(weights, amps.diagonal())
+    grads = inst.channel.conj()[:, None, :] * weights[:, :, None]   # (k, j, n)
+    basis = np.column_stack([vec(w_mat), -grads.reshape(cfg.n_users, -1).T])
+    cuts = signal - nu * (power.sum(axis=1) - signal + cfg.comm_noise)
+    return sur.gradient(vec(w_mat)), basis, cuts
 
 
 def _kkt_fit(inst: model.Instance, w_mat: np.ndarray, grad, basis, cuts):

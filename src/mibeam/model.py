@@ -354,18 +354,18 @@ def mutual_information(inst: Instance, w) -> float:
 
 def achievable_rate(inst: Instance, w, user: int) -> float:
     """Achievable rate of one user in bits/s/Hz (0-based user index)."""
-    cfg = inst.config
-    w_mat = as_beam_matrix(w, cfg)
-    if not 0 <= user < cfg.n_users:
+    if not 0 <= user < inst.config.n_users:
         raise ValueError(f"user index {user} out of range")
-    amps = inst.channel[user] @ w_mat
-    signal = float(np.abs(amps[user]) ** 2)
-    interference = float(np.sum(np.abs(amps) ** 2)) - signal
-    return float(np.log2(1.0 + signal / (interference + cfg.comm_noise)))
+    return float(achieved_rates(inst, w)[user])
 
 
 def achieved_rates(inst: Instance, w) -> np.ndarray:
-    return np.array([achievable_rate(inst, w, k) for k in range(inst.config.n_users)])
+    """Achievable rate of every user in bits/s/Hz, from the one matrix of
+    received powers |h_k^H w_j|^2 at (k, j): user k's signal is its
+    diagonal entry, its interference the rest of row k."""
+    power = np.abs(inst.channel @ as_beam_matrix(w, inst.config)) ** 2
+    signal = power.diagonal()
+    return np.log2(1.0 + signal / (power.sum(axis=1) - signal + inst.config.comm_noise))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conic, model
-from .errors import Infeasible, NumericalError
+from . import conic, mm, model
+from .errors import NumericalError
 from .linalg import hermitian_sqrt, hermitianize, unvec
 
 DEFAULT_RANDOMIZATIONS = 1000
@@ -105,9 +105,10 @@ def randomize(w_bar: np.ndarray, inst: model.Instance, seed,
     """Recover a feasible rank-one beamformer from the relaxed solution.
 
     Draws candidates from CN(0, w_bar), scales each to the full power budget,
-    keeps those meeting the received-power constraint, and returns the one
-    with the largest exact mutual information.  Falls back to the scaled
-    principal eigenvector when no sample is feasible.
+    adds the full-power maximum-ratio-transmission direction, keeps those
+    meeting the received-power constraint, and returns the one with the
+    largest exact mutual information.  The feasibility verdict of
+    :func:`mm.zero_forcing_init` makes the MRT candidate strictly feasible.
     """
     if n_randomizations < 1:
         raise ValueError("n_randomizations must be >= 1")
@@ -123,17 +124,9 @@ def randomize(w_bar: np.ndarray, inst: model.Instance, seed,
     cands = draws @ root.T
     norms = np.linalg.norm(cands, axis=1)
     keep = norms > 1e-14
-    cands = cands[keep] * (np.sqrt(p0) / norms[keep])[:, None]
-    received = np.abs(cands @ h.conj()) ** 2
-    feasible = cands[received >= omega]
-
-    if feasible.shape[0] == 0:
-        vals, vecs = np.linalg.eigh(w_bar)
-        lead = vecs[:, int(np.argmax(vals))]
-        lead = np.sqrt(p0) * lead / np.linalg.norm(lead)
-        if float(np.abs(np.vdot(h, lead)) ** 2) < omega:
-            raise Infeasible("no randomized sample or principal direction meets the rate target")
-        return lead
+    cands = np.vstack([cands[keep] * (np.sqrt(p0) / norms[keep])[:, None],
+                       np.sqrt(p0) * h / np.linalg.norm(h)])
+    feasible = cands[np.abs(cands @ h.conj()) ** 2 >= omega]
     return feasible[int(np.argmax(point_mutual_information(inst, feasible)))]
 
 
@@ -146,10 +139,12 @@ class SdrReport:
 
 def solve_point_interference(inst: model.Instance, seed,
                              n_randomizations: int = DEFAULT_RANDOMIZATIONS) -> SdrReport:
-    """Full pipeline: relax, solve, randomize; raises on infeasibility."""
+    """Full pipeline: the feasibility verdict of :func:`mm.zero_forcing_init`
+    (raises :class:`Infeasible`), then relax, solve, randomize.  Past the
+    verdict the relaxation is strictly feasible, so a relaxed solve that
+    ends in any status but ``optimal`` raises :class:`NumericalError`."""
+    mm.zero_forcing_init(inst)
     report = conic.solve_sdp(build_sdp(inst))
-    if report.status == conic.INFEASIBLE:
-        raise Infeasible("relaxed design problem is infeasible")
     if report.status != conic.OPTIMAL or report.solution is None:
         raise NumericalError(f"relaxed solve ended with status {report.status}")
     return SdrReport(

@@ -341,6 +341,20 @@ def test_infeasible_exit_code(tmp_path, capsys):
     assert err["error"] == "infeasible"
 
 
+@pytest.mark.parametrize("scheme", ["closed", "sdr", "mm-single"])
+@pytest.mark.parametrize("rate", [0.0, 2.0])
+def test_zero_file_channel_is_infeasible_for_every_scheme(tmp_path, capsys, scheme, rate):
+    write_channel(tmp_path / "h.json", np.zeros((1, 6), dtype=complex))
+    cfg_path = write_config(tmp_path / "cfg.yaml", system={"rate_targets": [rate]},
+                            channel={"kind": "file", "path": "h.json"},
+                            solver={"name": scheme})
+    code = cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "infeasible", "reason": "a user's channel is zero, so its "
+                   "rate target is not strictly feasible"}
+
+
 def test_rate_sweep_has_knee_at_paper_seed(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.yaml",
                             sweep={"variable": "rate_target",

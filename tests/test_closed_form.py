@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mibeam import model
-from mibeam.closed_form import ClosedFormInputs, feasibility_bound, solve_closed_form
+from mibeam import closed_form, model
+from mibeam.closed_form import feasibility_bound, solve_closed_form
 from mibeam.errors import Infeasible
 
 
@@ -40,7 +40,7 @@ def test_feasibility_bound_matches_random_search():
 
 def test_infeasible_raises():
     with pytest.raises(Infeasible):
-        solve_closed_form(ClosedFormInputs(a=np.ones(2), h=np.zeros(2), p0=1.0, omega=0.5))
+        solve_closed_form(np.ones(2), np.zeros(2), 1.0, 0.5)
 
 
 def test_aligned_channel_returns_matched_filter():
@@ -49,9 +49,35 @@ def test_aligned_channel_returns_matched_filter():
     h = 2.5 * a  # parallel: r = 1
     p0 = 4.0
     omega = 0.5 * feasibility_bound(h, p0)
-    w = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=p0, omega=omega))
+    w = solve_closed_form(a, h, p0, omega)
     assert np.linalg.norm(w) ** 2 == pytest.approx(p0, rel=1e-12)
     assert np.allclose(w, np.sqrt(p0) * h / np.linalg.norm(h), atol=1e-9)
+
+
+def test_aligned_channel_at_the_bound_takes_the_matched_filter_branch(monkeypatch):
+    # h is parallel to a up to 1e-14 in r and omega is the bound, so the
+    # target beam misses the constraint and the two-vector combination,
+    # divided by 1 - r^2, is replaced by the matched filter
+    a = model.steering_vector(20.0, 4)
+    perp = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex)
+    perp -= a * np.vdot(a, perp) / np.vdot(a, a)
+    h = 2.5 * a + 1e-6 * perp / np.linalg.norm(perp)
+    p0 = 4.0
+    omega = feasibility_bound(h, p0)
+    w = solve_closed_form(a, h, p0, omega)
+    assert np.linalg.norm(w) ** 2 == pytest.approx(p0, rel=1e-12)
+    assert abs(np.vdot(h, w)) ** 2 == pytest.approx(omega, rel=1e-12)
+    assert np.allclose(w, np.sqrt(p0) * h / np.linalg.norm(h), atol=1e-12)
+    # the answer comes from that branch: without it the same inputs take
+    # the combination, which gives a different vector
+    monkeypatch.setattr(closed_form, "ALIGNED_RTOL", 0.0)
+    assert not np.array_equal(solve_closed_form(a, h, p0, omega), w)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+def test_zero_channel_is_infeasible(omega):
+    with pytest.raises(Infeasible, match="channel is zero"):
+        solve_closed_form(np.ones(2), np.zeros(2), 1.0, omega)
 
 
 def test_slack_constraint_returns_target_beam():
@@ -61,7 +87,7 @@ def test_slack_constraint_returns_target_beam():
     p0 = 2.0
     # make the full-power target beam satisfy the constraint strictly
     omega = 0.5 * p0 * abs(np.vdot(h, a)) ** 2 / np.linalg.norm(a) ** 2
-    w = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=p0, omega=omega))
+    w = solve_closed_form(a, h, p0, omega)
     assert np.allclose(w, np.sqrt(p0) * a / np.linalg.norm(a), atol=1e-12)
     assert abs(np.vdot(h, w)) ** 2 > omega
 
@@ -69,7 +95,7 @@ def test_slack_constraint_returns_target_beam():
 def test_orthogonal_channel_spec_point():
     a = np.array([1.0, 1.0], dtype=complex)
     h = np.array([1.0, -1.0], dtype=complex)
-    w = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=1.0, omega=0.1))
+    w = solve_closed_form(a, h, 1.0, 0.1)
     expected = np.sqrt(0.05) * h / np.linalg.norm(h) + np.sqrt(0.95) * a / np.linalg.norm(a)
     assert np.allclose(w, expected, atol=1e-12)
     assert abs(np.vdot(h, w)) ** 2 == pytest.approx(0.1, rel=1e-10)
@@ -84,7 +110,7 @@ def test_constraints_hold_on_random_instances():
         h = random_complex(rng, n)
         p0 = float(rng.uniform(0.5, 20.0))
         omega = float(rng.uniform(0.0, 1.0)) * feasibility_bound(h, p0)
-        w = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=p0, omega=omega))
+        w = solve_closed_form(a, h, p0, omega)
         assert np.linalg.norm(w) ** 2 == pytest.approx(p0, rel=1e-9)
         assert abs(np.vdot(h, w)) ** 2 >= omega - 1e-9
 
@@ -95,7 +121,7 @@ def test_boundary_feasible_not_slater():
     a = model.steering_vector(10.0, 3)
     p0 = 1.5
     omega = feasibility_bound(h, p0)  # equality: unique feasible direction
-    w = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=p0, omega=omega))
+    w = solve_closed_form(a, h, p0, omega)
     assert np.linalg.norm(w) ** 2 == pytest.approx(p0, rel=1e-9)
     assert abs(np.vdot(h, w)) ** 2 == pytest.approx(omega, rel=1e-9)
 
@@ -108,7 +134,7 @@ def test_branch_continuity_at_threshold():
     omega_star = p0 * abs(np.vdot(a, h)) ** 2 / np.linalg.norm(a) ** 2
 
     def gain(omega):
-        w = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=p0, omega=omega))
+        w = solve_closed_form(a, h, p0, omega)
         return abs(np.vdot(a, w)) ** 2
 
     below = gain(omega_star * (1.0 - 1e-9))
@@ -126,7 +152,7 @@ def test_desk_scale_optimality_audit():
         h = random_complex(rng, n)
         p0 = float(rng.uniform(0.5, 5.0))
         omega = float(rng.uniform(0.1, 0.9)) * feasibility_bound(h, p0)
-        w = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=p0, omega=omega))
+        w = solve_closed_form(a, h, p0, omega)
         gain = abs(np.vdot(a, w)) ** 2
 
         best = 0.0

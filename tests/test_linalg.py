@@ -73,6 +73,27 @@ def test_hermitian_sqrt_rejects_indefinite():
         linalg.hermitian_sqrt(np.diag([1.0, -0.5]))
 
 
+def test_psd_floor_follows_the_square_root_policy():
+    rng = np.random.default_rng(6)
+    b = random_complex(rng, 6, 3)
+    a = b @ b.conj().T  # PSD, rank deficient
+    scale = np.linalg.norm(a, 2)
+    null = np.linalg.qr(b, mode="complete")[0][:, 3:]
+    assert np.linalg.norm(linalg.psd_floor(a) - a) <= 1e-12 * scale
+    # negative eigenvalues in the null space, inside the clamp band and
+    # between it and the reject band, are floored to zero; the projection
+    # is the square of the square root
+    dented = a - scale * (1e-11 * null[:, :1] @ null[:, :1].conj().T
+                          + 1e-9 * null[:, 1:2] @ null[:, 1:2].conj().T)
+    floor = linalg.psd_floor(dented)
+    root = linalg.hermitian_sqrt(dented)
+    assert linalg.is_hermitian(floor)
+    assert np.linalg.norm(floor - a) <= 1e-12 * scale
+    assert np.linalg.norm(floor - root @ root) <= 1e-12 * scale
+    with pytest.raises(NotPSD):
+        linalg.psd_floor(a - 1e-7 * scale * null[:, :1] @ null[:, :1].conj().T)
+
+
 def test_pinv_trivial():
     assert np.allclose(linalg.pinv(np.eye(4)), np.eye(4), atol=1e-12)
     assert np.allclose(linalg.pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-12)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mibeam import dispatch, evaluation, linalg, mm, model
-from mibeam.closed_form import ClosedFormInputs, solve_closed_form
+from mibeam.closed_form import solve_closed_form
 from mibeam.config import parse_config
 from mibeam.errors import BracketFailure, DegenerateConstraint, Infeasible
 from mibeam.model import ScattererModel, Scenario, SystemConfig
@@ -554,8 +554,7 @@ def test_single_user_matches_closed_form_without_interference():
         a = model.steering_vector(0.0, cfg.n_tx)
         h = inst.channel[0].conj()
         omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
-        w_cf = solve_closed_form(ClosedFormInputs(a=a, h=h, p0=cfg.power_budget,
-                                                  omega=omega))
+        w_cf = solve_closed_form(a, h, cfg.power_budget, omega)
         mi_mm = report.mi_trace[-1]
         mi_cf = model.mutual_information(inst, w_cf)
         assert mi_mm >= mi_cf * (1.0 - 5e-3)
@@ -1018,6 +1017,28 @@ def test_multiuser_rate_quadratics_are_psd():
         expected = nu_k * (power.sum() - power[k] + cfg.comm_noise) - power[k]
         value = np.real(np.vdot(w_vec, a_k @ w_vec) + 2.0 * np.vdot(b_k, w_vec)) + c_k
         assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_users", [1, 3])
+def test_kkt_terms_match_the_per_user_construction(n_users):
+    # reference: one gradient column and one cut value per user, in a loop
+    inst = multi_user_instance(seed=131, n_users=n_users, n_tx=5)
+    cfg = inst.config
+    w = random_complex(np.random.default_rng(17), cfg.n_tx, cfg.n_users)
+    grad, basis, cuts = mm._kkt_terms(inst, mm.build_surrogate(inst, w), w)
+    amps = inst.channel @ w
+    power = np.abs(amps) ** 2
+    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
+    assert np.array_equal(basis[:, 0], linalg.vec(w))
+    for k in range(n_users):
+        weights = -nu[k] * amps[k]
+        weights[k] = amps[k, k]
+        column = -linalg.vec(np.outer(inst.channel[k].conj(), weights))
+        assert np.array_equal(basis[:, 1 + k], column)
+        expected = power[k, k] - nu[k] * (power[k].sum() - power[k, k] + cfg.comm_noise)
+        assert cuts[k] == pytest.approx(expected, rel=1e-14, abs=1e-14 * power[k].sum())
+    assert basis.shape == (cfg.n_tx * n_users, 1 + n_users)
+    assert np.array_equal(grad, mm.build_surrogate(inst, w).gradient(linalg.vec(w)))
 
 
 def kron_constraints(inst, w):

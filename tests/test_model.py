@@ -185,16 +185,19 @@ def test_achievable_rate_orthogonal_is_zero():
 
 
 def test_achievable_rate_matches_scalar_sinr():
-    cfg = make_config(n_users=2, rate_targets=(1.0, 1.0))
-    inst = make_instance(cfg, ScattererModel.point(0.0, 1.0))
     rng = np.random.default_rng(3)
-    w = rng.standard_normal((cfg.n_tx, 2)) + 1j * rng.standard_normal((cfg.n_tx, 2))
-    for k in range(2):
-        h_k = inst.channel[k].conj()
-        num = abs(np.vdot(h_k, w[:, k])) ** 2
-        den = sum(abs(np.vdot(h_k, w[:, j])) ** 2 for j in range(2) if j != k)
-        expected = np.log2(1.0 + num / (den + cfg.comm_noise))
-        assert model.achievable_rate(inst, w, k) == pytest.approx(expected, rel=1e-12)
+    for n_users in (2, 3):
+        cfg = make_config(n_users=n_users, rate_targets=(1.0,) * n_users)
+        inst = make_instance(cfg, ScattererModel.point(0.0, 1.0))
+        w = rng.standard_normal((cfg.n_tx, n_users)) + 1j * rng.standard_normal((cfg.n_tx, n_users))
+        rates = model.achieved_rates(inst, w)
+        for k in range(n_users):
+            h_k = inst.channel[k].conj()
+            num = abs(np.vdot(h_k, w[:, k])) ** 2
+            den = sum(abs(np.vdot(h_k, w[:, j])) ** 2 for j in range(n_users) if j != k)
+            expected = np.log2(1.0 + num / (den + cfg.comm_noise))
+            assert model.achievable_rate(inst, w, k) == pytest.approx(expected, rel=1e-12)
+            assert rates[k] == pytest.approx(expected, rel=1e-12)
 
 
 def test_vec_expansion_matrix_trivial():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mibeam import conic, dispatch, model, sdr
-from mibeam.closed_form import ClosedFormInputs, solve_closed_form
+from mibeam.closed_form import solve_closed_form
+from mibeam.errors import NumericalError
 from mibeam.model import ScattererModel, Scenario, SystemConfig
+from test_reduction import sdr_point_scenario
 
 
 def make_setup(n_tx=4, n_rx=4, gamma2=100.0, seed=11, rate=4.0, p0=10.0,
@@ -133,7 +135,7 @@ def test_no_interference_limit_matches_closed_form():
     assert report.status == conic.OPTIMAL
     bound = sdr.relaxed_mi_bound(report.aux, cfg.radar_noise)
     a_t = model.steering_vector(0.0, cfg.n_tx)
-    w_cf = solve_closed_form(ClosedFormInputs(a=a_t, h=h, p0=cfg.power_budget, omega=omega))
+    w_cf = solve_closed_form(a_t, h, cfg.power_budget, omega)
     mi_cf = model.mutual_information(inst, w_cf)
     assert bound >= mi_cf - 1e-6
     assert abs(bound - mi_cf) <= 1e-4 * max(1.0, abs(mi_cf))
@@ -194,3 +196,25 @@ def test_solve_point_interference_pipeline():
     assert abs(np.vdot(h, report.w)) ** 2 >= omega - 1e-9
     rate = model.achievable_rate(inst, report.w, 0)
     assert rate >= cfg.rate_targets[0] - 1e-9
+
+
+@pytest.mark.parametrize("slack", [1e-5, 1e-6, 1e-8])
+def test_every_scheme_takes_the_least_power_verdict_on_a_thin_feasible_set(slack):
+    # the rate target needs received power P0 ||h||^2 (1 - slack): strictly
+    # feasible, so no scheme may say Infeasible.  Past the verdict, phase
+    # one of the SDR relaxation finds no interior point on a set this thin
+    # (slack 1e-6 and below on this channel), which is a NumericalError
+    base = sdr_point_scenario(1)
+    cfg = base.config
+    omega = cfg.power_budget * float(np.linalg.norm(base.channel) ** 2) * (1.0 - slack)
+    rate = float(np.log2(1.0 + omega / cfg.comm_noise))
+    for scheme in ("closed", "sdr", "mm-single"):
+        scenario = replace(base, config=replace(cfg, rate_targets=(rate,)),
+                           interference=None if scheme == "closed" else base.interference)
+        try:
+            result = dispatch.solve_scenario(scenario, scheme, dispatch.SolverOptions(seed=1))
+        except NumericalError:
+            assert scheme == "sdr" and slack < 1e-5
+            continue
+        assert np.linalg.norm(result.w) ** 2 <= cfg.power_budget * (1.0 + 1e-9)
+        assert result.rates_bits[0] >= rate - 1e-6
