@@ -6,14 +6,14 @@ blocks and trace constraints in a PSD matrix variable (plus an optional
 scalar) into a real parameter vector x, a linear objective cost @ x and one
 barrier -log det S(x): S is a Hermitian block-diagonal matrix affine in x
 whose diagonal blocks are the matrix variable, each LMI block and each
-trace constraint's slack (1 x 1).  One phase one, adding a slack s I to S,
-finds a strictly feasible point; one deterministic path follower with
-Newton centering steps does the rest.  Between rounds it predicts along the
-tangent of the central path, and it centres loosely (Newton decrement
-lambda <= 0.1) in every round but the last, which it centres strictly;
-phase one, which needs only a feasible point, centres every round loosely
-and takes no predictor step.  Every barrier term changes along a search ray
-as -log(1 + alpha c), so the line search evaluates the merit change exactly
+trace constraint's slack (1 x 1).  Every problem carries a strictly
+feasible start, so no feasibility phase is needed (Boyd & Vandenberghe,
+Convex Optimization, 2004, sec. 11.4): one loose centring and one
+deterministic path follower with Newton centering steps solve it.  Between
+rounds it predicts along the tangent of the central path, and it centres
+loosely (Newton decrement lambda <= 0.1) in every round but the last, which
+it centres strictly.  Every barrier term changes along a search ray as
+-log(1 + alpha c), so the line search evaluates the merit change exactly
 from coefficients computed once per step.
 
 ``solve_qcqp`` solves a convex complex QCQP, its m constraints stacked in a
@@ -36,18 +36,15 @@ import numpy as np
 from .linalg import is_hermitian
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 MAXITER = "max_iter"
 
 GAP_SHRINK = 0.2        # duality-gap reduction per outer round
 DEFAULT_GAP_TOL = 1e-7  # relative: stop when nu/t <= tol * (1 + |objective|)
-MAX_ROUNDS = 200        # path-following round cap per solve phase
+MAX_ROUNDS = 200        # path-following round cap per solve
 DUAL_NEWTON_STEPS = 100  # Newton step budget of each start of a QCQP solve
 NEWTON_PER_ROUND = 60   # centering step budget within one round
 CENTER_TOL = 1e-10      # centering stops when half the Newton decrement is below this
 LOOSE_CENTER_TOL = 5e-3  # the same, in a round the path follower does not end on
-PHASE1_MARGIN = 1e-12   # slack the feasibility phase must end below -PHASE1_MARGIN
-PHASE1_OBJECTIVE_BLEND = 1e-6  # weight of the true objective during phase one
 
 
 @dataclass(frozen=True)
@@ -92,12 +89,14 @@ class SdpProblem:
 
     The trace constraints must bound the feasible set (every problem built
     here carries a transmit-power bound, so this holds by construction); the
-    barrier subproblems are unbounded otherwise.
+    barrier subproblems are unbounded otherwise.  ``start`` = (X0, t0) is
+    strictly inside every constraint, t0 None when there is no scalar.
     """
 
     dim: int
     obj_mat: np.ndarray
     obj_t: float
+    start: tuple
     lmi_blocks: tuple[LmiBlock, ...] = ()
     trace_constraints: tuple[TraceConstraint, ...] = ()
 
@@ -106,6 +105,8 @@ class SdpProblem:
             raise ValueError("objective matrix has wrong shape")
         if not is_hermitian(self.obj_mat):
             raise ValueError("objective matrix must be Hermitian")
+        if self.start[0].shape != (self.dim, self.dim) or (self.start[1] is None) == self.has_t:
+            raise ValueError("SDP start must be dim x dim, with a scalar iff the problem has one")
 
     @property
     def has_t(self) -> bool:
@@ -141,7 +142,7 @@ class ConicReport:
     objective: float
     # absolute duality-gap bound: nu / t_barrier (SDP), -lam . f(x) (QCQP)
     gap: float
-    iterations: int                # total Newton steps (both SDP phases)
+    iterations: int                # total Newton steps, an SDP's start centring included
     status: str
     # SDP: (primal, primal - nu / t) per round, only the last, strictly
     # centred round's entry a certified duality gap; QCQP: (primal, dual)
@@ -171,6 +172,12 @@ def _herm_of_params(x: np.ndarray, n: int) -> np.ndarray:
     a[iu] = re + 1j * im
     a[(iu[1], iu[0])] = re - 1j * im
     return a
+
+
+def _params_of_herm(a: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_herm_of_params`."""
+    upper = a[np.triu_indices(a.shape[0], 1)]
+    return np.concatenate([np.diag(a).real, upper.real, upper.imag])
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +248,14 @@ class _Local:
         return grad, flat @ flat.T
 
 
+def _local_at(comp: _Compiled, x: np.ndarray) -> Optional[_Local]:
+    """The :class:`_Local` at x, or None where S(x) has no Cholesky factor."""
+    try:
+        return _Local(comp, x)
+    except np.linalg.LinAlgError:
+        return None
+
+
 class _Ray:
     """The merit change along x + alpha dx, exact in alpha.
 
@@ -271,10 +286,11 @@ class _Ray:
 
 
 def _solve_newton(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """hess^-1 rhs, with a relative ridge and a least-squares fallback."""
-    ridge = 1e-12 * (1.0 + float(np.trace(hess)) / max(hess.shape[0], 1))
+    """hess^-1 rhs, with a ridge on the unit-diagonal scaling (a thin feasible
+    set spreads the diagonal over decades) and a least-squares fallback."""
+    d = 1.0 / np.sqrt(np.diag(hess))
     try:
-        return np.linalg.solve(hess + ridge * np.eye(hess.shape[0]), rhs)
+        return d * np.linalg.solve(hess * np.outer(d, d) + 1e-12 * np.eye(d.size), d * rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(hess, rhs, rcond=None)[0]
 
@@ -287,18 +303,17 @@ def _centred(decrement: float, previous: float, tol: float = CENTER_TOL) -> bool
                                       and decrement > 0.5 * previous)
 
 
-def _newton_center(comp: _Compiled, x: np.ndarray, t_bar: float, budget: int,
-                   tol: float = CENTER_TOL, stop_when=None):
-    """Minimize t_bar * objective(x) + barrier(x) until it is
+def _newton_center(local: _Local, t_bar: float, budget: int, tol: float = CENTER_TOL):
+    """Minimize t_bar * objective(x) + barrier(x) from local.x until it is
     :func:`_centred` to tol or the step budget is spent.
 
-    Returns (x, steps, local, hess, decrement): the barrier, the merit
-    Hessian and the squared decrement of the last centring test, which is
-    taken at the returned x unless stop_when ended the loop.
+    Returns (local, steps, hess, decrement): the barrier at the returned
+    point, the merit Hessian and the squared decrement of the last
+    centring test, taken there.
     """
+    comp = local.comp
     steps, previous = 0, np.inf
     while True:
-        local = _Local(comp, x)
         grad_b, hess = local.grad_hess()
         grad = t_bar * comp.cost + grad_b
         dx = _solve_newton(hess, -grad)
@@ -306,37 +321,39 @@ def _newton_center(comp: _Compiled, x: np.ndarray, t_bar: float, budget: int,
         if not np.isfinite(decrement) or _centred(decrement, previous, tol) or steps >= budget:
             break
         # fraction-to-boundary cap, then backtrack on the exact ray merit
+        # until S also has a Cholesky factor at the trial point
         ray = _Ray(local, dx)
         alpha = min(1.0, 0.95 * ray.alpha_max)
-        while alpha > 1e-14 and ray.merit_change(alpha, t_bar) > -0.25 * alpha * decrement:
+        trial = None
+        while trial is None and alpha > 1e-14:
+            if ray.merit_change(alpha, t_bar) <= -0.25 * alpha * decrement:
+                trial = _local_at(comp, local.x + alpha * dx)
             alpha *= 0.5
-        if alpha <= 1e-14:
+        if trial is None:
             break
-        x, previous = x + alpha * dx, decrement
+        local, previous = trial, decrement
         steps += 1
-        if stop_when is not None and stop_when(x):
-            break
-    return x, steps, local, hess, decrement
+    return local, steps, hess, decrement
 
 
-def _predict(comp: _Compiled, local: _Local, hess: np.ndarray, t_bar: float,
-             t_next: float) -> np.ndarray:
+def _predict(local: _Local, hess: np.ndarray, t_bar: float, t_next: float) -> _Local:
     """Step from the centre x(t_bar) towards x(t_next) along the tangent of
     the central path, taken linear in 1 / t.
 
     Differentiating the centrality condition t grad f + grad phi = 0 gives
     dx/dt = -H^-1 grad f with H the merit Hessian at x(t_bar); the step is
     (1/t_bar - 1/t_next) dx/d(1/t) = t_bar (1 - t_bar / t_next) dx/dt,
-    capped at 0.95 of the way to the boundary.
+    capped at 0.95 of the way to the boundary, and not taken where S has
+    no Cholesky factor.
     """
-    x = local.x
-    dx = (t_bar * (1.0 - t_bar / t_next)) * _solve_newton(hess, -comp.cost)
-    return x + min(1.0, 0.95 * _Ray(local, dx).alpha_max) * dx
+    dx = (t_bar * (1.0 - t_bar / t_next)) * _solve_newton(hess, -local.comp.cost)
+    step = min(1.0, 0.95 * _Ray(local, dx).alpha_max)
+    return _local_at(local.comp, local.x + step * dx) or local
 
 
-def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float, stop_when=None):
-    """Path-following loop over t_bar = 1, 5, 25, ...; returns (x, gap,
-    newton_steps, hit_cap, trace, decrement).
+def _barrier_solve(local: _Local, gap_tol: float):
+    """Path-following loop over t_bar = 1, 5, 25, ... from local.x; returns
+    (x, gap, newton_steps, hit_cap, trace, decrement).
 
     Each round centres at t_bar, records (primal, primal - nu / t_bar) and
     ends the solve once nu / t_bar <= gap_tol (1 + |primal|).  Centring is
@@ -346,58 +363,26 @@ def _barrier_solve(comp: _Compiled, x0: np.ndarray, gap_tol: float, stop_when=No
     so the solve returns the strict central point at its final t_bar and
     only the last trace entry is a certified duality gap.  Between rounds a
     predictor step follows the tangent of the central path.
-
-    Phase one passes ``stop_when``, which it tests after every Newton step:
-    it needs a strictly feasible point, not a central one, so there every
-    round is centred loosely, the last too, and no predictor step is taken.
     """
-    follow = stop_when is None
-    x = np.array(x0, dtype=float)
+    comp = local.comp
     t_bar = 1.0
     used = 0
     trace = []
     for _ in range(MAX_ROUNDS):
-        x, steps, local, hess, decrement = _newton_center(
-            comp, x, t_bar, NEWTON_PER_ROUND, LOOSE_CENTER_TOL, stop_when)
+        local, steps, hess, decrement = _newton_center(
+            local, t_bar, NEWTON_PER_ROUND, LOOSE_CENTER_TOL)
         used += steps
         gap = comp.nu / t_bar
-        done = ((stop_when is not None and stop_when(x))
-                or gap <= gap_tol * (1.0 + abs(comp.objective(x))))
-        if done and follow:
-            x, steps, _, _, decrement = _newton_center(comp, x, t_bar, NEWTON_PER_ROUND)
-            used += steps
-        primal = comp.objective(x)
+        primal = comp.objective(local.x)
+        if gap <= gap_tol * (1.0 + abs(primal)):
+            local, steps, _, decrement = _newton_center(local, t_bar, NEWTON_PER_ROUND)
+            primal = comp.objective(local.x)
+            trace.append((primal, primal - gap))
+            return local.x, gap, used + steps, False, trace, decrement
         trace.append((primal, primal - gap))
-        if done:
-            return x, gap, used, False, trace, decrement
-        if follow:
-            x = _predict(comp, local, hess, t_bar, t_bar / GAP_SHRINK)
+        local = _predict(local, hess, t_bar, t_bar / GAP_SHRINK)
         t_bar /= GAP_SHRINK
-    return x, gap, used, True, trace, decrement
-
-
-def _phase_one(comp: _Compiled):
-    """Find a strictly feasible point; returns (x or None, newton_steps).
-
-    Minimizes a slack s added to the one matrix, S(x) + s I > 0, from
-    x = 0, where that holds once s exceeds the worst violation of S(0).
-    A 1 x 1 block s + cap > 0 bounds the slack below, so minimizing it
-    cannot run away, and a whiff of the true objective keeps directions the
-    barrier alone cannot bound (an SDP's auxiliary scalar) bounded.
-    """
-    nv, m = comp.ds.shape[:2]
-    s0 = max(0.0, -float(np.linalg.eigvalsh(comp.const).min()))
-    cap = 10.0 * (s0 + 1.0)
-    const, ds = _block_diag([(comp.const, np.concatenate([comp.ds, np.eye(m)[None]])),
-                             (np.array([[cap]]), np.eye(nv + 1)[nv, :, None, None])])
-    comp1 = _Compiled(cost=np.append(PHASE1_OBJECTIVE_BLEND * comp.cost, 1.0),
-                      const=const, ds=ds, sizes=comp.sizes + (1,))
-    exit_level = -max(1e-6, 1e-6 * (1.0 + s0))
-    x, _, steps, _, _, _ = _barrier_solve(comp1, np.append(np.zeros(nv), s0 + 1.0),
-                                          gap_tol=1e-10, stop_when=lambda p: p[-1] <= exit_level)
-    if x[-1] > -PHASE1_MARGIN:
-        return None, steps
-    return x[:-1], steps
+    return local.x, gap, used, True, trace, decrement
 
 
 # ---------------------------------------------------------------------------
@@ -436,24 +421,28 @@ def _compile_sdp(prob: SdpProblem) -> _Compiled:
 
 
 def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
-    """Solve an :class:`SdpProblem` by phase one, then the path follower;
-    gap tolerance is relative to 1 + |obj|.  The status is ``optimal`` only
-    when the final centring test passes at LOOSE_CENTER_TOL; the strict
-    CENTER_TOL is not required, because valid solves stop at roundoff
-    slightly above it."""
+    """Solve an :class:`SdpProblem` from its start (ValueError unless S is
+    positive definite there); gap tolerance is relative to 1 + |obj|.  The
+    start is centred loosely at the weight min(1, nu / (1 + |obj|)), where
+    the objective term weighs at most the barrier degree nu, then the path
+    follower runs from t = 1.  The status is ``optimal`` only when the final
+    centring test passes at LOOSE_CENTER_TOL; the strict CENTER_TOL is not
+    required, because valid solves stop at roundoff slightly above it."""
     comp = _compile_sdp(prob)
-    x0, steps1 = _phase_one(comp)
-    if x0 is None:
-        return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
-                           iterations=steps1, status=INFEASIBLE)
-    x, gap, steps, hit_cap, trace, decrement = _barrier_solve(comp, x0, gap_tol=tol)
+    x0 = np.concatenate([_params_of_herm(prob.start[0]), [prob.start[1]] if prob.has_t else []])
+    local = _local_at(comp, x0)
+    if local is None:
+        raise ValueError("SDP start is not strictly feasible")
+    t_first = min(1.0, comp.nu / (1.0 + abs(comp.objective(x0))))
+    local, steps0, _, _ = _newton_center(local, t_first, NEWTON_PER_ROUND, LOOSE_CENTER_TOL)
+    x, gap, steps, hit_cap, trace, decrement = _barrier_solve(local, gap_tol=tol)
     # nu / t bounds the gap only at a central point: a final centring that
     # ran out of steps far from the centre certifies nothing
     centred = decrement / 2.0 <= LOOSE_CENTER_TOL
     n = prob.dim
     return ConicReport(solution=_herm_of_params(x[:n * n], n),
                        aux=float(x[n * n]) if prob.has_t else None,
-                       objective=comp.objective(x), gap=gap, iterations=steps1 + steps,
+                       objective=comp.objective(x), gap=gap, iterations=steps0 + steps,
                        status=OPTIMAL if centred and not hit_cap else MAXITER,
                        duality_trace=trace, decrement=decrement)
 

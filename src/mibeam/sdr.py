@@ -64,7 +64,10 @@ def _omega(inst: model.Instance) -> float:
 
 def build_sdp(inst: model.Instance) -> conic.SdpProblem:
     """Rank-relaxed SDP: maximize the auxiliary variable t subject to the
-    2x2 LMI, the power bound, and the received-power bound."""
+    2x2 LMI, the power bound, and the received-power bound.  Past the
+    verdict of :func:`mm.zero_forcing_init`, m = P0 - omega / ||h||^2 > 0,
+    and the start W0 = (P0 - 3m/4) h h^H / ||h||^2 + (m / 4n) I, t0 = half
+    the LMI's Schur complement at W0, is strictly feasible."""
     p, q = _responses(inst)
     cfg = inst.config
     n = cfg.n_tx
@@ -82,14 +85,21 @@ def build_sdp(inst: model.Instance) -> conic.SdpProblem:
     lmi = conic.LmiBlock(coeff=coeff, const=const, t_coeff=t_coeff)
 
     h = inst.channel[0].conj()
+    gram = np.outer(h, h.conj())
+    gain = float(np.linalg.norm(h) ** 2)
+    margin = cfg.power_budget - _omega(inst) / gain
+    w0 = (cfg.power_budget - 0.75 * margin) / gain * gram + margin / (4.0 * n) * np.eye(n)
+    lmi0 = const + np.einsum("pqij,ji->pq", coeff, w0)
+    t0 = 0.5 * float((lmi0[0, 0] - abs(lmi0[0, 1]) ** 2 / lmi0[1, 1]).real)
     constraints = (
         conic.TraceConstraint(mat=np.eye(n, dtype=complex), bound=cfg.power_budget, sense="le"),
-        conic.TraceConstraint(mat=np.outer(h, h.conj()), bound=_omega(inst), sense="ge"),
+        conic.TraceConstraint(mat=gram, bound=_omega(inst), sense="ge"),
     )
     return conic.SdpProblem(
         dim=n,
         obj_mat=np.zeros((n, n), dtype=complex),
         obj_t=-1.0,  # minimize -t
+        start=(w0, t0),
         lmi_blocks=(lmi,),
         trace_constraints=constraints,
     )
@@ -145,7 +155,7 @@ def solve_point_interference(inst: model.Instance, seed,
     ends in any status but ``optimal`` raises :class:`NumericalError`."""
     mm.zero_forcing_init(inst)
     report = conic.solve_sdp(build_sdp(inst))
-    if report.status != conic.OPTIMAL or report.solution is None:
+    if report.status != conic.OPTIMAL:
         raise NumericalError(f"relaxed solve ended with status {report.status}")
     return SdrReport(
         w=randomize(report.solution, inst, seed, n_randomizations),

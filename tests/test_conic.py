@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +25,16 @@ def herm(rng, n):
 
 
 def lambda_max_problem(a):
-    """minimize t s.t. t I - A >= 0, with a bounded dummy PSD variable."""
+    """minimize t s.t. t I - A >= 0, with a bounded dummy PSD variable;
+    started at X = I / 2n, t = lambda_max + 1."""
     n = a.shape[0]
     coeff = np.zeros((n, n, n, n), dtype=complex)
     lmi = conic.LmiBlock(coeff=coeff, const=-a.astype(complex),
                          t_coeff=np.eye(n, dtype=complex))
     bound = conic.TraceConstraint(mat=np.eye(n, dtype=complex), bound=1.0, sense="le")
+    start = (np.eye(n, dtype=complex) / (2 * n), float(np.linalg.eigvalsh(a).max()) + 1.0)
     return conic.SdpProblem(dim=n, obj_mat=np.zeros((n, n), dtype=complex), obj_t=1.0,
-                            lmi_blocks=(lmi,), trace_constraints=(bound,))
+                            start=start, lmi_blocks=(lmi,), trace_constraints=(bound,))
 
 
 def test_sdp_lambda_max_matches_eigenvalue_oracle():
@@ -97,6 +100,7 @@ def test_sdp_trace_maximization():
     n, p0 = 4, 7.5
     prob = conic.SdpProblem(
         dim=n, obj_mat=-np.eye(n, dtype=complex), obj_t=0.0,
+        start=(p0 / (2 * n) * np.eye(n, dtype=complex), None),
         trace_constraints=(conic.TraceConstraint(np.eye(n, dtype=complex), p0, "le"),),
     )
     report = conic.solve_sdp(prob, tol=1e-9)
@@ -117,18 +121,6 @@ def test_sdp_weak_duality_and_determinism():
     assert r1.iterations == r2.iterations
 
 
-def test_sdp_infeasible_detection():
-    n = 2
-    cons = (
-        conic.TraceConstraint(np.eye(n, dtype=complex), 1.0, "le"),
-        conic.TraceConstraint(np.eye(n, dtype=complex), 2.0, "ge"),
-    )
-    prob = conic.SdpProblem(dim=n, obj_mat=np.eye(n, dtype=complex), obj_t=0.0,
-                            trace_constraints=cons)
-    report = conic.solve_sdp(prob)
-    assert report.status == conic.INFEASIBLE
-
-
 def test_sdp_solution_is_psd_and_feasible():
     rng = np.random.default_rng(2)
     n = 4
@@ -137,6 +129,7 @@ def test_sdp_solution_is_psd_and_feasible():
         dim=n,
         obj_mat=-np.outer(h, h.conj()),  # maximize received power
         obj_t=0.0,
+        start=(5.0 / (2 * n) * np.eye(n, dtype=complex), None),
         trace_constraints=(conic.TraceConstraint(np.eye(n, dtype=complex), 5.0, "le"),),
     )
     report = conic.solve_sdp(prob, tol=1e-9)
@@ -317,14 +310,16 @@ def test_qcqp_constraints_hold_at_solution():
 def three_family_problem():
     """An SDP with all three kinds of diagonal block: the PSD block of a 2x2
     Hermitian X, an LMI block (1 + t) I + [Tr(C_pq X)] and the trace cut
-    Tr X <= 1 on the parameter vector x = (X00, X11, Re X01, Im X01, t)."""
+    Tr X <= 1 on the parameter vector x = (X00, X11, Re X01, Im X01, t),
+    started at X = I / 4, t = 0."""
     rng = np.random.default_rng(7)
     c = 0.1 * random_complex(rng, 2, 2, 2, 2)
     coeff = 0.5 * (c + c.transpose(1, 0, 3, 2).conj())
     lmi = conic.LmiBlock(coeff=coeff, const=np.eye(2, dtype=complex),
                          t_coeff=np.eye(2, dtype=complex))
     prob = conic.SdpProblem(
-        dim=2, obj_mat=herm(rng, 2), obj_t=-1.0, lmi_blocks=(lmi,),
+        dim=2, obj_mat=herm(rng, 2), obj_t=-1.0, start=(np.eye(2, dtype=complex) / 4, 0.0),
+        lmi_blocks=(lmi,),
         trace_constraints=(conic.TraceConstraint(np.eye(2, dtype=complex), 1.0, "le"),))
     return prob
 
@@ -387,17 +382,56 @@ def test_compiled_blocks_are_the_constraint_values(build):
         assert s_mat[span, span][0, 0] == pytest.approx(slack, rel=1e-12, abs=1e-12)
 
 
+def test_params_of_herm_inverts_herm_of_params():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5):
+        x = rng.standard_normal(n * n)
+        mat = conic._herm_of_params(x, n)
+        np.testing.assert_array_equal(conic._params_of_herm(mat), x)
+        np.testing.assert_array_equal(conic._herm_of_params(conic._params_of_herm(mat), n), mat)
+
+
 @pytest.mark.parametrize("build", [
     lambda: lambda_max_problem(herm(np.random.default_rng(0), 3)),
     lambda: reduced_sdr_problem(27)], ids=["lambda_max", "reduced sdr-point"])
 def test_phase_one_point_is_strictly_feasible(build):
+    # no feasibility phase searches for a start: the point the path follower
+    # begins from is the problem's own start, strictly inside every block
     prob = build()
     comp = conic._compile_sdp(prob)
-    x, _ = conic._phase_one(comp)
-    assert x is not None
-    s_mat = s_matrix(comp, x)
+    x0 = np.concatenate([conic._params_of_herm(prob.start[0]),
+                         [prob.start[1]] if prob.has_t else []])
+    s_mat = s_matrix(comp, x0)
     for span in block_slices(prob):
         assert np.linalg.eigvalsh(s_mat[span, span]).min() > 0.0
+
+
+def test_sdp_infeasible_detection():
+    # the trace pair Tr X <= 1, Tr X >= 2 has no strictly feasible point, so
+    # every start is rejected
+    n = 2
+    cons = (
+        conic.TraceConstraint(np.eye(n, dtype=complex), 1.0, "le"),
+        conic.TraceConstraint(np.eye(n, dtype=complex), 2.0, "ge"),
+    )
+    for scale in (0.25, 0.75, 1.5):
+        prob = conic.SdpProblem(dim=n, obj_mat=np.eye(n, dtype=complex), obj_t=0.0,
+                                start=(scale * np.eye(n, dtype=complex), None),
+                                trace_constraints=cons)
+        with pytest.raises(ValueError, match="not strictly feasible"):
+            conic.solve_sdp(prob)
+
+
+def test_start_outside_the_interior_raises():
+    # a start outside a feasible set, or without its scalar, is rejected too
+    a = herm(np.random.default_rng(0), 3)
+    inside = lambda_max_problem(a)
+    assert conic.solve_sdp(inside).status == conic.OPTIMAL
+    with pytest.raises(ValueError, match="scalar"):
+        replace(inside, start=(inside.start[0], None))
+    below = replace(inside, start=(inside.start[0], float(np.linalg.eigvalsh(a).max()) - 1e-3))
+    with pytest.raises(ValueError, match="not strictly feasible"):
+        conic.solve_sdp(below)
 
 
 def test_barrier_derivatives_match_the_dense_formula():

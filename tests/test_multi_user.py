@@ -56,7 +56,9 @@ def sdr_relaxation(inst) -> conic.SdpProblem:
     relaxation minimizes -Tr(blockdiag(a a^H) X) under Tr X <= P0 and, per
     user k, Tr(H_k X_kk) - nu_k sum_{j != k} Tr(H_k X_jj) >= nu_k sigma^2,
     H_k = h_k h_k^H.  It is tight: some optimum has rank-one blocks (Huang &
-    Palomar, IEEE TSP 2010).
+    Palomar, IEEE TSP 2010).  The start is the least-power design scaled
+    halfway to the budget, which meets every constraint strictly, plus a
+    ridge of 1e-9 of the least power that makes X positive definite.
     """
     cfg = inst.config
     a = model.steering_vector(0.0, cfg.n_tx)
@@ -70,7 +72,12 @@ def sdr_relaxation(inst) -> conic.SdpProblem:
         constraints.append(conic.TraceConstraint(mat=mat, bound=nu_k * cfg.comm_noise,
                                                  sense="ge"))
     obj = -_blockdiag([np.outer(a, a.conj())] * cfg.n_users)
-    return conic.SdpProblem(dim=obj.shape[0], obj_mat=obj, obj_t=0.0,
+    least = mm._minimum_power_design(inst)
+    p_min = float(np.linalg.norm(least) ** 2)
+    halfway = 0.5 * (1.0 + cfg.power_budget / p_min)
+    x0 = halfway * _blockdiag([np.outer(w, w.conj()) for w in least.T]) \
+        + 1e-9 * p_min * np.eye(obj.shape[0])
+    return conic.SdpProblem(dim=obj.shape[0], obj_mat=obj, obj_t=0.0, start=(x0, None),
                             trace_constraints=tuple(constraints))
 
 

@@ -34,6 +34,18 @@ def sdr_point_scenario(channel_seed):
                     model.rayleigh_channel(1, 6, channel_seed))
 
 
+def thin_set_scenario(slack, interference=True, channel_seed=1):
+    """The SDR instance with the rate target that needs received power
+    P0 ||h||^2 (1 - slack): strictly feasible, with a feasible set that
+    thins as the slack falls."""
+    base = sdr_point_scenario(channel_seed)
+    cfg = base.config
+    omega = cfg.power_budget * float(np.linalg.norm(base.channel) ** 2) * (1.0 - slack)
+    rate = float(np.log2(1.0 + omega / cfg.comm_noise))
+    return replace(base, config=replace(cfg, rate_targets=(rate,)),
+                   interference=base.interference if interference else None)
+
+
 @pytest.mark.parametrize("n_tx", [3, 6, 16])
 @pytest.mark.parametrize("n_users", [1, 2, 3])
 @pytest.mark.parametrize("kind", sorted(INTERFERERS))
@@ -115,19 +127,26 @@ def test_multi_user_reduced_solve_matches_full_space_solve():
     assert result.kkt_residual <= mm.FINISH_RTOL
 
 
-# Design MI (nats) of the full-space SDR on the channels whose SDP never
-# centred; the reduced SDP centres and beats each of them.
+# Design MI (nats) of the full-space SDR on the channels whose SDP ended
+# uncentred when a feasibility phase, not a closed-form interior point,
+# started it; the reduced SDR centres and beats each of them.
 UNCENTRED_SDR_MI = {29: 8.834407590208308, 39: 9.224591638567277, 42: 9.22601464696466}
 
 
 @pytest.mark.parametrize("channel_seed", sorted(UNCENTRED_SDR_MI))
 def test_sdr_on_uncentred_channels_meets_its_bound(channel_seed):
-    result = dispatch.solve_scenario(sdr_point_scenario(channel_seed), "sdr",
-                                     dispatch.SolverOptions(seed=channel_seed))
+    scenario = sdr_point_scenario(channel_seed)
+    result = dispatch.solve_scenario(scenario, "sdr", dispatch.SolverOptions(seed=channel_seed))
     assert result.status == conic.OPTIMAL
     assert result.extras["reduced_dim"] == 3
     assert result.mi_bits <= result.extras["mi_bound_bits"] * (1.0 + 1e-6)
     assert result.mi_nats >= UNCENTRED_SDR_MI[channel_seed]
+    # from its start the full 6x6 SDP centres too, at the reduced bound
+    inst = model.build_instance(scenario)
+    full = conic.solve_sdp(sdr.build_sdp(inst))
+    assert full.status == conic.OPTIMAL
+    assert sdr.relaxed_mi_bound(full.aux, inst.config.radar_noise) / np.log(2.0) \
+        == pytest.approx(result.extras["mi_bound_bits"], rel=1e-7)
 
 
 def test_flat_reduced_sdp_ends_at_its_centring_floor():
@@ -143,9 +162,11 @@ def test_flat_reduced_sdp_ends_at_its_centring_floor():
 
 
 def test_uncentred_full_space_sdp_is_not_optimal():
-    """The full 6x6 SDP of channel 29 spends every round's Newton budget and
-    ends far from the centre, so its gap bound certifies nothing."""
-    report = conic.solve_sdp(sdr.build_sdp(model.build_instance(sdr_point_scenario(29))))
+    """Channel 4's thin feasible set at relative slack 1e-11: the full 6x6
+    SDP ends its final centring far from the centre, so its gap bound
+    certifies nothing."""
+    scenario = thin_set_scenario(1e-11, channel_seed=4)
+    report = conic.solve_sdp(sdr.build_sdp(model.build_instance(scenario)))
     assert report.decrement / 2.0 > conic.LOOSE_CENTER_TOL
     assert report.status == conic.MAXITER
 

@@ -7,7 +7,7 @@ from mibeam import conic, dispatch, model, sdr
 from mibeam.closed_form import solve_closed_form
 from mibeam.errors import NumericalError
 from mibeam.model import ScattererModel, Scenario, SystemConfig
-from test_reduction import sdr_point_scenario
+from test_reduction import thin_set_scenario
 
 
 def make_setup(n_tx=4, n_rx=4, gamma2=100.0, seed=11, rate=4.0, p0=10.0,
@@ -198,23 +198,32 @@ def test_solve_point_interference_pipeline():
     assert rate >= cfg.rate_targets[0] - 1e-9
 
 
-@pytest.mark.parametrize("slack", [1e-5, 1e-6, 1e-8])
+@pytest.mark.parametrize("slack", [1e-5, 1e-6, 1e-8, 1e-10])
 def test_every_scheme_takes_the_least_power_verdict_on_a_thin_feasible_set(slack):
-    # the rate target needs received power P0 ||h||^2 (1 - slack): strictly
-    # feasible, so no scheme may say Infeasible.  Past the verdict, phase
-    # one of the SDR relaxation finds no interior point on a set this thin
-    # (slack 1e-6 and below on this channel), which is a NumericalError
-    base = sdr_point_scenario(1)
-    cfg = base.config
-    omega = cfg.power_budget * float(np.linalg.norm(base.channel) ** 2) * (1.0 - slack)
-    rate = float(np.log2(1.0 + omega / cfg.comm_noise))
-    for scheme in ("closed", "sdr", "mm-single"):
-        scenario = replace(base, config=replace(cfg, rate_targets=(rate,)),
-                           interference=None if scheme == "closed" else base.interference)
-        try:
-            result = dispatch.solve_scenario(scenario, scheme, dispatch.SolverOptions(seed=1))
-        except NumericalError:
-            assert scheme == "sdr" and slack < 1e-5
-            continue
+    # strictly feasible, so no scheme may say Infeasible, and past the
+    # verdict the SDR relaxation starts inside the thin set and centres
+    for scheme, interference in (("closed", False), ("sdr", True), ("sdr", False),
+                                 ("mm-single", True), ("mm-single", False)):
+        scenario = thin_set_scenario(slack, interference)
+        cfg = scenario.config
+        result = dispatch.solve_scenario(scenario, scheme, dispatch.SolverOptions(seed=1))
         assert np.linalg.norm(result.w) ** 2 <= cfg.power_budget * (1.0 + 1e-9)
-        assert result.rates_bits[0] >= rate - 1e-6
+        assert result.rates_bits[0] >= cfg.rate_targets[0] - 1e-6
+
+
+@pytest.mark.parametrize("channel_seed", [4, 24, 45, 50])
+def test_sdr_below_the_thin_set_limit_designs_or_is_numerical(channel_seed):
+    # below relative slack 1e-10 some relaxations end uncentred (exit 4).
+    # Roundoff this near the boundary can also put a Newton or predictor
+    # step where S has no Cholesky factor; the solve must step back from
+    # it, not raise LinAlgError
+    for slack in (1e-11, 5e-12, 2e-12):
+        for interference in (True, False):
+            scenario = thin_set_scenario(slack, interference, channel_seed)
+            try:
+                result = dispatch.solve_scenario(scenario, "sdr", dispatch.SolverOptions(seed=1))
+            except NumericalError:
+                continue
+            cfg = scenario.config
+            assert np.linalg.norm(result.w) ** 2 <= cfg.power_budget * (1.0 + 1e-9)
+            assert result.rates_bits[0] >= cfg.rate_targets[0] - 1e-6
