@@ -197,7 +197,10 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         seed = (check_seed(args.seed, "--seed") if args.seed is not None
                 else cfg.scenario.config.rng_seed)
-        grid = _parse_grid(args.grid) if getattr(args, "grid", None) else None
+        grid = getattr(args, "grid", None)
+        if grid is not None and args.command == "eval" and args.kind != "rmse":
+            raise ConfigError(f"--grid: eval {args.kind} takes no grid")
+        grid = _parse_grid(grid) if grid is not None else None
         if args.command == "sweep" and cfg.sweep is None and grid is None:
             raise ConfigError("sweep: config has no sweep section and no --grid was given")
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)

@@ -2,19 +2,20 @@
 interior point for small SDPs, and a dual Newton solve for QCQPs.
 
 ``solve_sdp`` compiles small Hermitian semidefinite programs with affine LMI
-blocks and trace constraints in a PSD matrix variable (plus an optional
-scalar) into a real parameter vector x, a linear objective cost @ x and one
-barrier -log det S(x): S is a Hermitian block-diagonal matrix affine in x
-whose diagonal blocks are the matrix variable, each LMI block and each
-trace constraint's slack (1 x 1).  Every problem carries a strictly
-feasible start, so no feasibility phase is needed (Boyd & Vandenberghe,
-Convex Optimization, 2004, sec. 11.4): one loose centring and one
-deterministic path follower with Newton centering steps solve it.  Between
-rounds it predicts along the tangent of the central path, and it centres
-loosely (Newton decrement lambda <= 0.1) in every round but the last, which
-it centres strictly.  Every barrier term changes along a search ray as
--log(1 + alpha c), so the line search evaluates the merit change exactly
-from coefficients computed once per step.
+blocks in a PSD matrix variable (plus an optional scalar) into a real
+parameter vector x, a linear objective cost @ x and one barrier
+-log det S(x): S is a Hermitian block-diagonal matrix affine in x whose
+diagonal blocks are the matrix variable and each LMI block.  A trace
+constraint Tr(M X) <= b is the 1 x 1 block b - Tr(M X) (Boyd &
+Vandenberghe, Convex Optimization, 2004, sec. 4.6.2).  Every problem
+carries a strictly feasible start, so no feasibility phase is needed
+(ibid., sec. 11.4): one loose centring and one deterministic path follower
+with Newton centering steps solve it.  Between rounds it predicts along the
+tangent of the central path, and it centres loosely (Newton decrement
+lambda <= 0.1) in every round but the last, which it centres strictly.
+Every barrier term changes along a search ray as -log(1 + alpha c), so the
+line search evaluates the merit change exactly from coefficients computed
+once per step.
 
 ``solve_qcqp`` solves a convex complex QCQP, its m constraints stacked in a
 :class:`QcqpProblem`, by Newton steps on its log-barrier Lagrangian dual in
@@ -69,28 +70,14 @@ class LmiBlock:
 
 
 @dataclass(frozen=True)
-class TraceConstraint:
-    """Tr(mat @ X) <= bound (sense 'le') or >= bound (sense 'ge')."""
-
-    mat: np.ndarray
-    bound: float
-    sense: str
-
-    def __post_init__(self):
-        if self.sense not in ("le", "ge"):
-            raise ValueError("sense must be 'le' or 'ge'")
-        if not is_hermitian(self.mat):
-            raise ValueError("trace-constraint matrix must be Hermitian")
-
-
-@dataclass(frozen=True)
 class SdpProblem:
-    """minimize Tr(obj_mat X) + obj_t * t  s.t.  X >= 0, LMI blocks >= 0, traces.
+    """minimize Tr(obj_mat X) + obj_t * t  s.t.  X >= 0, LMI blocks >= 0.
 
-    The trace constraints must bound the feasible set (every problem built
-    here carries a transmit-power bound, so this holds by construction); the
-    barrier subproblems are unbounded otherwise.  ``start`` = (X0, t0) is
-    strictly inside every constraint, t0 None when there is no scalar.
+    The blocks must bound the feasible set (every problem built here carries
+    a transmit-power bound, the 1 x 1 block P0 - Tr X, so this holds by
+    construction); the barrier subproblems are unbounded otherwise.
+    ``start`` = (X0, t0) is strictly inside every constraint, t0 None when
+    there is no scalar.
     """
 
     dim: int
@@ -98,7 +85,6 @@ class SdpProblem:
     obj_t: float
     start: tuple
     lmi_blocks: tuple[LmiBlock, ...] = ()
-    trace_constraints: tuple[TraceConstraint, ...] = ()
 
     def __post_init__(self):
         if self.obj_mat.shape != (self.dim, self.dim):
@@ -107,6 +93,8 @@ class SdpProblem:
             raise ValueError("objective matrix must be Hermitian")
         if self.start[0].shape != (self.dim, self.dim) or (self.start[1] is None) == self.has_t:
             raise ValueError("SDP start must be dim x dim, with a scalar iff the problem has one")
+        if any(b.coeff.shape[2:] != (self.dim, self.dim) for b in self.lmi_blocks):
+            raise ValueError("LMI coefficient matrices must be dim x dim")
 
     @property
     def has_t(self) -> bool:
@@ -400,16 +388,11 @@ def _compile_sdp(prob: SdpProblem) -> _Compiled:
         """Block coefficients of x: ds_w for the entries of X, ds_t for t."""
         return np.concatenate([ds_w, np.broadcast_to(ds_t, (nv - n_w, *ds_w.shape[1:]))])
 
-    # the blocks of S: the matrix variable X itself, each LMI block, whose
-    # entry (p, q) Tr(coeff[p, q] @ X) has derivative Tr(coeff[p, q] @ E_k)
-    # in x_k, and each trace constraint's signed slack
+    # the blocks of S: the matrix variable X itself and each LMI block, whose
+    # entry (p, q) Tr(coeff[p, q] @ X) has derivative Tr(coeff[p, q] @ E_k) in x_k
     blocks = [(np.zeros((n, n)), in_x(basis))]
     blocks += [(blk.const, in_x(np.einsum("pqij,kji->kpq", blk.coeff, basis), blk.t_coeff))
                for blk in prob.lmi_blocks]
-    for con in prob.trace_constraints:
-        sign = -1.0 if con.sense == "le" else 1.0
-        blocks.append((np.array([[-sign * con.bound]]),
-                       in_x(sign * np.einsum("ij,kji->k", con.mat, basis)[:, None, None].real)))
     const, ds = _block_diag(blocks)
 
     cost = np.zeros(nv)

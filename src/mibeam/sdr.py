@@ -64,10 +64,11 @@ def _omega(inst: model.Instance) -> float:
 
 def build_sdp(inst: model.Instance) -> conic.SdpProblem:
     """Rank-relaxed SDP: maximize the auxiliary variable t subject to the
-    2x2 LMI, the power bound, and the received-power bound.  Past the
-    verdict of :func:`mm.zero_forcing_init`, m = P0 - omega / ||h||^2 > 0,
-    and the start W0 = (P0 - 3m/4) h h^H / ||h||^2 + (m / 4n) I, t0 = half
-    the LMI's Schur complement at W0, is strictly feasible."""
+    2x2 LMI and the 1x1 blocks P0 - Tr W (power) and h^H W h - omega
+    (received power).  Past the verdict of :func:`mm.zero_forcing_init`,
+    m = P0 - omega / ||h||^2 > 0, and the start W0 = (P0 - 3m/4) h h^H /
+    ||h||^2 + (m / 4n) I, t0 = half the LMI's Schur complement at W0, is
+    strictly feasible."""
     p, q = _responses(inst)
     cfg = inst.config
     n = cfg.n_tx
@@ -91,17 +92,17 @@ def build_sdp(inst: model.Instance) -> conic.SdpProblem:
     w0 = (cfg.power_budget - 0.75 * margin) / gain * gram + margin / (4.0 * n) * np.eye(n)
     lmi0 = const + np.einsum("pqij,ji->pq", coeff, w0)
     t0 = 0.5 * float((lmi0[0, 0] - abs(lmi0[0, 1]) ** 2 / lmi0[1, 1]).real)
-    constraints = (
-        conic.TraceConstraint(mat=np.eye(n, dtype=complex), bound=cfg.power_budget, sense="le"),
-        conic.TraceConstraint(mat=gram, bound=_omega(inst), sense="ge"),
-    )
+    no_t = np.zeros((1, 1), dtype=complex)
+    power = conic.LmiBlock(coeff=-np.eye(n, dtype=complex)[None, None],
+                           const=np.array([[cfg.power_budget]], dtype=complex), t_coeff=no_t)
+    received = conic.LmiBlock(coeff=gram[None, None],
+                              const=np.array([[-_omega(inst)]], dtype=complex), t_coeff=no_t)
     return conic.SdpProblem(
         dim=n,
         obj_mat=np.zeros((n, n), dtype=complex),
         obj_t=-1.0,  # minimize -t
         start=(w0, t0),
-        lmi_blocks=(lmi,),
-        trace_constraints=constraints,
+        lmi_blocks=(lmi, power, received),
     )
 
 

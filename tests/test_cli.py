@@ -205,8 +205,14 @@ def test_negative_seed_is_config_error(tmp_path, capsys, args, overrides, source
     (["eval", "rmse", "--grid", "0:x:5"], {}, "--grid"),
     (["sweep", "--grid", "nan"], {"sweep": {"variable": "rate_target", "grid": [1.0]}},
      "--grid"),
+    (["sweep", "--grid", ""], {"sweep": {"variable": "rate_target", "grid": [1.0]}},
+     "--grid"),
+    (["eval", "rmse", "--grid", ""], {}, "--grid"),
+    (["eval", "capon", "--grid", "1,2,3"], {}, "--grid"),
+    (["eval", "beampattern", "--grid", "1,2,3"], {}, "--grid"),
 ], ids=["sweep_empty", "sweep_repeated", "cli_empty", "cli_decreasing", "cli_unparsable",
-        "cli_nan"])
+        "cli_nan", "sweep_empty_string", "rmse_empty_string", "capon_grid",
+        "beampattern_grid"])
 def test_invalid_grid_is_config_error(tmp_path, capsys, args, overrides, source):
     cfg_path = write_config(tmp_path / "cfg.yaml", **overrides)
     code = cli.main(args + ["--config", str(cfg_path), "--out", str(tmp_path / "o")])

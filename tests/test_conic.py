@@ -24,6 +24,14 @@ def herm(rng, n):
 # SDP
 
 
+def trace_cut(mat, bound):
+    """Tr(mat X) <= bound as the 1x1 LMI block bound - Tr(mat X); the cut
+    Tr(mat X) >= bound is trace_cut(-mat, -bound)."""
+    return conic.LmiBlock(coeff=-np.asarray(mat, dtype=complex)[None, None],
+                          const=np.array([[bound]], dtype=complex),
+                          t_coeff=np.zeros((1, 1), dtype=complex))
+
+
 def lambda_max_problem(a):
     """minimize t s.t. t I - A >= 0, with a bounded dummy PSD variable;
     started at X = I / 2n, t = lambda_max + 1."""
@@ -31,10 +39,9 @@ def lambda_max_problem(a):
     coeff = np.zeros((n, n, n, n), dtype=complex)
     lmi = conic.LmiBlock(coeff=coeff, const=-a.astype(complex),
                          t_coeff=np.eye(n, dtype=complex))
-    bound = conic.TraceConstraint(mat=np.eye(n, dtype=complex), bound=1.0, sense="le")
     start = (np.eye(n, dtype=complex) / (2 * n), float(np.linalg.eigvalsh(a).max()) + 1.0)
     return conic.SdpProblem(dim=n, obj_mat=np.zeros((n, n), dtype=complex), obj_t=1.0,
-                            start=start, lmi_blocks=(lmi,), trace_constraints=(bound,))
+                            start=start, lmi_blocks=(lmi, trace_cut(np.eye(n), 1.0)))
 
 
 def test_sdp_lambda_max_matches_eigenvalue_oracle():
@@ -101,7 +108,7 @@ def test_sdp_trace_maximization():
     prob = conic.SdpProblem(
         dim=n, obj_mat=-np.eye(n, dtype=complex), obj_t=0.0,
         start=(p0 / (2 * n) * np.eye(n, dtype=complex), None),
-        trace_constraints=(conic.TraceConstraint(np.eye(n, dtype=complex), p0, "le"),),
+        lmi_blocks=(trace_cut(np.eye(n), p0),),
     )
     report = conic.solve_sdp(prob, tol=1e-9)
     assert report.status == conic.OPTIMAL
@@ -130,7 +137,7 @@ def test_sdp_solution_is_psd_and_feasible():
         obj_mat=-np.outer(h, h.conj()),  # maximize received power
         obj_t=0.0,
         start=(5.0 / (2 * n) * np.eye(n, dtype=complex), None),
-        trace_constraints=(conic.TraceConstraint(np.eye(n, dtype=complex), 5.0, "le"),),
+        lmi_blocks=(trace_cut(np.eye(n), 5.0),),
     )
     report = conic.solve_sdp(prob, tol=1e-9)
     assert report.status == conic.OPTIMAL
@@ -319,8 +326,7 @@ def three_family_problem():
                          t_coeff=np.eye(2, dtype=complex))
     prob = conic.SdpProblem(
         dim=2, obj_mat=herm(rng, 2), obj_t=-1.0, start=(np.eye(2, dtype=complex) / 4, 0.0),
-        lmi_blocks=(lmi,),
-        trace_constraints=(conic.TraceConstraint(np.eye(2, dtype=complex), 1.0, "le"),))
+        lmi_blocks=(lmi, trace_cut(np.eye(2), 1.0)))
     return prob
 
 
@@ -331,10 +337,8 @@ def reduced_sdr_problem(channel_seed):
 
 
 def block_slices(prob):
-    """The diagonal blocks of the compiled S(x): X, each LMI block, each
-    trace constraint."""
-    sizes = [prob.dim, *(blk.const.shape[0] for blk in prob.lmi_blocks),
-             *(1 for _ in prob.trace_constraints)]
+    """The diagonal blocks of the compiled S(x): X, then each LMI block."""
+    sizes = [prob.dim, *(blk.const.shape[0] for blk in prob.lmi_blocks)]
     ends = np.cumsum(sizes)
     return [slice(end - size, end) for size, end in zip(sizes, ends)]
 
@@ -376,10 +380,11 @@ def test_compiled_blocks_are_the_constraint_values(build):
     for blk, span in zip(prob.lmi_blocks, blocks[1:]):
         value = blk.const + t * blk.t_coeff + np.einsum("pqij,ji->pq", blk.coeff, mat)
         np.testing.assert_allclose(s_mat[span, span], value, rtol=1e-12, atol=1e-12)
-    for con, span in zip(prob.trace_constraints, blocks[1 + len(prob.lmi_blocks):]):
-        sign = -1.0 if con.sense == "le" else 1.0
-        slack = sign * (np.trace(con.mat @ mat).real - con.bound)
-        assert s_mat[span, span][0, 0] == pytest.approx(slack, rel=1e-12, abs=1e-12)
+    # in both problems the second block is the power cut b - Tr X
+    power = s_mat[blocks[2], blocks[2]]
+    assert power.shape == (1, 1)
+    assert power[0, 0] == pytest.approx(prob.lmi_blocks[1].const[0, 0] - np.trace(mat),
+                                        rel=1e-12, abs=1e-12)
 
 
 def test_params_of_herm_inverts_herm_of_params():
@@ -410,16 +415,22 @@ def test_sdp_infeasible_detection():
     # the trace pair Tr X <= 1, Tr X >= 2 has no strictly feasible point, so
     # every start is rejected
     n = 2
-    cons = (
-        conic.TraceConstraint(np.eye(n, dtype=complex), 1.0, "le"),
-        conic.TraceConstraint(np.eye(n, dtype=complex), 2.0, "ge"),
-    )
+    cuts = (trace_cut(np.eye(n), 1.0), trace_cut(-np.eye(n), -2.0))
     for scale in (0.25, 0.75, 1.5):
         prob = conic.SdpProblem(dim=n, obj_mat=np.eye(n, dtype=complex), obj_t=0.0,
                                 start=(scale * np.eye(n, dtype=complex), None),
-                                trace_constraints=cons)
+                                lmi_blocks=cuts)
         with pytest.raises(ValueError, match="not strictly feasible"):
             conic.solve_sdp(prob)
+
+
+@pytest.mark.parametrize("size", [2, 4], ids=["smaller", "larger"])
+def test_sdp_problem_rejects_blocks_of_another_size(size):
+    # a block's coefficient matrices must match X: the mismatch is caught on
+    # construction, not as an einsum error inside solve_sdp
+    inside = lambda_max_problem(herm(np.random.default_rng(0), 3))
+    with pytest.raises(ValueError, match="dim x dim"):
+        replace(inside, lmi_blocks=(*inside.lmi_blocks, trace_cut(np.eye(size), 1.0)))
 
 
 def test_start_outside_the_interior_raises():

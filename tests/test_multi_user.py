@@ -13,7 +13,7 @@ from mibeam import conic, evaluation, mm, model
 from mibeam.config import parse_config
 from mibeam.linalg import vec
 from mibeam.model import ScattererModel, Scenario, SystemConfig
-from test_conic import constraint_values
+from test_conic import constraint_values, trace_cut
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 POWER_W = 10.0
@@ -62,15 +62,13 @@ def sdr_relaxation(inst) -> conic.SdpProblem:
     """
     cfg = inst.config
     a = model.steering_vector(0.0, cfg.n_tx)
-    constraints = [conic.TraceConstraint(mat=np.eye(cfg.n_tx * cfg.n_users, dtype=complex),
-                                         bound=cfg.power_budget, sense="le")]
+    cuts = [trace_cut(np.eye(cfg.n_tx * cfg.n_users), cfg.power_budget)]
     for k in range(cfg.n_users):
         h_k = inst.channel[k].conj()
         gram = np.outer(h_k, h_k.conj())
         nu_k = 2.0 ** cfg.rate_targets[k] - 1.0
         mat = _blockdiag([gram if j == k else -nu_k * gram for j in range(cfg.n_users)])
-        constraints.append(conic.TraceConstraint(mat=mat, bound=nu_k * cfg.comm_noise,
-                                                 sense="ge"))
+        cuts.append(trace_cut(-mat, -nu_k * cfg.comm_noise))
     obj = -_blockdiag([np.outer(a, a.conj())] * cfg.n_users)
     least = mm._minimum_power_design(inst)
     p_min = float(np.linalg.norm(least) ** 2)
@@ -78,7 +76,7 @@ def sdr_relaxation(inst) -> conic.SdpProblem:
     x0 = halfway * _blockdiag([np.outer(w, w.conj()) for w in least.T]) \
         + 1e-9 * p_min * np.eye(obj.shape[0])
     return conic.SdpProblem(dim=obj.shape[0], obj_mat=obj, obj_t=0.0, start=(x0, None),
-                            trace_constraints=tuple(constraints))
+                            lmi_blocks=tuple(cuts))
 
 
 @functools.lru_cache(maxsize=None)

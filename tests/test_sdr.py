@@ -112,10 +112,18 @@ def test_build_sdp_shapes_and_zero_matrix_point():
     cfg, inst, h, omega = make_setup()
     prob = sdr.build_sdp(inst)
     assert prob.dim == cfg.n_tx
-    assert len(prob.lmi_blocks) == 1
-    blk = prob.lmi_blocks[0]
-    assert blk.const.shape == (2, 2)
+    # the 2x2 LMI, then the 1x1 power and received-power blocks
+    blk, power, rate = prob.lmi_blocks
+    assert [b.const.shape for b in prob.lmi_blocks] == [(2, 2), (1, 1), (1, 1)]
     assert blk.coeff.shape == (2, 2, cfg.n_tx, cfg.n_tx)
+    assert not np.any(power.t_coeff) and not np.any(rate.t_coeff)
+    # at the start W0 and at W = 0 the power block reads P0 - Tr W and the
+    # rate block h^H W h - omega
+    for w in (prob.start[0], np.zeros((cfg.n_tx, cfg.n_tx))):
+        for cut, value in ((power, cfg.power_budget - np.trace(w).real),
+                           (rate, np.vdot(h, w @ h).real - omega)):
+            reading = cut.const + np.einsum("pqij,ji->pq", cut.coeff, w)
+            assert reading[0, 0] == pytest.approx(value, rel=1e-12, abs=1e-12)
     # at the zero matrix the LMI reads diag(s^2 - t, s^2): t = sigma_z^2 is
     # the largest feasible auxiliary value
     w_bar = np.zeros((cfg.n_tx, cfg.n_tx))
