@@ -185,9 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p = sub.add_parser("eval", help="produce an evaluation artifact")
     eval_p.add_argument("kind", choices=("beampattern", "capon", "rmse"))
     common(eval_p)
-    for p in (sweep_p, eval_p):
-        p.add_argument("--grid", default=None,
-                       help="grid override: 'a,b,c' or 'start:stop:step'")
+    sweep_p.add_argument("--grid", default=None,
+                         help="grid override: 'a,b,c' or 'start:stop:step'")
+    eval_p.add_argument("--grid", default=None,
+                        help="radar SNR grid (dB) override, taken by eval rmse only "
+                             "(beampattern and capon take none): 'a,b,c' or "
+                             "'start:stop:step'")
     return parser
 
 

@@ -44,17 +44,21 @@ def is_hermitian(a: np.ndarray, rtol: float = 1e-10) -> bool:
     return bool((skew <= rtol * np.maximum(scale, 1e-300)).all())
 
 
-def logdet_hermitian(a: np.ndarray) -> float:
-    """Natural-log determinant of a Hermitian positive definite matrix.
-
-    Uses a Cholesky factorization; raises :class:`NotPositiveDefinite` when a
-    pivot fails.
-    """
+def cholesky_logdet(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cholesky factor L (A = L L^H) of a Hermitian positive definite matrix
+    and its natural-log determinant 2 sum log diag L; raises
+    :class:`NotPositiveDefinite` when a pivot fails."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+    return chol, 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+
+
+def logdet_hermitian(a: np.ndarray) -> float:
+    """Natural-log determinant of a Hermitian positive definite matrix, by
+    :func:`cholesky_logdet`."""
+    return cholesky_logdet(a)[1]
 
 
 def _psd_eigen(a: np.ndarray):

@@ -9,11 +9,15 @@ K users the subproblem keeps the linearized per-user rate constraints, a
 convex QCQP built as one stack (:func:`multiuser_subproblem`) and solved
 through its Lagrangian dual by Newton steps in the K + 1 multipliers
 (:func:`conic.solve_qcqp`), each warm-started from the multipliers of the
-one before.
+one before.  The stack's w-independent part (:func:`rate_cuts`) is built
+once per solve; each map forms only the linearized signal terms.
 
 One solve path (:func:`_solve`) serves both: one start with its feasibility
 verdict, one map that scales every subproblem answer to the full power
-budget, one outer loop, one KKT certificate and one finish.  The
+budget, one outer loop, one KKT certificate and one finish.  Every point
+the loop holds is a :class:`model.SensingPoint`, evaluated once: its MI
+and the surrogate built at it read the same projections and Cholesky
+factors, so no MM iterate is evaluated twice.  The
 certificate (:func:`kkt_certificate`) fits the power and rate multipliers to
 the MI gradient of the true problem, so it reads only the design, never how
 a subproblem was solved.  After the eps stop the finish (:func:`_finish`)
@@ -88,52 +92,50 @@ class Surrogate:
 
 
 def build_surrogate(inst: model.Instance, w) -> Surrogate:
-    """Construct the minorizer at the current beamformer.
+    """Construct the minorizer at the current beamformer, given as an array
+    or as its :class:`model.SensingPoint` (which is then read, not
+    recomputed).
 
     Works from the scatterer factors (R = F F^H) through the projections
-    Y = Wt F, Wt = I_{N_R} kron W^H: with T = I + delta Wt R Wt^H and the
-    MMSE matrix E = I - delta Y_t^H T^{-1} Y_t = L L^H (one row per target
-    component), X = T^{-1} Y_t E^{-1} gives the linear term, and the
-    receive-gain factor G = T^{-1} Y_t L^{-H} gives the quadratic term
-    quad = U U^H, U[(k, n), (j, m)] = sum_r conj(G[(r, k), j]) F[(r, n), m]
-    over the columns m of both factors, PSD by construction.  The mutual
-    information at w, for the offset, is -log det E (determinant lemma).
-    Any factor of the target covariance gives the same lin, quad and
-    offset; the tests compare against the explicit stacking-map
-    construction from the dense covariances.
+    Y = Wt F, Wt = I_{N_R} kron W^H, of the sensing point.  With T = I +
+    delta Wt R Wt^H the MMSE matrix E = I - delta Y_t^H T^{-1} Y_t is S^{-1},
+    S = I + delta Z^H Z = C C^H (one row per target component), by the
+    Woodbury identity.  So X = T^{-1} Y_t E^{-1} = T_i^{-1} Y_t = L_i^{-H} Z
+    gives the linear term, and the receive-gain factor G = T^{-1} Y_t C =
+    X C^{-H} gives the quadratic term quad = U U^H, U[(k, n), (j, m)] =
+    sum_r conj(G[(r, k), j]) F[(r, n), m] over the columns m of both
+    factors, PSD by construction.  The mutual information at w, for the
+    offset, is -log det E = log det S.  Any factor of the target covariance
+    gives the same lin, quad and offset; the tests compare against the
+    explicit stacking-map construction from the dense covariances.
     """
     cfg = inst.config
-    w_mat = model.as_beam_matrix(w, cfg)
+    point = _sensed(inst, w)
     n_tx, n_rx, n_users = cfg.n_tx, cfg.n_rx, cfg.n_users
     delta = float(cfg.n_slots) / cfg.radar_noise
 
-    y_t = model.expanded_times(w_mat, inst.target_factor, n_rx)
-    y_i = model.expanded_times(w_mat, inst.interf_factor, n_rx)
-    proj = hermitianize(y_t @ y_t.conj().T + y_i @ y_i.conj().T)    # Wt R Wt^H
-    gram = np.eye(n_users * n_rx) + delta * proj                     # T
-    whitened = np.linalg.solve(gram, y_t)                            # T^{-1} Y_t
-    mmse = hermitianize(np.eye(y_t.shape[1]) - delta * (y_t.conj().T @ whitened))
-    try:
-        chol = np.linalg.cholesky(mmse)                              # E = L L^H
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("surrogate curvature matrix lost positive definiteness") from exc
-
-    gain = np.linalg.solve(chol, whitened.conj().T).conj().T        # G
-    x = np.linalg.solve(chol.conj().T, gain.conj().T).conj().T      # G L^{-1} = X
+    x = np.linalg.solve(point.chol_i.conj().T, point.z)                # L_i^{-H} Z = X
+    gain = np.linalg.solve(point.chol_s, x.conj().T).conj().T          # X C^{-H} = G
     # lin is vec of sum_r F_t,r X_r^H over the receive blocks r
     lin = vec(np.einsum("rnm,rkm->nk", inst.target_factor.reshape(n_rx, n_tx, -1),
                         x.reshape(n_rx, n_users, -1).conj()))
-    gain_conj = gain.reshape(n_rx, n_users, -1).conj()
-    u = np.concatenate([np.tensordot(gain_conj, f.reshape(n_rx, n_tx, -1), axes=(0, 0))
-                        for f in (inst.target_factor, inst.interf_factor)], axis=3)
-    u = u.transpose(0, 2, 1, 3).reshape(n_users * n_tx, -1)         # (k, n) x (j, m)
+    factors = np.concatenate([inst.target_factor, inst.interf_factor], axis=1)
+    u = gain.reshape(n_rx, -1).conj().T @ factors.reshape(n_rx, -1)  # (k, j) x (n, m)
+    u = u.reshape(n_users, -1, n_tx, factors.shape[1]).transpose(0, 2, 1, 3)
+    u = u.reshape(n_users * n_tx, -1)                                # (k, n) x (j, m)
     quad = hermitianize(u @ u.conj().T)
 
-    g_val = -2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
-    touch = 2.0 * delta * float(np.real(np.vdot(y_t, x)))
-    curvature = (delta ** 2) * float(np.real(np.vdot(gain, proj @ gain)))
-    offset = g_val - touch + curvature
+    touch = 2.0 * delta * float(np.real(np.vdot(point.y_t, x)))
+    # delta^2 G^H Wt R Wt^H G, with Wt R Wt^H = Y_t Y_t^H + Y_i Y_i^H
+    curvature = (delta ** 2) * sum(float(np.linalg.norm(y.conj().T @ gain)) ** 2
+                                   for y in (point.y_t, point.y_i))
+    offset = point.mi - touch + curvature
     return Surrogate(lin=lin, quad=quad, offset=offset, delta=delta)
+
+
+def _sensed(inst: model.Instance, w) -> model.SensingPoint:
+    """The sensing point of a beamformer: w itself when it is one."""
+    return w if isinstance(w, model.SensingPoint) else model.sensing_point(inst, w)
 
 
 @dataclass
@@ -291,34 +293,34 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
 
 class _MmMap:
     """The MM map of one scheme with its per-solve constants, and what the
-    outer loop and the finish ask of a point.  A scheme supplies
-    ``subproblem(w)``, the maximizer of the surrogate built at w under its
-    constraints; ``advance`` is the scheme's step, (w, MI) -> (w, MI), here
-    one plain map."""
+    outer loop and the finish ask of a point.  Points are
+    :class:`model.SensingPoint` records, so the MI of a point and the
+    surrogate built at it come from one evaluation.  A scheme supplies
+    ``subproblem(point)``, the maximizer of the surrogate built at the point
+    under its constraints; ``advance`` is the scheme's step, point -> point,
+    here one plain map."""
 
     def __init__(self, inst: model.Instance):
         self.inst = inst
         self.p0 = inst.config.power_budget
         self.inner_steps = 0
 
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        """One MM step: the subproblem's answer at w scaled to ||W||^2 = P0,
-        an ascent that keeps feasibility (MI(cW) and every SINR increase in
-        c), with its common phase turned so that w^H w_next is real and
-        nonnegative.  That phase changes neither objective nor constraints;
-        the turn keeps successive differences, which the extrapolation
-        uses, free of arbitrary phase turns."""
-        w_next = self.subproblem(w)
+    def __call__(self, point: model.SensingPoint) -> model.SensingPoint:
+        """One MM step: the subproblem's answer at the point scaled to
+        ||W||^2 = P0, an ascent that keeps feasibility (MI(cW) and every SINR
+        increase in c), with its common phase turned so that w^H w_next is
+        real and nonnegative, and evaluated.  That phase changes neither
+        objective nor constraints; the turn keeps successive differences,
+        which the extrapolation uses, free of arbitrary phase turns."""
+        w_next = self.subproblem(point)
         w_next = w_next * np.sqrt(self.p0 / float(np.linalg.norm(w_next) ** 2))
-        overlap = complex(np.vdot(w, w_next))
-        return w_next * (np.conj(overlap) / abs(overlap)) if overlap != 0.0 else w_next
+        overlap = complex(np.vdot(point.w, w_next))
+        if overlap != 0.0:
+            w_next = w_next * (np.conj(overlap) / abs(overlap))
+        return model.sensing_point(self.inst, w_next)
 
-    def advance(self, w: np.ndarray, g_val: float):
-        w_next = self(w)
-        return w_next, self.mi(w_next)
-
-    def mi(self, w: np.ndarray) -> float:
-        return model.mutual_information(self.inst, w)
+    def advance(self, point: model.SensingPoint) -> model.SensingPoint:
+        return self(point)
 
     def admissible(self, w: np.ndarray) -> bool:
         """Power and rates within the tolerances every returned design meets."""
@@ -344,14 +346,15 @@ class _SingleUserMap(_MmMap):
                                                 inst.config.comm_noise)
         self.tau = 1.0
 
-    def subproblem(self, w: np.ndarray) -> np.ndarray:
+    def subproblem(self, point: model.SensingPoint) -> np.ndarray:
         """The tau = 0 step is the maximizer when it meets the budget and,
         for a rank-deficient curvature, c has no component along the flat
         directions (the step meets the cut there with mu = 0, so c alone
         decides); otherwise the budget binds, and the multiplier is found by
         :func:`bisect_power_multiplier`, started from ``tau``.  Either way
         w = V x is formed once, from the accepted step."""
-        curvature = ShiftedCurvature(build_surrogate(self.inst, w), self.h, w)
+        w = point.w
+        curvature = ShiftedCurvature(build_surrogate(self.inst, point), self.h, w)
         omega_shift = float(np.abs(np.vdot(self.h, w)) ** 2) + self.omega
         x, _, power, _ = curvature.step(omega_shift, 0.0)
         c = curvature.c
@@ -361,7 +364,7 @@ class _SingleUserMap(_MmMap):
         self.inner_steps += curvature.evaluations
         return (curvature.vecs @ x).reshape(w.shape)
 
-    def advance(self, w: np.ndarray, g_val: float):
+    def advance(self, point: model.SensingPoint) -> model.SensingPoint:
         """One SQUAREM cycle (Varadhan & Roland 2008, steplength S3).
 
         Two MM maps give w1 and w2.  The extrapolation w - 2a r + a^2 v, with
@@ -370,16 +373,18 @@ class _SingleUserMap(_MmMap):
         which restores feasibility.  The result replaces the plain two-step
         point w2 only if it is admissible and its MI is at least that of w and
         of w2; otherwise a is moved halfway towards -1 (where the extrapolation
-        is w2) a few times before w2 itself is taken.  Returns (w, MI).
+        is w2) a few times before w2 itself is taken.  Each cycle evaluates
+        w1, w2 and, per extrapolation tried, the extrapolated point and its
+        map.
         """
-        w1 = self(w)
-        w2 = self(w1)
-        g2 = self.mi(w2)
-        r = w1 - w
-        v = (w2 - w1) - r
+        first = self(point)
+        second = self(first)
+        w = point.w
+        r = first.w - w
+        v = (second.w - first.w) - r
         v_norm = float(np.linalg.norm(v))
         if v_norm == 0.0:
-            return w2, g2
+            return second
         alpha = max(-float(np.linalg.norm(r)) / v_norm, -SQUAREM_MAX_STEP)
         for _ in range(SQUAREM_BACKTRACKS):
             if alpha >= -1.0:
@@ -389,14 +394,14 @@ class _SingleUserMap(_MmMap):
             if norm2 > self.p0:
                 w_ext = w_ext * np.sqrt(self.p0 / norm2)
             try:
-                cand = self(w_ext)
-                g_cand = self.mi(cand)
+                cand = self(model.sensing_point(self.inst, w_ext))
             except NumericalError:
-                g_cand = -np.inf
-            if g_cand >= max(g_val, g2) and self.admissible(cand):
-                return cand, g_cand
+                cand = None
+            if (cand is not None and cand.mi >= max(point.mi, second.mi)
+                    and self.admissible(cand.w)):
+                return cand
             alpha = 0.5 * (alpha - 1.0)
-        return w2, g2
+        return second
 
 
 def _real(w: np.ndarray) -> np.ndarray:
@@ -423,88 +428,88 @@ def _solve(step: _MmMap, eps: float, max_iters: int) -> MmReport:
     stationary, so the start is returned, converged with a zero certificate.
     Otherwise :func:`_iterate`."""
     started = time.perf_counter()
-    w = zero_forcing_init(step.inst)
+    point = model.sensing_point(step.inst, zero_forcing_init(step.inst))
     if not np.any(step.inst.target_factor):
-        return MmReport(w=w, mi_trace=[step.mi(w)], iterations=0, status="converged",
+        return MmReport(w=point.w, mi_trace=[point.mi], iterations=0, status="converged",
                         kkt_residual=0.0, comp_power=0.0, comp_rate=0.0,
                         wall_time_s=time.perf_counter() - started)
-    return _iterate(step, w, eps, max_iters, started)
+    return _iterate(step, point, eps, max_iters, started)
 
 
-def _iterate(step: _MmMap, w: np.ndarray, eps: float, max_iters: int,
+def _iterate(step: _MmMap, point: model.SensingPoint, eps: float, max_iters: int,
              started: float) -> MmReport:
-    """MM steps from w until the relative MI change is at most eps
+    """MM steps from the point until the relative MI change is at most eps
     (``converged``, then :func:`_finish` within the cap), a step lowers the
     MI by more than 1e-12 relative (``stalled``) or the cap is reached.  The
     eps rule bounds the MI gain, which scales with the square of the
     stationarity residual, so its point can still be 1e-3 from stationary.
     The objective trace is non-decreasing and the residuals are those of
     :func:`kkt_certificate`."""
-    g_val = step.mi(w)
-    trace = [g_val]
+    trace = [point.mi]
     status, iterations = "max_iterations", 0
     while iterations < max_iters:
         iterations += 1
-        w_next, g_next = step.advance(w, g_val)
+        nxt = step.advance(point)
+        g_val, g_next = point.mi, nxt.mi
         if g_next < g_val - 1e-12 * max(1.0, abs(g_val)):
             status = "stalled"
             break
-        w = w_next
+        point = nxt
         trace.append(g_next)
-        change = abs(g_next - g_val) / max(abs(g_val), 1e-300)
-        g_val = g_next
-        if change <= eps:
+        if abs(g_next - g_val) / max(abs(g_val), 1e-300) <= eps:
             status = "converged"
             break
 
     budget = min(FINISH_STEPS, max_iters - iterations) if status == "converged" else 0
-    w, cert, used, finish_steps = _finish(step, w, g_val, trace, budget)
-    return MmReport(w=model.as_beam_matrix(w, step.inst.config), mi_trace=trace,
+    point, cert, used, finish_steps = _finish(step, point, trace, budget)
+    return MmReport(w=point.w, mi_trace=trace,
                     iterations=iterations + used, status=status, kkt_residual=cert[0],
                     comp_power=cert[1], comp_rate=cert[2], inner_steps=step.inner_steps,
                     finish_steps=finish_steps, wall_time_s=time.perf_counter() - started)
 
 
-def _finish(step: _MmMap, w: np.ndarray, g_val: float, trace: list, budget: int):
+def _finish(step: _MmMap, point: model.SensingPoint, trace: list, budget: int):
     """Work the certificate of an eps stop down to FINISH_RTOL in ``budget``
-    iterations; returns (w, certificate, iterations used, Newton steps kept).
-    MM limits are stationary only asymptotically, so :func:`_kkt_newton`
-    goes first.  Its end point is kept if admissible, with a lower
-    certificate and the MI within the stall tolerance; else the scheme's own
-    steps follow while they do not lower the MI, and Newton is retried once
-    the certificate has halved.  Each Newton or MM step is one iteration."""
-    cert = kkt_certificate(step.inst, w)
+    iterations; returns (point, certificate, iterations used, Newton steps
+    kept).  MM limits are stationary only asymptotically, so
+    :func:`_kkt_newton` goes first.  Its end point is kept if admissible,
+    with a lower certificate and the MI within the stall tolerance; else the
+    scheme's own steps follow while they do not lower the MI, and Newton is
+    retried once the certificate has halved.  Each Newton or MM step is one
+    iteration."""
+    cert = kkt_certificate(step.inst, point)
     used, kept, retry_below = 0, 0, np.inf
     while used < budget and cert[0] > FINISH_RTOL:
+        g_val = point.mi
         if cert[0] <= retry_below:
             try:
-                w_end, cert_end, taken = _kkt_newton(step, w, budget - used)
-                g_end = step.mi(w_end)
+                end, cert_end, taken = _kkt_newton(step, point, budget - used)
             except NumericalError:
                 cert_end, taken = cert, 0
             used += taken
-            if (cert_end[0] < cert[0] and g_end >= g_val - 1e-12 * max(1.0, abs(g_val))
-                    and step.admissible(w_end)):
-                w, g_val, cert, kept = w_end, g_end, cert_end, kept + taken
-                trace.append(g_val)
+            if (cert_end[0] < cert[0] and end.mi >= g_val - 1e-12 * max(1.0, abs(g_val))
+                    and step.admissible(end.w)):
+                point, cert, kept = end, cert_end, kept + taken
+                trace.append(point.mi)
             retry_below = cert[0] / 2.0
             continue
         used += 1
         try:
-            w_next, g_next = step.advance(w, g_val)
-            if g_next < g_val:
+            nxt = step.advance(point)
+            if nxt.mi < g_val:
                 break
-            cert = kkt_certificate(step.inst, w_next)
+            cert = kkt_certificate(step.inst, nxt)
         except NumericalError:
             break
-        w, g_val = w_next, g_next
-        trace.append(g_val)
-    return w, cert, used, kept
+        point = nxt
+        trace.append(point.mi)
+    return point, cert, used, kept
 
 
-def _kkt_newton(step: _MmMap, w: np.ndarray, steps: int):
-    """At most ``steps`` Newton steps from w on the KKT system of the true
-    problem; returns the end point, its certificate and the steps taken.
+def _kkt_newton(step: _MmMap, point: model.SensingPoint, steps: int):
+    """At most ``steps`` Newton steps from a point on the KKT system of the
+    true problem; returns the end point, evaluated, its certificate and the
+    steps taken.
 
     Unknowns: W, tau and the mu_k above 1e-4 tau (a bare mu_k > 0 picks up
     fitting noise on slack cuts), refitted by the certificate at every
@@ -518,18 +523,19 @@ def _kkt_newton(step: _MmMap, w: np.ndarray, steps: int):
     inst, cfg = step.inst, step.inst.config
 
     def terms_at(x):
-        w_mat = unvec(x[:x.size // 2] + 1j * x[x.size // 2:], cfg.n_tx, cfg.n_users)
-        return w_mat, _kkt_terms(inst, build_surrogate(inst, w_mat), w_mat)
+        at = model.sensing_point(inst, unvec(x[:x.size // 2] + 1j * x[x.size // 2:],
+                                             cfg.n_tx, cfg.n_users))
+        return at, _kkt_terms(inst, build_surrogate(inst, at), at.w)
 
     def system(x, cols, lam, terms):
         grad, basis, cuts = terms
         return np.concatenate([_real(grad - basis[:, cols] @ lam), [x @ x - step.p0],
                                cuts[cols[1:] - 1]])
 
-    x = _real(vec(model.as_beam_matrix(w, cfg)))
+    x = _real(vec(point.w))
     n = x.size
-    w_mat, terms = terms_at(x)
-    cert, coef = _kkt_fit(inst, w_mat, *terms)
+    terms = _kkt_terms(inst, build_surrogate(inst, point), point.w)
+    cert, coef = _kkt_fit(inst, point.w, *terms)
     best, stale, taken = cert[0], 0, 0
     while taken < steps and cert[0] > FINISH_RTOL and stale < 3:
         taken += 1
@@ -540,16 +546,16 @@ def _kkt_newton(step: _MmMap, w: np.ndarray, steps: int):
         for j, e in enumerate(h * np.eye(n)):
             jac[:f.size, j] = (system(x + e, cols, coef[cols], terms_at(x + e)[1]) - f) / h
         jac[:n, n:] = -_real(terms[1][:, cols])
-        turns = [vec(1j * w_mat * (np.arange(cfg.n_users) == k)) for k in range(cfg.n_users)]
+        turns = [vec(1j * point.w * (np.arange(cfg.n_users) == k)) for k in range(cfg.n_users)]
         jac[f.size:, :n] = _real(np.column_stack(turns)).T
         delta = np.linalg.lstsq(jac, np.concatenate([-f, np.zeros(cfg.n_users)]), rcond=None)[0]
         x = x + delta[:n]
         x *= np.sqrt(step.p0 / (x @ x))
-        w_mat, terms = terms_at(x)
-        cert, coef = _kkt_fit(inst, w_mat, *terms)
+        point, terms = terms_at(x)
+        cert, coef = _kkt_fit(inst, point.w, *terms)
         stale = 0 if cert[0] < best else stale + 1
         best = min(best, cert[0])
-    return w_mat.reshape(np.shape(w)), cert, taken
+    return point, cert, taken
 
 
 # ---------------------------------------------------------------------------
@@ -634,21 +640,28 @@ def _minimum_power_design(inst: model.Instance) -> np.ndarray:
     return beams * np.sqrt(powers)
 
 
-def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate) -> conic.QcqpProblem:
-    """Convex QCQP in vec(W): surrogate objective, power ball, and the
-    linearized per-user rate constraints.  User k's cut acts through h_k h_k^H
-    on column k (its own signal, linearized at w_prev) and, times nu_k, on
-    every other column (the interference it receives); the signal term is
-    multiplied over all of vec(W), as the Kronecker-product construction is.
-    Each cut equals user k's rate constraint at w_prev, so the problem is
-    feasible there when w_prev meets the budget and every rate target.  A
-    zero target's constraint |h_k^H w_k|^2 >= 0 always holds, so its cut is
-    left out of the stack: the stack holds the power ball, then one cut per
-    user with a positive target, in user order."""
+@dataclass(frozen=True)
+class RateCuts:
+    """The part of :func:`multiuser_subproblem` that does not depend on the
+    expansion point: the stack ``a`` of the power ball and the cut
+    matrices, the own-signal blocks ``own`` of the cuts (h_k h_k^H on column
+    k, as (cut, vec W, vec W) matrices) and each cut's nu_k sigma^2."""
+
+    a: np.ndarray
+    own: np.ndarray
+    noise: np.ndarray
+
+
+def rate_cuts(inst: model.Instance) -> RateCuts:
+    """The w-independent stack of :func:`multiuser_subproblem`, built once
+    per solve.  User k's cut acts through h_k h_k^H on column k (its own
+    signal) and, times nu_k, on every other column (the interference it
+    receives).  A zero target's constraint |h_k^H w_k|^2 >= 0 always holds,
+    so its cut is left out: the stack holds the power ball, then one cut
+    per user with a positive target, in user order."""
     cfg = inst.config
     n_tx, n_users = cfg.n_tx, cfg.n_users
     dim = n_tx * n_users
-    w_vec = vec(model.as_beam_matrix(w_prev, cfg))
     h = inst.channel.conj()                                  # row k is h_k
     nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
     users = np.flatnonzero(nu > 0.0)
@@ -662,11 +675,27 @@ def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate) -> conic.
     cuts[cut, column, :, column, :] = hermitianize(nu[:, None, None] * gram)[cut]
     own = np.zeros_like(cuts)
     own[np.arange(users.size), users, :, users, :] = gram
-    signal = own.reshape(users.size, dim, dim) @ w_vec
-    b = np.concatenate([np.zeros((1, dim), dtype=complex), -signal])
-    c = np.array([-cfg.power_budget, *(float(np.real(np.vdot(w_vec, s))) for s in signal)])
-    c[1:] += nu * cfg.comm_noise
-    return conic.QcqpProblem(objective=(sur.delta * sur.quad, -sur.lin, 0.0), constraints=(a, b, c))
+    return RateCuts(a=a, own=own.reshape(users.size, dim, dim), noise=nu * cfg.comm_noise)
+
+
+def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate,
+                         cuts: Optional[RateCuts] = None) -> conic.QcqpProblem:
+    """Convex QCQP in vec(W): surrogate objective, power ball, and the
+    linearized per-user rate constraints of :func:`rate_cuts` (built here
+    when not given).  The signal term of each cut is linearized at w_prev,
+    multiplied over all of vec(W), as the Kronecker-product construction
+    is.  Each cut equals user k's rate constraint at w_prev, so the problem
+    is feasible there when w_prev meets the budget and every rate
+    target."""
+    cuts = rate_cuts(inst) if cuts is None else cuts
+    w_vec = vec(model.as_beam_matrix(w_prev, inst.config))
+    signal = cuts.own @ w_vec
+    b = np.concatenate([np.zeros((1, w_vec.size), dtype=complex), -signal])
+    c = np.array([-inst.config.power_budget,
+                  *(float(np.real(np.vdot(w_vec, s))) for s in signal)])
+    c[1:] += cuts.noise
+    return conic.QcqpProblem(objective=(sur.delta * sur.quad, -sur.lin, 0.0),
+                             constraints=(cuts.a, b, c))
 
 
 def _nonnegative_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -727,7 +756,8 @@ def _kkt_fit(inst: model.Instance, w_mat: np.ndarray, grad, basis, cuts):
 
 
 def kkt_certificate(inst: model.Instance, w):
-    """KKT residuals of a design with any number of users on the true problem.
+    """KKT residuals of a design with any number of users on the true
+    problem; the design is an array or its :class:`model.SensingPoint`.
 
     g is the MI gradient (w.r.t. conj(vec W)), read from the surrogate built
     at w, where the two agree.  With the rate constraints written c_k(W) =
@@ -739,29 +769,31 @@ def kkt_certificate(inst: model.Instance, w):
     problem enters, not how a subproblem was solved.  A silent target has
     g = 0, so every multiplier and residual is zero.
     """
-    w_mat = model.as_beam_matrix(w, inst.config)
-    return _kkt_fit(inst, w_mat, *_kkt_terms(inst, build_surrogate(inst, w), w_mat))[0]
+    point = _sensed(inst, w)
+    return _kkt_fit(inst, point.w, *_kkt_terms(inst, build_surrogate(inst, point), point.w))[0]
 
 
 class _MultiUserMap(_MmMap):
     """The K-user subproblem: the solution of :func:`multiuser_subproblem` at
-    w.  Each dual solve is warm-started from the multipliers of the one
-    before."""
+    the point, on the cut stack built once for the solve.  Each dual solve
+    is warm-started from the multipliers of the one before."""
 
     def __init__(self, inst: model.Instance):
         super().__init__(inst)
+        self.cuts = rate_cuts(inst)
         self.maps = 0
         self.multipliers = None
 
-    def subproblem(self, w: np.ndarray) -> np.ndarray:
+    def subproblem(self, point: model.SensingPoint) -> np.ndarray:
         self.maps += 1
-        report = conic.solve_qcqp(multiuser_subproblem(self.inst, w, build_surrogate(self.inst, w)),
-                                  SUBPROBLEM_GAP_TOL, self.multipliers)
+        problem = multiuser_subproblem(self.inst, point.w, build_surrogate(self.inst, point),
+                                       self.cuts)
+        report = conic.solve_qcqp(problem, SUBPROBLEM_GAP_TOL, self.multipliers)
         if report.status != conic.OPTIMAL:
             raise NumericalError(f"subproblem ended with status {report.status} at map {self.maps}")
         self.multipliers = report.multipliers
         self.inner_steps += report.iterations
-        return unvec(report.solution, *w.shape)
+        return unvec(report.solution, *point.w.shape)
 
 
 def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,

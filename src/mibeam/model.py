@@ -2,9 +2,12 @@
 
 Builds steering vectors, factored scatterer covariances and Rayleigh
 channels, and evaluates the sensing mutual information and per-user
-achievable rates for a given beamforming matrix.  Angles are degrees, powers
-are linear watts, the mutual information is natural-log internally (bits
-only at reporting boundaries).
+achievable rates for a given beamforming matrix.  One evaluation
+(:func:`sensing_point`) forms the projections and factorizations of the
+sensing problem at a beamformer; the mutual information and the MM
+surrogate both read that record, so an MM iterate is evaluated once.
+Angles are degrees, powers are linear watts, the mutual information is
+natural-log internally (bits only at reporting boundaries).
 """
 
 from __future__ import annotations
@@ -326,8 +329,28 @@ def expanded_times(w_mat: np.ndarray, factor: np.ndarray, n_rx: int) -> np.ndarr
     return blocks.reshape(n_rx * n_users, factor.shape[1])
 
 
-def mutual_information(inst: Instance, w) -> float:
-    """Sensing mutual information in nats for a beamformer.
+@dataclass(frozen=True)
+class SensingPoint:
+    """A beamformer with the sensing quantities computed at it once, which
+    the mutual information and the MM surrogate both read.
+
+    ``w`` is the (N_T, K) beamformer, ``y_t`` / ``y_i`` the projections Wt F
+    of the target and interference factors, ``chol_i`` the Cholesky factor
+    L_i of T_i = I + delta Y_i Y_i^H, ``z`` = L_i^{-1} Y_t, ``chol_s`` the
+    Cholesky factor C of S = I + delta Z^H Z, and ``mi`` = log det S, nats.
+    """
+
+    w: np.ndarray
+    y_t: np.ndarray
+    y_i: np.ndarray
+    chol_i: np.ndarray
+    z: np.ndarray
+    chol_s: np.ndarray
+    mi: float
+
+
+def sensing_point(inst: Instance, w) -> SensingPoint:
+    """Evaluate the sensing side of the problem at a beamformer.
 
     With Y = Wt F (Wt = I_{N_R} kron W^H, R = F F^H) for the target and the
     interference factors and delta = L / s_z^2, the MI is logdet(T_i +
@@ -345,11 +368,18 @@ def mutual_information(inst: Instance, w) -> float:
     y_t = expanded_times(w_mat, inst.target_factor, cfg.n_rx)
     y_i = expanded_times(w_mat, inst.interf_factor, cfg.n_rx)
     try:
-        chol = np.linalg.cholesky(np.eye(y_i.shape[0]) + delta * _gram(y_i))
+        chol_i = np.linalg.cholesky(np.eye(y_i.shape[0]) + delta * _gram(y_i))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("interference covariance is not positive definite") from exc
-    z = np.linalg.solve(chol, y_t)
-    return linalg.logdet_hermitian(np.eye(y_t.shape[1]) + delta * _gram(z.conj().T))
+    z = np.linalg.solve(chol_i, y_t)
+    chol_s, mi = linalg.cholesky_logdet(np.eye(y_t.shape[1]) + delta * _gram(z.conj().T))
+    return SensingPoint(w=w_mat, y_t=y_t, y_i=y_i, chol_i=chol_i, z=z, chol_s=chol_s, mi=mi)
+
+
+def mutual_information(inst: Instance, w) -> float:
+    """Sensing mutual information in nats for a beamformer; see
+    :func:`sensing_point`."""
+    return sensing_point(inst, w).mi
 
 
 def achievable_rate(inst: Instance, w, user: int) -> float:

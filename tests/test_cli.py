@@ -237,6 +237,19 @@ def test_flag_the_command_does_not_use_is_usage_error(tmp_path, capsys, args):
     assert not (tmp_path / "o").exists()
 
 
+def test_eval_help_offers_the_grid_to_rmse_only(capsys):
+    # the eval subparser takes its kind as a positional choice, so it cannot
+    # drop --grid per kind; main rejects it for capon and beampattern, and
+    # the help text must say so
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["eval", "--help"])
+    assert exited.value.code == 0
+    words = " ".join(capsys.readouterr().out.split())
+    grid_help = words[words.index("--grid GRID"):]
+    assert "eval rmse only" in grid_help
+    assert "beampattern and capon take none" in grid_help
+
+
 def test_sweep_variable_has_one_check(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.yaml", sweep={"variable": "n_slots", "grid": [1.0]})
     with pytest.raises(ConfigError) as parsed:

@@ -457,7 +457,7 @@ def test_inner_step_solves_for_the_multiplier_along_a_flat_direction(monkeypatch
     step.p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0)  # twice the power at tau = 0
     # a rate requirement far below anything attainable leaves the cut slack
     step.omega = -1e6
-    power = float(np.linalg.norm(step.subproblem(step.h)) ** 2)
+    power = float(np.linalg.norm(step.subproblem(model.sensing_point(step.inst, step.h))) ** 2)
     assert step.p0 * (1.0 - 1e-12) <= power <= step.p0
     assert step.tau > 0.0
 
@@ -650,10 +650,14 @@ def test_single_user_dip_away_from_stationarity_is_stalled(monkeypatch):
     # every MI evaluation after the start is lowered by 1e-6 more than the
     # one before, which makes the first step that gains less than that read
     # as a dip
-    true_mi = mm._SingleUserMap.mi
+    true_point = model.sensing_point
     calls = itertools.count()
-    monkeypatch.setattr(mm._SingleUserMap, "mi",
-                        lambda self, w: true_mi(self, w) - 1e-6 * next(calls))
+
+    def lowered(inst, w):
+        point = true_point(inst, w)
+        return replace(point, mi=point.mi - 1e-6 * next(calls))
+
+    monkeypatch.setattr(model, "sensing_point", lowered)
     monkeypatch.setattr(mm, "kkt_certificate", lambda inst, w: (1.0, 0.0, 0.0))
     report = mm.solve_single_user(target_inside_interferer(100.0, 1))
     assert report.status == "stalled"
@@ -834,7 +838,7 @@ def admissible_start(step, rng):
 def test_map_output_is_at_full_power_and_phase_aligned(make_step):
     step = make_step()
     w = admissible_start(step, np.random.default_rng(17))
-    w_next = step(w)
+    w_next = step(model.sensing_point(step.inst, w)).w
     assert np.linalg.norm(w_next) ** 2 == pytest.approx(step.p0, rel=1e-12)
     overlap = complex(np.vdot(w, w_next))
     assert overlap.real > 0.0 and abs(overlap.imag) <= 1e-12 * abs(overlap)
@@ -1085,7 +1089,7 @@ def test_multiuser_subproblem_stack_matches_kronecker_along_a_solve():
     w = mm.zero_forcing_init(inst)
     for _ in range(5):
         assert_kronecker_stack(inst, w)
-        w = step(w)
+        w = step(model.sensing_point(inst, w)).w
 
 
 def test_multi_user_converges_and_meets_rates():
@@ -1105,3 +1109,67 @@ def test_multi_user_single_user_reduction_agrees():
     mi_single = mm.solve_single_user(inst).mi_trace[-1]
     mi_multi = mm.solve_multi_user(inst, max_iters=1500).mi_trace[-1]
     assert mi_multi == pytest.approx(mi_single, rel=5e-3)
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per iterate
+
+
+def record_points(monkeypatch):
+    """Wrap model.sensing_point so that every evaluation is kept, in order."""
+    points = []
+    evaluate = model.sensing_point
+
+    def recording(inst, w):
+        points.append(evaluate(inst, w))
+        return points[-1]
+
+    monkeypatch.setattr(model, "sensing_point", recording)
+    return points
+
+
+def test_multi_user_evaluates_each_iterate_once(monkeypatch):
+    # the MI of an iterate and the surrogate built at it share one
+    # evaluation: the start and each of the 20 maps are evaluated once, the
+    # certificate at the stop reads the last one, and the loop never calls
+    # model.mutual_information
+    inst = model.build_instance(parse_config(CONFIGS / "multi_user.yaml").scenario)
+    true_mi = model.mutual_information
+    mi_calls = count_calls(monkeypatch, "mutual_information", model)
+    points = record_points(monkeypatch)
+    report = mm.solve_multi_user(inst, max_iters=20)
+    assert report.status == "max_iterations" and report.iterations == 20
+    assert len(points) == 21 and not mi_calls
+    assert [p.mi for p in points] == report.mi_trace
+    assert np.array_equal(points[-1].w, report.w)
+    evaluated = list(points)
+    assert all(true_mi(inst, p.w) == p.mi for p in evaluated)
+
+
+def test_squarem_cycle_evaluates_two_points_and_two_per_extrapolation(monkeypatch):
+    # w1, w2, and per extrapolation tried the extrapolated point and its map;
+    # every trace entry is the MI of an evaluated iterate, bit for bit
+    inst = criterion_5_instance(1)
+    true_mi = model.mutual_information
+    mi_calls = count_calls(monkeypatch, "mutual_information", model)
+    maps = count_calls(monkeypatch, "__call__", mm._SingleUserMap)
+    points = record_points(monkeypatch)
+    cycles = []
+    advance = mm._SingleUserMap.advance
+
+    def counted(self, point):
+        before = len(points), len(maps)
+        out = advance(self, point)
+        cycles.append((len(points) - before[0], len(maps) - before[1] - 2))
+        return out
+
+    monkeypatch.setattr(mm._SingleUserMap, "advance", counted)
+    report = mm.solve_single_user(inst, max_iters=6)
+    assert report.status == "max_iterations" and len(cycles) == 6
+    assert not mi_calls
+    assert any(tried >= 1 for _, tried in cycles)
+    for evaluations, tried in cycles:
+        assert evaluations <= 2 + 2 * tried
+    evaluated = {p.mi: p for p in points}
+    assert all(g in evaluated for g in report.mi_trace)
+    assert all(true_mi(inst, evaluated[g].w) == g for g in report.mi_trace)

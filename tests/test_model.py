@@ -258,6 +258,30 @@ def test_simulate_echo_pure_noise_variance():
     assert abs(sample_var - cfg.radar_noise) <= 0.05 * cfg.radar_noise
 
 
+@pytest.mark.parametrize("n_users", [1, 3])
+@pytest.mark.parametrize("interfered", [True, False], ids=["interference", "clean"])
+def test_mutual_information_is_bitwise_the_log_det_of_its_whitened_form(n_users, interfered):
+    # the MI is read off the one sensing evaluation that the MM surrogate
+    # shares; it must stay bit for bit logdet(I + delta Z^H Z) formed
+    # directly, Z = L_i^{-1} Y_t, T_i = I + delta Y_i Y_i^H = L_i L_i^H
+    cfg = make_config(n_users=n_users, rate_targets=(1.0,) * n_users)
+    interference = ScattererModel.extended(-30.0, -25.0, 6, 50.0) if interfered else None
+    inst = make_instance(cfg, ScattererModel((-5.0, 0.0, 5.0), (1.0, 2.0, 0.5)), interference)
+    delta = cfg.n_slots / cfg.radar_noise
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        w = rng.standard_normal((cfg.n_tx, n_users)) + 1j * rng.standard_normal((cfg.n_tx, n_users))
+        y_t = model.expanded_times(w, inst.target_factor, cfg.n_rx)
+        y_i = model.expanded_times(w, inst.interf_factor, cfg.n_rx)
+        chol = np.linalg.cholesky(np.eye(y_i.shape[0])
+                                  + delta * linalg.hermitianize(y_i @ y_i.conj().T))
+        z = np.linalg.solve(chol, y_t)
+        direct = linalg.logdet_hermitian(np.eye(y_t.shape[1])
+                                         + delta * linalg.hermitianize(z.conj().T @ z))
+        assert model.mutual_information(inst, w) == direct
+        assert model.sensing_point(inst, w).mi == direct
+
+
 def test_mutual_information_matches_unreduced_form():
     # with exactly orthogonal data rows (S S^H = L I) the large-frame
     # reduction is exact, not approximate

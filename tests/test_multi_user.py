@@ -172,7 +172,7 @@ def test_finish_keeps_the_mi_of_the_maps_it_replaced(monkeypatch, channel_seed):
         return out
 
     monkeypatch.setattr(mm._MultiUserMap, "advance",
-                        lambda self, w, g: maps.append(g) or advance(self, w, g))
+                        lambda self, point: maps.append(point) or advance(self, point))
     monkeypatch.setattr(mm, "_kkt_newton", counted_newton)
     monkeypatch.setattr(mm, "_finish", lambda *args: stops.append(len(maps)) or finish(*args))
     inst = multi_user_config_instance(channel_seed)
@@ -205,8 +205,8 @@ def test_every_subproblem_is_feasible_at_its_expansion_point(monkeypatch, channe
     worst = []
     build = mm.multiuser_subproblem
 
-    def recording(inst, w_prev, sur):
-        prob = build(inst, w_prev, sur)
+    def recording(inst, w_prev, sur, cuts):
+        prob = build(inst, w_prev, sur, cuts)
         values = constraint_values(prob, vec(model.as_beam_matrix(w_prev, inst.config)))
         worst.append(values.max() / np.abs(prob.constraints[2]).max())
         return prob
@@ -232,8 +232,8 @@ def test_zero_rate_targets_leave_their_cuts_out(monkeypatch, targets, interfered
     sizes = []
     build = mm.multiuser_subproblem
 
-    def recording(inst, w_prev, sur):
-        prob = build(inst, w_prev, sur)
+    def recording(inst, w_prev, sur, cuts):
+        prob = build(inst, w_prev, sur, cuts)
         sizes.append(prob.constraints[2].size)
         return prob
 

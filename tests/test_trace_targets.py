@@ -1,4 +1,6 @@
-"""Every function the benchmark traces or hooks by name must exist.
+"""Every function the benchmark traces or hooks by name must exist, and a
+K-user solve must reach the traced surrogate and subproblem builders
+through their module bindings.
 
 ``bench/run.py`` looks its targets up by dotted name at run time, so a
 renamed or deleted function breaks ``--trace 1`` without failing any test of
@@ -12,7 +14,11 @@ from pathlib import Path
 
 import pytest
 
-RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+from mibeam import mm, model
+from mibeam.config import parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "bench" / "run.py"
 
 
 def _assigned(name: str):
@@ -37,3 +43,21 @@ def _hook_names():
 def test_bench_target_resolves(dotted):
     module, attr = dotted.rsplit(".", 1)
     assert callable(getattr(importlib.import_module(f"mibeam.{module}"), attr, None)), dotted
+
+
+def test_k_user_solve_calls_the_surrogate_and_subproblem_through_module_bindings(monkeypatch):
+    # the tracer wraps mm.build_surrogate and mm.multiuser_subproblem where
+    # the module binds them; a solve that reached them another way (a bound
+    # alias, a reference kept from import) would read 0 in their per-layer
+    # spans without failing any other test
+    calls = {"build_surrogate": 0, "multiuser_subproblem": 0}
+    for name in calls:
+        def counting(*args, _name=name, _orig=getattr(mm, name)):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(mm, name, counting)
+    inst = model.build_instance(parse_config(ROOT / "configs" / "multi_user.yaml").scenario)
+    mm.solve_multi_user(inst, max_iters=2)
+    # one surrogate per map and one for the certificate at the stop
+    assert calls == {"build_surrogate": 3, "multiuser_subproblem": 2}
