@@ -23,6 +23,8 @@ from .config import ExperimentConfig, check_seed, parse_config
 from .errors import ConfigError, Infeasible, MibeamError, NumericalError
 
 CSV_FORMAT = "%.12g"
+# Every grid point is a full solve; a range spec giving more points is a typo.
+MAX_GRID_POINTS = 10_000
 
 
 def _fmt(value) -> str:
@@ -160,9 +162,23 @@ def _parse_grid(text: str) -> list:
         if len(grid) != 3 or grid[2] <= 0:
             raise ConfigError("--grid: range form is start:stop:step with step > 0")
         start, stop, step = grid
+        if not (np.all(np.isfinite(grid)) and (stop - start) / step < MAX_GRID_POINTS):
+            raise ConfigError(f"--grid: range start:stop:step must be finite and give at "
+                              f"most {MAX_GRID_POINTS} points")
         grid = list(np.arange(start, stop + 0.5 * step, step))
     evaluation.check_grid(grid, "--grid")
     return grid
+
+
+def _output_dir(option, configured: str) -> Path:
+    """The output directory of ``--out``, or of the config's ``output``;
+    neither it nor a parent may be an existing file."""
+    out_dir = Path(option if option is not None else configured)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        source = "--out" if option is not None else "output"
+        raise ConfigError(f"{source}: {existing} exists and is not a directory")
+    return out_dir
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("solve", help="solve one design problem"))
     sweep_p = sub.add_parser("sweep", help="sweep a variable and record the MI")
     common(sweep_p)
-    sweep_p.add_argument("--threads", type=int, default=1, help="worker processes")
+    sweep_p.add_argument("--threads", type=int, default=1, help="worker processes, at least 1")
     eval_p = sub.add_parser("eval", help="produce an evaluation artifact")
     eval_p.add_argument("kind", choices=("beampattern", "capon", "rmse"))
     common(eval_p)
@@ -206,7 +222,9 @@ def main(argv=None) -> int:
         grid = _parse_grid(grid) if grid is not None else None
         if args.command == "sweep" and cfg.sweep is None and grid is None:
             raise ConfigError("sweep: config has no sweep section and no --grid was given")
-        out_dir = Path(args.out if args.out is not None else cfg.output_dir)
+        if args.command == "sweep" and args.threads < 1:
+            raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
+        out_dir = _output_dir(args.out, cfg.output_dir)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, seed, args.threads, grid)
         out_dir.mkdir(parents=True, exist_ok=True)

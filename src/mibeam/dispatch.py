@@ -87,9 +87,10 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
     """Solve one scenario with one scheme.
 
     The SDR and MM schemes run on :func:`model.reduce_instance` of the
-    instance and map their design back as W = B Z; the closed form runs on
-    the full instance.  MI, rates and the MM KKT certificate are those of
-    the full instance.
+    instance and map their design back as W = B Z (B is the identity when
+    the reduction keeps every dimension); the closed form runs on the full
+    instance.  MI, rates and the MM KKT certificate are those of the full
+    instance.
     """
     validate_scheme(scenario, scheme)
     cfg = scenario.config
@@ -107,7 +108,7 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
         reduced, basis = model.reduce_instance(inst)
         if scheme == "sdr":
             report = sdr.solve_point_interference(reduced, opts.seed, opts.n_randomizations)
-            z = report.w[:, None]
+            w = basis @ report.w[:, None]
             iterations, status = report.conic_report.iterations, report.conic_report.status
             kkt, trace = None, None
             extras = {"mi_bound_bits": model.nats_to_bits(report.bound_nats),
@@ -117,16 +118,13 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
                 report = mm.solve_single_user(reduced, eps1=opts.eps1, max_iters=opts.max_iters)
             else:
                 report = mm.solve_multi_user(reduced, eps2=opts.eps2, max_iters=opts.max_iters)
-            z = report.w
+            # the solver's K-user design is column-major; basis @ it would be a
+            # row-major copy, on which the MI and the certificate round otherwise
+            w = report.w if reduced is inst else basis @ report.w
             iterations, status, trace = report.iterations, report.status, report.mi_trace
-            cert = report.kkt_residual, report.comp_power, report.comp_rate
-        w = z if reduced is inst else basis @ z
-        if scheme != "sdr":
-            if reduced is not inst:
-                cert = mm.kkt_certificate(inst, w)
-            kkt, extras = cert[0], {"comp_power": cert[1], "comp_rate": cert[2],
-                                    "inner_steps": report.inner_steps,
-                                    "finish_steps": report.finish_steps}
+            kkt, comp_power, comp_rate = mm.kkt_certificate(inst, w)
+            extras = {"comp_power": comp_power, "comp_rate": comp_rate,
+                      "inner_steps": report.inner_steps, "finish_steps": report.finish_steps}
         extras["reduced_dim"] = basis.shape[1]
 
     wall = time.perf_counter() - started

@@ -1,9 +1,11 @@
-"""Complex dense matrix kernels used throughout the solvers.
+"""Small complex matrix kernels used by the solvers.
 
 All routines operate on plain numpy arrays (``complex128``) and use the
 column-major vectorization convention: ``vec(A)`` stacks the columns of ``A``
-on top of one another.  Natural logarithms everywhere; unit conversion to
-bits happens at reporting boundaries only.
+on top of one another.  No routine builds a Kronecker product or a
+permutation of a vectorization: the scatterer covariances stay factored
+(see :mod:`mibeam.model`).  Natural logarithms everywhere; unit conversion
+to bits happens at reporting boundaries only.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def cholesky_logdet(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 def logdet_hermitian(a: np.ndarray) -> float:
     """Natural-log determinant of a Hermitian positive definite matrix, by
-    :func:`cholesky_logdet`."""
+    :func:`cholesky_logdet`.  No solver calls it; the package keeps it
+    because the benchmark traces it by name."""
     return cholesky_logdet(a)[1]
 
 
@@ -84,7 +87,8 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
 
 def psd_floor(a: np.ndarray) -> np.ndarray:
     """Projection of a nearly-PSD Hermitian matrix onto the PSD cone, under
-    the eigenvalue policy of :func:`_psd_eigen`."""
+    the eigenvalue policy of :func:`_psd_eigen`.  No solver calls it; the
+    package keeps it because the benchmark traces it by name."""
     vals, vecs = _psd_eigen(a)
     return hermitianize((vecs * vals) @ vecs.conj().T)
 
@@ -94,14 +98,3 @@ def pinv(a: np.ndarray) -> np.ndarray:
     SVD_CUTOFF_RTOL * sigma_max treated as zero."""
     return np.linalg.pinv(a, rcond=SVD_CUTOFF_RTOL)
 
-
-def commutation_matrix(m: int, n: int) -> np.ndarray:
-    """Permutation K with K @ vec(A) = vec(A.T) for every m x n matrix A."""
-    if m < 1 or n < 1:
-        raise ValueError("commutation_matrix needs m, n >= 1")
-    k = np.zeros((m * n, m * n))
-    for r in range(m):
-        for c in range(n):
-            # vec(A)[r + c*m] lands at vec(A.T)[c + r*n]
-            k[c + r * n, r + c * m] = 1.0
-    return k

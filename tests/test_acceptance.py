@@ -14,6 +14,7 @@ import pytest
 from mibeam import dispatch, evaluation, linalg, mm, model, sdr
 from mibeam.dispatch import SolverOptions
 from mibeam.model import ScattererModel, Scenario, SystemConfig
+import reference
 
 POWER_W = 10.0       # 40 dBm
 COMM_NOISE_W = 0.1   # 20 dBm
@@ -211,7 +212,7 @@ def test_criterion_08_stacking_identity_exact():
         n_tx, n_rx, n_users = shapes[checked % len(shapes)]
         f_map = model.vec_expansion_matrix(n_tx, n_rx, n_users)
         w = rng.standard_normal((n_tx, n_users)) + 1j * rng.standard_normal((n_tx, n_users))
-        lhs = linalg.vec(model.expand_beamformer(w, n_rx))
+        lhs = linalg.vec(reference.expand_beamformer(w, n_rx))
         rhs = f_map @ linalg.vec(w).conj()
         exact = exact and np.array_equal(lhs, rhs)
         checked += 1
@@ -261,8 +262,9 @@ def _mi_samples(w, inst):
     """Vectorized exact MI for K = 1 instances (any N_R)."""
     cfg = inst.config
     n_tx, n_rx = cfg.n_tx, cfg.n_rx
-    both4 = (inst.target_cov + inst.interf_cov).reshape(n_rx, n_tx, n_rx, n_tx)
-    intf4 = inst.interf_cov.reshape(n_rx, n_tx, n_rx, n_tx)
+    interf_cov = reference.interf_cov(inst)
+    both4 = (reference.target_cov(inst) + interf_cov).reshape(n_rx, n_tx, n_rx, n_tx)
+    intf4 = interf_cov.reshape(n_rx, n_tx, n_rx, n_tx)
     scale = float(cfg.n_slots)
     noise = cfg.radar_noise
 
@@ -328,7 +330,7 @@ def test_criterion_11_mi_reduction_consistency():
             raw = rng.standard_normal((n_slots, 3)) + 1j * rng.standard_normal((n_slots, 3))
             q, _ = np.linalg.qr(raw)
             s = np.sqrt(n_slots) * q.conj().T
-            wt = model.expand_beamformer(w, cfg.n_rx)
+            wt = reference.expand_beamformer(w, cfg.n_rx)
             st = np.kron(np.eye(cfg.n_rx), s.conj().T)
             eye = np.eye(n_slots * cfg.n_rx)
 
@@ -338,7 +340,8 @@ def test_criterion_11_mi_reduction_consistency():
                     linalg.hermitianize(st @ inner @ st.conj().T)
                     + cfg.radar_noise * eye)
 
-            full = unreduced(inst.target_cov + inst.interf_cov) - unreduced(inst.interf_cov)
+            interf_cov = reference.interf_cov(inst)
+            full = unreduced(reference.target_cov(inst) + interf_cov) - unreduced(interf_cov)
             worst = max(worst, abs(full - model.mutual_information(inst, w)))
     elapsed = time.perf_counter() - started
     _report("criterion 11 (slot-reduction identity with orthogonal frames)",

@@ -210,9 +210,14 @@ def test_negative_seed_is_config_error(tmp_path, capsys, args, overrides, source
     (["eval", "rmse", "--grid", ""], {}, "--grid"),
     (["eval", "capon", "--grid", "1,2,3"], {}, "--grid"),
     (["eval", "beampattern", "--grid", "1,2,3"], {}, "--grid"),
+    # (stop - start) / step points: too many to solve, and numpy cannot
+    # allocate them; the count is checked before any array is made
+    (["sweep", "--grid", "1:3:1e-300"], {"sweep": {"variable": "rate_target", "grid": [1.0]}},
+     "--grid"),
+    (["eval", "rmse", "--grid", "0:inf:5"], {}, "--grid"),
 ], ids=["sweep_empty", "sweep_repeated", "cli_empty", "cli_decreasing", "cli_unparsable",
         "cli_nan", "sweep_empty_string", "rmse_empty_string", "capon_grid",
-        "beampattern_grid"])
+        "beampattern_grid", "cli_tiny_step", "cli_infinite_stop"])
 def test_invalid_grid_is_config_error(tmp_path, capsys, args, overrides, source):
     cfg_path = write_config(tmp_path / "cfg.yaml", **overrides)
     code = cli.main(args + ["--config", str(cfg_path), "--out", str(tmp_path / "o")])
@@ -221,6 +226,37 @@ def test_invalid_grid_is_config_error(tmp_path, capsys, args, overrides, source)
     assert err["error"] == "config"
     assert source in err["reason"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_config_error(tmp_path, capsys, threads):
+    cfg_path = write_config(tmp_path / "cfg.yaml",
+                            sweep={"variable": "rate_target", "grid": [1.0]})
+    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--threads", threads])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and err["reason"].startswith("--threads")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, out, source", [
+    (["solve"], "file", "--out"),
+    (["sweep"], "file/o", "--out"),
+    (["eval", "beampattern"], None, "output"),
+], ids=["out_file", "out_under_file", "config_output_file"])
+def test_output_path_through_a_file_is_config_error(tmp_path, capsys, command, out, source):
+    # an --out (or config output) naming an existing file, or a path under
+    # one, cannot become the output directory
+    (tmp_path / "file").write_text("kept\n")
+    cfg_path = write_config(tmp_path / "cfg.yaml", output=str(tmp_path / "file"),
+                            sweep={"variable": "rate_target", "grid": [1.0]})
+    args = command + ["--config", str(cfg_path)]
+    code = cli.main(args if out is None else args + ["--out", str(tmp_path / out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and err["reason"].startswith(source)
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -494,7 +494,7 @@ def first_multi_user_subproblem():
     """The first MM subproblem of the shipped 3-user config."""
     inst = model.build_instance(parse_config(CONFIGS / "multi_user.yaml").scenario)
     w0 = mm.zero_forcing_init(inst)
-    return mm.multiuser_subproblem(inst, w0, mm.build_surrogate(inst, w0))
+    return mm.multiuser_subproblem(inst, w0, mm.build_surrogate(inst, w0), mm.rate_cuts(inst))
 
 
 def constraint_values(prob, x):

@@ -110,19 +110,6 @@ def test_pinv_penrose_conditions():
         assert np.linalg.norm((p @ a).conj().T - p @ a) <= 1e-8
 
 
-def test_commutation_trivial():
-    assert np.array_equal(linalg.commutation_matrix(1, 1), np.array([[1.0]]))
-
-
-def test_commutation_transposes_vec():
-    rng = np.random.default_rng(7)
-    for m, n in ((2, 2), (3, 2), (2, 5)):
-        k = linalg.commutation_matrix(m, n)
-        a = random_complex(rng, m, n)
-        assert np.array_equal(k @ linalg.vec(a), linalg.vec(a.T))
-        assert np.array_equal(k.T @ k, np.eye(m * n))
-
-
 def test_weinstein_aronszajn_identity():
     # det(I + AB) = det(I + BA), the reduction used throughout the solvers
     rng = np.random.default_rng(8)

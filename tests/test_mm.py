@@ -11,6 +11,7 @@ from mibeam.closed_form import solve_closed_form
 from mibeam.config import parse_config
 from mibeam.errors import BracketFailure, DegenerateConstraint, Infeasible
 from mibeam.model import ScattererModel, Scenario, SystemConfig
+import reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -147,9 +148,10 @@ def _surrogate_by_expansion(inst, w):
     cfg = inst.config
     delta = cfg.n_slots / cfg.radar_noise
     expansion = model.vec_expansion_matrix(cfg.n_tx, cfg.n_rx, cfg.n_users)
-    wt = model.expand_beamformer(w, cfg.n_rx)
-    cov_both = inst.target_cov + inst.interf_cov
-    cov_root = linalg.hermitian_sqrt(inst.target_cov)
+    wt = reference.expand_beamformer(w, cfg.n_rx)
+    target_cov = reference.target_cov(inst)
+    cov_both = target_cov + reference.interf_cov(inst)
+    cov_root = linalg.hermitian_sqrt(target_cov)
     projected = linalg.hermitianize(wt @ cov_both @ wt.conj().T)
     gram = np.eye(cfg.n_users * cfg.n_rx) + delta * projected
     whitened = np.linalg.solve(gram, wt @ cov_root)
@@ -984,7 +986,7 @@ def test_multiuser_subproblem_reduces_to_single_user():
     cfg = inst.config
     w0 = feasible_beam(inst, rng)
     sur = mm.build_surrogate(inst, w0)
-    prob = mm.multiuser_subproblem(inst, w0, sur)
+    prob = mm.multiuser_subproblem(inst, w0, sur, mm.rate_cuts(inst))
     # objective matches the single-user surrogate pieces
     a0, b0, c0 = prob.objective
     assert np.allclose(a0, sur.delta * sur.quad, atol=1e-12)
@@ -1004,7 +1006,7 @@ def test_multiuser_rate_quadratics_are_psd():
     inst = multi_user_instance(seed=131, n_users=3, n_tx=5)
     w = mm.zero_forcing_init(inst)
     sur = mm.build_surrogate(inst, w)
-    prob = mm.multiuser_subproblem(inst, w, sur)
+    prob = mm.multiuser_subproblem(inst, w, sur, mm.rate_cuts(inst))
     for a_k in prob.constraints[0]:
         vals = np.linalg.eigvalsh(a_k)
         assert vals.min() >= -1e-10 * max(1.0, vals.max())
@@ -1014,7 +1016,7 @@ def test_multiuser_rate_quadratics_are_psd():
     cfg = inst.config
     w = random_complex(np.random.default_rng(13), cfg.n_tx, cfg.n_users)
     w_vec = linalg.vec(w)
-    prob = mm.multiuser_subproblem(inst, w, sur)
+    prob = mm.multiuser_subproblem(inst, w, sur, mm.rate_cuts(inst))
     for k, (a_k, b_k, c_k) in enumerate(zip(*(stack[1:] for stack in prob.constraints))):
         power = np.abs(inst.channel[k] @ w) ** 2
         nu_k = 2.0 ** cfg.rate_targets[k] - 1.0
@@ -1066,7 +1068,7 @@ def kron_constraints(inst, w):
 
 def assert_kronecker_stack(inst, w):
     sur = mm.build_surrogate(inst, w)
-    prob = mm.multiuser_subproblem(inst, w, sur)
+    prob = mm.multiuser_subproblem(inst, w, sur, mm.rate_cuts(inst))
     a0, b0, c0 = prob.objective
     assert np.array_equal(a0, sur.delta * sur.quad) and np.array_equal(b0, -sur.lin)
     assert c0 == 0.0

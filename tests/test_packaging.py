@@ -69,3 +69,14 @@ def test_the_walk_sees_the_imports_it_checks():
     # hypothesis from tests
     assert {"numpy", "pyyaml"} <= set(third_party(ROOT / "src"))
     assert {"pytest", "hypothesis"} <= set(third_party(ROOT / "tests"))
+
+
+def test_the_package_builds_no_dense_reference_forms():
+    # the covariances stay factored and the receive-stacked filter acts on
+    # factors block by block; the dense forms the tests compare against
+    # live in tests/reference.py
+    found = [f"{path.name}:{number}"
+             for path in sorted((ROOT / "src" / "mibeam").glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if "np.kron" in line or "commutation" in line]
+    assert not found, f"dense reference constructions in src/: {found}"
