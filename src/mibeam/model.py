@@ -264,13 +264,15 @@ def reduce_instance(inst: Instance) -> tuple[Instance, np.ndarray]:
 
 
 def as_beam_matrix(w, cfg: SystemConfig) -> np.ndarray:
-    """Normalize a beamformer to shape (N_T, K); 1-D input means K = 1."""
+    """Normalize a beamformer to shape (N_T, K), 1-D input meaning K = 1, in
+    C order: BLAS rounds by layout, so one layout makes the MI, the rates and
+    the certificate depend only on the design's values."""
     w = np.asarray(w, dtype=complex)
     if w.ndim == 1:
         w = w[:, None]
     if w.shape != (cfg.n_tx, cfg.n_users):
         raise ValueError(f"beamformer: expected shape {(cfg.n_tx, cfg.n_users)}, got {w.shape}")
-    return w
+    return np.ascontiguousarray(w)
 
 
 def vec_expansion_matrix(n_tx: int, n_rx: int, n_users: int) -> np.ndarray:

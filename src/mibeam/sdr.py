@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conic, mm, model
-from .errors import NumericalError
 from .linalg import hermitian_sqrt, hermitianize, unvec
 
 DEFAULT_RANDOMIZATIONS = 1000
@@ -153,11 +152,9 @@ def solve_point_interference(inst: model.Instance, seed,
     """Full pipeline: the feasibility verdict of :func:`mm.zero_forcing_init`
     (raises :class:`Infeasible`), then relax, solve, randomize.  Past the
     verdict the relaxation is strictly feasible, so a relaxed solve that
-    ends in any status but ``optimal`` raises :class:`NumericalError`."""
+    :func:`conic.solve_sdp` cannot certify is a :class:`NumericalError`."""
     mm.zero_forcing_init(inst)
     report = conic.solve_sdp(build_sdp(inst))
-    if report.status != conic.OPTIMAL:
-        raise NumericalError(f"relaxed solve ended with status {report.status}")
     return SdrReport(
         w=randomize(report.solution, inst, seed, n_randomizations),
         bound_nats=relaxed_mi_bound(report.aux, inst.config.radar_noise),

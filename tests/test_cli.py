@@ -30,7 +30,8 @@ def write_config(path: Path, **overrides) -> Path:
         "output": str(path.parent / "out"),
     }
     for key, value in overrides.items():
-        if isinstance(value, dict) and key in cfg and isinstance(cfg[key], dict):
+        # a mapping updates the default one; a channel that names its kind replaces it
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict) and "kind" not in value:
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -346,9 +347,41 @@ def write_channel(path: Path, h) -> Path:
       "solver": {"name": "mm-single"}}, "scatterer: strengths"),
     ({"solver": {"eps1": np.nan}}, "solver.eps1"),
     ({"solver": {"max_iters": -5}}, "solver.max_iters"),
+    # a key outside its mapping's form
+    ({"system": {"n_txx": 6}}, "system.n_txx"),
+    ({"solver": {"esp1": 1e-3}}, "solver.esp1"),
+    ({"solver": {"max_iter": 20}}, "solver.max_iter"),
+    ({"eval": {"trails": 5}}, "eval.trails"),
+    ({"outptu": "elsewhere"}, "config.outptu"),
+    ({"sweep": {"variable": "power_dbm", "grid": [30.0], "scheme": "sdr"}}, "sweep.scheme"),
+    ({"channel": {"kind": "file", "path": "h.json", "seed": 3}}, "channel.seed"),
+    ({"channel": {"kind": "rayleigh", "path": "h.json"}}, "channel.path"),
+    ({"interference": {"angles": [-30.0], "strengths": [1.0], "count": 5}},
+     "interference.count"),
+    ({"interference": {"span": [-30.0, -25.0], "count": 50, "strength": 1.0,
+                       "strengths": [1.0]}}, "interference.strengths"),
+    # an integer field given a fraction or a boolean
+    ({"system": {"n_tx": 6.7}}, "system.n_tx"),
+    ({"system": {"n_rx": True}}, "system.n_rx"),
+    ({"system": {"n_users": 1.5}}, "system.n_users"),
+    ({"system": {"n_slots": 30.5}}, "system.n_slots"),
+    ({"system": {"rng_seed": False}}, "system.rng_seed"),
+    ({"channel": {"seed": 6.5}}, "channel.seed"),
+    ({"interference": {"span": [-30.0, -25.0], "count": 50.9, "strength": 1.0},
+      "solver": {"name": "mm-single"}}, "interference.count"),
+    ({"solver": {"max_iters": 20.5}}, "solver.max_iters"),
+    ({"solver": {"randomizations": True}}, "solver.randomizations"),
+    ({"eval": {"trials": 2.5}}, "eval.trials"),
+    ({"eval": {"echo_seed": 0.25}}, "eval.echo_seed"),
 ], ids=["n_tx", "rate_targets", "watts", "channel_seed", "max_iters", "eps1", "trials",
         "sweep_grid", "nan_channel", "nan_rate_target", "inf_watts", "nan_strength",
-        "nan_eps1", "negative_max_iters"])
+        "nan_eps1", "negative_max_iters", "unknown_system_key", "unknown_solver_key",
+        "unknown_solver_max_iter", "unknown_eval_key", "unknown_root_key", "unknown_sweep_key",
+        "file_channel_seed", "rayleigh_channel_path", "point_scatterer_count",
+        "mixed_scatterer_forms", "fractional_n_tx", "boolean_n_rx", "fractional_n_users",
+        "fractional_n_slots", "boolean_rng_seed", "fractional_channel_seed",
+        "fractional_count", "fractional_max_iters", "boolean_randomizations",
+        "fractional_trials", "fractional_echo_seed"])
 def test_malformed_value_is_config_error_naming_its_field(tmp_path, capsys, overrides, source):
     h = np.ones((1, 6), dtype=complex)
     h[0, 2] = np.nan
@@ -360,6 +393,19 @@ def test_malformed_value_is_config_error_naming_its_field(tmp_path, capsys, over
     assert err["error"] == "config"
     assert err["reason"].startswith(source)
     assert not (tmp_path / "o").exists()
+
+
+def test_integer_fields_take_floats_with_no_fraction(tmp_path):
+    whole = write_config(tmp_path / "whole.yaml", system={"n_tx": 6.0, "rng_seed": 3.0},
+                         interference={"span": [-30.0, -25.0], "count": 50.0, "strength": 1.0},
+                         solver={"name": "mm-single", "max_iters": 20.0})
+    exact = write_config(tmp_path / "exact.yaml", system={"n_tx": 6, "rng_seed": 3},
+                         interference={"span": [-30.0, -25.0], "count": 50, "strength": 1.0},
+                         solver={"name": "mm-single", "max_iters": 20})
+    parsed, expected = parse_config(whole), parse_config(exact)
+    assert parsed.scenario.config == expected.scenario.config
+    assert parsed.scenario.interference == expected.scenario.interference
+    assert parsed.solver == expected.solver
 
 
 def test_file_channel_relative_to_config_reads_back_bit_identical(tmp_path):

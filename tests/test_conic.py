@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from mibeam import conic, mm, model, sdr
 from mibeam.config import parse_config
+from mibeam.errors import NumericalError
 from test_reduction import sdr_point_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -50,7 +52,6 @@ def test_sdp_lambda_max_matches_eigenvalue_oracle():
         a = herm(rng, 3)
         expected = float(np.max(np.linalg.eigvalsh(a)))
         report = conic.solve_sdp(lambda_max_problem(a), tol=1e-9)
-        assert report.status == conic.OPTIMAL
         assert report.aux == pytest.approx(expected, abs=1e-6)
 
 
@@ -111,7 +112,6 @@ def test_sdp_trace_maximization():
         lmi_blocks=(trace_cut(np.eye(n), p0),),
     )
     report = conic.solve_sdp(prob, tol=1e-9)
-    assert report.status == conic.OPTIMAL
     assert -report.objective == pytest.approx(p0, rel=1e-6)
 
 
@@ -140,7 +140,6 @@ def test_sdp_solution_is_psd_and_feasible():
         lmi_blocks=(trace_cut(np.eye(n), 5.0),),
     )
     report = conic.solve_sdp(prob, tol=1e-9)
-    assert report.status == conic.OPTIMAL
     vals = np.linalg.eigvalsh(report.solution)
     assert vals.min() >= -1e-9
     assert np.trace(report.solution).real <= 5.0 + 1e-7
@@ -191,7 +190,6 @@ def test_qcqp_projection_onto_ball():
         prob = qcqp((np.eye(n, dtype=complex), -c, float(np.linalg.norm(c) ** 2)),
                     (np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -1.0))
         report = conic.solve_qcqp(prob, tol=1e-9)
-        assert report.status == conic.OPTIMAL
         expected = c / max(1.0, np.linalg.norm(c))
         assert np.linalg.norm(report.solution - expected) <= 1e-5
 
@@ -205,11 +203,9 @@ def test_qcqp_loose_ball_recovers_unconstrained_minimum():
                 (np.eye(n, dtype=complex), np.zeros(n, dtype=complex),
                  -100.0 * float(np.linalg.norm(b) ** 2 + 1.0)))
     report = conic.solve_qcqp(prob, tol=1e-10)
-    assert report.status == conic.OPTIMAL
     assert np.linalg.norm(report.solution - b) <= 1e-5
     # and with no constraint at all, where the engine has no barrier term
     report = conic.solve_qcqp(qcqp(prob.objective), tol=1e-10)
-    assert report.status == conic.OPTIMAL
     assert np.linalg.norm(report.solution - b) <= 1e-5
 
 
@@ -246,7 +242,6 @@ def test_qcqp_matches_projected_gradient_oracle():
                             float(np.linalg.norm(center) ** 2 - radius ** 2)))
     prob = qcqp((a0, -b0, 0.0), *constraints)
     report = conic.solve_qcqp(prob, tol=1e-10)
-    assert report.status == conic.OPTIMAL
 
     # projected gradient on f(x) = x^H A0 x - 2 Re(b0^H x)
     lip = 2.0 * float(np.max(np.linalg.eigvalsh(a0)))
@@ -269,7 +264,7 @@ def test_qcqp_matches_projected_gradient_oracle():
 
 def test_qcqp_infeasible_detection():
     # two disjoint balls: the dual is unbounded, and with no infeasibility
-    # certificate the solve ends max_iter on its step cap or overflow
+    # certificate the solve raises on its step cap or overflow
     n = 2
     constraints = (
         (np.eye(n, dtype=complex), np.zeros(n, dtype=complex), -1.0),  # ||x||^2 <= 1
@@ -277,9 +272,10 @@ def test_qcqp_infeasible_detection():
          2.0 * n * 9.0 / 2.0 - 0.5),  # ||x - 3e||^2 <= 0.5
     )
     prob = qcqp((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), 0.0), *constraints)
-    report = conic.solve_qcqp(prob)
-    assert report.status == conic.MAXITER
-    assert report.iterations <= conic.DUAL_NEWTON_STEPS
+    with pytest.raises(NumericalError, match="no certified central point") as failure:
+        conic.solve_qcqp(prob)
+    steps = re.search(r"in (\d+) Newton steps", str(failure.value)).group(1)
+    assert int(steps) <= conic.DUAL_NEWTON_STEPS
 
 
 def test_qcqp_without_a_definite_lagrangian_is_max_iter():
@@ -287,14 +283,16 @@ def test_qcqp_without_a_definite_lagrangian_is_max_iter():
     n = 2
     linear = qcqp((np.zeros((n, n), dtype=complex), np.ones(n, dtype=complex), 0.0),
                   (np.zeros((n, n), dtype=complex), np.ones(n, dtype=complex), -1.0))
-    assert conic.solve_qcqp(linear).status == conic.MAXITER
+    with pytest.raises(NumericalError, match="not positive definite"):
+        conic.solve_qcqp(linear)
     # infeasible slabs, every combination of the cuts singular: the unbounded
     # dual runs out as the disjoint balls' does
     flat = np.diag([1.0, 0.0]).astype(complex)
     slabs = qcqp((np.eye(n, dtype=complex), np.zeros(n, dtype=complex), 0.0),
                  (flat, np.zeros(n, dtype=complex), -1.0),
                  (flat, np.array([-3.0, 0.0], dtype=complex), 8.5))
-    assert conic.solve_qcqp(slabs).status == conic.MAXITER
+    with pytest.raises(NumericalError, match="no certified central point"):
+        conic.solve_qcqp(slabs)
 
 
 def test_qcqp_constraints_hold_at_solution():
@@ -437,7 +435,7 @@ def test_start_outside_the_interior_raises():
     # a start outside a feasible set, or without its scalar, is rejected too
     a = herm(np.random.default_rng(0), 3)
     inside = lambda_max_problem(a)
-    assert conic.solve_sdp(inside).status == conic.OPTIMAL
+    conic.solve_sdp(inside)  # returns: the start is inside
     with pytest.raises(ValueError, match="scalar"):
         replace(inside, start=(inside.start[0], None))
     below = replace(inside, start=(inside.start[0], float(np.linalg.eigvalsh(a).max()) - 1e-3))
@@ -506,7 +504,6 @@ def test_qcqp_multi_user_subproblem_regression():
     prob = first_multi_user_subproblem()
     r1 = conic.solve_qcqp(prob, tol=mm.SUBPROBLEM_GAP_TOL)
     r2 = conic.solve_qcqp(prob, tol=mm.SUBPROBLEM_GAP_TOL)
-    assert r1.status == conic.OPTIMAL
     assert r1.objective == pytest.approx(-49.9231471853, rel=1e-9)
     # 16 dual Newton steps from all-ones multipliers
     assert r1.iterations <= 16
@@ -540,7 +537,6 @@ def test_qcqp_newton_steps_over_multi_user_solve(monkeypatch):
     assert sum(report.iterations for _, _, report in calls) <= 110
     # every answer is certified: feasible as evaluated, gap within tol
     for prob, tol, report in calls:
-        assert report.status == conic.OPTIMAL
         assert constraint_values(prob, report.solution).max() <= 0.0
         assert report.gap <= tol * (1.0 + abs(report.objective))
 
@@ -558,7 +554,6 @@ def test_qcqp_warm_start_from_own_multipliers():
     for prob in problems:
         report = conic.solve_qcqp(prob, tol=1e-9)
         again = conic.solve_qcqp(prob, 1e-9, report.multipliers)
-        assert again.status == conic.OPTIMAL
         assert again.iterations <= 2
         assert np.linalg.norm(again.solution - report.solution) \
             <= 1e-9 * np.linalg.norm(report.solution)
@@ -575,7 +570,6 @@ def test_qcqp_kkt_at_the_answer():
                    for r in rng.uniform(0.0, 1.0, 3)))
     for qp in (prob, balls):
         report = conic.solve_qcqp(qp, tol=1e-9)
-        assert report.status == conic.OPTIMAL
         x, lam = report.solution, report.multipliers
         assert lam.shape == qp.constraints[2].shape and np.all(lam > 0.0)
         a0, b0, _ = qp.objective

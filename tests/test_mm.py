@@ -925,7 +925,7 @@ def test_zero_forcing_init_names_the_least_power_when_infeasible(channel_seed, l
 @pytest.mark.parametrize("factor", [1.0 - 1e-13, 1.0, 1.0 + 1e-14])
 def test_budget_at_the_least_power_is_infeasible(scheme, n_users, channel_seed, least_w, factor):
     # a start at the least power leaves the map no room to move: the
-    # multiplier solve failed to bracket (one user) or the QCQP ended max_iter
+    # multiplier solve failed to bracket (one user) or the QCQP ended uncertified
     # or overflowed (three users).  Targets whose least power reaches
     # P0 (1 - POWER_RTOL) are infeasible, and the message tells the two
     # powers apart

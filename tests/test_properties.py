@@ -29,7 +29,7 @@ RATES = (0.0, 0.1, 0.5, 2.0, 4.0, 6.0)
 BUDGET_FACTORS = (1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 1e-9, 1.0 + 1e-6, 1.01, 2.0, 10.0)
 INTERF_STRENGTHS = (0.0, 1.0, 100.0, 1e4)
 # the SDR relaxation, started inside the feasible set, can end uncentred
-# (max_iter) when the budget is within this relative slack of the least
+# (a NumericalError) when the budget is within this relative slack of the least
 # power: on bench/configs/sdr_point.yaml's geometry, channels 1-60, it
 # centres at 1e-10 and above and ends uncentred on some channels at 1e-11
 SDR_THIN_SLACK = 1e-10
@@ -86,7 +86,7 @@ def pinned(n_tx, n_rx, rates, interferer, channel_seed, factor, scheme="mm-multi
 
 
 @given(cases())
-# a zero target's cut was identically zero: the QCQP ended max_iter (exit 4)
+# a zero target's cut was identically zero: the QCQP ended uncertified (exit 4)
 @example(pinned(6, 6, (0.0, 6.0, 6.0), (8, 100.0), 1, 10.0))
 @example(pinned(6, 6, (4.0, 0.0, 4.0), None, 1, 2.0))
 # the least power of a zero-target user was -7e-18 W: a false Infeasible
@@ -103,7 +103,7 @@ def pinned(n_tx, n_rx, rates, interferer, channel_seed, factor, scheme="mm-multi
 @example(pinned(4, 6, (2.0,), (8, 0.0), 1, 10.0, "mm-single"))
 @example(pinned(2, 1, (0.5,), None, 29, 2.0, "mm-single"))
 # a cold dual start at barrier weight 6e9 never passed its first line
-# search, and the first subproblem ended max_iter (exit 4)
+# search, and the first subproblem ended uncertified (exit 4)
 @example(pinned(2, 1, (8.0, 0.0), (4, 100.0), 0, 1000.0))
 @example(pinned(2, 1, (8.0, 0.0), (4, 100.0), 2, 1000.0))
 def test_solve_meets_the_constraints_or_is_infeasible(case):

@@ -1,11 +1,13 @@
 """The sensing-subspace reduction of an instance and the solves that use it."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mibeam import conic, dispatch, evaluation, mm, model, sdr
+from mibeam.errors import NumericalError
 from mibeam.model import ScattererModel, Scenario, SystemConfig
 
 INTERFERERS = {
@@ -137,14 +139,13 @@ UNCENTRED_SDR_MI = {29: 8.834407590208308, 39: 9.224591638567277, 42: 9.22601464
 def test_sdr_on_uncentred_channels_meets_its_bound(channel_seed):
     scenario = sdr_point_scenario(channel_seed)
     result = dispatch.solve_scenario(scenario, "sdr", dispatch.SolverOptions(seed=channel_seed))
-    assert result.status == conic.OPTIMAL
+    assert result.status == "optimal"
     assert result.extras["reduced_dim"] == 3
     assert result.mi_bits <= result.extras["mi_bound_bits"] * (1.0 + 1e-6)
     assert result.mi_nats >= UNCENTRED_SDR_MI[channel_seed]
     # from its start the full 6x6 SDP centres too, at the reduced bound
     inst = model.build_instance(scenario)
     full = conic.solve_sdp(sdr.build_sdp(inst))
-    assert full.status == conic.OPTIMAL
     assert sdr.relaxed_mi_bound(full.aux, inst.config.radar_noise) / np.log(2.0) \
         == pytest.approx(result.extras["mi_bound_bits"], rel=1e-7)
 
@@ -157,18 +158,18 @@ def test_flat_reduced_sdp_ends_at_its_centring_floor():
     the whole solve fits in one round's Newton budget."""
     reduced, _ = model.reduce_instance(model.build_instance(sdr_point_scenario(27)))
     report = conic.solve_sdp(sdr.build_sdp(reduced))
-    assert report.status == conic.OPTIMAL
     assert report.iterations < conic.NEWTON_PER_ROUND
 
 
 def test_uncentred_full_space_sdp_is_not_optimal():
     """Channel 4's thin feasible set at relative slack 1e-11: the full 6x6
     SDP ends its final centring far from the centre, so its gap bound
-    certifies nothing."""
+    certifies nothing, and the solve raises."""
     scenario = thin_set_scenario(1e-11, channel_seed=4)
-    report = conic.solve_sdp(sdr.build_sdp(model.build_instance(scenario)))
-    assert report.decrement / 2.0 > conic.LOOSE_CENTER_TOL
-    assert report.status == conic.MAXITER
+    with pytest.raises(NumericalError, match="decrement") as failure:
+        conic.solve_sdp(sdr.build_sdp(model.build_instance(scenario)))
+    decrement = re.search(r"half squared decrement (\S+)", str(failure.value)).group(1)
+    assert float(decrement) > conic.LOOSE_CENTER_TOL
 
 
 def test_large_array_single_user_converges_with_full_space_certificate():
