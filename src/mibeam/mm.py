@@ -4,13 +4,16 @@ The nonconcave mutual information is minorized at each iterate by a touching
 concave quadratic in w; the schemes differ only in the subproblem.  For one
 user it is solved in closed form through its Lagrangian dual, with a
 secular-equation Newton solve for the power multiplier in the eigenbasis of
-the surrogate curvature, and SQUAREM extrapolation accelerates the map.  For
-K users the subproblem keeps the linearized per-user rate constraints, a
-convex QCQP built as one stack (:func:`multiuser_subproblem`) and solved
-through its Lagrangian dual by Newton steps in the K + 1 multipliers
-(:func:`conic.solve_qcqp`), each warm-started from the multipliers of the
-one before.  The stack's w-independent part (:func:`rate_cuts`) is built
-once per solve; each map forms only the linearized signal terms.
+the surrogate curvature, and SQUAREM extrapolation accelerates the map.
+Each map tries the multiplier of the map before it first: a step over the
+budget there starts the Newton solve, and the zero-multiplier step is formed
+only when it is within the budget.  For K users the subproblem keeps the
+linearized per-user rate constraints, a convex QCQP built as one stack
+(:func:`multiuser_subproblem`) and solved through its Lagrangian dual by
+Newton steps in the K + 1 multipliers (:func:`conic.solve_qcqp`), each
+warm-started from the multipliers of the one before.  The stack's
+w-independent part (:func:`rate_cuts`) is built once per solve; each map
+forms only the linearized signal terms.
 
 One solve path (:func:`_solve`) serves both: one start with its feasibility
 verdict, one map that scales every subproblem answer to the full power
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -66,19 +70,25 @@ FD_RSTEP = 1e-6            # relative forward-difference step of the KKT Jacobia
 SUBPROBLEM_GAP_TOL = 1e-9  # conic gap for the multi-user subproblem
 
 
-@dataclass(frozen=True)
 class Surrogate:
     """Touching concave quadratic lower bound of the mutual information.
 
     value(w) = 2 delta Re(w^H lin) - delta^2 w^H quad w + offset, in nats,
     where w stacks the beamformer columns.  ``quad`` is Hermitian PSD and the
     bound touches the true objective at the iterate it was built from.
+    ``offset`` is a number, or a function of no arguments that gives it on
+    its first read: the MM maps and the certificate read lin and quad only.
     """
 
-    lin: np.ndarray
-    quad: np.ndarray
-    offset: float
-    delta: float
+    def __init__(self, lin: np.ndarray, quad: np.ndarray, offset, delta: float):
+        self.lin, self.quad, self.delta = lin, quad, delta
+        self._offset = offset
+
+    @property
+    def offset(self) -> float:
+        if callable(self._offset):
+            self._offset = self._offset()
+        return self._offset
 
     def value(self, w_vec: np.ndarray) -> float:
         linear = 2.0 * self.delta * float(np.real(np.vdot(w_vec, self.lin)))
@@ -104,10 +114,12 @@ def build_surrogate(inst: model.Instance, w) -> Surrogate:
     gives the linear term, and the receive-gain factor G = T^{-1} Y_t C =
     X C^{-H} gives the quadratic term quad = U U^H, U[(k, n), (j, m)] =
     sum_r conj(G[(r, k), j]) F[(r, n), m] over the columns m of both
-    factors, PSD by construction.  The mutual information at w, for the
-    offset, is -log det E = log det S.  Any factor of the target covariance
-    gives the same lin, quad and offset; the tests compare against the
-    explicit stacking-map construction from the dense covariances.
+    factors (:attr:`model.Instance.factors`), PSD by construction.  The
+    mutual information at w, for the offset, is -log det E = log det S; the
+    offset is formed on its first read (:func:`_surrogate_offset`), which no
+    solve makes.  Any factor of the target covariance gives the same lin,
+    quad and offset; the tests compare against the explicit stacking-map
+    construction from the dense covariances.
     """
     cfg = inst.config
     point = _sensed(inst, w)
@@ -119,18 +131,23 @@ def build_surrogate(inst: model.Instance, w) -> Surrogate:
     # lin is vec of sum_r F_t,r X_r^H over the receive blocks r
     lin = vec(np.einsum("rnm,rkm->nk", inst.target_factor.reshape(n_rx, n_tx, -1),
                         x.reshape(n_rx, n_users, -1).conj()))
-    factors = np.concatenate([inst.target_factor, inst.interf_factor], axis=1)
-    u = gain.reshape(n_rx, -1).conj().T @ factors.reshape(n_rx, -1)  # (k, j) x (n, m)
-    u = u.reshape(n_users, -1, n_tx, factors.shape[1]).transpose(0, 2, 1, 3)
+    u = gain.reshape(n_rx, -1).conj().T @ inst.factors.reshape(n_rx, -1)  # (k, j) x (n, m)
+    u = u.reshape(n_users, -1, n_tx, inst.factors.shape[1]).transpose(0, 2, 1, 3)
     u = u.reshape(n_users * n_tx, -1)                                # (k, n) x (j, m)
     quad = hermitianize(u @ u.conj().T)
+    return Surrogate(lin=lin, quad=quad, offset=partial(_surrogate_offset, point, x, gain, delta),
+                     delta=delta)
 
+
+def _surrogate_offset(point: model.SensingPoint, x: np.ndarray, gain: np.ndarray,
+                      delta: float) -> float:
+    """The offset of :func:`build_surrogate`, from its X and G: the MI at w
+    less the linear term and plus the quadratic term there."""
     touch = 2.0 * delta * float(np.real(np.vdot(point.y_t, x)))
     # delta^2 G^H Wt R Wt^H G, with Wt R Wt^H = Y_t Y_t^H + Y_i Y_i^H
     curvature = (delta ** 2) * sum(float(np.linalg.norm(y.conj().T @ gain)) ** 2
                                    for y in (point.y_t, point.y_i))
-    offset = point.mi - touch + curvature
-    return Surrogate(lin=lin, quad=quad, offset=offset, delta=delta)
+    return point.mi - touch + curvature
 
 
 def _sensed(inst: model.Instance, w) -> model.SensingPoint:
@@ -148,7 +165,9 @@ class MmReport:
     comp_power: Optional[float] = None
     comp_rate: Optional[float] = None
     # inner-solve work: dual Newton steps of the QCQP (K users), or
-    # evaluations of ShiftedCurvature.step in the multiplier solve (one user)
+    # evaluations of ShiftedCurvature.step (one user): per map the warm step,
+    # the zero-multiplier step when the warm one is within the budget, and
+    # the rest of the multiplier solve
     inner_steps: int = 0
     finish_steps: int = 0     # Newton steps of the accepted finishes
     wall_time_s: float = 0.0
@@ -199,7 +218,10 @@ class ShiftedCurvature:
         """
         self.evaluations += 1
         shifted = self.vals + tau
-        s = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
+        if tau > 0.0:  # then every shifted eigenvalue is positive
+            s = 1.0 / shifted
+        else:
+            s = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
         x = s * self.c
         attained = 2.0 * float(np.real(np.vdot(self.r, x)))
         if attained < omega_shift and tau == 0.0:
@@ -239,8 +261,19 @@ def rate_constrained_step(curvature: ShiftedCurvature, omega_shift: float, tau: 
     return curvature.vecs @ x, mu
 
 
+def _guarded_step(curvature: ShiftedCurvature, omega_shift: float, tau: float):
+    """:meth:`ShiftedCurvature.step` at tau with floating-point faults raised,
+    an overflow or a divisor that underflowed to 0 as :class:`BracketFailure`."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return curvature.step(omega_shift, tau)
+    except ArithmeticError as exc:
+        raise BracketFailure(f"the power multiplier left the range of finite "
+                             f"arithmetic at tau = {tau:.3g}") from exc
+
+
 def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0: float,
-                            tau: float = 1.0):
+                            tau: float = 1.0, first=None):
     """Find the power multiplier with ||w(tau)||^2 = P0 by a safeguarded
     secular-equation Newton iteration (More & Sorensen 1983).
 
@@ -248,26 +281,24 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
     unpenalized step exceeds the budget.  Newton runs on phi = 1/sqrt(p) -
     1/sqrt(P_t), nearly linear in tau, aimed at P_t = P0 (1 - POWER_RTOL/2)
     so that it stops inside [P0 (1 - POWER_RTOL), P0].  Each evaluation is
-    :meth:`ShiftedCurvature.step`.  tau starts at the given positive value
-    (the MM map passes the multiplier of its previous solve, which is close)
-    and a bracket [lo, hi] safeguards it: while no feasible tau is known, a
-    Newton step from the left is taken whenever it increases tau, and tau
-    doubles otherwise; once one is, an iterate outside the bracket is
-    replaced by hi / MULTIPLIER_DECADE while lo = 0, by the geometric
-    midpoint otherwise.  Returns (tau, x, mu) from the feasible side: the
-    step of the evaluation that set hi, in the eigenbasis (w = V x), so no
-    evaluation is repeated.  The name, from the bisection this replaced, is
-    kept for the benchmark's tracer, which looks the function up by it.
+    :func:`_guarded_step`.  tau starts at the given positive value (the MM
+    map passes the multiplier of its previous solve, which is close);
+    ``first``, when given, is the caller's :func:`_guarded_step` at that tau,
+    taken as the first iterate instead of being repeated.  A bracket [lo,
+    hi] safeguards tau: while no feasible tau is known, a Newton step from
+    the left is taken whenever it increases tau, and tau doubles otherwise;
+    once one is, an iterate outside the bracket is replaced by hi /
+    MULTIPLIER_DECADE while lo = 0, by the geometric midpoint otherwise.
+    Returns (tau, x, mu) from the feasible side: the step of the evaluation
+    that set hi, in the eigenbasis (w = V x), so no evaluation is repeated.
+    The name, from the bisection this replaced, is kept for the benchmark's
+    tracer, which looks the function up by it.
     """
     target = p0 * (1.0 - 0.5 * POWER_RTOL)
     lo, hi = 0.0, np.inf
     for _ in range(MULTIPLIER_EVALS):
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                x, mu, p, slope = curvature.step(omega_shift, tau)
-        except ArithmeticError as exc:  # overflow, or a divisor that underflowed to 0
-            raise BracketFailure(f"the power multiplier left the range of finite "
-                                 f"arithmetic at tau = {tau:.3g}") from exc
+        x, mu, p, slope = _guarded_step(curvature, omega_shift, tau) if first is None else first
+        first = None
         # the band less a margin for the roundoff of forming w from x
         if abs(p - target) <= 0.45 * POWER_RTOL * p0:
             hi, accepted = tau, (x, mu)
@@ -348,20 +379,32 @@ class _SingleUserMap(_MmMap):
         self.tau = 1.0
 
     def subproblem(self, point: model.SensingPoint) -> np.ndarray:
-        """The tau = 0 step is the maximizer when it meets the budget and,
-        for a rank-deficient curvature, c has no component along the flat
-        directions (the step meets the cut there with mu = 0, so c alone
-        decides); otherwise the budget binds, and the multiplier is found by
-        :func:`bisect_power_multiplier`, started from ``tau``.  Either way
-        w = V x is formed once, from the accepted step."""
+        """The step at the warm multiplier ``tau`` goes first.  Over the
+        budget, it shows that the budget binds, since p(tau) is
+        non-increasing, and :func:`bisect_power_multiplier` takes it as its
+        first iterate; the tau = 0 step is not formed.  Otherwise, or when
+        the warm step raises, the tau = 0 step decides: it is the maximizer
+        when it meets the budget and, for a rank-deficient curvature, c has
+        no component along the flat directions (the step meets the cut there
+        with mu = 0, so c alone decides); otherwise the budget binds, and the
+        multiplier solve starts from ``tau``, reusing the warm step if it was
+        formed.  Either way w = V x is formed once, from the accepted step."""
         w = point.w
         curvature = ShiftedCurvature(build_surrogate(self.inst, point), self.h, w)
         omega_shift = float(np.abs(np.vdot(self.h, w)) ** 2) + self.omega
-        x, _, power, _ = curvature.step(omega_shift, 0.0)
-        c = curvature.c
-        flat = float(np.linalg.norm(c[curvature.vals == 0.0]))
-        if power > self.p0 or flat > 1e-10 * max(float(np.linalg.norm(c)), 1e-300):
-            self.tau, x, _ = bisect_power_multiplier(curvature, omega_shift, self.p0, self.tau)
+        try:
+            warm = _guarded_step(curvature, omega_shift, self.tau)
+        except NumericalError:
+            warm = None  # the multiplier solve repeats it, and raises, if it runs
+        binds = warm is not None and warm[2] > self.p0
+        if not binds:
+            x, _, power, _ = curvature.step(omega_shift, 0.0)
+            c = curvature.c
+            flat = float(np.linalg.norm(c[curvature.vals == 0.0]))
+            binds = power > self.p0 or flat > 1e-10 * max(float(np.linalg.norm(c)), 1e-300)
+        if binds:
+            self.tau, x, _ = bisect_power_multiplier(curvature, omega_shift, self.p0, self.tau,
+                                                     warm)
         self.inner_steps += curvature.evaluations
         return (curvature.vecs @ x).reshape(w.shape)
 

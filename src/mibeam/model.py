@@ -16,6 +16,7 @@ information is natural-log internally (bits only at reporting boundaries).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -139,6 +140,12 @@ class Instance:
     target_factor: np.ndarray
     interf_factor: np.ndarray
 
+    @cached_property
+    def factors(self) -> np.ndarray:
+        """The target and interference factors side by side, [F_t, F_i],
+        formed on first use and kept with the instance."""
+        return np.concatenate([self.target_factor, self.interf_factor], axis=1)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -189,9 +196,14 @@ def scatterer_factor(model: ScattererModel, cfg: SystemConfig) -> np.ndarray:
     return factor * np.sqrt(np.asarray(model.strengths))
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix a a^H."""
-    return linalg.hermitianize(a @ a.conj().T)
+def _shifted_gram(a: np.ndarray, delta: float) -> np.ndarray:
+    """I + delta (a a^H + (a a^H)^H) / 2, with the identity added to the
+    diagonal in place: the operation order, and so the rounding, of
+    ``np.eye(n) + delta * linalg.hermitianize(a @ a.conj().T)`` without
+    forming the identity and the sum."""
+    gram = delta * linalg.hermitianize(a @ a.conj().T)
+    gram.reshape(-1)[::gram.shape[0] + 1] += 1.0
+    return gram
 
 
 def rayleigh_channel(n_users: int, n_tx: int, seed: int) -> np.ndarray:
@@ -340,11 +352,11 @@ def sensing_point(inst: Instance, w) -> SensingPoint:
     y_t = expanded_times(w_mat, inst.target_factor, cfg.n_rx)
     y_i = expanded_times(w_mat, inst.interf_factor, cfg.n_rx)
     try:
-        chol_i = np.linalg.cholesky(np.eye(y_i.shape[0]) + delta * _gram(y_i))
+        chol_i = np.linalg.cholesky(_shifted_gram(y_i, delta))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("interference covariance is not positive definite") from exc
     z = np.linalg.solve(chol_i, y_t)
-    chol_s, mi = linalg.cholesky_logdet(np.eye(y_t.shape[1]) + delta * _gram(z.conj().T))
+    chol_s, mi = linalg.cholesky_logdet(_shifted_gram(z.conj().T, delta))
     return SensingPoint(w=w_mat, y_t=y_t, y_i=y_i, chol_i=chol_i, z=z, chol_s=chol_s, mi=mi)
 
 

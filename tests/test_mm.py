@@ -169,6 +169,20 @@ def _surrogate_by_expansion(inst, w):
     return lin, quad, model.mutual_information(inst, w) - touch + curvature, touch + curvature
 
 
+def eager_offset(inst, w):
+    """The surrogate offset formed eagerly, in the operation order of
+    build_surrogate: the MI at w less the linear term and plus the quadratic
+    term there, from X = L_i^{-H} Z and G = X C^{-H} of the sensing point."""
+    point = model.sensing_point(inst, w)
+    delta = float(inst.config.n_slots) / inst.config.radar_noise
+    x = np.linalg.solve(point.chol_i.conj().T, point.z)
+    gain = np.linalg.solve(point.chol_s, x.conj().T).conj().T
+    touch = 2.0 * delta * float(np.real(np.vdot(point.y_t, x)))
+    curvature = (delta ** 2) * sum(float(np.linalg.norm(y.conj().T @ gain)) ** 2
+                                   for y in (point.y_t, point.y_i))
+    return point.mi - touch + curvature
+
+
 def test_surrogate_matches_direct_expansion_construction():
     # the factored construction must equal the explicit Kronecker/expansion
     # congruence built from the dense covariances and their square root
@@ -179,6 +193,7 @@ def test_surrogate_matches_direct_expansion_construction():
     assert np.allclose(sur.lin, lin, atol=1e-12)
     assert np.allclose(sur.quad, quad, atol=1e-10)
     assert sur.offset == pytest.approx(offset, rel=1e-11)
+    assert sur.offset == eager_offset(inst, w)  # formed on first read, bit for bit
 
     # 6x6 arrays under the 50-component strength-100 interferer, and a
     # 3-component extended target with and without interference
@@ -200,6 +215,7 @@ def test_surrogate_matches_direct_expansion_construction():
             assert np.linalg.norm(sur.lin - lin) <= rtol * np.linalg.norm(lin)
             assert np.linalg.norm(sur.quad - quad) <= rtol * np.linalg.norm(quad)
             assert abs(sur.offset - offset) <= rtol * (abs(offset) + offset_scale)
+            assert sur.offset == eager_offset(inst, w)
 
 
 def test_surrogate_quadratic_is_psd():
@@ -512,25 +528,152 @@ def test_step_meets_the_cut_along_flat_directions_at_tau_zero():
 
 
 def test_power_multiplier_work_per_inner_solve(monkeypatch):
-    # a deterministic work count in place of wall time: started from the
-    # multiplier of the map before, a full criterion-5 solve needs 3.7 O(N_T)
-    # power evaluations per multiplier solve beyond the tau = 0 one, where
-    # bisection took about 48 rate_constrained_step calls.  The map forms w
-    # from the step the multiplier solve accepted, so no evaluation repeats
-    # and the antenna-basis reference step is never called
+    # a deterministic work count in place of wall time.  Each map evaluates
+    # the step at the multiplier of the map before it first; over the
+    # budget, that step is the multiplier solve's first iterate, and the
+    # tau = 0 step is formed only on maps where the warm step is within the
+    # budget.  A full criterion-5 solve on channel 1 takes 1901 O(N_T) power
+    # evaluations over 466 maps, 4.08 a map (326 maps skip the tau = 0 step);
+    # with the tau = 0 step always first it took 2227, 4.78 a map, and
+    # bisection about 48 rate_constrained_step calls per multiplier solve.
+    # The map forms w from the step the multiplier solve accepted, so no
+    # evaluation repeats, the antenna-basis reference step is never called,
+    # and no surrogate offset is formed
     inst = extended_family(1)
-    evals = count_calls(monkeypatch, "step", mm.ShiftedCurvature)
+    maps = []  # per map, the (tau, power) of each evaluation in order
+    evaluate, subproblem = mm.ShiftedCurvature.step, mm._SingleUserMap.subproblem
+
+    def evaluating(curv, omega_shift, tau):
+        result = evaluate(curv, omega_shift, tau)
+        maps[-1].append((tau, result[2]))
+        return result
+
+    def mapping(self, point):
+        maps.append([])
+        return subproblem(self, point)
+
+    monkeypatch.setattr(mm.ShiftedCurvature, "step", evaluating)
+    monkeypatch.setattr(mm._SingleUserMap, "subproblem", mapping)
     steps = count_calls(monkeypatch, "rate_constrained_step")
-    maps = count_calls(monkeypatch, "subproblem", mm._SingleUserMap)
-    solves = count_calls(monkeypatch, "bisect_power_multiplier")
+    offsets = count_calls(monkeypatch, "_surrogate_offset")
     report = mm.solve_single_user(inst)
     assert report.status == "converged"
-    assert len(solves) > 100
-    # beyond the tau = 0 evaluation of every map
-    assert 1.0 <= (len(evals) - len(maps)) / len(solves) <= 5.0
-    assert len(steps) == 0
+    p0 = inst.config.power_budget
+    over = 0
+    for evals in maps:
+        (warm_tau, warm_power), rest = evals[0], evals[1:]
+        assert warm_tau > 0.0
+        assert [tau for tau, _ in rest if tau == 0.0] == ([] if warm_power > p0 else [0.0])
+        assert all(tau != warm_tau for tau, _ in rest)  # the warm step is not repeated
+        over += warm_power > p0
+    assert len(maps) > 300 and 0.5 * len(maps) < over < len(maps)
+    evaluations = sum(len(evals) for evals in maps)
+    assert evaluations <= 4.5 * len(maps)
+    assert len(steps) == 0 and len(offsets) == 0
     # the report counts every evaluation
-    assert report.inner_steps == len(evals)
+    assert report.inner_steps == evaluations
+
+
+def probe_first_subproblem(step, point):
+    """The single-user subproblem in the order the map had before it took
+    the warm step first: the tau = 0 step, then the multiplier solve from
+    ``step.tau`` when that step is over the budget or c has a flat part."""
+    w = point.w
+    curvature = mm.ShiftedCurvature(mm.build_surrogate(step.inst, point), step.h, w)
+    omega_shift = float(np.abs(np.vdot(step.h, w)) ** 2) + step.omega
+    x, _, power, _ = curvature.step(omega_shift, 0.0)
+    c = curvature.c
+    flat = float(np.linalg.norm(c[curvature.vals == 0.0]))
+    if power > step.p0 or flat > 1e-10 * max(float(np.linalg.norm(c)), 1e-300):
+        step.tau, x, _ = mm.bisect_power_multiplier(curvature, omega_shift, step.p0, step.tau)
+    return (curvature.vecs @ x).reshape(w.shape)
+
+
+def assert_warm_first_is_probe_first(subproblem, step, point, tau):
+    """One subproblem from the warm multiplier tau by the map's own
+    ``subproblem`` and in the probe-first order: the same answer bytes and
+    multiplier, or the same exception type.  Returns the map's (answer or
+    exception type, multiplier)."""
+    outcomes = []
+    for solve in (subproblem, probe_first_subproblem):
+        step.tau = tau
+        try:
+            answer = solve(step, point)
+        except Exception as exc:  # the type is what is compared
+            outcomes.append((type(exc), step.tau))
+        else:
+            outcomes.append((answer.tobytes(), step.tau))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def test_warm_first_map_matches_the_probe_first_order(monkeypatch):
+    subproblem = mm._SingleUserMap.subproblem
+    # every map of a full criterion-5 solve, from its point and warm
+    # multiplier, on both sides of the budget
+    inst = extended_family(1)
+    seen = []
+
+    def recording(self, point):
+        seen.append((point, self.tau))
+        return subproblem(self, point)
+
+    monkeypatch.setattr(mm._SingleUserMap, "subproblem", recording)
+    mm.solve_single_user(inst)
+    monkeypatch.undo()
+    step, over = mm._SingleUserMap(inst), 0
+    for point, tau in seen:
+        assert_warm_first_is_probe_first(subproblem, step, point, tau)
+        curv = mm.ShiftedCurvature(mm.build_surrogate(inst, point), step.h, point.w)
+        omega_shift = float(np.abs(np.vdot(step.h, point.w)) ** 2) + step.omega
+        over += curv.step(omega_shift, tau)[2] > step.p0
+    assert 0 < over < len(seen)
+
+    # the flat-direction surrogate of
+    # test_inner_step_solves_for_the_multiplier_along_a_flat_direction, from
+    # warm multipliers over (1e-6) and within (1, 1e3) the budget
+    sur = mm.Surrogate(lin=np.ones(4, dtype=complex), quad=np.diag([0.0, 1.0, 2.0, 3.0]),
+                       offset=0.0, delta=1.0)
+    monkeypatch.setattr(mm, "build_surrogate", lambda inst, w: sur)
+    step = mm._SingleUserMap(single_user_instance(n_tx=4))
+    step.h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
+    step.p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0)
+    step.omega = -1e6
+    point = model.sensing_point(step.inst, step.h)
+    for tau in (1.0, 1e-6, 1e3):
+        _, tau_after = assert_warm_first_is_probe_first(subproblem, step, point, tau)
+        assert tau_after != tau
+
+    # a budget that does not bind, with no flat direction: the tau = 0 step
+    # is kept and the multiplier left as it was
+    sur = mm.Surrogate(lin=np.ones(4, dtype=complex), quad=np.diag([1.0, 2.0, 3.0, 4.0]),
+                       offset=0.0, delta=1.0)
+    step.p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0 + 1.0 / 16.0)
+    for tau in (1.0, 1e-6):
+        answer, tau_after = assert_warm_first_is_probe_first(subproblem, step, point, tau)
+        assert tau_after == tau
+        assert np.allclose(np.frombuffer(answer, dtype=complex), [1.0, 0.5, 1.0 / 3.0, 0.25],
+                           rtol=1e-14, atol=0.0)
+    # the same with the cut met along a flat direction that c does not
+    # reach: at tau = 1e-200 the step's slope overflows, and the tau = 0 step
+    # is still kept
+    sur = mm.Surrogate(lin=np.array([0.0, 1.0, 1.0, 1.0], dtype=complex),
+                       quad=np.diag([0.0, 1.0, 2.0, 3.0]), offset=0.0, delta=1.0)
+    step.omega, step.p0 = 10.0, 40.0
+    for tau in (1.0, 1e-200):
+        answer, tau_after = assert_warm_first_is_probe_first(subproblem, step, point, tau)
+        assert tau_after == tau and isinstance(answer, bytes)
+    with pytest.raises(BracketFailure, match="finite arithmetic"):
+        mm.bisect_power_multiplier(mm.ShiftedCurvature(sur, step.h, step.h), 11.5625, 40.0, 1e-200)
+    monkeypatch.undo()
+
+    # a warm multiplier whose step leaves finite arithmetic: the tau = 0
+    # step decides, and the multiplier solve raises as it did
+    inst = extended_family(1)
+    h = inst.channel[0].conj()
+    step = mm._SingleUserMap(inst)
+    point = model.sensing_point(inst, np.sqrt(inst.config.power_budget) * h / np.linalg.norm(h))
+    assert assert_warm_first_is_probe_first(subproblem, step, point, 1e-160)[0] is BracketFailure
 
 
 def test_multiplier_warm_start_stays_inside_one_solve():
