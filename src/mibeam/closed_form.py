@@ -35,8 +35,9 @@ def solve_closed_form(a: np.ndarray, h: np.ndarray, p0: float, omega: float) -> 
     is (numerically) parallel to the steering vector; otherwise the
     two-vector combination that meets the constraint with equality.  Raises
     :class:`Infeasible` when omega exceeds :func:`feasibility_bound` or h is
-    zero.  ``dispatch`` applies the verdict of :func:`mm.zero_forcing_init`
-    first, as for every scheme; this check serves direct callers.
+    zero, and ValueError when a is zero, since it names no direction.
+    ``dispatch`` applies the verdict of :func:`mm.zero_forcing_init` first,
+    as for every scheme; this check serves direct callers.
     """
     a = np.asarray(a, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -44,6 +45,8 @@ def solve_closed_form(a: np.ndarray, h: np.ndarray, p0: float, omega: float) -> 
     norm_a = float(np.linalg.norm(a))
     norm_h = float(np.linalg.norm(h))
 
+    if norm_a == 0.0:
+        raise ValueError("the target steering vector a is zero")
     if norm_h == 0.0:
         raise Infeasible("the user's channel is zero, so its rate target is not strictly feasible")
     bound = feasibility_bound(h, p0)

@@ -7,7 +7,8 @@ secular-equation Newton solve for the power multiplier in the eigenbasis of
 the surrogate curvature, and SQUAREM extrapolation accelerates the map.
 Each map tries the multiplier of the map before it first: a step over the
 budget there starts the Newton solve, and the zero-multiplier step is formed
-only when it is within the budget.  For K users the subproblem keeps the
+only when neither that step nor a part of the linear term along a flat
+direction of the curvature shows that the budget binds.  For K users the subproblem keeps the
 linearized per-user rate constraints, a convex QCQP built as one stack
 (:func:`multiuser_subproblem`) and solved through its Lagrangian dual by
 Newton steps in the K + 1 multipliers (:func:`conic.solve_qcqp`), each
@@ -19,8 +20,8 @@ One solve path (:func:`_solve`) serves both: one start with its feasibility
 verdict, one map that scales every subproblem answer to the full power
 budget, one outer loop, one KKT certificate and one finish.  Every point
 the loop holds is a :class:`model.SensingPoint`, evaluated once: its MI
-and the surrogate built at it read the same projections and Cholesky
-factors, so no MM iterate is evaluated twice.  The
+and the surrogate built at it read the same Cholesky factors, so no MM
+iterate is evaluated twice.  The
 certificate (:func:`kkt_certificate`) fits the power and rate multipliers to
 the MI gradient of the true problem, so it reads only the design, never how
 a subproblem was solved.  After the eps stop the finish (:func:`_finish`)
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -73,27 +73,15 @@ SUBPROBLEM_GAP_TOL = 1e-9  # conic gap for the multi-user subproblem
 class Surrogate:
     """Touching concave quadratic lower bound of the mutual information.
 
-    value(w) = 2 delta Re(w^H lin) - delta^2 w^H quad w + offset, in nats,
-    where w stacks the beamformer columns.  ``quad`` is Hermitian PSD and the
-    bound touches the true objective at the iterate it was built from.
-    ``offset`` is a number, or a function of no arguments that gives it on
-    its first read: the MM maps and the certificate read lin and quad only.
+    The bound is 2 delta Re(w^H lin) - delta^2 w^H quad w plus a constant, in
+    nats, where w stacks the beamformer columns.  ``quad`` is Hermitian PSD.
+    The constant only makes the bound touch the true objective at the
+    iterate it was built from; it never moves a maximizer, so no solve
+    forms it.
     """
 
-    def __init__(self, lin: np.ndarray, quad: np.ndarray, offset, delta: float):
+    def __init__(self, lin: np.ndarray, quad: np.ndarray, delta: float):
         self.lin, self.quad, self.delta = lin, quad, delta
-        self._offset = offset
-
-    @property
-    def offset(self) -> float:
-        if callable(self._offset):
-            self._offset = self._offset()
-        return self._offset
-
-    def value(self, w_vec: np.ndarray) -> float:
-        linear = 2.0 * self.delta * float(np.real(np.vdot(w_vec, self.lin)))
-        quadratic = (self.delta ** 2) * float(np.real(np.vdot(w_vec, self.quad @ w_vec)))
-        return linear - quadratic + self.offset
 
     def gradient(self, w_vec: np.ndarray) -> np.ndarray:
         """Wirtinger gradient w.r.t. conj(w); equals the objective gradient
@@ -106,20 +94,18 @@ def build_surrogate(inst: model.Instance, w) -> Surrogate:
     or as its :class:`model.SensingPoint` (which is then read, not
     recomputed).
 
-    Works from the scatterer factors (R = F F^H) through the projections
-    Y = Wt F, Wt = I_{N_R} kron W^H, of the sensing point.  With T = I +
-    delta Wt R Wt^H the MMSE matrix E = I - delta Y_t^H T^{-1} Y_t is S^{-1},
-    S = I + delta Z^H Z = C C^H (one row per target component), by the
-    Woodbury identity.  So X = T^{-1} Y_t E^{-1} = T_i^{-1} Y_t = L_i^{-H} Z
+    Works from the scatterer factors (R = F F^H) and the factors the sensing
+    point keeps of the projections Y = Wt F, Wt = I_{N_R} kron W^H.  With T
+    = I + delta Wt R Wt^H the MMSE matrix E = I - delta Y_t^H T^{-1} Y_t is
+    S^{-1}, S = I + delta Z^H Z = C C^H (one row per target component), by
+    the Woodbury identity.  So X = T^{-1} Y_t E^{-1} = T_i^{-1} Y_t = L_i^{-H} Z
     gives the linear term, and the receive-gain factor G = T^{-1} Y_t C =
     X C^{-H} gives the quadratic term quad = U U^H, U[(k, n), (j, m)] =
     sum_r conj(G[(r, k), j]) F[(r, n), m] over the columns m of both
-    factors (:attr:`model.Instance.factors`), PSD by construction.  The
-    mutual information at w, for the offset, is -log det E = log det S; the
-    offset is formed on its first read (:func:`_surrogate_offset`), which no
-    solve makes.  Any factor of the target covariance gives the same lin,
-    quad and offset; the tests compare against the explicit stacking-map
-    construction from the dense covariances.
+    factors (:attr:`model.Instance.factors`), PSD by construction.  Any
+    factor of the target covariance gives the same lin and quad; the tests
+    compare against the explicit stacking-map construction from the dense
+    covariances.
     """
     cfg = inst.config
     point = _sensed(inst, w)
@@ -135,19 +121,7 @@ def build_surrogate(inst: model.Instance, w) -> Surrogate:
     u = u.reshape(n_users, -1, n_tx, inst.factors.shape[1]).transpose(0, 2, 1, 3)
     u = u.reshape(n_users * n_tx, -1)                                # (k, n) x (j, m)
     quad = hermitianize(u @ u.conj().T)
-    return Surrogate(lin=lin, quad=quad, offset=partial(_surrogate_offset, point, x, gain, delta),
-                     delta=delta)
-
-
-def _surrogate_offset(point: model.SensingPoint, x: np.ndarray, gain: np.ndarray,
-                      delta: float) -> float:
-    """The offset of :func:`build_surrogate`, from its X and G: the MI at w
-    less the linear term and plus the quadratic term there."""
-    touch = 2.0 * delta * float(np.real(np.vdot(point.y_t, x)))
-    # delta^2 G^H Wt R Wt^H G, with Wt R Wt^H = Y_t Y_t^H + Y_i Y_i^H
-    curvature = (delta ** 2) * sum(float(np.linalg.norm(y.conj().T @ gain)) ** 2
-                                   for y in (point.y_t, point.y_i))
-    return point.mi - touch + curvature
+    return Surrogate(lin=lin, quad=quad, delta=delta)
 
 
 def _sensed(inst: model.Instance, w) -> model.SensingPoint:
@@ -166,8 +140,8 @@ class MmReport:
     comp_rate: Optional[float] = None
     # inner-solve work: dual Newton steps of the QCQP (K users), or
     # evaluations of ShiftedCurvature.step (one user): per map the warm step,
-    # the zero-multiplier step when the warm one is within the budget, and
-    # the rest of the multiplier solve
+    # the zero-multiplier step unless the warm one is over the budget or c
+    # has a flat part, and the rest of the multiplier solve
     inner_steps: int = 0
     finish_steps: int = 0     # Newton steps of the accepted finishes
     wall_time_s: float = 0.0
@@ -382,13 +356,14 @@ class _SingleUserMap(_MmMap):
         """The step at the warm multiplier ``tau`` goes first.  Over the
         budget, it shows that the budget binds, since p(tau) is
         non-increasing, and :func:`bisect_power_multiplier` takes it as its
-        first iterate; the tau = 0 step is not formed.  Otherwise, or when
-        the warm step raises, the tau = 0 step decides: it is the maximizer
-        when it meets the budget and, for a rank-deficient curvature, c has
-        no component along the flat directions (the step meets the cut there
-        with mu = 0, so c alone decides); otherwise the budget binds, and the
-        multiplier solve starts from ``tau``, reusing the warm step if it was
-        formed.  Either way w = V x is formed once, from the accepted step."""
+        first iterate.  A part of c along the flat directions of a
+        rank-deficient curvature, where the power diverges as tau -> 0, shows
+        it too.  Otherwise, or when the warm step raises (so that an error of
+        the tau = 0 step comes first), the tau = 0 step decides: it is the
+        maximizer when it meets the budget and c has no flat part.  When the
+        budget binds, the multiplier solve starts from ``tau``, reusing the
+        warm step if it was formed.  Either way w = V x is formed once, from
+        the accepted step."""
         w = point.w
         curvature = ShiftedCurvature(build_surrogate(self.inst, point), self.h, w)
         omega_shift = float(np.abs(np.vdot(self.h, w)) ** 2) + self.omega
@@ -396,12 +371,13 @@ class _SingleUserMap(_MmMap):
             warm = _guarded_step(curvature, omega_shift, self.tau)
         except NumericalError:
             warm = None  # the multiplier solve repeats it, and raises, if it runs
-        binds = warm is not None and warm[2] > self.p0
+        c = curvature.c
+        flat = float(np.linalg.norm(c[curvature.vals == 0.0])) > 1e-10 * max(
+            float(np.linalg.norm(c)), 1e-300)
+        binds = warm is not None and (warm[2] > self.p0 or flat)
         if not binds:
             x, _, power, _ = curvature.step(omega_shift, 0.0)
-            c = curvature.c
-            flat = float(np.linalg.norm(c[curvature.vals == 0.0]))
-            binds = power > self.p0 or flat > 1e-10 * max(float(np.linalg.norm(c)), 1e-300)
+            binds = power > self.p0 or flat
         if binds:
             self.tau, x, _ = bisect_power_multiplier(curvature, omega_shift, self.p0, self.tau,
                                                      warm)

@@ -6,8 +6,8 @@ achievable rates for a given beamforming matrix.  A scatterer covariance
 exists only as its factor F (R = F F^H, one column per component), and the
 receive-stacked filter I_{N_R} kron W^H only as its action on a factor
 (:func:`expanded_times`): no (N_T N_R)-dimensional matrix is formed.  One
-evaluation (:func:`sensing_point`) forms the projections and
-factorizations of the sensing problem at a beamformer; the mutual
+evaluation (:func:`sensing_point`) forms the projections of the sensing
+problem at a beamformer and keeps their factorizations; the mutual
 information and the MM surrogate both read that record, so an MM iterate is
 evaluated once.  Angles are degrees, powers are linear watts, the mutual
 information is natural-log internally (bits only at reporting boundaries).
@@ -318,15 +318,13 @@ class SensingPoint:
     """A beamformer with the sensing quantities computed at it once, which
     the mutual information and the MM surrogate both read.
 
-    ``w`` is the (N_T, K) beamformer, ``y_t`` / ``y_i`` the projections Wt F
-    of the target and interference factors, ``chol_i`` the Cholesky factor
+    ``w`` is the (N_T, K) beamformer.  With Y_t / Y_i = Wt F (not kept) for
+    the target and interference factors, ``chol_i`` is the Cholesky factor
     L_i of T_i = I + delta Y_i Y_i^H, ``z`` = L_i^{-1} Y_t, ``chol_s`` the
     Cholesky factor C of S = I + delta Z^H Z, and ``mi`` = log det S, nats.
     """
 
     w: np.ndarray
-    y_t: np.ndarray
-    y_i: np.ndarray
     chol_i: np.ndarray
     z: np.ndarray
     chol_s: np.ndarray
@@ -357,7 +355,7 @@ def sensing_point(inst: Instance, w) -> SensingPoint:
         raise NotPositiveDefinite("interference covariance is not positive definite") from exc
     z = np.linalg.solve(chol_i, y_t)
     chol_s, mi = linalg.cholesky_logdet(_shifted_gram(z.conj().T, delta))
-    return SensingPoint(w=w_mat, y_t=y_t, y_i=y_i, chol_i=chol_i, z=z, chol_s=chol_s, mi=mi)
+    return SensingPoint(w=w_mat, chol_i=chol_i, z=z, chol_s=chol_s, mi=mi)
 
 
 def mutual_information(inst: Instance, w) -> float:

@@ -80,6 +80,13 @@ def test_zero_channel_is_infeasible(omega):
         solve_closed_form(np.ones(2), np.zeros(2), 1.0, omega)
 
 
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+def test_zero_steering_vector_is_a_value_error(omega):
+    # a zero a names no direction; unchecked, r = |a^H h| / (||a|| ||h||) is 0 / 0
+    with pytest.raises(ValueError, match="steering vector a is zero"):
+        solve_closed_form(np.zeros(2), np.ones(2), 1.0, omega)
+
+
 def test_slack_constraint_returns_target_beam():
     rng = np.random.default_rng(2)
     a = model.steering_vector(0.0, 4)
