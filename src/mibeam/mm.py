@@ -25,7 +25,9 @@ iterate is evaluated twice.  The
 certificate (:func:`kkt_certificate`) fits the power and rate multipliers to
 the MI gradient of the true problem, so it reads only the design, never how
 a subproblem was solved.  After the eps stop the finish (:func:`_finish`)
-takes Newton steps on the KKT system of the true problem.
+takes Newton steps on the KKT system of the true problem, with its exact
+Jacobian: the MI block is :func:`model.mi_hessian`, read from the factors of
+the point, so each step evaluates one point, at its end.
 
 Both schemes build the minorizer from the scatterer factors of the instance
 (R = F F^H, one column per component), as the mutual information does; no
@@ -66,7 +68,6 @@ MULTIPLIER_EVALS = 200     # power evaluations allowed per multiplier solve
 # multiplier can be as small as 1e-11 when the curvature is rank deficient,
 # which halving from tau = 1 reaches only after about 36 steps.
 MULTIPLIER_DECADE = 100.0
-FD_RSTEP = 1e-6            # relative forward-difference step of the KKT Jacobian
 SUBPROBLEM_GAP_TOL = 1e-9  # conic gap for the multi-user subproblem
 
 
@@ -492,90 +493,124 @@ def _finish(step: _MmMap, point: model.SensingPoint, trace: list, budget: int):
     """Work the certificate of an eps stop down to FINISH_RTOL in ``budget``
     iterations; returns (point, certificate, iterations used, Newton steps
     kept).  MM limits are stationary only asymptotically, so
-    :func:`_kkt_newton` goes first.  Its end point is kept if admissible,
-    with a lower certificate and the MI within the stall tolerance; else the
+    :func:`_kkt_newton` goes first, from the point with the terms and the
+    fit of its certificate.  Its end point is kept if admissible, with a
+    lower certificate and the MI within the stall tolerance; else the
     scheme's own steps follow while they do not lower the MI, and Newton is
     retried once the certificate has halved.  Each Newton or MM step is one
     iteration."""
-    cert = kkt_certificate(step.inst, point)
+    state = _certify(step.inst, point)
     used, kept, retry_below = 0, 0, np.inf
-    while used < budget and cert[0] > FINISH_RTOL:
-        g_val = point.mi
-        if cert[0] <= retry_below:
+    while used < budget and state.cert[0] > FINISH_RTOL:
+        g_val = state.point.mi
+        if state.cert[0] <= retry_below:
             try:
-                end, cert_end, taken = _kkt_newton(step, point, budget - used)
+                end, cert_end, taken = _kkt_newton(step, state, budget - used)
             except NumericalError:
-                cert_end, taken = cert, 0
+                end, cert_end, taken = state, state.cert, 0
             used += taken
-            if (cert_end[0] < cert[0] and end.mi >= g_val - 1e-12 * max(1.0, abs(g_val))
-                    and step.admissible(end.w)):
-                point, cert, kept = end, cert_end, kept + taken
-                trace.append(point.mi)
-            retry_below = cert[0] / 2.0
+            if (cert_end[0] < state.cert[0]
+                    and end.point.mi >= g_val - 1e-12 * max(1.0, abs(g_val))
+                    and step.admissible(end.point.w)):
+                state, kept = end, kept + taken
+                trace.append(state.point.mi)
+            retry_below = state.cert[0] / 2.0
             continue
         used += 1
         try:
-            nxt = step.advance(point)
+            nxt = step.advance(state.point)
             if nxt.mi < g_val:
                 break
-            cert = kkt_certificate(step.inst, nxt)
+            state = _certify(step.inst, nxt)
         except NumericalError:
             break
-        point = nxt
-        trace.append(point.mi)
-    return point, cert, used, kept
+        trace.append(state.point.mi)
+    return state.point, state.cert, used, kept
 
 
-def _kkt_newton(step: _MmMap, point: model.SensingPoint, steps: int):
-    """At most ``steps`` Newton steps from a point on the KKT system of the
-    true problem; returns the end point, evaluated, its certificate and the
-    steps taken.
+def _kkt_newton(step: _MmMap, start: _Certified, steps: int):
+    """At most ``steps`` Newton steps on the KKT system of the true problem
+    from a point with its certificate's terms and fit; returns the end point
+    with its own (a :class:`_Certified`), its certificate and the steps
+    taken.
 
     Unknowns: W, tau and the mu_k above 1e-4 tau (a bare mu_k > 0 picks up
     fitting noise on slack cuts), refitted by the certificate at every
-    iterate.  Equations: g - tau vec(W) + sum_k mu_k grad c_k = 0, ||W||^2 =
-    P0 and c_k = 0.  Jacobian: forward differences in (Re W, Im W), one
-    surrogate each, plus one row per column that keeps the step orthogonal
-    to its phase turn i w_k.  Each least-squares step is rescaled to P0.  A
-    full step from far out can raise the certificate before it falls, so the
-    run ends at FINISH_RTOL or after three steps without a new lowest one.
+    iterate.  Equations (:func:`_kkt_system`): g - tau vec(W) + sum_k mu_k
+    grad c_k = 0, ||W||^2 = P0 and c_k = 0.  The Jacobian is exact
+    (:func:`_kkt_jacobian`), plus one row per column that keeps the step
+    orthogonal to its phase turn i w_k; each step evaluates one sensing
+    point and one surrogate, at its end.  Each least-squares step is
+    rescaled to P0.  A full step from far out can raise the certificate
+    before it falls, so the run ends at FINISH_RTOL or after three steps
+    without a new lowest one.
     """
     inst, cfg = step.inst, step.inst.config
-
-    def terms_at(x):
-        at = model.sensing_point(inst, unvec(x[:x.size // 2] + 1j * x[x.size // 2:],
-                                             cfg.n_tx, cfg.n_users))
-        return at, _kkt_terms(inst, build_surrogate(inst, at), at.w)
-
-    def system(x, cols, lam, terms):
-        grad, basis, cuts = terms
-        return np.concatenate([_real(grad - basis[:, cols] @ lam), [x @ x - step.p0],
-                               cuts[cols[1:] - 1]])
-
-    x = _real(vec(point.w))
+    state = start
+    x = _real(vec(state.point.w))
     n = x.size
-    terms = _kkt_terms(inst, build_surrogate(inst, point), point.w)
-    cert, coef = _kkt_fit(inst, point.w, *terms)
-    best, stale, taken = cert[0], 0, 0
-    while taken < steps and cert[0] > FINISH_RTOL and stale < 3:
+    best, stale, taken = state.cert[0], 0, 0
+    while taken < steps and state.cert[0] > FINISH_RTOL and stale < 3:
         taken += 1
+        coef = state.coef
         cols = np.flatnonzero(np.concatenate([[True], coef[1:] > 1e-4 * coef[0]]))
-        f = system(x, cols, coef[cols], terms)
-        h = FD_RSTEP * float(np.linalg.norm(x))
-        jac = np.zeros((f.size + cfg.n_users, n + cols.size))
-        for j, e in enumerate(h * np.eye(n)):
-            jac[:f.size, j] = (system(x + e, cols, coef[cols], terms_at(x + e)[1]) - f) / h
-        jac[:n, n:] = -_real(terms[1][:, cols])
-        turns = [vec(1j * point.w * (np.arange(cfg.n_users) == k)) for k in range(cfg.n_users)]
-        jac[f.size:, :n] = _real(np.column_stack(turns)).T
+        f = _kkt_system(x, step.p0, cols, coef[cols], state.terms)
+        turns = [vec(1j * state.point.w * (np.arange(cfg.n_users) == k))
+                 for k in range(cfg.n_users)]
+        jac = np.vstack([_kkt_jacobian(inst, state, cols),
+                         np.hstack([_real(np.column_stack(turns)).T,
+                                    np.zeros((cfg.n_users, cols.size))])])
         delta = np.linalg.lstsq(jac, np.concatenate([-f, np.zeros(cfg.n_users)]), rcond=None)[0]
         x = x + delta[:n]
         x *= np.sqrt(step.p0 / (x @ x))
-        point, terms = terms_at(x)
-        cert, coef = _kkt_fit(inst, point.w, *terms)
-        stale = 0 if cert[0] < best else stale + 1
-        best = min(best, cert[0])
-    return point, cert, taken
+        state = _certify(inst, model.sensing_point(
+            inst, unvec(x[:n // 2] + 1j * x[n // 2:], cfg.n_tx, cfg.n_users)))
+        stale = 0 if state.cert[0] < best else stale + 1
+        best = min(best, state.cert[0])
+    return state, state.cert, taken
+
+
+def _kkt_system(x: np.ndarray, p0: float, cols: np.ndarray, lam: np.ndarray, terms):
+    """The KKT equations of :func:`_kkt_newton` at x = (Re vec W, Im vec W)
+    with the multipliers ``lam`` of the basis columns ``cols`` (0 the power,
+    k the cut of user k), from the :func:`_kkt_terms` at W: the real and
+    imaginary parts of g - basis lam, ||W||^2 - P0 and the active cuts."""
+    grad, basis, cuts = terms
+    return np.concatenate([_real(grad - basis[:, cols] @ lam), [x @ x - p0], cuts[cols[1:] - 1]])
+
+
+def _kkt_jacobian(inst: model.Instance, state: _Certified, cols: np.ndarray) -> np.ndarray:
+    """The exact Jacobian of :func:`_kkt_system` in (x, lam) at a certified
+    point, with lam its fit on ``cols``.  The g rows are half the MI Hessian
+    (:func:`model.mi_hessian`, since (Re g, Im g) is half the real gradient)
+    less tau I plus sum_k mu_k C_k, where C_k, the derivative of grad c_k,
+    acts on column j of W as coef_kj h_k h_k^H (coef_kk = 1, coef_kj =
+    -nu_k), applied block by block; their lam columns are -basis.  The
+    power row is 2x, and the row of an active cut is twice the real form of
+    grad c_k, which is minus its basis column."""
+    cfg = inst.config
+    n_tx, n_users = cfg.n_tx, cfg.n_users
+    lam = state.coef[cols]
+    basis = _real(state.terms[1][:, cols])
+    mu = np.zeros(n_users)
+    mu[cols[1:] - 1] = lam[1:]
+    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
+    weights = np.repeat((-mu * nu)[:, None], n_users, axis=1)
+    np.fill_diagonal(weights, mu)
+    h = inst.channel.conj()                                          # row k is h_k
+    cut_curv = np.zeros((n_users, n_tx, n_users, n_tx), dtype=complex)
+    users = np.arange(n_users)
+    cut_curv[users, :, users, :] = np.einsum("kj,ka,kb->jab", weights, h, h.conj())
+    cut_curv = cut_curv.reshape(n_users * n_tx, -1)
+    n = basis.shape[0]
+    jac = np.zeros((n + cols.size, n + cols.size))
+    jac[:n, :n] = 0.5 * model.mi_hessian(inst, state.point) + np.block(
+        [[cut_curv.real, -cut_curv.imag], [cut_curv.imag, cut_curv.real]])
+    jac[np.arange(n), np.arange(n)] -= lam[0]
+    jac[:n, n:] = -basis
+    jac[n, :n] = 2.0 * _real(vec(state.point.w))
+    jac[n + 1:, :n] = -2.0 * basis[:, 1:].T
+    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +809,25 @@ def _kkt_fit(inst: model.Instance, w_mat: np.ndarray, grad, basis, cuts):
     return (residual, comp_power, comp_rate), coef
 
 
+@dataclass(frozen=True)
+class _Certified:
+    """A point with its certificate and what the certificate was read from:
+    the :func:`_kkt_terms` at it and their fit, which the finish hands to
+    :func:`_kkt_newton` so that neither builds them twice."""
+
+    point: model.SensingPoint
+    terms: tuple
+    coef: np.ndarray
+    cert: tuple
+
+
+def _certify(inst: model.Instance, point: model.SensingPoint) -> _Certified:
+    """The certificate of a point, kept with its terms and fit."""
+    terms = _kkt_terms(inst, build_surrogate(inst, point), point.w)
+    cert, coef = _kkt_fit(inst, point.w, *terms)
+    return _Certified(point, terms, coef, cert)
+
+
 def kkt_certificate(inst: model.Instance, w):
     """KKT residuals of a design with any number of users on the true
     problem; the design is an array or its :class:`model.SensingPoint`.
@@ -788,8 +842,7 @@ def kkt_certificate(inst: model.Instance, w):
     problem enters, not how a subproblem was solved.  A silent target has
     g = 0, so every multiplier and residual is zero.
     """
-    point = _sensed(inst, w)
-    return _kkt_fit(inst, point.w, *_kkt_terms(inst, build_surrogate(inst, point), point.w))[0]
+    return _certify(inst, _sensed(inst, w)).cert
 
 
 class _MultiUserMap(_MmMap):

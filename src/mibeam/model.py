@@ -8,9 +8,10 @@ receive-stacked filter I_{N_R} kron W^H only as its action on a factor
 (:func:`expanded_times`): no (N_T N_R)-dimensional matrix is formed.  One
 evaluation (:func:`sensing_point`) forms the projections of the sensing
 problem at a beamformer and keeps their factorizations; the mutual
-information and the MM surrogate both read that record, so an MM iterate is
-evaluated once.  Angles are degrees, powers are linear watts, the mutual
-information is natural-log internally (bits only at reporting boundaries).
+information, its Hessian (:func:`mi_hessian`) and the MM surrogate all read
+that record, so an MM iterate is evaluated once.  Angles are degrees, powers
+are linear watts, the mutual information is natural-log internally (bits
+only at reporting boundaries).
 """
 
 from __future__ import annotations
@@ -356,6 +357,53 @@ def sensing_point(inst: Instance, w) -> SensingPoint:
     z = np.linalg.solve(chol_i, y_t)
     chol_s, mi = linalg.cholesky_logdet(_shifted_gram(z.conj().T, delta))
     return SensingPoint(w=w_mat, chol_i=chol_i, z=z, chol_s=chol_s, mi=mi)
+
+
+def mi_hessian(inst: Instance, point: SensingPoint) -> np.ndarray:
+    """Real Hessian of the MI at a sensing point in x = (Re vec W, Im vec W).
+
+    The MI is logdet(I + delta Phi), Phi = Y_t^H T_i^{-1} Y_t = Z^H Z, so its
+    Hessian is delta Tr(S^{-1} d2 Phi) - delta^2 Tr(S^{-1} dPhi_j S^{-1}
+    dPhi_l), S = I + delta Phi = C C^H.  Every term is whitened by L_i and C
+    (Hjorungnes, Complex-Valued Matrix Derivatives, 2011, for the calculus),
+    so no two large Hessians cancel, as those of logdet T and logdet T_i
+    would.  With Z_i = L_i^{-1} Y_i, dZ_t,j and dZ_i,j = L_i^{-1} times the
+    change of Y_t and Y_i along the unit direction j of x, Q = Z C^{-H}, P_j
+    = dZ_t,j C^{-H}, A_j = dZ_i,j^H Q, N_j = dZ_i,j Z_i^H + Z_i dZ_i,j^H and
+    Psi_j = Q^H (P_j - delta Z_i A_j), which makes C^{-1} dPhi_j C^{-H} =
+    Psi_j + Psi_j^H,
+
+    H_jl = 2 delta Re<P_j - delta N_j Q, P_l - delta N_l Q>
+           - 2 delta^2 Re<A_j, A_l> - delta^2 <Psi_j + Psi_j^H, Psi_l + Psi_l^H>
+
+    with <A, B> = Tr(A^H B).  Direction (n, k) of Re W moves row (r, k) of
+    Y = Wt F by row (r, n) of F, and i times it moves Y by -i times that.
+    """
+    cfg = inst.config
+    n_tx, n_rx, n_users = cfg.n_tx, cfg.n_rx, cfg.n_users
+    delta = float(cfg.n_slots) / cfg.radar_noise
+    rows = n_rx * n_users
+    whiten = np.linalg.solve(point.chol_i, np.eye(rows))             # L_i^{-1}
+    d = np.einsum("ark,rnm->knam", whiten.reshape(rows, n_rx, n_users),
+                  inst.factors.reshape(n_rx, n_tx, -1)).reshape(n_users * n_tx, rows, -1)
+    d = np.concatenate([d, -1j * d])
+    m_t = inst.target_factor.shape[1]
+    d_t, d_i = d[..., :m_t], d[..., m_t:]
+    z_i = whiten @ expanded_times(point.w, inst.interf_factor, n_rx)
+    inv_c = np.linalg.solve(point.chol_s, np.eye(m_t)).conj().T       # C^{-H}
+    q = point.z @ inv_c
+    p = d_t @ inv_c
+    a = d_i.conj().swapaxes(1, 2) @ q
+    z_a = z_i @ a
+    e = p - delta * (d_i @ (z_i.conj().T @ q) + z_a)
+    psi = q.conj().T @ (p - delta * z_a)
+    psi = psi + psi.conj().swapaxes(1, 2)
+
+    def gram(stack):
+        flat = stack.reshape(stack.shape[0], -1)
+        return np.real(flat.conj() @ flat.T)
+
+    return 2.0 * delta * gram(e) - 2.0 * delta ** 2 * gram(a) - delta ** 2 * gram(psi)
 
 
 def mutual_information(inst: Instance, w) -> float:

@@ -808,7 +808,7 @@ def test_single_user_dip_away_from_stationarity_is_stalled(monkeypatch):
         return replace(point, mi=point.mi - 1e-6 * next(calls))
 
     monkeypatch.setattr(model, "sensing_point", lowered)
-    monkeypatch.setattr(mm, "kkt_certificate", lambda inst, w: (1.0, 0.0, 0.0))
+    monkeypatch.setattr(mm, "_kkt_fit", lambda *args: ((1.0, 0.0, 0.0), None))
     report = mm.solve_single_user(target_inside_interferer(100.0, 1))
     assert report.status == "stalled"
     assert report.kkt_residual == 1.0
@@ -886,6 +886,112 @@ def test_each_newton_step_is_one_iteration(monkeypatch):
     # and at the stop itself none
     steps.clear()
     assert mm.solve_single_user(inst, max_iters=main).iterations == main and steps == []
+
+
+def hessian_instance(n_users, interfered):
+    """Small instances whose solved designs null the 50-component,
+    strength-100 interferer deeply: 4 x 3 with one user at 4 bits/s/Hz, and
+    3 x 1 with three users at 0.25 bits/s/Hz each."""
+    gamma2 = 100.0 if interfered else 0.0
+    if n_users == 1:
+        return single_user_instance(gamma2=gamma2, m_interf=50), mm.solve_single_user
+    return multi_user_instance(n_tx=3, n_rx=1, n_users=3, gamma2=gamma2, m_interf=50,
+                               rate=0.25), mm.solve_multi_user
+
+
+@pytest.mark.parametrize("design", ["solved", "random"])
+@pytest.mark.parametrize("interfered", [True, False], ids=["interference", "clean"])
+@pytest.mark.parametrize("n_users", [1, 3])
+def test_mi_hessian_matches_a_50_digit_second_difference(n_users, interfered, design):
+    # with the interferer, the certified design sits in a deep null of it,
+    # where the Hessian reaches 5e3-2e4, and a random full-power beam leaves
+    # the interference large, where a difference of the Hessians of the two
+    # log-dets would cancel
+    pytest.importorskip("mpmath")
+    inst, solve = hessian_instance(n_users, interfered)
+    if design == "solved":
+        report = solve(inst)
+        assert report.kkt_residual <= 1e-9
+        w = report.w
+    else:
+        w = random_complex(np.random.default_rng(7), inst.config.n_tx, n_users)
+        w *= np.sqrt(inst.config.power_budget) / np.linalg.norm(w)
+    point = model.sensing_point(inst, w)
+    hess = model.mi_hessian(inst, point)
+    ref = reference.mi_hessian_50_digits(inst, point.w)
+    assert hess.shape == (2 * inst.config.n_tx * n_users,) * 2
+    assert np.abs(hess - ref).max() <= 1e-7 * np.abs(ref).max()
+
+
+def kkt_system_at(inst, x, cols, lam):
+    n = x.size // 2
+    point = model.sensing_point(inst, linalg.unvec(x[:n] + 1j * x[n:], inst.config.n_tx,
+                                                   inst.config.n_users))
+    return mm._kkt_system(x, inst.config.power_budget, cols, lam, mm._certify(inst, point).terms)
+
+
+@pytest.mark.parametrize("n_users", [1, 3])
+def test_kkt_jacobian_matches_central_differences(n_users):
+    # every row and column: all multipliers positive, so each cut row and
+    # each cut's curvature enters, at the start of the criterion-5 instance
+    # or of configs/multi_user.yaml's geometry on channel 5, where no deep
+    # null makes the MI block dwarf the rest
+    if n_users == 1:
+        inst = criterion_5_instance(1)
+    else:
+        inst = shipped_geometry_instance(3, 6.0, 5)
+    state = mm._certify(inst, model.sensing_point(inst, mm.zero_forcing_init(inst)))
+    state = replace(state, coef=state.coef + 0.1)
+    cols = np.arange(state.coef.size)
+    jac = mm._kkt_jacobian(inst, state, cols)
+    x = mm._real(linalg.vec(state.point.w))
+    n, step = x.size, 1e-5
+    numeric = np.empty_like(jac)
+    for j, e in enumerate(step * np.eye(n)):
+        numeric[:, j] = (kkt_system_at(inst, x + e, cols, state.coef)
+                         - kkt_system_at(inst, x - e, cols, state.coef)) / (2.0 * step)
+    for j, e in enumerate(step * np.eye(cols.size)):
+        numeric[:, n + j] = (mm._kkt_system(x, inst.config.power_budget, cols, state.coef + e,
+                                            state.terms)
+                             - mm._kkt_system(x, inst.config.power_budget, cols, state.coef - e,
+                                              state.terms)) / (2.0 * step)
+    assert jac.shape == (n + cols.size,) * 2
+    assert np.abs(jac - numeric).max() <= 1e-5 * np.abs(jac).max()
+
+
+@pytest.mark.parametrize("n_users", [1, 3])
+def test_each_newton_step_evaluates_one_point(monkeypatch, n_users):
+    # the exact Jacobian reads the point the step starts from, so a step
+    # forms one sensing point and one surrogate, at its end; the forward
+    # differences this replaced formed 2 N_T K + 1 of each
+    counts, inside = {"points": 0, "surrogates": 0, "steps": 0}, []
+    newton, sensing_point, build_surrogate = mm._kkt_newton, model.sensing_point, mm.build_surrogate
+
+    def counted(key, fn):
+        def wrapped(*args):
+            counts[key] += bool(inside)
+            return fn(*args)
+        return wrapped
+
+    def counting(*args):
+        inside.append(True)
+        try:
+            out = newton(*args)
+        finally:
+            inside.pop()
+        counts["steps"] += out[2]
+        return out
+
+    monkeypatch.setattr(model, "sensing_point", counted("points", sensing_point))
+    monkeypatch.setattr(mm, "build_surrogate", counted("surrogates", build_surrogate))
+    monkeypatch.setattr(mm, "_kkt_newton", counting)
+    if n_users == 1:
+        result = mm.solve_single_user(criterion_5_instance(1))
+    else:
+        result = dispatch.solve_scenario(rmse_eval_design_scenario(), "mm-multi")
+    assert counts["steps"] >= 2
+    assert counts["points"] == counts["surrogates"] == counts["steps"]
+    assert result.kkt_residual <= 1e-9
 
 
 def test_single_user_rejected_extrapolation_takes_plain_step(monkeypatch):
