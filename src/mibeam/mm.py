@@ -8,26 +8,30 @@ the surrogate curvature, and SQUAREM extrapolation accelerates the map.
 Each map tries the multiplier of the map before it first: a step over the
 budget there starts the Newton solve, and the zero-multiplier step is formed
 only when neither that step nor a part of the linear term along a flat
-direction of the curvature shows that the budget binds.  For K users the subproblem keeps the
-linearized per-user rate constraints, a convex QCQP built as one stack
-(:func:`multiuser_subproblem`) and solved through its Lagrangian dual by
-Newton steps in the K + 1 multipliers (:func:`conic.solve_qcqp`), each
-warm-started from the multipliers of the one before.  The stack's
-w-independent part (:func:`rate_cuts`) is built once per solve; each map
-forms only the linearized signal terms.
+direction of the curvature shows that the budget binds.
+
+Every constraint of the design problem is a difference of convex quadratics
+in w = vec W, and :func:`rate_cuts` builds them once per solve as one
+stack: the power ball, then the SINR cut of each user with a positive
+target.  For K users the subproblem keeps the cuts with their concave
+signal terms linearized at the iterate, a convex QCQP
+(:func:`multiuser_subproblem`) solved through its Lagrangian dual by Newton
+steps in one multiplier per constraint (:func:`conic.solve_qcqp`), each
+warm-started from the multipliers of the one before.
 
 One solve path (:func:`_solve`) serves both: one start with its feasibility
 verdict, one map that scales every subproblem answer to the full power
 budget, one outer loop, one KKT certificate and one finish.  Every point
 the loop holds is a :class:`model.SensingPoint`, evaluated once: its MI
 and the surrogate built at it read the same Cholesky factors, so no MM
-iterate is evaluated twice.  The
-certificate (:func:`kkt_certificate`) fits the power and rate multipliers to
-the MI gradient of the true problem, so it reads only the design, never how
-a subproblem was solved.  After the eps stop the finish (:func:`_finish`)
-takes Newton steps on the KKT system of the true problem, with its exact
-Jacobian: the MI block is :func:`model.mi_hessian`, read from the factors of
-the point, so each step evaluates one point, at its end.
+iterate is evaluated twice.  The certificate (:func:`kkt_certificate`)
+fits one multiplier per constraint of the stack to the MI gradient of the
+true problem, so it reads only the design, never how a subproblem was
+solved.  After the eps stop the finish (:func:`_finish`) takes Newton steps
+on the KKT system of the true problem, with its exact Jacobian: the MI
+block is :func:`model.mi_hessian`, read from the factors of the point, and
+the constraint blocks are the stack's gradients and curvatures, so each
+step evaluates one point, at its end.
 
 Both schemes build the minorizer from the scatterer factors of the instance
 (R = F F^H, one column per component), as the mutual information does; no
@@ -299,8 +303,10 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
 
 
 class _MmMap:
-    """The MM map of one scheme with its per-solve constants, and what the
-    outer loop and the finish ask of a point.  Points are
+    """The MM map of one scheme with its per-solve constants (the budget and
+    the constraint stack :func:`rate_cuts`, which the certificate and the
+    finish read for both schemes), and what the outer loop and the finish
+    ask of a point.  Points are
     :class:`model.SensingPoint` records, so the MI of a point and the
     surrogate built at it come from one evaluation.  A scheme supplies
     ``subproblem(point)``, the maximizer of the surrogate built at the point
@@ -310,6 +316,7 @@ class _MmMap:
     def __init__(self, inst: model.Instance):
         self.inst = inst
         self.p0 = inst.config.power_budget
+        self.cuts = rate_cuts(inst)
         self.inner_steps = 0
 
     def __call__(self, point: model.SensingPoint) -> model.SensingPoint:
@@ -499,7 +506,7 @@ def _finish(step: _MmMap, point: model.SensingPoint, trace: list, budget: int):
     scheme's own steps follow while they do not lower the MI, and Newton is
     retried once the certificate has halved.  Each Newton or MM step is one
     iteration."""
-    state = _certify(step.inst, point)
+    state = _certify(step.inst, step.cuts, point)
     used, kept, retry_below = 0, 0, np.inf
     while used < budget and state.cert[0] > FINISH_RTOL:
         g_val = state.point.mi
@@ -521,7 +528,7 @@ def _finish(step: _MmMap, point: model.SensingPoint, trace: list, budget: int):
             nxt = step.advance(state.point)
             if nxt.mi < g_val:
                 break
-            state = _certify(step.inst, nxt)
+            state = _certify(step.inst, step.cuts, nxt)
         except NumericalError:
             break
         trace.append(state.point.mi)
@@ -534,10 +541,11 @@ def _kkt_newton(step: _MmMap, start: _Certified, steps: int):
     with its own (a :class:`_Certified`), its certificate and the steps
     taken.
 
-    Unknowns: W, tau and the mu_k above 1e-4 tau (a bare mu_k > 0 picks up
-    fitting noise on slack cuts), refitted by the certificate at every
-    iterate.  Equations (:func:`_kkt_system`): g - tau vec(W) + sum_k mu_k
-    grad c_k = 0, ||W||^2 = P0 and c_k = 0.  The Jacobian is exact
+    Unknowns: W and the multipliers lambda_j of the constraint stack
+    (:func:`rate_cuts`): the power ball's, and each cut's above 1e-4 of it
+    (a bare lambda_j > 0 picks up fitting noise on slack cuts), refitted by
+    the certificate at every iterate.  Equations (:func:`_kkt_system`): g -
+    sum_j lambda_j grad f_j = 0 and f_j = 0.  The Jacobian is exact
     (:func:`_kkt_jacobian`), plus one row per column that keeps the step
     orthogonal to its phase turn i w_k; each step evaluates one sensing
     point and one surrogate, at its end.  Each least-squares step is
@@ -554,62 +562,48 @@ def _kkt_newton(step: _MmMap, start: _Certified, steps: int):
         taken += 1
         coef = state.coef
         cols = np.flatnonzero(np.concatenate([[True], coef[1:] > 1e-4 * coef[0]]))
-        f = _kkt_system(x, step.p0, cols, coef[cols], state.terms)
+        f = _kkt_system(cols, coef[cols], state.terms)
         turns = [vec(1j * state.point.w * (np.arange(cfg.n_users) == k))
                  for k in range(cfg.n_users)]
-        jac = np.vstack([_kkt_jacobian(inst, state, cols),
+        jac = np.vstack([_kkt_jacobian(inst, step.cuts, state, cols),
                          np.hstack([_real(np.column_stack(turns)).T,
                                     np.zeros((cfg.n_users, cols.size))])])
         delta = np.linalg.lstsq(jac, np.concatenate([-f, np.zeros(cfg.n_users)]), rcond=None)[0]
         x = x + delta[:n]
         x *= np.sqrt(step.p0 / (x @ x))
-        state = _certify(inst, model.sensing_point(
+        state = _certify(inst, step.cuts, model.sensing_point(
             inst, unvec(x[:n // 2] + 1j * x[n // 2:], cfg.n_tx, cfg.n_users)))
         stale = 0 if state.cert[0] < best else stale + 1
         best = min(best, state.cert[0])
     return state, state.cert, taken
 
 
-def _kkt_system(x: np.ndarray, p0: float, cols: np.ndarray, lam: np.ndarray, terms):
-    """The KKT equations of :func:`_kkt_newton` at x = (Re vec W, Im vec W)
-    with the multipliers ``lam`` of the basis columns ``cols`` (0 the power,
-    k the cut of user k), from the :func:`_kkt_terms` at W: the real and
-    imaginary parts of g - basis lam, ||W||^2 - P0 and the active cuts."""
-    grad, basis, cuts = terms
-    return np.concatenate([_real(grad - basis[:, cols] @ lam), [x @ x - p0], cuts[cols[1:] - 1]])
+def _kkt_system(cols: np.ndarray, lam: np.ndarray, terms):
+    """The KKT equations of :func:`_kkt_newton` with the multipliers ``lam``
+    of the constraints ``cols`` of the stack, from the :func:`_kkt_terms` at
+    W: the real and imaginary parts of g - basis lam, and the values f_j."""
+    grad, basis, values = terms
+    return np.concatenate([_real(grad - basis[:, cols] @ lam), values[cols]])
 
 
-def _kkt_jacobian(inst: model.Instance, state: _Certified, cols: np.ndarray) -> np.ndarray:
-    """The exact Jacobian of :func:`_kkt_system` in (x, lam) at a certified
-    point, with lam its fit on ``cols``.  The g rows are half the MI Hessian
-    (:func:`model.mi_hessian`, since (Re g, Im g) is half the real gradient)
-    less tau I plus sum_k mu_k C_k, where C_k, the derivative of grad c_k,
-    acts on column j of W as coef_kj h_k h_k^H (coef_kk = 1, coef_kj =
-    -nu_k), applied block by block; their lam columns are -basis.  The
-    power row is 2x, and the row of an active cut is twice the real form of
-    grad c_k, which is minus its basis column."""
-    cfg = inst.config
-    n_tx, n_users = cfg.n_tx, cfg.n_users
+def _kkt_jacobian(inst: model.Instance, cuts: RateCuts, state: _Certified,
+                  cols: np.ndarray) -> np.ndarray:
+    """The exact Jacobian of :func:`_kkt_system` in (x, lam), x = (Re vec W,
+    Im vec W), at a certified point, with lam its fit on ``cols``.  The g
+    rows are half the MI Hessian (:func:`model.mi_hessian`, since (Re g, Im
+    g) is half the real gradient) less the real form of sum_j lam_j (a_j -
+    own_j), the derivative of the gradient columns; their lam columns are
+    -basis.  The row of f_j is twice the real form of its gradient, its
+    basis column."""
     lam = state.coef[cols]
     basis = _real(state.terms[1][:, cols])
-    mu = np.zeros(n_users)
-    mu[cols[1:] - 1] = lam[1:]
-    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
-    weights = np.repeat((-mu * nu)[:, None], n_users, axis=1)
-    np.fill_diagonal(weights, mu)
-    h = inst.channel.conj()                                          # row k is h_k
-    cut_curv = np.zeros((n_users, n_tx, n_users, n_tx), dtype=complex)
-    users = np.arange(n_users)
-    cut_curv[users, :, users, :] = np.einsum("kj,ka,kb->jab", weights, h, h.conj())
-    cut_curv = cut_curv.reshape(n_users * n_tx, -1)
+    curv = np.tensordot(lam, cuts.a[cols] - cuts.own[cols], axes=1)
     n = basis.shape[0]
     jac = np.zeros((n + cols.size, n + cols.size))
-    jac[:n, :n] = 0.5 * model.mi_hessian(inst, state.point) + np.block(
-        [[cut_curv.real, -cut_curv.imag], [cut_curv.imag, cut_curv.real]])
-    jac[np.arange(n), np.arange(n)] -= lam[0]
+    jac[:n, :n] = 0.5 * model.mi_hessian(inst, state.point) - np.block(
+        [[curv.real, -curv.imag], [curv.imag, curv.real]])
     jac[:n, n:] = -basis
-    jac[n, :n] = 2.0 * _real(vec(state.point.w))
-    jac[n + 1:, :n] = -2.0 * basis[:, 1:].T
+    jac[n:, :n] = 2.0 * basis.T
     return jac
 
 
@@ -697,23 +691,25 @@ def _minimum_power_design(inst: model.Instance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RateCuts:
-    """The part of :func:`multiuser_subproblem` that does not depend on the
-    expansion point: the stack ``a`` of the power ball and the cut
-    matrices, the own-signal blocks ``own`` of the cuts (h_k h_k^H on column
-    k, as (cut, vec W, vec W) matrices) and each cut's nu_k sigma^2."""
+    """The constraints of the design problem as quadratic forms in w = vec W:
+    f_j(w) = w^H (a_j - own_j) w + c_j <= 0.  Row 0 is the power ball (a_0 =
+    I, own_0 = 0, c_0 = -P0); row j >= 1 is the SINR cut nu_k (sum_{i != k}
+    |h_k^H w_i|^2 + sigma^2) - |h_k^H w_k|^2 <= 0 of the j-th user with a
+    positive target, whose convex part a_j is the interference and whose
+    concave part own_j (h_k h_k^H on column k) is the signal."""
 
     a: np.ndarray
     own: np.ndarray
-    noise: np.ndarray
+    c: np.ndarray
 
 
 def rate_cuts(inst: model.Instance) -> RateCuts:
-    """The w-independent stack of :func:`multiuser_subproblem`, built once
-    per solve.  User k's cut acts through h_k h_k^H on column k (its own
-    signal) and, times nu_k, on every other column (the interference it
-    receives).  A zero target's constraint |h_k^H w_k|^2 >= 0 always holds,
-    so its cut is left out: the stack holds the power ball, then one cut
-    per user with a positive target, in user order."""
+    """The constraint stack of the instance, built once per solve.  User k's
+    cut acts through h_k h_k^H on column k (its own signal) and, times nu_k,
+    on every other column (the interference it receives).  A zero target's
+    constraint |h_k^H w_k|^2 >= 0 always holds, so its cut is left out: the
+    stack holds the power ball, then one cut per user with a positive
+    target, in user order."""
     cfg = inst.config
     n_tx, n_users = cfg.n_tx, cfg.n_users
     dim = n_tx * n_users
@@ -725,31 +721,27 @@ def rate_cuts(inst: model.Instance) -> RateCuts:
 
     a = np.zeros((users.size + 1, dim, dim), dtype=complex)
     np.fill_diagonal(a[0], 1.0)                              # the power ball
-    # the cuts and the own-signal terms indexed (cut, block row, :, block column, :)
+    own = np.zeros_like(a)
+    # the cuts and their own-signal terms indexed (cut, block row, :, block column, :)
     cuts = a[1:].reshape(users.size, n_users, n_tx, n_users, n_tx)
     cuts[cut, column, :, column, :] = hermitianize(nu[:, None, None] * gram)[cut]
-    own = np.zeros_like(cuts)
-    own[np.arange(users.size), users, :, users, :] = gram
-    return RateCuts(a=a, own=own.reshape(users.size, dim, dim), noise=nu * cfg.comm_noise)
+    own[1:].reshape(cuts.shape)[np.arange(users.size), users, :, users, :] = gram
+    return RateCuts(a=a, own=own, c=np.concatenate([[-cfg.power_budget], nu * cfg.comm_noise]))
 
 
 def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate,
                          cuts: RateCuts) -> conic.QcqpProblem:
-    """Convex QCQP in vec(W): surrogate objective, power ball, and the
-    linearized per-user rate constraints of ``cuts``, :func:`rate_cuts` of
-    the instance.  The signal term of each cut is linearized at w_prev,
-    multiplied over all of vec(W), as the Kronecker-product construction
-    is.  Each cut equals user k's rate constraint at w_prev, so the problem
-    is feasible there when w_prev meets the budget and every rate
-    target."""
+    """Convex QCQP in vec(W): the surrogate objective under the constraint
+    stack ``cuts`` (:func:`rate_cuts` of the instance) with the concave
+    signal term of each cut linearized at w_prev, multiplied over all of
+    vec(W), as the Kronecker-product construction is.  Each cut equals user
+    k's rate constraint at w_prev, so the problem is feasible there when
+    w_prev meets the budget and every rate target."""
     w_vec = vec(model.as_beam_matrix(w_prev, inst.config))
     signal = cuts.own @ w_vec
-    b = np.concatenate([np.zeros((1, w_vec.size), dtype=complex), -signal])
-    c = np.array([-inst.config.power_budget,
-                  *(float(np.real(np.vdot(w_vec, s))) for s in signal)])
-    c[1:] += cuts.noise
+    c = cuts.c + np.array([float(np.real(np.vdot(w_vec, s))) for s in signal])
     return conic.QcqpProblem(objective=(sur.delta * sur.quad, -sur.lin, 0.0),
-                             constraints=(cuts.a, b, c))
+                             constraints=(cuts.a, -signal, c))
 
 
 def _nonnegative_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -781,32 +773,23 @@ def _nonnegative_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _kkt_terms(inst: model.Instance, sur: Surrogate, w_mat: np.ndarray):
-    """The terms of :func:`kkt_certificate`: g, the columns [vec W,
-    -grad c_1, ..., -grad c_K] fitted to it, and the cut values c_k."""
-    cfg = inst.config
-    amps = inst.channel @ w_mat                       # h_k^H w_j at (k, j)
-    power = np.abs(amps) ** 2
-    signal = power.diagonal()
-    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
-    # d c_k / d conj(w_j) = h_k h_k^H w_j, times -nu_k for j != k: column k
-    # is -vec of the N_T x K matrix conj(h_k) weights[k]
-    weights = -nu[:, None] * amps
-    np.fill_diagonal(weights, amps.diagonal())
-    grads = inst.channel.conj()[:, None, :] * weights[:, :, None]   # (k, j, n)
-    basis = np.column_stack([vec(w_mat), -grads.reshape(cfg.n_users, -1).T])
-    cuts = signal - nu * (power.sum(axis=1) - signal + cfg.comm_noise)
-    return sur.gradient(vec(w_mat)), basis, cuts
+def _kkt_terms(cuts: RateCuts, sur: Surrogate, w_mat: np.ndarray):
+    """The terms of :func:`kkt_certificate`: g, the constraint gradients
+    (a_j - own_j) vec W as the columns fitted to it, and the values f_j."""
+    w_vec = vec(w_mat)
+    basis = ((cuts.a - cuts.own) @ w_vec).T
+    values = np.real(w_vec.conj() @ basis) + cuts.c
+    return sur.gradient(w_vec), basis, values
 
 
-def _kkt_fit(inst: model.Instance, w_mat: np.ndarray, grad, basis, cuts):
-    """The certificate from its terms, and the fit (tau, mu_1, ..., mu_K)."""
+def _kkt_fit(grad, basis, values):
+    """The certificate from its terms, and the fit of one multiplier per
+    constraint."""
     coef = _nonnegative_fit(_real(basis), _real(grad))
     grad_norm = float(np.linalg.norm(grad))
     residual = float(np.linalg.norm(grad - basis @ coef)) / (1.0 + grad_norm)
-    comp_power = float(coef[0]) * abs(inst.config.power_budget - float(np.linalg.norm(w_mat) ** 2))
-    comp_rate = float(np.max(coef[1:] * np.abs(cuts)))
-    return (residual, comp_power, comp_rate), coef
+    comp = coef * np.abs(values)
+    return (residual, float(comp[0]), float(np.max(comp[1:], initial=0.0))), coef
 
 
 @dataclass(frozen=True)
@@ -821,10 +804,10 @@ class _Certified:
     cert: tuple
 
 
-def _certify(inst: model.Instance, point: model.SensingPoint) -> _Certified:
+def _certify(inst: model.Instance, cuts: RateCuts, point: model.SensingPoint) -> _Certified:
     """The certificate of a point, kept with its terms and fit."""
-    terms = _kkt_terms(inst, build_surrogate(inst, point), point.w)
-    cert, coef = _kkt_fit(inst, point.w, *terms)
+    terms = _kkt_terms(cuts, build_surrogate(inst, point), point.w)
+    cert, coef = _kkt_fit(*terms)
     return _Certified(point, terms, coef, cert)
 
 
@@ -833,27 +816,28 @@ def kkt_certificate(inst: model.Instance, w):
     problem; the design is an array or its :class:`model.SensingPoint`.
 
     g is the MI gradient (w.r.t. conj(vec W)), read from the surrogate built
-    at w, where the two agree.  With the rate constraints written c_k(W) =
-    |h_k^H w_k|^2 - nu_k (sum_{j != k} |h_k^H w_j|^2 + sigma^2) >= 0, the
-    multipliers tau (power) and mu_k (user k) are the nonnegative
-    least-squares fit of g = tau vec(W) - sum_k mu_k grad c_k.  Returns the
-    stationarity residual ||g - tau vec(W) + sum_k mu_k grad c_k|| / (1 +
-    ||g||), tau |P0 - ||W||^2| and max_k mu_k |c_k|.  Only the design
-    problem enters, not how a subproblem was solved.  A silent target has
-    g = 0, so every multiplier and residual is zero.
+    at w, where the two agree.  The constraints are the stack f_j <= 0 of
+    :func:`rate_cuts`: the power ball, then the SINR cut of each user with a
+    positive target (a zero target's constraint always holds, so it has no
+    multiplier).  Their multipliers lambda_j are the nonnegative
+    least-squares fit of g = sum_j lambda_j grad f_j.  Returns the
+    stationarity residual ||g - sum_j lambda_j grad f_j|| / (1 + ||g||), the
+    power ball's lambda_0 |f_0| and the largest lambda_j |f_j| of the cuts
+    (0 without a cut).  Only the design problem enters, not how a
+    subproblem was solved.  A silent target has g = 0, so every multiplier
+    and residual is zero.
     """
-    return _certify(inst, _sensed(inst, w)).cert
+    return _certify(inst, rate_cuts(inst), _sensed(inst, w)).cert
 
 
 class _MultiUserMap(_MmMap):
     """The K-user subproblem: the solution of :func:`multiuser_subproblem` at
-    the point, on the cut stack built once for the solve.  Each dual solve
-    is warm-started from the multipliers of the one before; an uncertified
-    one raises :class:`NumericalError`."""
+    the point, on the constraint stack built once for the solve.  Each dual
+    solve is warm-started from the multipliers of the one before; an
+    uncertified one raises :class:`NumericalError`."""
 
     def __init__(self, inst: model.Instance):
         super().__init__(inst)
-        self.cuts = rate_cuts(inst)
         self.multipliers = None
 
     def subproblem(self, point: model.SensingPoint) -> np.ndarray:

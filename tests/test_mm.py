@@ -927,23 +927,28 @@ def kkt_system_at(inst, x, cols, lam):
     n = x.size // 2
     point = model.sensing_point(inst, linalg.unvec(x[:n] + 1j * x[n:], inst.config.n_tx,
                                                    inst.config.n_users))
-    return mm._kkt_system(x, inst.config.power_budget, cols, lam, mm._certify(inst, point).terms)
+    return mm._kkt_system(cols, lam, mm._certify(inst, mm.rate_cuts(inst), point).terms)
 
 
-@pytest.mark.parametrize("n_users", [1, 3])
-def test_kkt_jacobian_matches_central_differences(n_users):
-    # every row and column: all multipliers positive, so each cut row and
-    # each cut's curvature enters, at the start of the criterion-5 instance
+@pytest.mark.parametrize("targets", [None, (6.0,) * 3, (0.0, 6.0, 6.0)],
+                         ids=["1", "3", "3-first-target-zero"])
+def test_kkt_jacobian_matches_central_differences(targets):
+    # every row and column: all multipliers positive, so each constraint row
+    # and each cut's curvature enters, at the start of the criterion-5 instance
     # or of configs/multi_user.yaml's geometry on channel 5, where no deep
-    # null makes the MI block dwarf the rest
-    if n_users == 1:
+    # null makes the MI block dwarf the rest.  With the first target zero
+    # the stack's cuts 1 and 2 are users 2 and 3
+    if targets is None:
         inst = criterion_5_instance(1)
     else:
         inst = shipped_geometry_instance(3, 6.0, 5)
-    state = mm._certify(inst, model.sensing_point(inst, mm.zero_forcing_init(inst)))
+        inst = replace(inst, config=replace(inst.config, rate_targets=targets))
+    cuts = mm.rate_cuts(inst)
+    state = mm._certify(inst, cuts, model.sensing_point(inst, mm.zero_forcing_init(inst)))
     state = replace(state, coef=state.coef + 0.1)
     cols = np.arange(state.coef.size)
-    jac = mm._kkt_jacobian(inst, state, cols)
+    assert cols.size == 1 + np.count_nonzero(inst.config.rate_targets)
+    jac = mm._kkt_jacobian(inst, cuts, state, cols)
     x = mm._real(linalg.vec(state.point.w))
     n, step = x.size, 1e-5
     numeric = np.empty_like(jac)
@@ -951,10 +956,8 @@ def test_kkt_jacobian_matches_central_differences(n_users):
         numeric[:, j] = (kkt_system_at(inst, x + e, cols, state.coef)
                          - kkt_system_at(inst, x - e, cols, state.coef)) / (2.0 * step)
     for j, e in enumerate(step * np.eye(cols.size)):
-        numeric[:, n + j] = (mm._kkt_system(x, inst.config.power_budget, cols, state.coef + e,
-                                            state.terms)
-                             - mm._kkt_system(x, inst.config.power_budget, cols, state.coef - e,
-                                              state.terms)) / (2.0 * step)
+        numeric[:, n + j] = (mm._kkt_system(cols, state.coef + e, state.terms)
+                             - mm._kkt_system(cols, state.coef - e, state.terms)) / (2.0 * step)
     assert jac.shape == (n + cols.size,) * 2
     assert np.abs(jac - numeric).max() <= 1e-5 * np.abs(jac).max()
 
@@ -1279,25 +1282,33 @@ def test_multiuser_rate_quadratics_are_psd():
         assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
-@pytest.mark.parametrize("n_users", [1, 3])
-def test_kkt_terms_match_the_per_user_construction(n_users):
-    # reference: one gradient column and one cut value per user, in a loop
+@pytest.mark.parametrize("n_users, targets", [(1, None), (3, None), (3, (2.0, 0.0, 2.0))],
+                         ids=["1", "3", "3-second-target-zero"])
+def test_kkt_terms_match_the_per_user_construction(n_users, targets):
+    # reference: the power ball's gradient column and value, then one column
+    # and one value per user with a positive target, in a loop
     inst = multi_user_instance(seed=131, n_users=n_users, n_tx=5)
+    if targets is not None:
+        inst = replace(inst, config=replace(inst.config, rate_targets=targets))
     cfg = inst.config
     w = random_complex(np.random.default_rng(17), cfg.n_tx, cfg.n_users)
-    grad, basis, cuts = mm._kkt_terms(inst, mm.build_surrogate(inst, w), w)
+    grad, basis, values = mm._kkt_terms(mm.rate_cuts(inst), mm.build_surrogate(inst, w), w)
     amps = inst.channel @ w
     power = np.abs(amps) ** 2
     nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
+    users = np.flatnonzero(nu > 0.0)
     assert np.array_equal(basis[:, 0], linalg.vec(w))
-    for k in range(n_users):
-        weights = -nu[k] * amps[k]
-        weights[k] = amps[k, k]
-        column = -linalg.vec(np.outer(inst.channel[k].conj(), weights))
-        assert np.array_equal(basis[:, 1 + k], column)
-        expected = power[k, k] - nu[k] * (power[k].sum() - power[k, k] + cfg.comm_noise)
-        assert cuts[k] == pytest.approx(expected, rel=1e-14, abs=1e-14 * power[k].sum())
-    assert basis.shape == (cfg.n_tx * n_users, 1 + n_users)
+    assert values[0] == pytest.approx(np.linalg.norm(w) ** 2 - cfg.power_budget, rel=1e-14)
+    for j, k in enumerate(users, start=1):
+        weights = nu[k] * amps[k]
+        weights[k] = -amps[k, k]
+        column = linalg.vec(np.outer(inst.channel[k].conj(), weights))
+        # a row of the stacked product (a_j - own_j) vec W: the sums run in
+        # another order than the outer product's, so they agree to roundoff
+        assert np.abs(basis[:, j] - column).max() <= 1e-13 * np.abs(column).max()
+        expected = nu[k] * (power[k].sum() - power[k, k] + cfg.comm_noise) - power[k, k]
+        assert values[j] == pytest.approx(expected, rel=1e-14, abs=1e-14 * power[k].sum())
+    assert basis.shape == (cfg.n_tx * n_users, 1 + users.size) and values.shape == (1 + users.size,)
     assert np.array_equal(grad, mm.build_surrogate(inst, w).gradient(linalg.vec(w)))
 
 

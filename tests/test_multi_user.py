@@ -223,7 +223,9 @@ def test_zero_rate_targets_leave_their_cuts_out(monkeypatch, targets, interfered
     # zero forcing gives a zero-target user a zero column, so its cut was
     # identically zero and the QCQP ended uncertified at map 1.  Its constraint
     # |h_k^H w_k|^2 >= 0 always holds: the stack holds the power ball and one
-    # cut per positive target, and every target is met
+    # cut per positive target, and every target is met.  The certificate
+    # reads the same stack, so it fits no multiplier to a left-out cut, and
+    # without any cut its rate complementarity is exactly zero
     scenario = parse_config(CONFIGS / "multi_user.yaml").scenario
     scenario = replace(scenario, config=replace(scenario.config, rate_targets=targets),
                        interference=scenario.interference if interfered else None)
@@ -241,6 +243,10 @@ def test_zero_rate_targets_leave_their_cuts_out(monkeypatch, targets, interfered
     assert set(sizes) == {1 + np.count_nonzero(targets)}
     assert np.linalg.norm(report.w) ** 2 <= POWER_W * (1.0 + 1e-9)
     assert np.all(model.achieved_rates(inst, report.w) >= np.asarray(targets) - 1e-6)
+    cert = mm.kkt_certificate(inst, report.w)
+    assert np.all(np.isfinite(cert))
+    if not np.any(targets):
+        assert cert[2] == 0.0
 
 
 def test_scaling_up_raises_mi_and_every_rate():
