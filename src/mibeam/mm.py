@@ -1,20 +1,18 @@
 """Minorize-maximize solvers for the extended-interference designs.
 
 The nonconcave mutual information is minorized at each iterate by a touching
-concave quadratic in w; the schemes differ only in the subproblem.  For one
-user it is solved in closed form through its Lagrangian dual, with a
-secular-equation Newton solve for the power multiplier in the eigenbasis of
-the surrogate curvature, and SQUAREM extrapolation accelerates the map.
-Each map tries the multiplier of the map before it first: a step over the
-budget there starts the Newton solve, and the zero-multiplier step is formed
-only when neither that step nor a part of the linear term along a flat
-direction of the curvature shows that the budget binds.
-
-Every constraint of the design problem is a difference of convex quadratics
-in w = vec W, and :func:`rate_cuts` builds them once per solve as one
-stack: the power ball, then the SINR cut of each user with a positive
-target.  For K users the subproblem keeps the cuts with their concave
-signal terms linearized at the iterate, a convex QCQP
+concave quadratic in w = vec W.  Every constraint of the design problem is a
+difference of convex quadratics in w, and :func:`rate_cuts` builds them once
+per solve as one stack: the power ball, then the SINR cut of each user with
+a positive target.  Each subproblem maximizes the surrogate under the stack
+with its concave signal terms linearized at the iterate (:func:`_linearized`);
+the schemes differ only in how it is solved.  For one user, in closed form
+through its Lagrangian dual (:class:`ShiftedCurvature`), with a
+secular-equation Newton solve for the power multiplier
+(:func:`bisect_power_multiplier`) that tries the multiplier of the map before
+first and forms the zero-multiplier step only when neither that step nor a
+flat direction of the curvature shows that the budget binds; SQUAREM
+extrapolation accelerates the map.  For K users, as a convex QCQP
 (:func:`multiuser_subproblem`) solved through its Lagrangian dual by Newton
 steps in one multiplier per constraint (:func:`conic.solve_qcqp`), each
 warm-started from the multipliers of the one before.
@@ -143,10 +141,10 @@ class MmReport:
     kkt_residual: Optional[float] = None
     comp_power: Optional[float] = None
     comp_rate: Optional[float] = None
-    # inner-solve work: dual Newton steps of the QCQP (K users), or
-    # evaluations of ShiftedCurvature.step (one user): per map the warm step,
-    # the zero-multiplier step unless the warm one is over the budget or c
-    # has a flat part, and the rest of the multiplier solve
+    # inner-solve work: dual Newton steps of the QCQP (K users), or the
+    # ShiftedCurvature.step calls of bisect_power_multiplier (one user): per
+    # map the warm step, the zero-multiplier step unless the warm one is over
+    # the budget or c has a flat part, and Newton's when the budget binds
     inner_steps: int = 0
     finish_steps: int = 0     # Newton steps of the accepted finishes
     wall_time_s: float = 0.0
@@ -154,8 +152,11 @@ class MmReport:
 
 class ShiftedCurvature:
     """The single-user subproblem built at w_ref, in the eigenbasis V of its
-    curvature delta * quad: c = V^H lin and r = V^H (h h^H w_ref) are formed
-    once for the whole secular-equation Newton solve of the power multiplier.
+    curvature delta * quad, formed once for the whole secular-equation
+    Newton solve of the power multiplier: c = V^H lin and the K = 1 stack
+    ``cuts`` linearized at w_ref (:func:`_linearized`), the budget p0 = -c_0
+    and the cut 2 Re(r^H x) >= omega_shift, r = V^H own_1 w_ref (a_1 = 0 at
+    K = 1).  A zero target has no cut: r = 0, omega_shift = -inf.
 
     Eigenvalues within the relative cutoff of zero are treated as an exact
     null space (at tau = 0 used only to meet the rate cut, inverted as 1/tau
@@ -165,7 +166,7 @@ class ShiftedCurvature:
 
     NULL_RTOL = 1e-12
 
-    def __init__(self, sur: Surrogate, h: np.ndarray, w_ref: np.ndarray):
+    def __init__(self, sur: Surrogate, cuts: RateCuts, w_ref: np.ndarray):
         vals, vecs = np.linalg.eigh(sur.delta * sur.quad)
         vals = np.clip(vals, 0.0, None)
         cutoff = self.NULL_RTOL * max(float(vals.max()), 1e-300)
@@ -173,14 +174,17 @@ class ShiftedCurvature:
         self.vecs = vecs
         basis = vecs.conj().T
         self.c = basis @ sur.lin
-        self.r = basis @ (h * complex(np.vdot(h, w_ref)))
+        signal, const = _linearized(cuts, vec(w_ref))
+        self.p0 = -float(const[0])
+        self.r = basis @ signal[-1]  # the cut's, or the power row's own_0 w = 0
+        self.omega_shift = float(const[1]) if const.size > 1 else -np.inf
         self.evaluations = 0
 
-    def step(self, omega_shift: float, tau: float):
+    def step(self, tau: float):
         """(x, mu, p, dp/dtau) at power multiplier tau, in O(N_T): the maximizer
         x = s * (c + mu r), s = 1/(lambda + tau), of the surrogate less
-        tau ||w||^2 under the rate cut 2 Re(w_ref^H h h^H w) >= omega_shift,
-        its rate multiplier mu, its power p and the power's slope.
+        tau ||w||^2 under the rate cut 2 Re(r^H x) >= omega_shift, its rate
+        multiplier mu, its power p and the power's slope.
 
         mu = 0 when s * c already meets the cut.  At tau = 0 the flat
         directions (lambda = 0, where s = 0) meet the cut's deficit at no
@@ -193,41 +197,49 @@ class ShiftedCurvature:
         below 1e-14 of its bound 2 ||r||^2 max(s): that bound shrinks with
         tau as b does, so a cut that only weakens as tau grows is not
         degenerate, while r = 0 still is.  The absolute test comes first,
-        because it costs nothing.
+        because it costs nothing.  A floating-point fault, an overflow or a
+        divisor that underflowed to 0, raises :class:`BracketFailure`.
         """
         self.evaluations += 1
-        shifted = self.vals + tau
-        if tau > 0.0:  # then every shifted eigenvalue is positive
-            s = 1.0 / shifted
-        else:
-            s = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
-        x = s * self.c
-        attained = 2.0 * float(np.real(np.vdot(self.r, x)))
-        if attained < omega_shift and tau == 0.0:
-            # the flat directions meet the deficit at no cost in objective
-            r_flat = np.where(shifted > 0.0, 0.0, self.r)
-            flat = 2.0 * float(np.vdot(r_flat, r_flat).real)
-            if flat > 0.0:
-                x = x + ((omega_shift - attained) / flat) * r_flat
-                attained = omega_shift
-        if attained >= omega_shift:
-            return x, 0.0, float(np.vdot(x, x).real), -2.0 * float(np.sum(s * np.abs(x) ** 2))
-        sr = s * self.r
-        b = 2.0 * float(np.real(np.vdot(self.r, sr)))
-        if b <= 1e-14 and b <= 2e-14 * float(np.vdot(self.r, self.r).real) * np.max(s, initial=0.0):
-            raise DegenerateConstraint("linearized rate constraint has vanishing curvature")
-        a = omega_shift - attained
-        da = 2.0 * float(np.real(np.vdot(sr, x)))         # 2 Re r^H (s^2 c)
-        db = -2.0 * float(np.sum(np.abs(sr) ** 2))        # -2 sum s^2 |r|^2
-        mu = a / b
-        x = x + mu * sr
-        dx = -s * x + ((da * b - a * db) / b ** 2) * sr
-        return x, mu, float(np.vdot(x, x).real), 2.0 * float(np.real(np.vdot(x, dx)))
+        r, omega_shift = self.r, self.omega_shift
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                shifted = self.vals + tau
+                if tau > 0.0:  # then every shifted eigenvalue is positive
+                    s = 1.0 / shifted
+                else:
+                    s = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
+                x = s * self.c
+                attained = 2.0 * float(np.real(np.vdot(r, x)))
+                if attained < omega_shift and tau == 0.0:
+                    # the flat directions meet the deficit at no cost in objective
+                    r_flat = np.where(shifted > 0.0, 0.0, r)
+                    flat = 2.0 * float(np.vdot(r_flat, r_flat).real)
+                    if flat > 0.0:
+                        x = x + ((omega_shift - attained) / flat) * r_flat
+                        attained = omega_shift
+                if attained >= omega_shift:
+                    return (x, 0.0, float(np.vdot(x, x).real),
+                            -2.0 * float(np.sum(s * np.abs(x) ** 2)))
+                sr = s * r
+                b = 2.0 * float(np.real(np.vdot(r, sr)))
+                if b <= 1e-14 and b <= 2e-14 * float(np.vdot(r, r).real) * np.max(s, initial=0.0):
+                    raise DegenerateConstraint("the linearized rate cut has vanishing curvature")
+                a = omega_shift - attained
+                da = 2.0 * float(np.real(np.vdot(sr, x)))         # 2 Re r^H (s^2 c)
+                db = -2.0 * float(np.sum(np.abs(sr) ** 2))        # -2 sum s^2 |r|^2
+                mu = a / b
+                x = x + mu * sr
+                dx = -s * x + ((da * b - a * db) / b ** 2) * sr
+                return x, mu, float(np.vdot(x, x).real), 2.0 * float(np.real(np.vdot(x, dx)))
+        except ArithmeticError as exc:
+            raise BracketFailure(f"the power multiplier left the range of finite "
+                                 f"arithmetic at tau = {tau:.3g}") from exc
 
 
-def rate_constrained_step(curvature: ShiftedCurvature, omega_shift: float, tau: float):
+def rate_constrained_step(curvature: ShiftedCurvature, tau: float):
     """Minimizer of the power-penalized surrogate under the linearized rate
-    constraint 2 Re(w_ref^H h h^H w) >= omega_shift, in the antenna basis.
+    cut of the curvature, in the antenna basis.
 
     Returns (w, mu) of :meth:`ShiftedCurvature.step`; mu = 0 when the
     unconstrained minimizer already satisfies the constraint, otherwise
@@ -236,47 +248,51 @@ def rate_constrained_step(curvature: ShiftedCurvature, omega_shift: float, tau: 
     accepted, and does not call this.  The package keeps it because
     criterion 9 reads it and the benchmark traces it by name.
     """
-    x, mu, _, _ = curvature.step(omega_shift, tau)
+    x, mu, _, _ = curvature.step(tau)
     return curvature.vecs @ x, mu
 
 
-def _guarded_step(curvature: ShiftedCurvature, omega_shift: float, tau: float):
-    """:meth:`ShiftedCurvature.step` at tau with floating-point faults raised,
-    an overflow or a divisor that underflowed to 0 as :class:`BracketFailure`."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return curvature.step(omega_shift, tau)
-    except ArithmeticError as exc:
-        raise BracketFailure(f"the power multiplier left the range of finite "
-                             f"arithmetic at tau = {tau:.3g}") from exc
-
-
-def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0: float,
-                            tau: float = 1.0, first=None):
-    """Find the power multiplier with ||w(tau)||^2 = P0 by a safeguarded
+def bisect_power_multiplier(curvature: ShiftedCurvature, tau: float = 1.0):
+    """The single-user subproblem's step under its budget P0 =
+    ``curvature.p0``: at tau = 0 when the budget is slack, else at the power
+    multiplier with ||w(tau)||^2 = P0, found by a safeguarded
     secular-equation Newton iteration (More & Sorensen 1983).
 
-    The transmit power p(tau) is non-increasing; the caller guarantees the
-    unpenalized step exceeds the budget.  Newton runs on phi = 1/sqrt(p) -
-    1/sqrt(P_t), nearly linear in tau, aimed at P_t = P0 (1 - POWER_RTOL/2)
-    so that it stops inside [P0 (1 - POWER_RTOL), P0].  Each evaluation is
-    :func:`_guarded_step`.  tau starts at the given positive value (the MM
-    map passes the multiplier of its previous solve, which is close);
-    ``first``, when given, is the caller's :func:`_guarded_step` at that tau,
-    taken as the first iterate instead of being repeated.  A bracket [lo,
-    hi] safeguards tau: while no feasible tau is known, a Newton step from
-    the left is taken whenever it increases tau, and tau doubles otherwise;
-    once one is, an iterate outside the bracket is replaced by hi /
-    MULTIPLIER_DECADE while lo = 0, by the geometric midpoint otherwise.
-    Returns (tau, x, mu) from the feasible side: the step of the evaluation
-    that set hi, in the eigenbasis (w = V x), so no evaluation is repeated.
-    The name, from the bisection this replaced, is kept for the benchmark's
-    tracer, which looks the function up by it.
+    The step at the given positive tau (the MM map passes its last
+    multiplier, which is close) goes first.  Over the budget, it shows that
+    the budget binds, since the power p(tau) is non-increasing, and it is
+    the first Newton iterate.  A part of c along the flat directions of a
+    rank-deficient curvature, where the power diverges as tau -> 0, shows
+    it too.  Otherwise, or when that step raises (so that an error of the
+    tau = 0 step comes first), the tau = 0 step decides; a raising first
+    step is repeated, and raises, if Newton runs.  Newton runs on phi =
+    1/sqrt(p) - 1/sqrt(P_t), nearly linear in tau, aimed at P_t = P0 (1 -
+    POWER_RTOL/2) so that it stops inside [P0 (1 - POWER_RTOL), P0].  A
+    bracket [lo, hi] safeguards tau: while no feasible tau is known, a
+    Newton step from the left is taken whenever it increases tau, and tau
+    doubles otherwise; once one is, an iterate outside the bracket is
+    replaced by hi / MULTIPLIER_DECADE while lo = 0, by the geometric
+    midpoint otherwise.  Returns (tau, x, mu): tau = 0 when the budget is
+    slack, else the step of the evaluation that set hi, in the eigenbasis
+    (w = V x), so no evaluation is repeated.  The name, from the bisection
+    this replaced, is kept for the benchmark's tracer.
     """
+    p0 = curvature.p0
+    try:
+        first = curvature.step(tau)
+    except NumericalError:
+        first = None
+    c = curvature.c
+    flat = float(np.linalg.norm(c[curvature.vals == 0.0])) > 1e-10 * max(
+        float(np.linalg.norm(c)), 1e-300)
+    if first is None or not (first[2] > p0 or flat):
+        x, mu, power, _ = curvature.step(0.0)
+        if not (power > p0 or flat):
+            return 0.0, x, mu
     target = p0 * (1.0 - 0.5 * POWER_RTOL)
     lo, hi = 0.0, np.inf
     for _ in range(MULTIPLIER_EVALS):
-        x, mu, p, slope = _guarded_step(curvature, omega_shift, tau) if first is None else first
+        x, mu, p, slope = curvature.step(tau) if first is None else first
         first = None
         # the band less a margin for the roundoff of forming w from x
         if abs(p - target) <= 0.45 * POWER_RTOL * p0:
@@ -304,9 +320,9 @@ def bisect_power_multiplier(curvature: ShiftedCurvature, omega_shift: float, p0:
 
 class _MmMap:
     """The MM map of one scheme with its per-solve constants (the budget and
-    the constraint stack :func:`rate_cuts`, which the certificate and the
-    finish read for both schemes), and what the outer loop and the finish
-    ask of a point.  Points are
+    the constraint stack :func:`rate_cuts`, which the subproblem, the
+    certificate and the finish of both schemes read), and what the outer
+    loop and the finish ask of a point.  Points are
     :class:`model.SensingPoint` records, so the MI of a point and the
     surrogate built at it come from one evaluation.  A scheme supplies
     ``subproblem(point)``, the maximizer of the surrogate built at the point
@@ -345,52 +361,24 @@ class _MmMap:
 
 class _SingleUserMap(_MmMap):
     """The single-user subproblem: the maximizer of the surrogate built at w
-    under the power budget and the rate constraint linearized at w.  Its
-    answer meets the rate target for any input w, because the linearized
-    constraint is a restriction of the true one.  ``tau`` is the last
+    under the stack linearized at w, by :func:`bisect_power_multiplier`.
+    Its answer meets the rate target for any input w, because the
+    linearized cut is a restriction of the true one.  ``tau`` is the last
     positive power multiplier of this solve, 1 at the start; each multiplier
-    solve starts from it, since the multiplier moves little from one map to
-    the next.
+    solve starts from it, since it moves little from one map to the next.
     """
 
     def __init__(self, inst: model.Instance):
         super().__init__(inst)
-        self.h = inst.channel[0].conj()
-        self.omega = model.rate_power_threshold(inst.config.rate_targets[0],
-                                                inst.config.comm_noise)
         self.tau = 1.0
 
     def subproblem(self, point: model.SensingPoint) -> np.ndarray:
-        """The step at the warm multiplier ``tau`` goes first.  Over the
-        budget, it shows that the budget binds, since p(tau) is
-        non-increasing, and :func:`bisect_power_multiplier` takes it as its
-        first iterate.  A part of c along the flat directions of a
-        rank-deficient curvature, where the power diverges as tau -> 0, shows
-        it too.  Otherwise, or when the warm step raises (so that an error of
-        the tau = 0 step comes first), the tau = 0 step decides: it is the
-        maximizer when it meets the budget and c has no flat part.  When the
-        budget binds, the multiplier solve starts from ``tau``, reusing the
-        warm step if it was formed.  Either way w = V x is formed once, from
-        the accepted step."""
-        w = point.w
-        curvature = ShiftedCurvature(build_surrogate(self.inst, point), self.h, w)
-        omega_shift = float(np.abs(np.vdot(self.h, w)) ** 2) + self.omega
-        try:
-            warm = _guarded_step(curvature, omega_shift, self.tau)
-        except NumericalError:
-            warm = None  # the multiplier solve repeats it, and raises, if it runs
-        c = curvature.c
-        flat = float(np.linalg.norm(c[curvature.vals == 0.0])) > 1e-10 * max(
-            float(np.linalg.norm(c)), 1e-300)
-        binds = warm is not None and (warm[2] > self.p0 or flat)
-        if not binds:
-            x, _, power, _ = curvature.step(omega_shift, 0.0)
-            binds = power > self.p0 or flat
-        if binds:
-            self.tau, x, _ = bisect_power_multiplier(curvature, omega_shift, self.p0, self.tau,
-                                                     warm)
+        curvature = ShiftedCurvature(build_surrogate(self.inst, point), self.cuts, point.w)
+        tau, x, _ = bisect_power_multiplier(curvature, self.tau)
+        if tau > 0.0:
+            self.tau = tau
         self.inner_steps += curvature.evaluations
-        return (curvature.vecs @ x).reshape(w.shape)
+        return (curvature.vecs @ x).reshape(point.w.shape)
 
     def advance(self, point: model.SensingPoint) -> model.SensingPoint:
         """One SQUAREM cycle (Varadhan & Roland 2008, steplength S3).
@@ -729,6 +717,13 @@ def rate_cuts(inst: model.Instance) -> RateCuts:
     return RateCuts(a=a, own=own, c=np.concatenate([[-cfg.power_budget], nu * cfg.comm_noise]))
 
 
+def _linearized(cuts: RateCuts, w_vec: np.ndarray):
+    """The stack with its concave signal terms linearized at w, x^H a_j x -
+    2 Re((own_j w)^H x) + c_j + w^H own_j w <= 0: (own_j w, those constants)."""
+    signal = cuts.own @ w_vec
+    return signal, cuts.c + np.array([float(np.real(np.vdot(w_vec, s))) for s in signal])
+
+
 def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate,
                          cuts: RateCuts) -> conic.QcqpProblem:
     """Convex QCQP in vec(W): the surrogate objective under the constraint
@@ -737,9 +732,7 @@ def multiuser_subproblem(inst: model.Instance, w_prev, sur: Surrogate,
     vec(W), as the Kronecker-product construction is.  Each cut equals user
     k's rate constraint at w_prev, so the problem is feasible there when
     w_prev meets the budget and every rate target."""
-    w_vec = vec(model.as_beam_matrix(w_prev, inst.config))
-    signal = cuts.own @ w_vec
-    c = cuts.c + np.array([float(np.real(np.vdot(w_vec, s))) for s in signal])
+    signal, c = _linearized(cuts, vec(model.as_beam_matrix(w_prev, inst.config)))
     return conic.QcqpProblem(objective=(sur.delta * sur.quad, -sur.lin, 0.0),
                              constraints=(cuts.a, -signal, c))
 

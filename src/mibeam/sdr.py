@@ -22,7 +22,10 @@ DEFAULT_RANDOMIZATIONS = 1000
 
 def _point_response(factor: np.ndarray, cfg: model.SystemConfig) -> np.ndarray:
     """The N_T x N_R response sqrt(strength) a b^H of a point scatterer:
-    vec of it is the factor's one column.  Zero when there is no column."""
+    vec of it is the factor's one nonzero column.  Zero columns, the
+    components of a silent scatterer, are dropped, so a scatterer with no
+    other column is absent and its response is zero."""
+    factor = factor[:, np.any(factor, axis=0)]
     if factor.shape[1] > 1:
         raise ValueError("sdr: target and interferer must each be a single point")
     if factor.shape[1] == 0:

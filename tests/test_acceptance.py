@@ -233,14 +233,12 @@ def test_criterion_09_power_monotone_in_multiplier():
         inst = model.build_instance(scenario)
         cfg = inst.config
         h = inst.channel[0].conj()
-        omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
         w_ref = np.sqrt(cfg.power_budget) * h / np.linalg.norm(h)
         sur = mm.build_surrogate(inst, w_ref)
-        curv = mm.ShiftedCurvature(sur, h, w_ref)
-        omega_shift = float(np.abs(np.vdot(h, w_ref)) ** 2) + omega
+        curv = mm.ShiftedCurvature(sur, mm.rate_cuts(inst), w_ref)
         powers = []
         for tau in np.linspace(1e-6, 2.0, 20):
-            w, _ = mm.rate_constrained_step(curv, omega_shift, tau)
+            w, _ = mm.rate_constrained_step(curv, tau)
             powers.append(float(np.linalg.norm(w) ** 2))
         rises = np.diff(powers)
         worst_rise = max(worst_rise, max(0.0, float(rises.max())))

@@ -592,6 +592,20 @@ def test_solve_sdr_reports_reduced_dimension_and_reruns_identically(tmp_path):
         (tmp_path / "b" / "solution.json").read_bytes()
 
 
+def test_solve_sdr_silent_extended_interferer_designs_as_without_one(tmp_path):
+    # every strength zero: the config is valid for sdr, which designs as if
+    # there were no interferer instead of failing on its 50 components
+    designs = []
+    for name, interference in (("silent", {"span": [-30.0, -25.0], "count": 50, "strength": 0.0}),
+                               ("none", "none")):
+        cfg_path = write_config(tmp_path / f"{name}.yaml", interference=interference,
+                                solver={"name": "sdr", "randomizations": 200})
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+        payload = json.loads((tmp_path / name / "solution.json").read_text())
+        designs.append((payload["w_re"], payload["w_im"]))
+    assert designs[0] == designs[1]
+
+
 def test_solve_zero_strength_target_exits_zero(tmp_path):
     cfg_path = write_config(
         tmp_path / "cfg.yaml",

@@ -59,6 +59,26 @@ def feasible_beam(inst, rng):
             return w
 
 
+def single_cut(h, omega, p0):
+    """The K = 1 constraint stack of a channel h (the conjugated channel row),
+    a budget p0 and, unless omega is None, the rate cut |h^H w|^2 >= omega."""
+    n = h.size
+    rows = 1 if omega is None else 2
+    a = np.zeros((rows, n, n), dtype=complex)
+    a[0] = np.eye(n)
+    own = np.zeros_like(a)
+    if omega is not None:
+        own[1] = np.outer(h, h.conj())
+    return mm.RateCuts(a=a, own=own, c=np.array([-p0, omega][:rows], dtype=float))
+
+
+def shifted_curvature(sur, h, w_ref, omega_shift, p0=10.0):
+    """The curvature built at w_ref with the cut 2 Re(w_ref^H h h^H w) >=
+    omega_shift, as the stack of single_cut linearizes it."""
+    return mm.ShiftedCurvature(
+        sur, single_cut(h, omega_shift - float(np.abs(np.vdot(h, w_ref)) ** 2), p0), w_ref)
+
+
 # ---------------------------------------------------------------------------
 # Surrogate conditions
 
@@ -226,8 +246,7 @@ def test_rate_constrained_step_unconstrained_case():
     free = linalg.pinv(sur.delta * sur.quad) @ sur.lin
     attained = 2.0 * float(np.real(np.vdot(h * np.vdot(h, w0), free)))
     # a requirement strictly below the attained value keeps the multiplier zero
-    w, mu = mm.rate_constrained_step(mm.ShiftedCurvature(sur, h, w0),
-                                     omega_shift=attained - 1.0, tau=0.0)
+    w, mu = mm.rate_constrained_step(shifted_curvature(sur, h, w0, attained - 1.0), tau=0.0)
     assert mu == 0.0
     assert np.allclose(w, free, atol=1e-10)
 
@@ -245,7 +264,7 @@ def test_rate_constrained_step_equality_case():
     received = h * np.vdot(h, w0)
     free = np.linalg.solve(shifted, sur.lin)
     omega_shift = 2.0 * float(np.real(np.vdot(received, free))) + 1.0
-    w, mu = mm.rate_constrained_step(mm.ShiftedCurvature(sur, h, w0), omega_shift, tau)
+    w, mu = mm.rate_constrained_step(shifted_curvature(sur, h, w0, omega_shift), tau)
     assert mu > 0.0
     attained = 2.0 * float(np.real(np.vdot(received, w)))
     assert attained == pytest.approx(omega_shift, rel=1e-9)
@@ -259,8 +278,7 @@ def test_rate_constrained_step_large_tau_shrinks():
     h = inst.channel[0].conj()
     w0 = feasible_beam(inst, rng)
     sur = mm.build_surrogate(inst, w0)
-    w, _ = mm.rate_constrained_step(mm.ShiftedCurvature(sur, h, w0), omega_shift=-1.0,
-                                    tau=1e12)
+    w, _ = mm.rate_constrained_step(shifted_curvature(sur, h, w0, -1.0), tau=1e12)
     assert np.linalg.norm(w) <= 1e-6
 
 
@@ -271,25 +289,20 @@ def test_rate_constrained_step_vanishing_curvature_raises():
     sur = mm.build_surrogate(inst, w0)
     # a zero channel leaves the linearized rate cut no direction to move along
     with pytest.raises(DegenerateConstraint):
-        mm.rate_constrained_step(mm.ShiftedCurvature(sur, np.zeros(inst.config.n_tx), w0),
-                                 omega_shift=1.0, tau=0.5)
+        mm.rate_constrained_step(shifted_curvature(sur, np.zeros(inst.config.n_tx), w0, 1.0),
+                                 tau=0.5)
 
 
 def test_transmit_power_monotone_in_multiplier():
     rng = np.random.default_rng(7)
     for seed in range(10):
         inst = single_user_instance(seed=80 + seed)
-        cfg = inst.config
-        h = inst.channel[0].conj()
-        omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
         w0 = feasible_beam(inst, rng)
-        sur = mm.build_surrogate(inst, w0)
-        curv = mm.ShiftedCurvature(sur, h, w0)
-        omega_shift = float(np.abs(np.vdot(h, w0)) ** 2) + omega
+        curv = mm.ShiftedCurvature(mm.build_surrogate(inst, w0), mm.rate_cuts(inst), w0)
         taus = np.linspace(0.0, 5.0, 20)
         powers = []
         for tau in taus:
-            w, _ = mm.rate_constrained_step(curv, omega_shift, tau)
+            w, _ = mm.rate_constrained_step(curv, tau)
             powers.append(float(np.linalg.norm(w) ** 2))
         diffs = np.diff(powers)
         assert np.all(diffs <= 1e-9 * max(1.0, max(powers)))
@@ -299,16 +312,13 @@ def test_bisection_meets_power_budget():
     rng = np.random.default_rng(8)
     inst = single_user_instance(seed=90)
     cfg = inst.config
-    h = inst.channel[0].conj()
-    omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
     w0 = feasible_beam(inst, rng)
-    sur = mm.build_surrogate(inst, w0)
-    curv = mm.ShiftedCurvature(sur, h, w0)
-    omega_shift = float(np.abs(np.vdot(h, w0)) ** 2) + omega
-    w_free, _ = mm.rate_constrained_step(curv, omega_shift, 0.0)
+    curv = mm.ShiftedCurvature(mm.build_surrogate(inst, w0), mm.rate_cuts(inst), w0)
+    assert curv.p0 == cfg.power_budget
+    w_free, _ = mm.rate_constrained_step(curv, 0.0)
     if np.linalg.norm(w_free) ** 2 <= cfg.power_budget:
         pytest.skip("unpenalized step already inside the budget for this seed")
-    tau, x, _ = mm.bisect_power_multiplier(curv, omega_shift, cfg.power_budget)
+    tau, x, _ = mm.bisect_power_multiplier(curv)
     assert tau > 0.0
     power = float(np.linalg.norm(curv.vecs @ x) ** 2)
     assert power <= cfg.power_budget * (1.0 + 1e-12)
@@ -337,36 +347,32 @@ def test_bisection_bracket_iteration_bound(monkeypatch):
     rng = np.random.default_rng(18)
     inst = single_user_instance(seed=91)
     cfg = inst.config
-    h = inst.channel[0].conj()
-    omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
     w0 = feasible_beam(inst, rng)
-    sur = mm.build_surrogate(inst, w0)
-    curv = mm.ShiftedCurvature(sur, h, w0)
-    omega_shift = float(np.abs(np.vdot(h, w0)) ** 2) + omega
-    w_free, _ = mm.rate_constrained_step(curv, omega_shift, 0.0)
+    curv = mm.ShiftedCurvature(mm.build_surrogate(inst, w0), mm.rate_cuts(inst), w0)
+    w_free, _ = mm.rate_constrained_step(curv, 0.0)
     if np.linalg.norm(w_free) ** 2 <= cfg.power_budget:
         pytest.skip("unpenalized step already inside the budget for this seed")
 
-    w_one, _ = mm.rate_constrained_step(curv, omega_shift, 1.0)
+    w_one, _ = mm.rate_constrained_step(curv, 1.0)
     if np.linalg.norm(w_one) ** 2 > cfg.power_budget:
         pytest.skip("initial bracket needs expansion for this seed")
 
     evals = count_calls(monkeypatch, "step", mm.ShiftedCurvature)
     steps = count_calls(monkeypatch, "rate_constrained_step")
-    tau, x, mu = mm.bisect_power_multiplier(curv, omega_shift, cfg.power_budget)
+    tau, x, mu = mm.bisect_power_multiplier(curv)
     assert len(evals) <= 10
     assert len(steps) == 0
-    x_at, mu_at, _, _ = curv.step(omega_shift, tau)
+    x_at, mu_at, _, _ = curv.step(tau)
     assert np.array_equal(x, x_at) and mu == mu_at
 
 
-def reference_multiplier(curv, omega_shift, p0):
+def reference_multiplier(curv):
     """(tau, mu) at power P0 (1 - POWER_RTOL/2) by 200 bisection steps over
     rate_constrained_step, the bracket grown by doubling from tau = 1."""
-    target = p0 * (1.0 - 0.5 * mm.POWER_RTOL)
+    target = curv.p0 * (1.0 - 0.5 * mm.POWER_RTOL)
 
     def power(tau):
-        w, _ = mm.rate_constrained_step(curv, omega_shift, tau)
+        w, _ = mm.rate_constrained_step(curv, tau)
         return float(np.linalg.norm(w) ** 2)
 
     lo, hi = 0.0, 1.0
@@ -378,7 +384,7 @@ def reference_multiplier(curv, omega_shift, p0):
             lo = mid
         else:
             hi = mid
-    return hi, mm.rate_constrained_step(curv, omega_shift, hi)[1]
+    return hi, mm.rate_constrained_step(curv, hi)[1]
 
 
 def extended_family(channel_seed):
@@ -392,8 +398,9 @@ def extended_family(channel_seed):
     return model.build_instance(scenario)
 
 
-def multiplier_case(case):
-    """(curvature, h, w_ref, omega_shift, p0) of one inner solve."""
+def multiplier_case(case, p0=None):
+    """(curvature, h, w_ref) of one inner solve, on the instance's stack with
+    its budget replaced by p0 when one is given."""
     if case in ("inactive", "active"):
         inst = single_user_instance(seed=90 if case == "inactive" else 94)
         w_ref = feasible_beam(inst, np.random.default_rng(8))
@@ -401,15 +408,13 @@ def multiplier_case(case):
         inst = extended_family(1)
         h = inst.channel[0].conj()
         w_ref = np.sqrt(inst.config.power_budget) * h / np.linalg.norm(h)
-    cfg = inst.config
     h = inst.channel[0].conj()
-    sur = mm.build_surrogate(inst, w_ref)
-    omega = model.rate_power_threshold(cfg.rate_targets[0], cfg.comm_noise)
-    omega_shift = float(np.abs(np.vdot(h, w_ref)) ** 2) + omega
-    p0 = cfg.power_budget
-    if case == "large":  # a budget far below the step at tau = 1, cut slack
-        omega_shift, p0 = -1.0, 1e-4
-    return mm.ShiftedCurvature(sur, h, w_ref), h, w_ref, omega_shift, p0
+    cuts = mm.rate_cuts(inst)
+    if case == "large":  # a budget far below the step at tau = 1, and no cut
+        cuts = replace(cuts, a=cuts.a[:1], own=cuts.own[:1], c=np.array([-1e-4]))
+    if p0 is not None:
+        cuts = replace(cuts, c=np.concatenate([[-p0], cuts.c[1:]]))
+    return mm.ShiftedCurvature(mm.build_surrogate(inst, w_ref), cuts, w_ref), h, w_ref
 
 
 @pytest.mark.parametrize("case", ["inactive", "active", "null", "large"])
@@ -417,11 +422,12 @@ def test_power_multiplier_matches_reference_bisection(case):
     # from the default start tau = 1 and from starts far from and close to
     # the reference on either side: the bracket and its safeguards bring
     # every start to the same multiplier
-    curv, _, _, omega_shift, p0 = multiplier_case(case)
-    tau_ref, mu_ref = reference_multiplier(curv, omega_shift, p0)
+    curv, _, _ = multiplier_case(case)
+    tau_ref, mu_ref = reference_multiplier(curv)
+    p0 = curv.p0
     for tau0 in (1.0, 1e-12 * tau_ref, (1.0 - 1e-3) * tau_ref, (1.0 + 1e-3) * tau_ref,
                  1e6 * tau_ref):
-        tau, x, mu = mm.bisect_power_multiplier(curv, omega_shift, p0, tau0)
+        tau, x, mu = mm.bisect_power_multiplier(curv, tau0)
         power = float(np.linalg.norm(curv.vecs @ x) ** 2)
         assert p0 * (1.0 - 1e-12) <= power <= p0
         assert tau == pytest.approx(tau_ref, rel=1e-8)
@@ -436,15 +442,15 @@ def test_power_multiplier_matches_reference_bisection(case):
 
 @pytest.mark.parametrize("case", ["inactive", "active", "null"])
 def test_power_slope_matches_central_differences(case):
-    curv, _, _, omega_shift, p0 = multiplier_case(case)
-    tau, x, mu = mm.bisect_power_multiplier(curv, omega_shift, p0)
-    _, _, power, slope = curv.step(omega_shift, tau)
+    curv, _, _ = multiplier_case(case)
+    tau, x, mu = mm.bisect_power_multiplier(curv)
+    _, _, power, slope = curv.step(tau)
     assert power == pytest.approx(float(np.linalg.norm(curv.vecs @ x) ** 2), rel=1e-13)
     step = 1e-4 * tau
-    plus = curv.step(omega_shift, tau + step)[2]
-    minus = curv.step(omega_shift, tau - step)[2]
+    plus = curv.step(tau + step)[2]
+    minus = curv.step(tau - step)[2]
     for probe in (tau - step, tau + step):  # both sides on the branch of tau
-        assert (curv.step(omega_shift, probe)[1] == 0.0) == (mu == 0.0)
+        assert (curv.step(probe)[1] == 0.0) == (mu == 0.0)
     assert slope < 0.0
     assert slope == pytest.approx((plus - minus) / (2.0 * step), rel=1e-6)
 
@@ -457,12 +463,12 @@ def test_inner_step_solves_for_the_multiplier_along_a_flat_direction(monkeypatch
                        delta=1.0)
     monkeypatch.setattr(mm, "build_surrogate", lambda inst, w: sur)
     step = mm._SingleUserMap(single_user_instance(n_tx=4))
-    step.h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
-    step.p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0)  # twice the power at tau = 0
+    h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
+    p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0)  # twice the power at tau = 0
     # a rate requirement far below anything attainable leaves the cut slack
-    step.omega = -1e6
-    power = float(np.linalg.norm(step.subproblem(model.sensing_point(step.inst, step.h))) ** 2)
-    assert step.p0 * (1.0 - 1e-12) <= power <= step.p0
+    step.cuts = single_cut(h, -1e6, p0)
+    power = float(np.linalg.norm(step.subproblem(model.sensing_point(step.inst, h))) ** 2)
+    assert p0 * (1.0 - 1e-12) <= power <= p0
     assert step.tau > 0.0
 
 
@@ -471,14 +477,14 @@ def test_power_multiplier_unreachable_rate_cut_is_bracket_failure():
     # above a 0.01 W budget.  Its curvature b = 2 sum s |r|^2 falls like
     # 1/tau as the search raises the multiplier, which is weakening, not
     # degeneracy
-    curv, h, w_ref, omega_shift, _ = multiplier_case("null")
+    curv, h, w_ref = multiplier_case("null", p0=0.01)
     for tau in (1.0, 1e-9, 1e6):  # the default start and two warm ones
         with pytest.raises((BracketFailure, Infeasible)):
-            mm.bisect_power_multiplier(curv, omega_shift, 0.01, tau)
-    w, mu = mm.rate_constrained_step(curv, omega_shift, 1e18)
+            mm.bisect_power_multiplier(curv, tau)
+    w, mu = mm.rate_constrained_step(curv, 1e18)
     attained = 2.0 * float(np.real(np.vdot(h * np.vdot(h, w_ref), w)))
     assert mu > 0.0
-    assert attained == pytest.approx(omega_shift, rel=1e-9)
+    assert attained == pytest.approx(curv.omega_shift, rel=1e-9)
 
 
 def test_power_multiplier_outside_finite_arithmetic_is_bracket_failure():
@@ -486,10 +492,10 @@ def test_power_multiplier_outside_finite_arithmetic_is_bracket_failure():
     # underflows, and a flat direction drives its step past overflow as tau
     # falls: the multiplier solve ends as a bracket failure, which SQUAREM
     # takes as a rejected extrapolation, not as an uncaught arithmetic error
-    curv, _, _, omega_shift, _ = multiplier_case("null")
+    curv, _, _ = multiplier_case("null", p0=0.01)
     for tau in (1e160, 1e-160):
         with pytest.raises(BracketFailure, match="finite arithmetic"):
-            mm.bisect_power_multiplier(curv, omega_shift, 0.01, tau)
+            mm.bisect_power_multiplier(curv, tau)
 
 
 def test_step_meets_the_cut_along_flat_directions_at_tau_zero():
@@ -499,16 +505,17 @@ def test_step_meets_the_cut_along_flat_directions_at_tau_zero():
     sur = mm.Surrogate(lin=np.array([0.0, 1.0, 1.0, 1.0], dtype=complex),
                        quad=np.diag([0.0, 1.0, 2.0, 3.0]), delta=1.0)
     h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
-    curv = mm.ShiftedCurvature(sur, h, h)
+    omega_shift = 10.0  # above the 2 Re r^H x = 1.25 the curved directions attain
+    curv = shifted_curvature(sur, h, h, omega_shift)
+    assert curv.omega_shift == omega_shift
     flat = curv.vals == 0.0
     assert np.count_nonzero(flat) == 1 and not np.any(curv.c[flat])
-    omega_shift = 10.0  # above the 2 Re r^H x = 1.25 the curved directions attain
-    x, mu, power, _ = curv.step(omega_shift, 0.0)
+    x, mu, power, _ = curv.step(0.0)
     assert mu == 0.0
     assert 2.0 * float(np.real(np.vdot(curv.r, x))) == pytest.approx(omega_shift, rel=1e-12)
     assert np.allclose(x[~flat], curv.c[~flat] / curv.vals[~flat], rtol=0.0, atol=1e-15)
     assert power == pytest.approx(float(np.linalg.norm(x) ** 2), rel=1e-15)
-    x_near, mu_near, _, _ = curv.step(omega_shift, 1e-9)
+    x_near, mu_near, _, _ = curv.step(1e-9)
     assert 0.0 < mu_near <= 1e-8
     assert np.linalg.norm(x_near - x) <= 1e-7 * np.linalg.norm(x)
 
@@ -519,17 +526,17 @@ def test_power_multiplier_work_per_inner_solve(monkeypatch):
     # budget, that step is the multiplier solve's first iterate.  The tau =
     # 0 step is formed only on maps where the warm step is within the budget
     # and c has no flat part, which alone makes the budget bind.  A full
-    # criterion-5 solve on channel 1 takes 1883 O(N_T) power evaluations
-    # over 466 maps, 4.04 a map (326 maps skip the tau = 0 step over the
-    # budget, 18 more for a flat c).  The map forms w from the step the
+    # criterion-5 solve on channel 1 takes 1938 O(N_T) power evaluations
+    # over 484 maps, 4.00 a map (341 maps skip the tau = 0 step over the
+    # budget, 16 more for a flat c).  The map forms w from the step the
     # multiplier solve accepted, so no evaluation repeats and the
     # antenna-basis reference step is never called
     inst = extended_family(1)
     maps = []  # per map, whether c has a flat part, and the (tau, power) of each evaluation
     evaluate, subproblem = mm.ShiftedCurvature.step, mm._SingleUserMap.subproblem
 
-    def evaluating(curv, omega_shift, tau):
-        result = evaluate(curv, omega_shift, tau)
+    def evaluating(curv, tau):
+        result = evaluate(curv, tau)
         if maps[-1][0] is None:
             flat = float(np.linalg.norm(curv.c[curv.vals == 0.0]))
             maps[-1][0] = flat > 1e-10 * max(float(np.linalg.norm(curv.c)), 1e-300)
@@ -555,18 +562,19 @@ def test_power_multiplier_work_per_inner_solve(monkeypatch):
         assert all(tau != warm_tau for tau, _ in rest)  # the warm step is not repeated
         over += warm_power > p0
         flat_within += flat and warm_power <= p0
-    assert len(maps) == 466 and over == 326 and flat_within == 18
+    assert len(maps) == 484 and over == 341 and flat_within == 16
     evaluations = sum(len(evals) for _, evals in maps)
-    assert evaluations == 1883
+    assert evaluations == 1938
     assert len(steps) == 0
     # the report counts every evaluation
     assert report.inner_steps == evaluations
 
 
-@pytest.mark.parametrize("channel, inner_steps", [(2, 2032), (3, 1894), (4, 2153)])
+@pytest.mark.parametrize("channel, inner_steps", [(2, 1945), (3, 2129), (4, 2094)],
+                         ids=["channel-2", "channel-3", "channel-4"])
 def test_power_multiplier_work_on_more_criterion_5_channels(channel, inner_steps):
     # the other channels of the mm-single-extended benchmark: a full solve's
-    # evaluation count, which a change to the map's rule moves
+    # evaluation count, which a change to the map's rule or arithmetic moves
     assert mm.solve_single_user(extended_family(channel)).inner_steps == inner_steps
 
 
@@ -575,13 +583,12 @@ def probe_first_subproblem(step, point):
     the warm step first: the tau = 0 step, then the multiplier solve from
     ``step.tau`` when that step is over the budget or c has a flat part."""
     w = point.w
-    curvature = mm.ShiftedCurvature(mm.build_surrogate(step.inst, point), step.h, w)
-    omega_shift = float(np.abs(np.vdot(step.h, w)) ** 2) + step.omega
-    x, _, power, _ = curvature.step(omega_shift, 0.0)
+    curvature = mm.ShiftedCurvature(mm.build_surrogate(step.inst, point), step.cuts, w)
+    x, _, power, _ = curvature.step(0.0)
     c = curvature.c
     flat = float(np.linalg.norm(c[curvature.vals == 0.0]))
-    if power > step.p0 or flat > 1e-10 * max(float(np.linalg.norm(c)), 1e-300):
-        step.tau, x, _ = mm.bisect_power_multiplier(curvature, omega_shift, step.p0, step.tau)
+    if power > curvature.p0 or flat > 1e-10 * max(float(np.linalg.norm(c)), 1e-300):
+        step.tau, x, _ = mm.bisect_power_multiplier(curvature, step.tau)
     return (curvature.vecs @ x).reshape(w.shape)
 
 
@@ -620,9 +627,8 @@ def test_warm_first_map_matches_the_probe_first_order(monkeypatch):
     step, over = mm._SingleUserMap(inst), 0
     for point, tau in seen:
         assert_warm_first_is_probe_first(subproblem, step, point, tau)
-        curv = mm.ShiftedCurvature(mm.build_surrogate(inst, point), step.h, point.w)
-        omega_shift = float(np.abs(np.vdot(step.h, point.w)) ** 2) + step.omega
-        over += curv.step(omega_shift, tau)[2] > step.p0
+        curv = mm.ShiftedCurvature(mm.build_surrogate(inst, point), step.cuts, point.w)
+        over += curv.step(tau)[2] > curv.p0
     assert 0 < over < len(seen)
 
     # the flat-direction surrogate of
@@ -632,28 +638,27 @@ def test_warm_first_map_matches_the_probe_first_order(monkeypatch):
                        delta=1.0)
     monkeypatch.setattr(mm, "build_surrogate", lambda inst, w: sur)
     step = mm._SingleUserMap(single_user_instance(n_tx=4))
-    step.h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
-    step.p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0)
-    step.omega = -1e6
-    point = model.sensing_point(step.inst, step.h)
+    h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
+    p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0)
+    step.cuts = single_cut(h, -1e6, p0)
+    point = model.sensing_point(step.inst, h)
     for tau in (1.0, 1e-6, 1e3):
         _, tau_after = assert_warm_first_is_probe_first(subproblem, step, point, tau)
         assert tau_after != tau
     # the same c from a w orthogonal to h under a positive rate requirement:
     # r = 0 makes the cut degenerate, and that error of the tau = 0 step
     # comes first also when the warm step leaves finite arithmetic
-    step.omega = 1.0
+    step.cuts = single_cut(h, 1.0, p0)
     orthogonal = model.sensing_point(step.inst, np.array([0.0, 0.0, 1.0, 0.0]))
     for tau in (1.0, 1e-320):
         outcome = assert_warm_first_is_probe_first(subproblem, step, orthogonal, tau)
         assert outcome[0] is DegenerateConstraint
-    step.omega = -1e6
 
     # a budget that does not bind, with no flat direction: the tau = 0 step
     # is kept and the multiplier left as it was
     sur = mm.Surrogate(lin=np.ones(4, dtype=complex), quad=np.diag([1.0, 2.0, 3.0, 4.0]),
                        delta=1.0)
-    step.p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0 + 1.0 / 16.0)
+    step.cuts = single_cut(h, -1e6, 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0 + 1.0 / 16.0))
     for tau in (1.0, 1e-6):
         answer, tau_after = assert_warm_first_is_probe_first(subproblem, step, point, tau)
         assert tau_after == tau
@@ -664,12 +669,15 @@ def test_warm_first_map_matches_the_probe_first_order(monkeypatch):
     # is still kept
     sur = mm.Surrogate(lin=np.array([0.0, 1.0, 1.0, 1.0], dtype=complex),
                        quad=np.diag([0.0, 1.0, 2.0, 3.0]), delta=1.0)
-    step.omega, step.p0 = 10.0, 40.0
+    step.cuts = single_cut(h, 10.0, 40.0)
     for tau in (1.0, 1e-200):
         answer, tau_after = assert_warm_first_is_probe_first(subproblem, step, point, tau)
         assert tau_after == tau and isinstance(answer, bytes)
+    curvature = mm.ShiftedCurvature(sur, step.cuts, h)
+    assert curvature.omega_shift == 11.5625
     with pytest.raises(BracketFailure, match="finite arithmetic"):
-        mm.bisect_power_multiplier(mm.ShiftedCurvature(sur, step.h, step.h), 11.5625, 40.0, 1e-200)
+        curvature.step(1e-200)
+    assert mm.bisect_power_multiplier(curvature, 1e-200)[0] == 0.0
     monkeypatch.undo()
 
     # a warm multiplier whose step leaves finite arithmetic: the tau = 0
@@ -679,6 +687,75 @@ def test_warm_first_map_matches_the_probe_first_order(monkeypatch):
     step = mm._SingleUserMap(inst)
     point = model.sensing_point(inst, np.sqrt(inst.config.power_budget) * h / np.linalg.norm(h))
     assert assert_warm_first_is_probe_first(subproblem, step, point, 1e-160)[0] is BracketFailure
+
+
+def test_stack_curvature_matches_the_explicit_cut():
+    # the K = 1 stack linearized at w_ref gives the cut that the channel
+    # forms directly: r = V^H h (h^H w_ref) and omega_shift = |h^H w_ref|^2 +
+    # omega, with the budget read from the power row
+    rng = np.random.default_rng(19)
+    cases = [(inst, feasible_beam(inst, rng)) for inst in
+             (single_user_instance(seed=120 + seed) for seed in range(4))]
+    for channel in (1, 2):  # the criterion-5 MRT start, as the map holds it
+        inst = extended_family(channel)
+        h = inst.channel[0].conj()
+        cases.append((inst, np.sqrt(inst.config.power_budget) * h[:, None] / np.linalg.norm(h)))
+    for inst, w_ref in cases:
+        cfg = inst.config
+        curv = mm.ShiftedCurvature(mm.build_surrogate(inst, w_ref), mm.rate_cuts(inst), w_ref)
+        h = inst.channel[0].conj()
+        gain = complex(np.vdot(h, w_ref.ravel()))
+        r = curv.vecs.conj().T @ (h * gain)
+        omega_shift = abs(gain) ** 2 + model.rate_power_threshold(cfg.rate_targets[0],
+                                                                  cfg.comm_noise)
+        assert np.linalg.norm(curv.r - r) <= 1e-14 * np.linalg.norm(r)
+        assert abs(curv.omega_shift - omega_shift) <= 1e-14 * omega_shift
+        assert curv.p0 == cfg.power_budget
+
+
+def test_zero_target_map_is_the_power_only_maximizer(monkeypatch):
+    # a zero target leaves the stack with the power ball alone, so the map
+    # maximizes the surrogate over the ball: delta quad w + tau w = lin at
+    # tau = 0 inside the ball, or at the multiplier that meets the budget
+    inst = single_user_instance(seed=126, rate=0.0)
+    step = mm._SingleUserMap(inst)
+    assert step.cuts.c.size == 1
+    cfg = inst.config
+    h = inst.channel[0].conj()
+    rng = np.random.default_rng(26)
+    for _ in range(3):
+        w = random_complex(rng, cfg.n_tx)
+        w -= h * (np.vdot(h, w) / np.vdot(h, h))  # orthogonal to h as well
+        point = model.sensing_point(inst, np.sqrt(cfg.power_budget) * w / np.linalg.norm(w))
+        w_next = step.subproblem(point)[:, 0]
+        sur = mm.build_surrogate(inst, point)
+        power = float(np.linalg.norm(w_next) ** 2)
+        assert power <= cfg.power_budget
+        tau = step.tau if power >= cfg.power_budget * (1.0 - 1e-12) else 0.0
+        residual = sur.delta * sur.quad @ w_next + tau * w_next - sur.lin
+        assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(sur.lin)
+
+    # the flat-direction surrogate at a w orthogonal to h, where a positive
+    # target's cut is degenerate: without the cut the answer is lin / (lambda
+    # + tau), inside the ball at tau = 0 and on it when the budget binds
+    sur = mm.Surrogate(lin=np.ones(4, dtype=complex), quad=np.diag([1.0, 2.0, 3.0, 4.0]),
+                       delta=1.0)
+    monkeypatch.setattr(mm, "build_surrogate", lambda inst, w: sur)
+    step = mm._SingleUserMap(single_user_instance(n_tx=4))
+    h = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
+    orthogonal = model.sensing_point(step.inst, np.array([0.0, 0.0, 1.0, 0.0]))
+    p0 = 2.0 * (1.0 + 1.0 / 4.0 + 1.0 / 9.0 + 1.0 / 16.0)
+    step.cuts = single_cut(h, 1.0, p0)
+    with pytest.raises(DegenerateConstraint):
+        step.subproblem(orthogonal)
+    step.cuts = single_cut(h, None, p0)
+    answer = step.subproblem(orthogonal)[:, 0]
+    assert np.allclose(answer, [1.0, 0.5, 1.0 / 3.0, 0.25], rtol=1e-14, atol=0.0)
+    step.cuts = single_cut(h, None, 0.1)
+    answer = step.subproblem(orthogonal)[:, 0]
+    assert 0.1 * (1.0 - 1e-12) <= float(np.linalg.norm(answer) ** 2) <= 0.1
+    assert np.allclose(answer * (np.array([1.0, 2.0, 3.0, 4.0]) + step.tau), 1.0,
+                       rtol=1e-12, atol=0.0)
 
 
 def test_multiplier_warm_start_stays_inside_one_solve():
@@ -871,7 +948,7 @@ def test_each_newton_step_is_one_iteration(monkeypatch):
         return out
 
     monkeypatch.setattr(mm, "_kkt_newton", counting)
-    inst = criterion_5_instance(1)
+    inst = criterion_5_instance(2)  # whose finish takes more than one Newton step
     full = mm.solve_single_user(inst)
     # one accepted finish, no MM step after it: one trace entry for all
     # its Newton steps, one iteration for each
@@ -988,8 +1065,8 @@ def test_each_newton_step_evaluates_one_point(monkeypatch, n_users):
     monkeypatch.setattr(model, "sensing_point", counted("points", sensing_point))
     monkeypatch.setattr(mm, "build_surrogate", counted("surrogates", build_surrogate))
     monkeypatch.setattr(mm, "_kkt_newton", counting)
-    if n_users == 1:
-        result = mm.solve_single_user(criterion_5_instance(1))
+    if n_users == 1:  # a channel whose finish takes more than one Newton step
+        result = mm.solve_single_user(criterion_5_instance(2))
     else:
         result = dispatch.solve_scenario(rmse_eval_design_scenario(), "mm-multi")
     assert counts["steps"] >= 2

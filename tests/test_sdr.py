@@ -101,11 +101,14 @@ def test_absent_and_silent_interferer_give_the_same_design():
     target = ScattererModel.point(0.0, 1.0)
     channel = inst.channel
     absent = dispatch.solve_scenario(Scenario(cfg, target, None, channel), "sdr")
-    silent = dispatch.solve_scenario(
-        Scenario(cfg, target, ScattererModel.point(-30.0, 0.0), channel), "sdr")
-    assert np.array_equal(absent.w, silent.w)
-    assert absent.mi_nats == silent.mi_nats
-    assert absent.extras == silent.extras
+    # a silent point, and a silent extended interferer, which validate_scheme
+    # takes as absent too: its zero components are no point to respond to
+    for interferer in (ScattererModel.point(-30.0, 0.0),
+                       ScattererModel.extended(-30.0, -25.0, 50, 0.0)):
+        silent = dispatch.solve_scenario(Scenario(cfg, target, interferer, channel), "sdr")
+        assert np.array_equal(absent.w, silent.w)
+        assert absent.mi_nats == silent.mi_nats
+        assert absent.extras == silent.extras
 
 
 def test_build_sdp_shapes_and_zero_matrix_point():
