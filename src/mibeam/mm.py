@@ -5,21 +5,22 @@ concave quadratic in w = vec W.  Every constraint of the design problem is a
 difference of convex quadratics in w, and :func:`rate_cuts` builds them once
 per solve as one stack: the power ball, then the SINR cut of each user with
 a positive target.  Each subproblem maximizes the surrogate under the stack
-with its concave signal terms linearized at the iterate (:func:`_linearized`);
-the schemes differ only in how it is solved.  For one user, in closed form
-through its Lagrangian dual (:class:`ShiftedCurvature`), with a
-secular-equation Newton solve for the power multiplier
+with its concave signal terms linearized at the iterate (:func:`_linearized`).
+The number of users, not the scheme named, picks how it is solved.  For one
+user, in closed form through its Lagrangian dual (:class:`ShiftedCurvature`),
+with a secular-equation Newton solve for the power multiplier
 (:func:`bisect_power_multiplier`) that tries the multiplier of the map before
 first and forms the zero-multiplier step only when neither that step nor a
 flat direction of the curvature shows that the budget binds; SQUAREM
-extrapolation accelerates the map.  For K users, as a convex QCQP
+extrapolation accelerates the map.  For K > 1 users, as a convex QCQP
 (:func:`multiuser_subproblem`) solved through its Lagrangian dual by Newton
 steps in one multiplier per constraint (:func:`conic.solve_qcqp`), each
 warm-started from the multipliers of the one before.
 
-One solve path (:func:`_solve`) serves both: one start with its feasibility
-verdict, one map that scales every subproblem answer to the full power
-budget, one outer loop, one KKT certificate and one finish.  Every point
+One solve path (:func:`_solve`) serves every K and both eps rules: one
+feasibility verdict that also gives the start, then one map chosen by K
+that scales every subproblem answer to the full power budget, one outer
+loop, one KKT certificate and one finish.  Every point
 the loop holds is a :class:`model.SensingPoint`, evaluated once: its MI
 and the surrogate built at it read the same Cholesky factors, so no MM
 iterate is evaluated twice.  The certificate (:func:`kkt_certificate`)
@@ -31,7 +32,7 @@ block is :func:`model.mi_hessian`, read from the factors of the point, and
 the constraint blocks are the stack's gradients and curvatures, so each
 step evaluates one point, at its end.
 
-Both schemes build the minorizer from the scatterer factors of the instance
+Both maps build the minorizer from the scatterer factors of the instance
 (R = F F^H, one column per component), as the mutual information does; no
 (N_T N_R)-dimensional matrix is formed.
 """
@@ -426,29 +427,29 @@ def _real(w: np.ndarray) -> np.ndarray:
 
 def solve_single_user(inst: model.Instance, eps1: float = DEFAULT_EPS_SINGLE,
                       max_iters: int = DEFAULT_MAX_ITERS) -> MmReport:
-    """MM solver for one user with arbitrary (e.g. extended) interference:
-    :func:`_solve` with the Lagrangian-dual inner step (secular-equation
-    Newton on the power multiplier), one SQUAREM cycle per outer iteration
-    (:meth:`_SingleUserMap.advance`) and the eps1 rule."""
-    if inst.config.n_users != 1:
-        raise ValueError("solve_single_user requires exactly one user")
-    return _solve(_SingleUserMap(inst), eps1, max_iters)
+    """The MM solve (:func:`_solve`) under the eps1 rule."""
+    return _solve(inst, eps1, max_iters)
 
 
-def _solve(step: _MmMap, eps: float, max_iters: int) -> MmReport:
-    """The MM solve of every scheme, from :func:`zero_forcing_init` (for one
-    user the maximum-ratio-transmission vector at full power), which raises
-    :class:`Infeasible` when the least power that meets the rate targets
-    exceeds the budget or a user's channel is zero.  A silent target makes
-    the MI, and every surrogate, identically zero: each feasible point is
-    stationary, so the start is returned, converged with a zero certificate.
-    Otherwise :func:`_iterate`."""
+def _solve(inst: model.Instance, eps: float, max_iters: int) -> MmReport:
+    """The MM solve of every scheme.  The verdict comes first:
+    :func:`zero_forcing_init` (for one user the maximum-ratio-transmission
+    vector at full power) raises :class:`Infeasible` when the least power
+    that meets the rate targets reaches the budget or a user's channel is
+    zero, and otherwise gives the start.  A silent target makes the MI, and
+    every surrogate, identically zero: each feasible point is stationary, so
+    the start is returned, converged with a zero certificate.  Otherwise the
+    number of users picks the map, whichever scheme was named:
+    :class:`_SingleUserMap` (the Lagrangian-dual step with SQUAREM cycles) at
+    K = 1, :class:`_MultiUserMap` (the QCQP with plain maps) for K > 1; then
+    :func:`_iterate`."""
     started = time.perf_counter()
-    point = model.sensing_point(step.inst, zero_forcing_init(step.inst))
-    if not np.any(step.inst.target_factor):
+    point = model.sensing_point(inst, zero_forcing_init(inst))
+    if not np.any(inst.target_factor):
         return MmReport(w=point.w, mi_trace=[point.mi], iterations=0, status="converged",
                         kkt_residual=0.0, comp_power=0.0, comp_rate=0.0,
                         wall_time_s=time.perf_counter() - started)
+    step = (_SingleUserMap if inst.config.n_users == 1 else _MultiUserMap)(inst)
     return _iterate(step, point, eps, max_iters, started)
 
 
@@ -606,27 +607,37 @@ def zero_forcing_init(inst: model.Instance) -> np.ndarray:
     channel diagonal, and per-user amplitudes meet the rate targets exactly
     before the common full-power scaling; when every target is zero, the
     unit-norm columns (for one user the maximum-ratio-transmission vector).
-    Otherwise :func:`_minimum_power_design`, scaled to the budget, which
-    keeps every rate.  Raises :class:`Infeasible`, naming the least power
-    that meets the targets, when that reaches P0 (1 - POWER_RTOL), which
-    leaves the map no room to move, and when a user's channel is zero: no
-    beamformer then meets its rate constraint strictly.  That is the one
-    feasibility verdict: ``sdr`` and ``dispatch``'s closed form call it too.
+    A zero-forcing power past the float range does not fit.  Otherwise
+    :func:`_minimum_power_design`, scaled to the budget, which keeps every
+    rate, once the largest power a user needs alone, nu_k sigma^2 /
+    ||h_k||^2, a lower bound on the least power and equal to it at K = 1,
+    is below the budget.  Raises :class:`Infeasible`, naming that bound or
+    the least power that meets the targets, when it reaches P0 (1 -
+    POWER_RTOL), which leaves the map no room to move, and when a user's
+    channel is zero: no beamformer then meets its rate constraint
+    strictly.  That is the one feasibility verdict: ``sdr`` and
+    ``dispatch``'s closed form call it too.
     """
     cfg = inst.config
     if not np.all(np.any(inst.channel, axis=1)):
         raise Infeasible("a user's channel is zero, so its rate target is not strictly feasible")
     directions = pinv(inst.channel)  # (N_T, K), channel @ directions = I
-    amps = np.sqrt([model.rate_power_threshold(r, cfg.comm_noise)
-                    for r in cfg.rate_targets])
-    base = directions * amps if np.any(amps) else directions / np.linalg.norm(directions, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a power past the float range
+        received = model.sinr_targets(cfg.rate_targets) * cfg.comm_noise
+        amps = np.sqrt(received)
+        base = (directions * amps if np.any(amps)
+                else directions / np.linalg.norm(directions, axis=0))
+        needed = float(np.linalg.norm(base) ** 2)
+        # each user alone: a lower bound on the least power, equal to it at K = 1
+        alone = float(np.max(received / np.sum(np.abs(inst.channel) ** 2, axis=1)))
     # with every target zero the start meets them at any scale
     room = cfg.power_budget * (1.0 - POWER_RTOL) if np.any(amps) else np.inf
-    needed = float(np.linalg.norm(base) ** 2)
-    if needed >= room:
-        base = _minimum_power_design(inst)
-        needed = float(np.linalg.norm(base) ** 2)
-        if needed >= room:
+    if not needed < room:
+        needed = alone
+        if needed < room:
+            base = _minimum_power_design(inst)
+            needed = float(np.linalg.norm(base) ** 2)
+        if not needed < room:
             raise Infeasible(f"the rate targets need at least {needed:.6g} W, budget is "
                              f"{cfg.power_budget:.6g} W: the least power is "
                              f"{needed / cfg.power_budget - 1.0:+.2g} relative to the budget, "
@@ -654,7 +665,7 @@ def _minimum_power_design(inst: model.Instance) -> np.ndarray:
     """
     cfg = inst.config
     g = inst.channel.conj().T / np.sqrt(cfg.comm_noise)     # columns g_k
-    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
+    nu = model.sinr_targets(cfg.rate_targets)
     zero_forcing = nu * np.linalg.pinv(g.conj().T @ g).diagonal().real
     lam = np.full(cfg.n_users, np.max(zero_forcing))
     for _ in range(100):
@@ -670,7 +681,12 @@ def _minimum_power_design(inst: model.Instance) -> np.ndarray:
     beams = np.linalg.solve(a, g)
     beams /= np.linalg.norm(beams, axis=0)
     gains = np.abs(g.conj().T @ beams) ** 2                    # |g_k^H u_j|^2 at (k, j)
-    powers = np.linalg.solve(np.diag(gains.diagonal() * (1.0 + nu)) - nu[:, None] * gains, nu)
+    # SINR_k = nu_k, each row over 1 + nu_k: p_k G_kk / (1 + nu_k) - nu_k / (1 +
+    # nu_k) sum_{j != k} p_j G_kj = nu_k / (1 + nu_k), with no cancellation
+    share = nu / (1.0 + nu)
+    system = -share[:, None] * gains
+    np.fill_diagonal(system, gains.diagonal() / (1.0 + nu))
+    powers = np.linalg.solve(system, share)
     powers[nu == 0.0] = 0.0      # exactly, not the solve's roundoff
     if not np.all(powers >= 0.0):
         raise Infeasible("no beamformer meets the rate targets at any power")
@@ -702,7 +718,7 @@ def rate_cuts(inst: model.Instance) -> RateCuts:
     n_tx, n_users = cfg.n_tx, cfg.n_users
     dim = n_tx * n_users
     h = inst.channel.conj()                                  # row k is h_k
-    nu = 2.0 ** np.asarray(cfg.rate_targets) - 1.0
+    nu = model.sinr_targets(cfg.rate_targets)
     users = np.flatnonzero(nu > 0.0)
     nu, gram = nu[users], h[users, :, None] * h[users].conj()[:, None, :]  # h_k h_k^H
     cut, column = np.nonzero(users[:, None] != np.arange(n_users)[None, :])
@@ -827,7 +843,10 @@ class _MultiUserMap(_MmMap):
     """The K-user subproblem: the solution of :func:`multiuser_subproblem` at
     the point, on the constraint stack built once for the solve.  Each dual
     solve is warm-started from the multipliers of the one before; an
-    uncertified one raises :class:`NumericalError`."""
+    uncertified one raises :class:`NumericalError`.  Without echo
+    interference the subproblem's optimal set is a face whose central point,
+    which the solve returns, lies below full power; there the map's scaling
+    cuts hundreds of maps to tens."""
 
     def __init__(self, inst: model.Instance):
         super().__init__(inst)
@@ -844,11 +863,5 @@ class _MultiUserMap(_MmMap):
 
 def solve_multi_user(inst: model.Instance, eps2: float = DEFAULT_EPS_MULTI,
                      max_iters: int = DEFAULT_MAX_ITERS) -> MmReport:
-    """MM + successive convex approximation for K users: :func:`_solve` with
-    a dual Newton solve of the subproblem QCQP, started from the previous
-    subproblem's multipliers, plain maps and the eps2 rule.  Without echo
-    interference the subproblem's optimal set is a face whose central point,
-    which the solve returns, lies below full power; there the map's scaling
-    cuts hundreds of maps to tens.  ``inner_steps`` totals the dual Newton
-    steps."""
-    return _solve(_MultiUserMap(inst), eps2, max_iters)
+    """The MM solve (:func:`_solve`) under the eps2 rule."""
+    return _solve(inst, eps2, max_iters)

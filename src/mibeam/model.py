@@ -44,9 +44,17 @@ def nats_to_bits(nats: float) -> float:
     return nats / LN2
 
 
+def sinr_targets(rate_bits) -> np.ndarray:
+    """The SINR nu = 2^r - 1 that each rate target r (bits/s/Hz) needs, in
+    numpy arithmetic, which every reader of nu shares: inf where it leaves
+    the float range (r >= 1024), which :class:`SystemConfig` rejects."""
+    with np.errstate(over="ignore"):
+        return 2.0 ** np.asarray(rate_bits, dtype=float) - 1.0
+
+
 def rate_power_threshold(rate_bits: float, comm_noise: float) -> float:
     """Minimum received signal power implied by a single-user rate target."""
-    return (2.0 ** rate_bits - 1.0) * comm_noise
+    return float(sinr_targets(rate_bits) * comm_noise)
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,9 @@ class SystemConfig:
     """Static system parameters.
 
     ``power_budget``, ``comm_noise`` and ``radar_noise`` are linear watts.
-    ``rate_targets`` holds one bits/s/Hz target per user.
+    ``rate_targets`` holds one bits/s/Hz target per user, each at least 0
+    and with a finite SINR target 2^r - 1 (:func:`sinr_targets`), so below
+    1024 bits/s/Hz.
     """
 
     n_tx: int
@@ -79,6 +89,9 @@ class SystemConfig:
             raise ConfigError("system.rate_targets: need one entry per user")
         if not all(0.0 <= r < np.inf for r in self.rate_targets):
             raise ConfigError("system.rate_targets: must be finite and >= 0")
+        if not np.all(np.isfinite(sinr_targets(self.rate_targets))):
+            raise ConfigError("system.rate_targets: must be below 1024 bits/s/Hz, where the "
+                              "SINR target 2^r - 1 leaves the float range")
         if self.rng_seed < 0:
             raise ConfigError(f"system.rng_seed: must be >= 0, got {self.rng_seed}")
 

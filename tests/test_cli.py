@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +441,43 @@ def test_infeasible_exit_code(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "infeasible"
+
+
+SCHEME_CONFIGS = [CONFIGS / "single_user_clean.yaml", CONFIGS / "single_user_extended.yaml",
+                  CONFIGS / "multi_user.yaml", ROOT / "bench" / "configs" / "sdr_point.yaml"]
+
+
+def write_first_target(tmp_path: Path, config: Path, rate: float) -> Path:
+    cfg = yaml.safe_load(config.read_text())
+    cfg["system"]["rate_targets"][0] = rate
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+@pytest.mark.parametrize("config", SCHEME_CONFIGS, ids=lambda path: path.name)
+@pytest.mark.parametrize("rate", [54.0, 60.0, 1000.0, 1023.9])
+def test_far_rate_target_is_infeasible_naming_the_power(tmp_path, capsys, config, rate):
+    # past every budget here: the single-user power bound rejects them
+    # before the least-power fixed point, which underflows near 1000
+    cfg_path = write_first_target(tmp_path, config, rate)
+    code = cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "infeasible"
+    assert re.match(r"the rate targets need at least \S+ W, budget is 10 W", err["reason"])
+
+
+@pytest.mark.parametrize("config", SCHEME_CONFIGS, ids=lambda path: path.name)
+@pytest.mark.parametrize("rate", [1024.0, 2000.0])
+def test_rate_target_past_the_float_range_is_config_error(tmp_path, capsys, config, rate):
+    # the SINR target 2^r - 1 leaves the float range
+    cfg_path = write_first_target(tmp_path, config, rate)
+    code = cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and err["reason"].startswith("system.rate_targets:")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("scheme", ["closed", "sdr", "mm-single"])

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mibeam import dispatch, evaluation, linalg, mm, model
+from mibeam import dispatch, evaluation, linalg, mm, model, sdr
 from mibeam.closed_form import solve_closed_form
 from mibeam.config import parse_config
 from mibeam.errors import BracketFailure, DegenerateConstraint, Infeasible
@@ -1229,6 +1229,26 @@ def shipped_geometry_instance(n_users, rate, channel_seed):
                                m_interf=50, rate=rate)
 
 
+def test_minimum_power_design_meets_a_far_target():
+    # SINR targets 2^60 - 1, 63 and 63: G_kk (1 + nu) - nu G_kk rounds to 0
+    # here, so the downlink system must not form its diagonal that way
+    scenario = parse_config(CONFIGS / "multi_user.yaml").scenario
+    inst = model.build_instance(replace(scenario, config=replace(
+        scenario.config, rate_targets=(60.0, 6.0, 6.0))))
+    gains = np.abs(inst.channel @ mm._minimum_power_design(inst)) ** 2
+    interference = np.sum(gains * (1.0 - np.eye(3)), axis=1)
+    sinr = gains.diagonal() / (interference + inst.config.comm_noise)
+    assert np.allclose(sinr, model.sinr_targets(inst.config.rate_targets), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("rate", [1.9, 2.9, 3.9])
+def test_every_reader_of_a_rate_target_forms_one_sinr_target(rate):
+    # Python's float power and numpy's differ in the last bit at these rates
+    inst = single_user_instance(rate=rate)
+    omega = model.rate_power_threshold(rate, inst.config.comm_noise)
+    assert mm.rate_cuts(inst).c[1] == sdr._omega(inst) == omega
+
+
 def test_zero_forcing_init_falls_back_to_minimum_power():
     # zero forcing needs 18.43 W here; the least power that meets every
     # target is 2.0607 W, so the start is that design scaled to the budget
@@ -1449,10 +1469,37 @@ def test_multi_user_converges_and_meets_rates():
 
 
 def test_multi_user_single_user_reduction_agrees():
+    # the K-user QCQP map, which no solve runs at K = 1, iterated against the
+    # single-user map
     inst = single_user_instance(seed=150, m_interf=6, gamma2=20.0)
     mi_single = mm.solve_single_user(inst).mi_trace[-1]
-    mi_multi = mm.solve_multi_user(inst, max_iters=1500).mi_trace[-1]
-    assert mi_multi == pytest.approx(mi_single, rel=5e-3)
+    start = model.sensing_point(inst, mm.zero_forcing_init(inst))
+    multi = mm._iterate(mm._MultiUserMap(inst), start, mm.DEFAULT_EPS_MULTI, 1500, 0.0)
+    assert multi.mi_trace[-1] == pytest.approx(mi_single, rel=5e-3)
+
+
+@pytest.mark.parametrize("make, max_iters", [
+    (lambda: criterion_5_instance(1), mm.DEFAULT_MAX_ITERS),
+    (lambda: model.build_instance(parse_config(CONFIGS / "multi_user.yaml").scenario), 20),
+], ids=["one-user", "three-users"])
+def test_single_and_multi_user_solves_differ_only_in_eps(make, max_iters):
+    inst = make()
+    single = mm.solve_single_user(inst, eps1=1e-7, max_iters=max_iters)
+    multi = mm.solve_multi_user(inst, eps2=1e-7, max_iters=max_iters)
+    assert np.array_equal(single.w, multi.w)
+    for name in ("mi_trace", "iterations", "status", "kkt_residual", "comp_power", "comp_rate",
+                 "inner_steps", "finish_steps"):
+        assert getattr(single, name) == getattr(multi, name), name
+
+
+def test_mm_multi_at_one_user_runs_the_single_user_map():
+    # the QCQP with plain maps reaches the 2000 cap here, at KKT 0.143 and
+    # 8.716283 nats against 9.098138
+    cfg = parse_config(CONFIGS / "single_user_extended.yaml")
+    single = dispatch.solve_scenario(cfg.scenario, "mm-single", cfg.solver)
+    multi = dispatch.solve_scenario(cfg.scenario, "mm-multi", cfg.solver)
+    assert multi.status == "converged" and multi.kkt_residual <= 1e-9
+    assert multi.mi_nats == pytest.approx(single.mi_nats, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
