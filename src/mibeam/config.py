@@ -21,13 +21,7 @@ import yaml
 from . import evaluation, model
 from .dispatch import SolverOptions, validate_scheme
 from .errors import ConfigError
-
-
-def check_seed(seed: int, source: str) -> int:
-    """A seed as numpy's generators take it: a nonnegative integer."""
-    if seed < 0:
-        raise ConfigError(f"{source}: must be >= 0, got {seed}")
-    return seed
+from .evaluation import check_seed
 
 
 @dataclass(frozen=True)
