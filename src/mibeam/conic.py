@@ -336,9 +336,9 @@ def _predict(local: _Local, hess: np.ndarray, t_bar: float, t_next: float) -> _L
     return _local_at(local.comp, local.x + step * dx) or local
 
 
-def _barrier_solve(local: _Local, gap_tol: float):
-    """Path-following loop over t_bar = 1, 5, 25, ... from local.x; returns
-    (x, gap, newton_steps, hit_cap, trace, decrement).
+def _barrier_solve(local: _Local, t_bar: float, gap_tol: float):
+    """Path-following loop over t_bar, t_bar / GAP_SHRINK, ... from local.x;
+    returns (x, gap, newton_steps, hit_cap, trace, decrement).
 
     Each round centres at t_bar, records (primal, primal - nu / t_bar) and
     ends the solve once nu / t_bar <= gap_tol (1 + |primal|).  Centring is
@@ -350,7 +350,6 @@ def _barrier_solve(local: _Local, gap_tol: float):
     predictor step follows the tangent of the central path.
     """
     comp = local.comp
-    t_bar = 1.0
     used = 0
     trace = []
     for _ in range(MAX_ROUNDS):
@@ -403,12 +402,13 @@ def _compile_sdp(prob: SdpProblem) -> _Compiled:
 def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
     """Solve an :class:`SdpProblem` from its start (ValueError unless S is
     positive definite there); gap tolerance is relative to 1 + |obj|.  The
-    start is centred loosely at the weight min(1, nu / (1 + |obj|)), where
-    the objective term weighs at most the barrier degree nu, then the path
-    follower runs from t = 1.  Raises :class:`NumericalError` when the path
-    follower hits MAX_ROUNDS or the final centring test fails at
-    LOOSE_CENTER_TOL; the strict CENTER_TOL is not required, because valid
-    solves stop at roundoff slightly above it."""
+    start is centred loosely at the weight t_first = min(1, nu / (1 +
+    |obj|)), where the objective term weighs at most the barrier degree nu,
+    then the path follower runs from min(1, t_first / GAP_SHRINK^4).
+    Raises :class:`NumericalError` when the path follower hits MAX_ROUNDS
+    or the final centring test fails at LOOSE_CENTER_TOL; the strict
+    CENTER_TOL is not required, because valid solves stop at roundoff
+    slightly above it."""
     comp = _compile_sdp(prob)
     x0 = np.concatenate([_params_of_herm(prob.start[0]), [prob.start[1]] if prob.has_t else []])
     local = _local_at(comp, x0)
@@ -416,7 +416,11 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_GAP_TOL) -> ConicReport:
         raise ValueError("SDP start is not strictly feasible")
     t_first = min(1.0, comp.nu / (1.0 + abs(comp.objective(x0))))
     local, steps0, _, _ = _newton_center(local, t_first, NEWTON_PER_ROUND, LOOSE_CENTER_TOL)
-    x, gap, steps, hit_cap, trace, decrement = _barrier_solve(local, gap_tol=tol)
+    # the first round's weight is at most four grid steps above the start's:
+    # from a start whose objective is large (a strong target's t0) a jump
+    # straight to t = 1 can be more than NEWTON_PER_ROUND steps can centre
+    t_bar = min(1.0, t_first / GAP_SHRINK ** 4)
+    x, gap, steps, hit_cap, trace, decrement = _barrier_solve(local, t_bar, gap_tol=tol)
     steps += steps0
     # nu / t bounds the gap only at a central point: a final centring that
     # ran out of steps far from the centre certifies nothing

@@ -494,6 +494,35 @@ def test_zero_file_channel_is_infeasible_for_every_scheme(tmp_path, capsys, sche
                    "rate target is not strictly feasible"}
 
 
+def write_sdr_point(tmp_path: Path, target_strength: float, channel_seed: int = 1) -> Path:
+    cfg = yaml.safe_load((ROOT / "bench" / "configs" / "sdr_point.yaml").read_text())
+    cfg["target"]["strengths"] = [target_strength]
+    cfg["channel"]["seed"] = channel_seed
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+@pytest.mark.parametrize("channel_seed", [3, 4])
+def test_sdr_designs_a_strong_target(tmp_path, channel_seed):
+    # radar SNR 44.8 dB: the SDP's path follower jumped from the start's
+    # weight, about 8e-5, straight to t = 1, and its first round's Newton
+    # budget could not centre there (exit 4)
+    cfg_path = write_sdr_point(tmp_path, 100.0, channel_seed)
+    assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    payload = json.loads((tmp_path / "o" / "solution.json").read_text())
+    w = np.asarray(payload["w_re"]) + 1j * np.asarray(payload["w_im"])
+    assert np.linalg.norm(w) ** 2 <= 10.0 * (1.0 + 1e-9)
+    assert payload["rates_bits"][0] >= 6.0 - 1e-6
+
+
+def test_sdr_on_a_silent_target_designs_with_zero_mi(tmp_path):
+    cfg_path = write_sdr_point(tmp_path, 0.0)
+    assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    payload = json.loads((tmp_path / "o" / "solution.json").read_text())
+    assert payload["mi_bits"] == 0.0
+
+
 def test_rate_sweep_has_knee_at_paper_seed(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.yaml",
                             sweep={"variable": "rate_target",

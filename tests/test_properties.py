@@ -2,8 +2,9 @@
 
 Over small systems (N_T in [2, 6], N_R in [1, 6], up to three users for the
 MM solvers, one for ``closed`` and ``sdr``), rate targets including 0, a
-point target at broadside, no interferer, a small extended one (MM) or a
-point one (``sdr``, ``mm-single``) of any strength, and budgets from just
+point target at broadside (of strength 1, for one user 1 to 1e6), no
+interferer, a small extended one (MM) or a point one (``sdr``,
+``mm-single``) of any strength, and budgets from just
 below to far above the least power that meets the targets, every solve
 through ``dispatch.solve_scenario`` either returns a design within the
 budget that meets every target, or raises ``Infeasible`` when the least
@@ -28,6 +29,7 @@ from mibeam.model import ScattererModel, Scenario, SystemConfig  # noqa: E402
 RATES = (0.0, 0.1, 0.5, 2.0, 4.0, 6.0)
 BUDGET_FACTORS = (1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 1e-9, 1.0 + 1e-6, 1.01, 2.0, 10.0)
 INTERF_STRENGTHS = (0.0, 1.0, 100.0, 1e4)
+TARGET_STRENGTHS = (1.0, 1e2, 1e4, 1e6)
 # the SDR relaxation, started inside the feasible set, can end uncentred
 # (a NumericalError) when the budget is within this relative slack of the least
 # power: on bench/configs/sdr_point.yaml's geometry, channels 1-60, it
@@ -46,7 +48,8 @@ def cases(draw):
                                                st.sampled_from(INTERF_STRENGTHS))),
         channel_seed=draw(st.integers(0, 10_000)),
         factor=draw(st.sampled_from(BUDGET_FACTORS)),
-        scheme=draw(st.sampled_from(("mm-single", "mm-multi"))) if n_users == 1 else "mm-multi")
+        scheme=draw(st.sampled_from(("mm-single", "mm-multi"))) if n_users == 1 else "mm-multi",
+        target_strength=1.0)
 
 
 @st.composite
@@ -59,12 +62,14 @@ def single_user_cases(draw):
     return dict(n_tx=draw(st.integers(2, 6)), n_rx=draw(st.integers(1, 6)),
                 rates=(draw(st.sampled_from(RATES)),), interferer=interferer,
                 channel_seed=draw(st.integers(0, 10_000)),
-                factor=draw(st.sampled_from(BUDGET_FACTORS)), scheme=scheme)
+                factor=draw(st.sampled_from(BUDGET_FACTORS)), scheme=scheme,
+                target_strength=draw(st.sampled_from(TARGET_STRENGTHS)))
 
 
 def scenario_at(case, budget):
-    """The case's scenario at a budget.  The interferer is None, (n, strength)
-    for n components over -30..-25 degrees, or ("point", strength) at -30
+    """The case's scenario at a budget.  The target is a point at 0 degrees
+    of the case's strength.  The interferer is None, (n, strength) for n
+    components over -30..-25 degrees, or ("point", strength) at -30
     degrees; a channel seed of None gives a zero channel."""
     cfg = SystemConfig(n_tx=case["n_tx"], n_rx=case["n_rx"], n_users=len(case["rates"]),
                        n_slots=30, power_budget=budget, comm_noise=0.1, radar_noise=1.0,
@@ -77,12 +82,15 @@ def scenario_at(case, budget):
     channel = np.zeros((cfg.n_users, cfg.n_tx), dtype=complex)
     if case["channel_seed"] is not None:
         channel = model.rayleigh_channel(cfg.n_users, cfg.n_tx, case["channel_seed"])
-    return Scenario(cfg, ScattererModel.point(0.0, 1.0), interf, channel)
+    target = ScattererModel.point(0.0, case["target_strength"])
+    return Scenario(cfg, target, interf, channel)
 
 
-def pinned(n_tx, n_rx, rates, interferer, channel_seed, factor, scheme="mm-multi"):
+def pinned(n_tx, n_rx, rates, interferer, channel_seed, factor, scheme="mm-multi",
+           target_strength=1.0):
     return dict(n_tx=n_tx, n_rx=n_rx, rates=rates, interferer=interferer,
-                channel_seed=channel_seed, factor=factor, scheme=scheme)
+                channel_seed=channel_seed, factor=factor, scheme=scheme,
+                target_strength=target_strength)
 
 
 @given(cases())
@@ -122,6 +130,9 @@ def test_solve_meets_the_constraints_or_is_infeasible(case):
 # of the barrier Hessian swamped its small diagonal entries, and the SDR
 # ended uncentred (exit 4)
 @example(pinned(5, 1, (0.1,), ("point", 0.0), 2621, 1.0 + 3e-8, "sdr"))
+# a target of strength 1e6: the SDP's path follower jumped from the start's
+# weight straight to t = 1, which its first round could not centre (exit 4)
+@example(pinned(6, 1, (0.0,), None, 0, 1.0 - 1e-13, "sdr", 1e6))
 def test_every_scheme_takes_the_one_verdict(case):
     check_design_or_verdict(case)
 

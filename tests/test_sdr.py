@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mibeam import conic, dispatch, model, sdr
+from mibeam import conic, dispatch, mm, model, sdr
 from mibeam.closed_form import solve_closed_form
 from mibeam.errors import NumericalError
 from mibeam.model import ScattererModel, Scenario, SystemConfig
@@ -138,6 +138,40 @@ def test_build_sdp_shapes_and_zero_matrix_point():
     ])
     t_max = entries[0, 0].real - abs(entries[0, 1]) ** 2 / entries[1, 1].real
     assert t_max == pytest.approx(cfg.radar_noise)
+
+
+@pytest.mark.parametrize("rate", [4.0, 0.0])
+def test_power_and_rate_blocks_are_the_lifted_constraint_stack(rate):
+    # row j of mm.rate_cuts, w^H (a_j - own_j) w + c_j <= 0, lifted to the
+    # 1x1 block -c_j + Tr((own_j - a_j) W), in stack order; a zero rate
+    # target has no cut, so no rate block
+    cfg, inst, h, omega = make_setup(rate=rate)
+    cuts = mm.rate_cuts(inst)
+    stack = sdr.build_sdp(inst).lmi_blocks[1:]
+    assert len(stack) == cuts.c.size == (2 if rate else 1)
+    for block, a, own, c in zip(stack, cuts.a, cuts.own, cuts.c):
+        assert np.array_equal(block.coeff, (own - a)[None, None])
+        assert np.array_equal(block.const, [[-c]]) and not np.any(block.t_coeff)
+
+
+@pytest.mark.parametrize("interferer", [None, ScattererModel.point(-30.0, 0.0)],
+                         ids=["absent", "silent"])
+def test_no_interferer_gives_a_one_by_one_lmi(interferer):
+    cfg, inst, h, omega = make_setup(seed=5)
+    inst = model.build_instance(
+        Scenario(cfg, ScattererModel.point(0.0, 1.0), interferer, inst.channel))
+    prob = sdr.build_sdp(inst)
+    assert prob.lmi_blocks[0].const.shape == (1, 1)
+    # the same relaxation as a 2x2 LMI whose interferer row is the constant
+    # s_z^2.  Both are solved to a relative gap of 1e-10: at the default 1e-7
+    # their barrier degrees, one apart, can end the two a round apart
+    padded = conic.LmiBlock(coeff=steering_kernels(cfg, 0.0, 1.0, -30.0, 0.0),
+                            const=cfg.radar_noise * np.eye(2, dtype=complex),
+                            t_coeff=np.diag([-1.0, 0.0]).astype(complex))
+    bound = sdr.relaxed_mi_bound(conic.solve_sdp(prob, 1e-10).aux, cfg.radar_noise)
+    padded_prob = replace(prob, lmi_blocks=(padded,) + prob.lmi_blocks[1:])
+    reference = sdr.relaxed_mi_bound(conic.solve_sdp(padded_prob, 1e-10).aux, cfg.radar_noise)
+    assert abs(bound - reference) <= 1e-9 * abs(reference)
 
 
 def test_no_interference_limit_matches_closed_form():
